@@ -18,13 +18,7 @@ from gradflow.admissibility import (
     table1,
     write_sweep_csv,
 )
-from gradflow.controller import (
-    Controller,
-    ControllerParams,
-    clamp,
-    control_value,
-    make_controller,
-)
+from gradflow.controller import ControllerParams, clamp, control_value
 from gradflow.kinematics import (
     TB3_BOUNDS,
     TB3_WHEEL_SEPARATION,
@@ -52,6 +46,7 @@ from gradflow.simulator import (
     IntegrationError,
     SimConfig,
     Trajectory,
+    convergence_order,
     goal_reached,
     integrate_gradient_flow,
     load_trajectory_csv,
@@ -65,7 +60,6 @@ __all__ = [
     "AdmissibilityConfig",
     "AdmissibilityResult",
     "BoxDomain",
-    "Controller",
     "ControllerParams",
     "ExperimentPreset",
     "IntegrationError",
@@ -84,6 +78,7 @@ __all__ = [
     "backend",
     "clamp",
     "control_value",
+    "convergence_order",
     "diff_drive_to_unicycle",
     "finite_difference_gradient",
     "frame_inverse",
@@ -92,7 +87,6 @@ __all__ = [
     "integrate_gradient_flow",
     "lie_bracket",
     "load_trajectory_csv",
-    "make_controller",
     "make_custom",
     "make_quadratic",
     "make_v_alpha",

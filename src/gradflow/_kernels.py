@@ -3,16 +3,20 @@
 Two kinds of kernels live here:
 
 * sequential loops (closed-loop integration, gradient-flow integration)
-  written once as plain scalar Python; the numba backend runs the njit
-  compilation of the very same function, so both backends execute the
-  same arithmetic,
+  written once as plain scalar Python; they read the potential through a
+  scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2, dV/dx3).
+  Diagonal quadratics pass their coefficients and `quadratic_vg`, and the
+  numba backend runs the njit compilation of the very same loop, so both
+  backends execute the same arithmetic. Any other potential passes a
+  wrapper around its Python callables and runs the interpreted loop,
 * box-quadrature reductions, where the numpy backend is a slab-vectorized
   twin of the compiled triple loop.
 
 Backend selection: the environment variable GRADFLOW_BACKEND ("numba" or
 "numpy") is consulted at every dispatch, so tests and benchmarks can flip
 it; set_backend() overrides the environment within a process. The default
-is numba when importable, numpy otherwise.
+is numba when importable, numpy otherwise. Asking for an unknown backend,
+or for numba where it does not import, raises ValueError either way.
 
 Reduction order is fixed and documented per kernel: midpoint quadrature
 accumulates x3-slab subtotals in slab index order; Monte Carlo accumulates
@@ -29,11 +33,15 @@ import numpy as np
 
 try:
     from numba import njit
+    from numba.extending import register_jitable as _jitable
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
     njit = None
     HAVE_NUMBA = False
+
+    def _jitable(fn):
+        return fn
 
 _BACKEND_OVERRIDE: str | None = None
 
@@ -43,29 +51,28 @@ STATUS_GOAL = 1
 STATUS_NONFINITE = 2
 
 
+def _checked(name: str, source: str) -> str:
+    if name not in ("numba", "numpy"):
+        raise ValueError(f"unknown backend {name!r} from {source}")
+    if name == "numba" and not HAVE_NUMBA:
+        raise ValueError(f"numba backend requested by {source} but numba is not importable")
+    return name
+
+
 def backend() -> str:
     """Active backend name: override > GRADFLOW_BACKEND > availability."""
     if _BACKEND_OVERRIDE is not None:
         return _BACKEND_OVERRIDE
     env = os.environ.get("GRADFLOW_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        return "numba" if HAVE_NUMBA else "numpy"
+    if env:
+        return _checked(env, "GRADFLOW_BACKEND")
     return "numba" if HAVE_NUMBA else "numpy"
 
 
 def set_backend(name: str | None) -> None:
     """Force a backend ("numba"/"numpy"); None restores environment selection."""
     global _BACKEND_OVERRIDE
-    if name is None:
-        _BACKEND_OVERRIDE = None
-        return
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND_OVERRIDE = name
+    _BACKEND_OVERRIDE = None if name is None else _checked(name, "set_backend()")
 
 
 _NJIT_CACHE: dict = {}
@@ -80,43 +87,65 @@ def _jit(fn):
     return compiled
 
 
-def _dispatch(fn):
-    return _jit(fn) if backend() == "numba" else fn
-
-
 # ---------------------------------------------------------------------------
-# closed-loop integration, diagonal quadratic potentials
+# closed-loop and gradient-flow integration, any potential
 # ---------------------------------------------------------------------------
 
-def _closed_loop_quadratic(x0, coeffs, gamma, k1, k2, omega, control_period, h,
-                           n_updates, upd_per_eps, steps_per_update, sampling,
-                           do_clamp, u1_max, u2_max, goal, goal_tol,
-                           log_every, rows):
+def quadratic_vg(params, x1, x2, x3):
+    """V and grad V of the diagonal quadratic with coefficients `params`."""
+    c1 = params[0]
+    c2 = params[1]
+    c3 = params[2]
+    return (c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3,
+            2.0 * c1 * x1, 2.0 * c2 * x2, 2.0 * c3 * x3)
+
+
+@_jitable
+def hold_step(x1, x2, x3, u1, u2, T):
+    """Exact unicycle flow over a hold of length T with (u1, u2) constant.
+
+    x3 turns at the constant rate u2, so the planar motion is a circular
+    arc whose chord is u1*T*sinc(u2*T/2) along the mid-hold heading.
+    """
+    half = 0.5 * u2 * T
+    sinc = 1.0
+    if half != 0.0:
+        sinc = math.sin(half) / half
+    chord = u1 * T * sinc
+    return (x1 + chord * math.cos(x3 + half),
+            x2 + chord * math.sin(x3 + half),
+            x3 + u2 * T)
+
+
+def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
+                 n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
+                 goal, goal_tol, log_every, rows):
     """Closed-loop run; fills `rows` with (t, x, u, a, V, saturated).
 
-    Returns (rows_written, status, convergence_time). The control is held
-    constant over each control period; amplitudes refresh every update in
-    continuous mode and only at multiples of upd_per_eps in sampling mode.
-    Goal detection runs at update instants on the full-state distance.
+    Returns (rows_written, status, convergence_time, saturated_updates,
+    max_abs_u1, max_abs_u2); the last three cover every control update
+    that was evaluated, logged or not. The control is held constant over
+    each control period and the state follows the exact flow of the hold.
+    Amplitudes refresh every update in continuous mode and only at
+    multiples of upd_per_eps in sampling mode. Goal detection runs at
+    update instants on the full-state distance.
     """
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
-    c1 = coeffs[0]
-    c2 = coeffs[1]
-    c3 = coeffs[2]
     a1 = 0.0
     a2 = 0.0
     a12 = 0.0
     n_rows = 0
     status = STATUS_HORIZON
     conv_time = math.nan
+    n_sat = 0
+    max_u1 = 0.0
+    max_u2 = 0.0
     for k in range(n_updates + 1):
         t = k * control_period
+        v_val, gx1, gx2, gx3 = vg(params, x1, x2, x3)
         if (not sampling) or (k % upd_per_eps == 0):
-            gx1 = 2.0 * c1 * x1
-            gx2 = 2.0 * c2 * x2
-            gx3 = 2.0 * c3 * x3
             s = math.sin(x3)
             c = math.cos(x3)
             a1 = -gamma * (gx1 * c + gx2 * s)
@@ -144,13 +173,18 @@ def _closed_loop_quadratic(x0, coeffs, gamma, k1, k2, omega, control_period, h,
             elif u2 < -u2_max:
                 u2 = -u2_max
                 sat = 1.0
-        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
         # a finite state can still overflow in u/a/V; never log such a row
         if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)
                 and math.isfinite(u1) and math.isfinite(u2)
                 and math.isfinite(a12) and math.isfinite(v_val)):
             status = STATUS_NONFINITE
             break
+        if sat != 0.0:
+            n_sat += 1
+        if abs(u1) > max_u1:
+            max_u1 = abs(u1)
+        if abs(u2) > max_u2:
+            max_u2 = abs(u2)
         d1 = x1 - goal[0]
         d2 = x2 - goal[1]
         d3 = x3 - goal[2]
@@ -174,52 +208,22 @@ def _closed_loop_quadratic(x0, coeffs, gamma, k1, k2, omega, control_period, h,
             break
         if k == n_updates:
             break
-        for _ in range(steps_per_update):
-            # RK4 on xdot = (u1*cos x3, u1*sin x3, u2) with u frozen; since
-            # xdot3 = u2 is constant, stages 2 and 3 see the same heading and
-            # the x3 update is exact
-            k1x = u1 * math.cos(x3)
-            k1y = u1 * math.sin(x3)
-            x3b = x3 + 0.5 * h * u2
-            k2x = u1 * math.cos(x3b)
-            k2y = u1 * math.sin(x3b)
-            k3x = k2x
-            k3y = k2y
-            x3d = x3 + h * u2
-            k4x = u1 * math.cos(x3d)
-            k4y = u1 * math.sin(x3d)
-            x1 += h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-            x2 += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-            x3 += h * u2
+        x1, x2, x3 = hold_step(x1, x2, x3, u1, u2, control_period)
         if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
             status = STATUS_NONFINITE
             break
-    return n_rows, status, conv_time
+    return n_rows, status, conv_time, n_sat, max_u1, max_u2
 
 
-def closed_loop_quadratic(*args):
-    return _dispatch(_closed_loop_quadratic)(*args)
-
-
-# ---------------------------------------------------------------------------
-# gradient-flow integration, diagonal quadratic potentials
-# ---------------------------------------------------------------------------
-
-def _gradient_flow_quadratic(x0, coeffs, h, n_steps, log_every, rows):
-    """RK4 on xdot = -grad V = -2*c.*x; control/amplitude columns stay zero."""
+def _gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
+    """RK4 on xdot = -grad V; control/amplitude columns stay zero."""
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
-    c1 = coeffs[0]
-    c2 = coeffs[1]
-    c3 = coeffs[2]
-    lam1 = -2.0 * c1
-    lam2 = -2.0 * c2
-    lam3 = -2.0 * c3
     n_rows = 0
     status = STATUS_HORIZON
     for k in range(n_steps + 1):
-        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+        v_val, g1, g2, g3 = vg(params, x1, x2, x3)
         if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)
                 and math.isfinite(v_val)):
             status = STATUS_NONFINITE
@@ -236,27 +240,40 @@ def _gradient_flow_quadratic(x0, coeffs, h, n_steps, log_every, rows):
             n_rows += 1
         if k == n_steps:
             break
-        # components decouple: RK4 on each scalar xdot = lam*x
-        s1 = lam1 * x1
-        s2 = lam1 * (x1 + 0.5 * h * s1)
-        s3 = lam1 * (x1 + 0.5 * h * s2)
-        s4 = lam1 * (x1 + h * s3)
-        x1 += h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-        s1 = lam2 * x2
-        s2 = lam2 * (x2 + 0.5 * h * s1)
-        s3 = lam2 * (x2 + 0.5 * h * s2)
-        s4 = lam2 * (x2 + h * s3)
-        x2 += h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-        s1 = lam3 * x3
-        s2 = lam3 * (x3 + 0.5 * h * s1)
-        s3 = lam3 * (x3 + 0.5 * h * s2)
-        s4 = lam3 * (x3 + h * s3)
-        x3 += h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+        # RK4 stages p, q, r and -g of xdot = -grad V
+        p1 = -g1
+        p2 = -g2
+        p3 = -g3
+        _, g1, g2, g3 = vg(params, x1 + 0.5 * h * p1, x2 + 0.5 * h * p2,
+                           x3 + 0.5 * h * p3)
+        q1 = -g1
+        q2 = -g2
+        q3 = -g3
+        _, g1, g2, g3 = vg(params, x1 + 0.5 * h * q1, x2 + 0.5 * h * q2,
+                           x3 + 0.5 * h * q3)
+        r1 = -g1
+        r2 = -g2
+        r3 = -g3
+        _, g1, g2, g3 = vg(params, x1 + h * r1, x2 + h * r2, x3 + h * r3)
+        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 - g1) / 6.0
+        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 - g2) / 6.0
+        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 - g3) / 6.0
     return n_rows, status
 
 
-def gradient_flow_quadratic(*args):
-    return _dispatch(_gradient_flow_quadratic)(*args)
+def _run(loop, vg, params, *args):
+    """`loop` on the selected backend; only quadratic_vg has a compiled build."""
+    if backend() == "numba" and vg is quadratic_vg:
+        return _jit(loop)(_jit(quadratic_vg), params, *args)
+    return loop(vg, params, *args)
+
+
+def closed_loop(vg, params, *args):
+    return _run(_closed_loop, vg, params, *args)
+
+
+def gradient_flow(vg, params, *args):
+    return _run(_gradient_flow, vg, params, *args)
 
 
 # ---------------------------------------------------------------------------

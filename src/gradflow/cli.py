@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from gradflow import _kernels
 from gradflow.admissibility import (
     AdmissibilityConfig,
@@ -29,6 +27,7 @@ from gradflow.presets import PRESETS
 from gradflow.simulator import (
     IntegrationError,
     SimConfig,
+    convergence_order,
     integrate_gradient_flow,
     load_trajectory_csv,
     simulate,
@@ -53,7 +52,6 @@ SIM_DEFAULTS = {
     "goal": [0.0, 0.0, 0.0],
     "goal_tol": 0.05,
     "t_max": 600.0,
-    "h": 5e-4,
     "control_period": 5e-4,
     "log_every": 1,
 }
@@ -142,7 +140,7 @@ def _settings_for_simulate(args) -> dict:
         settings.update(_load_config_file(args.config))
     for key, flag in (
         ("loop_mode", "mode"), ("bounds_mode", "bounds"), ("t_max", "t_max"),
-        ("goal_tol", "goal_tol"), ("h", "h"), ("control_period", "control_period"),
+        ("goal_tol", "goal_tol"), ("control_period", "control_period"),
         ("log_every", "log_every"), ("gamma", "gamma"),
     ):
         val = getattr(args, flag, None)
@@ -166,7 +164,7 @@ def _sim_config_from_settings(settings: dict) -> SimConfig:
         potential=_potential_from_spec(settings["potential"]),
         controller=controller, x0=settings["x0"], goal=settings["goal"],
         goal_tol=float(settings["goal_tol"]), t_max=float(settings["t_max"]),
-        h=float(settings["h"]), control_period=float(settings["control_period"]),
+        control_period=float(settings["control_period"]),
         log_every=int(settings["log_every"]),
     )
 
@@ -185,8 +183,8 @@ def cmd_simulate(args) -> int:
         "bounds_mode": settings["bounds_mode"],
         "terminated": traj.terminated,
         "convergence_time": conv if conv is None else float(conv),
-        "max_abs_u1": float(np.abs(traj.column("u1")).max()),
-        "max_abs_u2": float(np.abs(traj.column("u2")).max()),
+        "max_abs_u1": traj.max_abs_u1,
+        "max_abs_u2": traj.max_abs_u2,
         "saturation_count": traj.saturation_count,
         "final_state": [float(v) for v in traj.final_state],
         "x3_end_wrapped": wrap_angle(float(traj.final_state[2])),
@@ -270,7 +268,7 @@ def cmd_refine(args) -> int:
         )
         cfg = SimConfig(
             potential=potential, controller=controller, x0=args.x0,
-            goal_tol=0.0, t_max=args.window, h=cp, control_period=cp,
+            goal_tol=0.0, t_max=args.window, control_period=cp,
         )
         deviations.append(tracking_deviation(simulate(cfg), reference))
     non_increasing = all(b <= a for a, b in zip(deviations, deviations[1:]))
@@ -283,6 +281,7 @@ def cmd_refine(args) -> int:
         "eps": args.eps,
         "deviations": deviations,
         "non_increasing": non_increasing,
+        "slope": convergence_order(args.eps, deviations) if len(deviations) > 1 else None,
         "window": args.window,
         "loop_mode": args.mode,
         "backend": _kernels.backend(),
@@ -346,7 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="run the closed loop and export a trajectory CSV")
+    # no prefix matching: the removed step flag --h would otherwise print --help and exit 0
+    sim = subs.add_parser("simulate", help="run the closed loop and export a trajectory CSV",
+                          allow_abbrev=False)
     sim.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
     sim.add_argument("--config", help="JSON config file (flags override its fields)")
     sim.add_argument("--mode", choices=("sampling", "continuous"), help="loop mode")
@@ -354,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gamma", type=float, help="feedback gain")
     sim.add_argument("--t-max", type=float, dest="t_max", help="horizon (s)")
     sim.add_argument("--goal-tol", type=float, dest="goal_tol", help="stop radius")
-    sim.add_argument("--h", type=float, help="integrator step (s)")
     sim.add_argument("--control-period", type=float, dest="control_period",
                      help="zero-order-hold interval (s)")
     sim.add_argument("--log-every", type=int, dest="log_every",

@@ -70,21 +70,6 @@ class ControllerParams:
             )
 
 
-@dataclass(frozen=True)
-class Controller:
-    """Immutable controller wrapping a validated parameter set."""
-
-    params: ControllerParams
-
-    def __call__(self, a, t: float) -> tuple[np.ndarray, bool]:
-        return control_value(self, a, t)
-
-
-def make_controller(params: ControllerParams) -> Controller:
-    """Build a controller; parameter invariants were enforced at construction."""
-    return Controller(params)
-
-
 def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
     """Componentwise clamp of u to [-u1_max, u1_max] x [-u2_max, u2_max].
 
@@ -99,7 +84,7 @@ def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
     return out, bool(out[0] != u[0] or out[1] != u[1])
 
 
-def control_value(ctrl: Controller, a, t: float) -> tuple[np.ndarray, bool]:
+def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
     """Evaluate the feedback at amplitudes `a` = (a1, a2, a12) and time `t`.
 
     With ideal bounds the formula applies verbatim and the saturation flag
@@ -112,7 +97,6 @@ def control_value(ctrl: Controller, a, t: float) -> tuple[np.ndarray, bool]:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"amplitude vector must have shape (3,), got {a.shape}")
-    p = ctrl.params
     osc = math.sqrt(p.omega * abs(a[2]))
     sign = 0.0 if a[2] == 0.0 else math.copysign(1.0, a[2])
     u = np.array([

@@ -39,8 +39,8 @@ PRESETS = {
 
 def preset_sim_config(name: str, loop_mode: str = "continuous",
                       bounds_mode: str = "clamp", goal_tol: float = 0.05,
-                      t_max: float = 600.0, h: float = 5e-4,
-                      control_period: float = 5e-4, log_every: int = 1) -> SimConfig:
+                      t_max: float = 600.0, control_period: float = 5e-4,
+                      log_every: int = 1) -> SimConfig:
     """Build the full simulation config for a named preset."""
     try:
         preset = PRESETS[name]
@@ -57,5 +57,5 @@ def preset_sim_config(name: str, loop_mode: str = "continuous",
     return SimConfig(
         potential=make_v_alpha(preset.alpha), controller=controller,
         x0=preset.x0, goal=preset.goal, goal_tol=goal_tol, t_max=t_max,
-        h=h, control_period=control_period, log_every=log_every,
+        control_period=control_period, log_every=log_every,
     )

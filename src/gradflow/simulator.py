@@ -1,9 +1,10 @@
 """Closed-loop and gradient-flow integration with trajectory logging.
 
-The closed loop integrates xdot = u1*f1(x) + u2*f2(x) with classical
-fixed-step RK4. Controls follow a zero-order hold: they are evaluated at
-multiples of `control_period` and held constant in between. Two solution
-semantics are supported, selected by the controller's loop mode:
+The closed loop is xdot = u1*f1(x) + u2*f2(x) under a zero-order hold:
+controls are evaluated at multiples of `control_period` and held constant
+in between, and over each hold the state follows the exact (circular-arc)
+flow of the unicycle, so there is no integrator step to choose. Two
+solution semantics are supported, selected by the controller's loop mode:
 
 * "sampling": the amplitude vector is recomputed from the state only at
   multiples of epsilon and frozen in between, while the cos/sin factors
@@ -53,11 +54,18 @@ class Trajectory:
     time, state, applied control, amplitude vector in effect, potential
     value, and whether the control was saturated. Rows are strictly
     increasing in t, and the first row is the initial state at t = 0.
+
+    saturation_count, max_abs_u1 and max_abs_u2 cover every control update
+    of the run, logged or not; when saturation_count is not given, all
+    three are taken from the logged rows.
     """
 
     data: np.ndarray
     terminated: str
     convergence_time: float | None = None
+    saturation_count: int | None = None
+    max_abs_u1: float | None = None
+    max_abs_u2: float | None = None
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(TRAJECTORY_COLUMNS):
@@ -65,6 +73,11 @@ class Trajectory:
         if self.data.shape[0] < 1:
             raise ValueError("trajectory must contain at least one row")
         self.data.flags.writeable = False
+        if self.saturation_count is None:
+            u_max = np.abs(self.controls).max(axis=0)
+            object.__setattr__(self, "saturation_count", int(np.count_nonzero(self.saturated)))
+            object.__setattr__(self, "max_abs_u1", float(u_max[0]))
+            object.__setattr__(self, "max_abs_u2", float(u_max[1]))
 
     @property
     def t(self) -> np.ndarray:
@@ -96,10 +109,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def saturation_count(self) -> int:
-        return int(np.count_nonzero(self.saturated))
 
     def save_csv(self, path) -> None:
         """Write the exact trajectory CSV: 9 significant digits, LF endings."""
@@ -141,10 +150,9 @@ class SimConfig:
     """Full description of one closed-loop run.
 
     goal_tol is a full-state Euclidean radius; the run stops at the first
-    control update inside it. h is the RK4 step and must divide
-    control_period, which in turn must divide the controller's epsilon.
-    log_every decimates logging to every Nth control update (the initial
-    and final instants are always kept).
+    control update inside it. control_period must divide both the
+    controller's epsilon and t_max. log_every decimates logging to every
+    Nth control update (the initial and final instants are always kept).
     """
 
     potential: Potential
@@ -153,7 +161,6 @@ class SimConfig:
     goal: np.ndarray | None = None
     goal_tol: float = 0.05
     t_max: float = 600.0
-    h: float = 5e-4
     control_period: float = 5e-4
     log_every: int = 1
 
@@ -168,17 +175,19 @@ class SimConfig:
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         eps = self.controller.epsilon
-        if not (0 < self.h <= self.control_period <= eps):
+        if not (0 < self.control_period <= eps):
             raise ValueError(
-                f"need 0 < h <= control_period <= epsilon, got "
-                f"h={self.h}, control_period={self.control_period}, epsilon={eps}"
+                f"need 0 < control_period <= epsilon, got "
+                f"control_period={self.control_period}, epsilon={eps}"
             )
         if _multiple_of(eps, self.control_period) is None:
             raise ValueError(
                 f"control_period={self.control_period} must divide epsilon={eps}"
             )
-        if _multiple_of(self.control_period, self.h) is None:
-            raise ValueError(f"h={self.h} must divide control_period={self.control_period}")
+        if _multiple_of(self.t_max, self.control_period) is None:
+            raise ValueError(
+                f"control_period={self.control_period} must divide t_max={self.t_max}"
+            )
         if not (isinstance(self.log_every, int) and self.log_every >= 1):
             raise ValueError(f"log_every must be a positive integer, got {self.log_every}")
 
@@ -192,14 +201,14 @@ def goal_reached(x, goal, tol: float) -> bool:
     return bool(np.linalg.norm(x - goal) <= tol)
 
 
-def _status_to_trajectory(rows, n_rows, status, conv_time) -> Trajectory:
+def _status_to_trajectory(rows, n_rows, status, conv_time, *counts) -> Trajectory:
     if n_rows == 0:
         # non-finite before anything could be logged: degenerate inputs
         raise ValueError("potential produces non-finite values at the initial state")
     data = rows[:n_rows].copy()
     if status == _kernels.STATUS_GOAL:
-        return Trajectory(data, TERMINATED_GOAL, float(conv_time))
-    traj = Trajectory(data, TERMINATED_HORIZON, None)
+        return Trajectory(data, TERMINATED_GOAL, float(conv_time), *counts)
+    traj = Trajectory(data, TERMINATED_HORIZON, None, *counts)
     if status == _kernels.STATUS_NONFINITE:
         raise IntegrationError(
             f"state became non-finite after t={data[-1, 0]:g}", traj
@@ -207,159 +216,72 @@ def _status_to_trajectory(rows, n_rows, status, conv_time) -> Trajectory:
     return traj
 
 
+def _callables_vg(params, x1, x2, x3):
+    """(V, grad V) through a potential's Python value/gradient callables."""
+    value, gradient = params
+    x = np.array((x1, x2, x3))
+    g = gradient(x)
+    return float(value(x)), float(g[0]), float(g[1]), float(g[2])
+
+
+def _vg(potential: Potential):
+    """The loop kernels' potential callback and its parameters."""
+    if potential.coeffs is not None:
+        return _kernels.quadratic_vg, tuple(float(c) for c in potential.coeffs)
+    return _callables_vg, (potential.value, potential.gradient)
+
+
+def _floats(x) -> tuple:
+    return tuple(float(v) for v in x)
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
     Quadratic-family potentials run on the selected numeric backend;
-    custom potentials take an equivalent interpreted path that calls their
-    Python callables. Identical configs produce bit-identical trajectories
-    on a fixed backend.
+    custom potentials run the interpreted build of the same loop, which
+    calls their Python callables. Identical configs produce bit-identical
+    trajectories on a fixed backend.
     """
     ctrl = cfg.controller
-    n_updates = round(cfg.t_max / cfg.control_period)
+    n_updates = _multiple_of(cfg.t_max, cfg.control_period)
     upd_per_eps = _multiple_of(ctrl.epsilon, cfg.control_period)
-    steps_per_update = _multiple_of(cfg.control_period, cfg.h)
-    sampling = ctrl.loop_mode == "sampling"
-    do_clamp = ctrl.bounds.mode == "clamp"
     max_rows = n_updates // cfg.log_every + 2
     rows = np.empty((max_rows, len(TRAJECTORY_COLUMNS)))
-
-    if cfg.potential.coeffs is not None:
-        n_rows, status, conv_time = _kernels.closed_loop_quadratic(
-            cfg.x0, cfg.potential.coeffs, ctrl.gamma, ctrl.k1, ctrl.k2,
-            ctrl.omega, cfg.control_period, cfg.h, n_updates, upd_per_eps,
-            steps_per_update, sampling, do_clamp, ctrl.bounds.u1_max,
-            ctrl.bounds.u2_max, cfg.goal, cfg.goal_tol, cfg.log_every, rows,
-        )
-    else:
-        n_rows, status, conv_time = _closed_loop_generic(
-            cfg, n_updates, upd_per_eps, steps_per_update, sampling, do_clamp, rows
-        )
-    return _status_to_trajectory(rows, n_rows, status, conv_time)
-
-
-def _closed_loop_generic(cfg, n_updates, upd_per_eps, steps_per_update,
-                         sampling, do_clamp, rows):
-    """Interpreted closed loop for potentials without quadratic coefficients."""
-    ctrl = cfg.controller
-    gamma, k1, k2, omega = ctrl.gamma, ctrl.k1, ctrl.k2, ctrl.omega
-    u1_max, u2_max = ctrl.bounds.u1_max, ctrl.bounds.u2_max
-    cp, h, log_every = cfg.control_period, cfg.h, cfg.log_every
-    value, grad = cfg.potential.value, cfg.potential.gradient
-    g1, g2, g3 = cfg.goal
-    x = cfg.x0.copy()
-    a1 = a2 = a12 = 0.0
-    n_rows = 0
-    status = _kernels.STATUS_HORIZON
-    conv_time = math.nan
-    for k in range(n_updates + 1):
-        t = k * cp
-        if (not sampling) or (k % upd_per_eps == 0):
-            gx = np.asarray(grad(x), dtype=float)
-            s, c = math.sin(x[2]), math.cos(x[2])
-            a1 = -gamma * (gx[0] * c + gx[1] * s)
-            a2 = -gamma * gx[2]
-            a12 = -gamma * (gx[0] * s - gx[1] * c)
-        osc = math.sqrt(omega * abs(a12))
-        sign = 0.0 if a12 == 0.0 else math.copysign(1.0, a12)
-        u1 = a1 + k1 * osc * sign * math.cos(omega * t)
-        u2 = a2 + k2 * osc * math.sin(omega * t)
-        sat = 0.0
-        if do_clamp:
-            cu1 = min(max(u1, -u1_max), u1_max)
-            cu2 = min(max(u2, -u2_max), u2_max)
-            if cu1 != u1 or cu2 != u2:
-                sat = 1.0
-            u1, u2 = cu1, cu2
-        v_val = float(value(x))
-        # a finite state can still overflow in u/a/V; never log such a row
-        if not (np.all(np.isfinite(x)) and math.isfinite(u1) and math.isfinite(u2)
-                and math.isfinite(a12) and math.isfinite(v_val)):
-            status = _kernels.STATUS_NONFINITE
-            break
-        at_goal = math.sqrt(
-            (x[0] - g1) ** 2 + (x[1] - g2) ** 2 + (x[2] - g3) ** 2
-        ) <= cfg.goal_tol
-        if (k % log_every == 0) or at_goal or (k == n_updates):
-            rows[n_rows] = (t, x[0], x[1], x[2], u1, u2, a1, a2, a12, v_val, sat)
-            n_rows += 1
-        if at_goal:
-            status = _kernels.STATUS_GOAL
-            conv_time = t
-            break
-        if k == n_updates:
-            break
-        for _ in range(steps_per_update):
-            x = _rk4_unicycle_step(x, u1, u2, h)
-        if not np.all(np.isfinite(x)):
-            status = _kernels.STATUS_NONFINITE
-            break
-    return n_rows, status, conv_time
-
-
-def _rk4_unicycle_step(x, u1, u2, h):
-    def f(state):
-        return np.array([u1 * math.cos(state[2]), u1 * math.sin(state[2]), u2])
-
-    s1 = f(x)
-    s2 = f(x + 0.5 * h * s1)
-    s3 = f(x + 0.5 * h * s2)
-    s4 = f(x + h * s3)
-    return x + h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+    vg, params = _vg(cfg.potential)
+    out = _kernels.closed_loop(
+        vg, params, _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2, ctrl.omega,
+        cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
+        ctrl.bounds.mode == "clamp", ctrl.bounds.u1_max, ctrl.bounds.u2_max,
+        _floats(cfg.goal), cfg.goal_tol, cfg.log_every, rows,
+    )
+    return _status_to_trajectory(rows, *out)
 
 
 def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
                             log_every: int = 1) -> Trajectory:
     """RK4 integration of the reference dynamics xdot = -grad V(x).
 
-    Control and amplitude columns are logged as zeros; the result always
-    terminates with the horizon (there is no goal test here).
+    h must divide t_max. Control and amplitude columns are logged as
+    zeros; the result always terminates with the horizon (there is no goal
+    test here).
     """
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    n_steps = _multiple_of(t_max, h)
+    if n_steps is None:
+        raise ValueError(f"step h={h} must divide t_max={t_max}")
     if not (isinstance(log_every, int) and log_every >= 1):
         raise ValueError(f"log_every must be a positive integer, got {log_every}")
-    x0 = as_state(x0)
-    n_steps = round(t_max / h)
     max_rows = n_steps // log_every + 2
     rows = np.empty((max_rows, len(TRAJECTORY_COLUMNS)))
-    if potential.coeffs is not None:
-        n_rows, status = _kernels.gradient_flow_quadratic(
-            x0, potential.coeffs, h, n_steps, log_every, rows
-        )
-    else:
-        n_rows, status = _gradient_flow_generic(potential, x0, h, n_steps, log_every, rows)
+    vg, params = _vg(potential)
+    n_rows, status = _kernels.gradient_flow(
+        vg, params, _floats(as_state(x0)), h, n_steps, log_every, rows
+    )
     return _status_to_trajectory(rows, n_rows, status, math.nan)
-
-
-def _gradient_flow_generic(potential, x0, h, n_steps, log_every, rows):
-    value, grad = potential.value, potential.gradient
-
-    def f(state):
-        return -np.asarray(grad(state), dtype=float)
-
-    x = x0.copy()
-    n_rows = 0
-    status = _kernels.STATUS_HORIZON
-    for k in range(n_steps + 1):
-        v_val = float(value(x))
-        if not (np.all(np.isfinite(x)) and math.isfinite(v_val)):
-            status = _kernels.STATUS_NONFINITE
-            break
-        if (k % log_every == 0) or (k == n_steps):
-            rows[n_rows] = (k * h, x[0], x[1], x[2], 0.0, 0.0, 0.0, 0.0, 0.0,
-                            v_val, 0.0)
-            n_rows += 1
-        if k == n_steps:
-            break
-        s1 = f(x)
-        s2 = f(x + 0.5 * h * s1)
-        s3 = f(x + 0.5 * h * s2)
-        s4 = f(x + h * s3)
-        x = x + h * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-    return n_rows, status
 
 
 def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
@@ -382,3 +304,18 @@ def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
         xb = np.interp(grid, tb, reference.states[:, j])
         diff_sq += (xa - xb) ** 2
     return float(np.sqrt(diff_sq.max()))
+
+
+def convergence_order(eps, deviations) -> float:
+    """Least-squares slope of log(deviation) against log(epsilon).
+
+    Lie-bracket approximations track their averaged system to O(sqrt(eps)),
+    so a refinement study should fit a slope near 0.5.
+    """
+    eps = np.asarray(eps, dtype=float)
+    deviations = np.asarray(deviations, dtype=float)
+    if eps.size < 2 or eps.shape != deviations.shape:
+        raise ValueError("need at least two (epsilon, deviation) pairs")
+    if not (np.all(eps > 0) and np.all(deviations > 0)):
+        raise ValueError("epsilons and deviations must be positive")
+    return float(np.polyfit(np.log(eps), np.log(deviations), 1)[0])

@@ -10,14 +10,15 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gradflow import (
     AdmissibilityConfig,
     ControllerParams,
     admissibility_measure,
     control_value,
+    convergence_order,
     integrate_gradient_flow,
-    make_controller,
     make_v_alpha,
     preset_sim_config,
     simulate,
@@ -148,22 +149,39 @@ def test_criterion_6_preset_convergence():
     report("criterion 6 (preset convergence at desk scale)", ok, "; ".join(details))
 
 
-def test_criterion_7_epsilon_refinement():
+REFINE_EPS = (0.5, 0.1, 0.02)
+
+
+@pytest.fixture(scope="module")
+def refinement_deviations():
     potential = make_v_alpha(1.0)
     gamma = 0.05
     reference = integrate_gradient_flow(potential.scaled(gamma), [-0.5, -0.5, 0.0],
                                         t_max=2.0, h=1e-3)
     deviations = []
-    for eps in (0.5, 0.1, 0.02):
+    for eps in REFINE_EPS:
         cp = eps / 2000.0
         controller = ControllerParams(epsilon=eps, gamma=gamma, loop_mode="sampling")
         cfg = SimConfig(potential=potential, controller=controller,
                         x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=2.0,
-                        h=cp, control_period=cp)
+                        control_period=cp)
         deviations.append(tracking_deviation(simulate(cfg), reference))
+    return deviations
+
+
+def test_criterion_7_epsilon_refinement(refinement_deviations):
+    deviations = refinement_deviations
     ok = deviations[0] >= deviations[1] >= deviations[2]
     report("criterion 7 (oscillation-period refinement)", ok,
            "deviations " + " >= ".join(f"{d:.4f}" for d in deviations))
+
+
+def test_criterion_7_convergence_order(refinement_deviations):
+    # Lie-bracket approximations track the averaged flow to O(sqrt(eps))
+    slope = convergence_order(REFINE_EPS, refinement_deviations)
+    ok = 0.4 <= slope <= 0.6
+    report("criterion 7 (tracking order in epsilon)", ok,
+           f"log-log slope of deviation against eps = {slope:.4f} (want [0.4, 0.6])")
 
 
 def test_criterion_8_gradient_flow_exactness():
@@ -180,7 +198,7 @@ def test_criterion_9_controller_algebra():
     accepted = []
     for name, p in PRESETS.items():
         try:
-            make_controller(ControllerParams(k1=p.k1, k2=p.k2))
+            ControllerParams(k1=p.k1, k2=p.k2)
             accepted.append(name)
         except ValueError:
             pass
@@ -190,7 +208,7 @@ def test_criterion_9_controller_algebra():
     except ValueError:
         rejected = True
 
-    ctrl = make_controller(ControllerParams())
+    ctrl = ControllerParams()
     zero_ok = all(
         np.array_equal(control_value(ctrl, np.zeros(3), t)[0], np.zeros(2))
         for t in (0.0, 0.4, 7.3)

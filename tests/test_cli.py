@@ -19,7 +19,7 @@ class TestSimulateCommand:
         out = tmp_path / "p1.csv"
         code, summary = run(capsys, "simulate", "--preset", "P1",
                             "--mode", "continuous", "--t-max", "2",
-                            "--h", "0.001", "--control-period", "0.001",
+                            "--control-period", "0.001",
                             "--out", str(out))
         assert code == 0
         assert summary["preset"] == "P1"
@@ -41,7 +41,7 @@ class TestSimulateCommand:
     def test_sampling_amplitudes_constant_per_interval(self, capsys, tmp_path):
         out = tmp_path / "p3.csv"
         code, _ = run(capsys, "simulate", "--preset", "P3", "--mode", "sampling",
-                      "--t-max", "3", "--h", "0.001", "--control-period", "0.001",
+                      "--t-max", "3", "--control-period", "0.001",
                       "--goal-tol", "0", "--out", str(out))
         assert code == 0
         data = load_trajectory_csv(out)
@@ -57,7 +57,6 @@ class TestSimulateCommand:
             "t_max": 5.0,
             "loop_mode": "sampling",
             "bounds_mode": "ideal",
-            "h": 0.001,
             "control_period": 0.001,
         }
         path = tmp_path / "cfg.json"
@@ -78,12 +77,48 @@ class TestSimulateCommand:
         assert code == 2
 
     def test_invalid_grid_exit_2(self, capsys, tmp_path):
-        # h larger than control period is a config error
-        code = main(["simulate", "--preset", "P1", "--t-max", "1",
-                     "--h", "0.01", "--control-period", "0.001",
+        # a control period longer than epsilon (1 s for P1) is a config error
+        code = main(["simulate", "--preset", "P1", "--t-max", "4",
+                     "--control-period", "2", "--out", str(tmp_path / "x.csv")])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_partial_control_period_exit_2(self, capsys, tmp_path):
+        code = main(["simulate", "--preset", "P1", "--t-max", "1.00026",
                      "--out", str(tmp_path / "x.csv")])
         capsys.readouterr()
         assert code == 2
+
+    def test_step_flag_exit_2(self, capsys, tmp_path):
+        code = main(["simulate", "--preset", "P1", "--t-max", "1", "--h", "0.001",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unrecognized arguments: --h" in capsys.readouterr().err
+
+    def test_config_step_key_exit_2(self, capsys, tmp_path):
+        # the hold is propagated exactly, so there is no step to set
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_max": 1.0, "h": 0.001}))
+        code = main(["simulate", "--preset", "P1", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown config keys: ['h']" in err
+
+    @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
+    def test_counts_independent_of_log_every(self, capsys, tmp_path, bounds):
+        summaries = []
+        for every in ("1", "10"):
+            code, summary = run(capsys, "simulate", "--preset", "P1", "--mode", "sampling",
+                                "--bounds", bounds, "--t-max", "3", "--log-every", every,
+                                "--out", str(tmp_path / f"run{every}.csv"))
+            assert code == 0
+            summaries.append(summary)
+        full, sparse = summaries
+        assert sparse["rows"] < full["rows"]
+        for key in ("saturation_count", "max_abs_u1", "max_abs_u2"):
+            assert sparse[key] == full[key]
+        assert (full["saturation_count"] > 0) == (bounds == "clamp")
 
 
 class TestAdmissibilityCommand:
@@ -155,12 +190,15 @@ class TestRefineCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "epsilon,deviation"
         assert len(lines) == 3
+        d0, d1 = summary["deviations"]
+        assert summary["slope"] == pytest.approx(math.log(d0 / d1) / math.log(2.0), rel=1e-9)
 
     def test_single_eps(self, capsys):
         code, summary = run(capsys, "refine", "--v-alpha", "1",
                             "--eps", "0.2", "--window", "0.5")
         assert code == 0
         assert len(summary["deviations"]) == 1
+        assert summary["slope"] is None
 
     def test_empty_eps_exit_2(self, capsys):
         code = main(["refine", "--v-alpha", "1", "--eps", ""])
@@ -189,7 +227,7 @@ class TestPlotCommand:
     def make_csv(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
         code, summary = run(capsys, "simulate", "--preset", "P1", "--t-max", "1",
-                            "--h", "0.001", "--control-period", "0.001",
+                            "--control-period", "0.001",
                             "--out", str(out))
         assert code == 0
         return out, summary

@@ -8,13 +8,12 @@ from gradflow import (
     VelocityBounds,
     clamp,
     control_value,
-    make_controller,
 )
 from gradflow.presets import PRESETS
 
 
 def ideal_controller(**kw):
-    return make_controller(ControllerParams(**kw))
+    return ControllerParams(**kw)
 
 
 class TestParamValidation:
@@ -22,7 +21,7 @@ class TestParamValidation:
     def test_presets_accepted(self, name):
         p = PRESETS[name]
         ctrl = ideal_controller(epsilon=1.0, gamma=0.05, k1=p.k1, k2=p.k2)
-        assert ctrl.params.omega == pytest.approx(2 * math.pi, abs=1e-12)
+        assert ctrl.omega == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_product_constraint_rejected(self):
         with pytest.raises(ValueError, match=r"k1\*k2 = 4"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradflow import (
     ControllerParams,
@@ -18,11 +20,12 @@ from gradflow import (
     simulate,
     tracking_deviation,
 )
+from gradflow._kernels import hold_step
 from gradflow.simulator import CSV_HEADER, TERMINATED_GOAL, TERMINATED_HORIZON
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
-                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, h=1e-3, log_every=1):
+                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1):
     controller = ControllerParams(
         bounds=bounds if bounds is not None else VelocityBounds(),
         loop_mode=loop_mode,
@@ -30,7 +33,7 @@ def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
     return SimConfig(
         potential=potential if potential is not None else make_v_alpha(1.0),
         controller=controller, x0=x0, goal_tol=goal_tol, t_max=t_max,
-        h=h, control_period=cp, log_every=log_every,
+        control_period=cp, log_every=log_every,
     )
 
 
@@ -42,17 +45,20 @@ def as_custom(quadratic):
 
 
 class TestSimConfigValidation:
-    def test_step_must_divide_period(self):
-        with pytest.raises(ValueError, match="divide"):
-            short_config(cp=1e-3, h=3e-4)
-
     def test_period_must_divide_epsilon(self):
         with pytest.raises(ValueError, match="divide"):
-            short_config(cp=0.3, h=0.1)
+            short_config(cp=0.3)
 
     def test_ordering_enforced(self):
+        # the default controller's epsilon is 1 s
         with pytest.raises(ValueError, match="control_period"):
-            short_config(cp=1e-3, h=2e-3)
+            short_config(cp=2.0)
+
+    def test_horizon_must_be_whole_periods(self):
+        # rounding would run 2001 updates, to t = 1.0005, past the horizon
+        with pytest.raises(ValueError, match="t_max"):
+            short_config(t_max=1.00026, cp=5e-4)
+        assert short_config(t_max=1.0005, cp=5e-4).t_max == 1.0005
 
     def test_negative_tolerance(self):
         with pytest.raises(ValueError, match="goal_tol"):
@@ -117,7 +123,7 @@ class TestSimulate:
         controller = ControllerParams(epsilon=0.5, omega=4 * math.pi, loop_mode="sampling")
         cfg = SimConfig(potential=make_v_alpha(1.0), controller=controller,
                         x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=1.5,
-                        h=0.01, control_period=0.01)
+                        control_period=0.01)
         traj = simulate(cfg)
         block = np.floor(traj.t / 0.5 + 1e-9).astype(int)
         for j in np.unique(block):
@@ -159,13 +165,24 @@ class TestSimulate:
         assert traj.data.shape[0] < full.data.shape[0]
         assert np.array_equal(traj.data[-1], full.data[-1])
 
+    @pytest.mark.parametrize("bounds", [VelocityBounds(), VelocityBounds(0.22, 2.84, "clamp")])
+    def test_counts_cover_every_update(self, bounds):
+        full = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0))
+        assert full.saturation_count == int(np.count_nonzero(full.saturated))
+        assert full.max_abs_u1 == np.abs(full.controls[:, 0]).max()
+        assert full.max_abs_u2 == np.abs(full.controls[:, 1]).max()
+        sparse = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0, log_every=7))
+        assert sparse.data.shape[0] < full.data.shape[0]
+        for name in ("saturation_count", "max_abs_u1", "max_abs_u2"):
+            assert getattr(sparse, name) == getattr(full, name)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_raises_with_partial_trajectory(self):
         # negative-definite "potential": the feedback climbs it, state explodes
         bad = make_custom(lambda x: -400.0 * float(np.sum(np.asarray(x) ** 2)),
                           lambda x: -800.0 * np.asarray(x), check_points=4)
         cfg = short_config(potential=bad, x0=(0.1, 0.0, 0.0), goal_tol=0.0,
-                           t_max=600.0, cp=0.05, h=0.05)
+                           t_max=600.0, cp=0.05)
         with pytest.raises(IntegrationError) as info:
             simulate(cfg)
         traj = info.value.trajectory
@@ -173,21 +190,51 @@ class TestSimulate:
         assert np.all(np.isfinite(info.value.last_row))
 
 
+hold_values = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+class TestExactHold:
+    def test_single_hold_is_circular_arc(self):
+        # one zero-order-hold segment, against the arc written as the
+        # integral of (u1 cos, u1 sin)(x3 + u2 s) over s in [0, T]
+        controller = ControllerParams(epsilon=0.8, omega=2 * math.pi / 0.8)
+        cfg = SimConfig(potential=make_quadratic(3.0, 1.0, 2.0), controller=controller,
+                        x0=(0.7, -0.4, 0.6), goal_tol=0.0, t_max=0.8, control_period=0.8)
+        traj = simulate(cfg)
+        assert traj.data.shape[0] == 2
+        (x1, x2, x3), (u1, u2) = traj.states[0], traj.controls[0]
+        assert abs(u2) > 0.1
+        r = u1 / u2
+        arc = [x1 + r * (math.sin(x3 + 0.8 * u2) - math.sin(x3)),
+               x2 - r * (math.cos(x3 + 0.8 * u2) - math.cos(x3)),
+               x3 + 0.8 * u2]
+        assert np.abs(traj.final_state - arc).max() <= 1e-14
+
+    def test_straight_hold(self):
+        assert hold_step(0.5, -1.0, 0.3, 0.2, 0.0, 2.0) == (
+            0.5 + 0.4 * math.cos(0.3), -1.0 + 0.4 * math.sin(0.3), 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hold_values, hold_values, hold_values, hold_values, hold_values,
+           st.floats(1e-3, 2.0))
+    def test_two_half_holds_compose(self, x1, x2, x3, u1, u2, T):
+        half = hold_step(*hold_step(x1, x2, x3, u1, u2, T / 2), u1, u2, T / 2)
+        whole = hold_step(x1, x2, x3, u1, u2, T)
+        assert np.abs(np.subtract(half, whole)).max() <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(hold_values, hold_values, hold_values, st.floats(1e-2, 2.0))
+    def test_planar_speed_conserved(self, x3, u1, u2, T):
+        # central difference in T of the planar position along the hold
+        d = 1e-6
+        ahead = hold_step(0.0, 0.0, x3, u1, u2, T + d)
+        behind = hold_step(0.0, 0.0, x3, u1, u2, T - d)
+        speed = math.hypot(ahead[0] - behind[0], ahead[1] - behind[1]) / (2 * d)
+        assert speed == pytest.approx(abs(u1), abs=1e-8)
+        assert (ahead[2] - behind[2]) / (2 * d) == pytest.approx(u2, abs=1e-8)
+
+
 class TestRK4Order:
-    def test_closed_loop_single_hold(self):
-        # one zero-order-hold segment: smooth autonomous dynamics inside
-        def run(h):
-            controller = ControllerParams(epsilon=0.8, omega=2 * math.pi / 0.8)
-            cfg = SimConfig(potential=make_quadratic(3.0, 1.0, 2.0), controller=controller,
-                            x0=(0.7, -0.4, 0.6), goal_tol=0.0, t_max=0.8,
-                            h=h, control_period=0.8)
-            return simulate(cfg).final_state
-
-        ref = run(0.8 / 512)
-        err_h = np.linalg.norm(run(0.8 / 2) - ref)
-        err_h2 = np.linalg.norm(run(0.8 / 4) - ref)
-        assert err_h / err_h2 >= 12.0
-
     def test_gradient_flow_order(self):
         def run(h):
             return integrate_gradient_flow(make_quadratic(1.0, 2.0, 0.5),
@@ -246,6 +293,12 @@ class TestGradientFlow:
         with pytest.raises(ValueError):
             integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=-1.0, h=0.1)
 
+    def test_horizon_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="divide"):
+            integrate_gradient_flow(make_v_alpha(1.0), [1, 0, 0], t_max=1.00026, h=1e-3)
+        traj = integrate_gradient_flow(make_v_alpha(1.0), [1, 0, 0], t_max=1.001, h=1e-3)
+        assert traj.t[-1] == pytest.approx(1.001, abs=1e-12)
+
 
 class TestTrackingDeviation:
     def constant_trajectory(self, state, n=5):
@@ -284,7 +337,7 @@ class TestTrackingDeviation:
                                           loop_mode="sampling")
             cfg = SimConfig(potential=potential, controller=controller,
                             x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=2.0,
-                            h=cp, control_period=cp)
+                            control_period=cp)
             devs.append(tracking_deviation(simulate(cfg), reference))
         assert devs[1] < devs[0]
 
