@@ -190,6 +190,11 @@ def _gradient_batch(potential: Potential, pts: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(potential.gradient(p), dtype=float) for p in pts])
 
 
+def _check_jobs(jobs) -> None:
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+
+
 def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
                           cfg: AdmissibilityConfig | None = None,
                           jobs: int = 1) -> AdmissibilityResult:
@@ -201,6 +206,7 @@ def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
     independent of `jobs`. Raises if every point is excluded by the
     gradient floor (the potential is flat on the domain).
     """
+    _check_jobs(jobs)
     domain = BoxDomain.cube(1.0) if domain is None else domain
     cfg = AdmissibilityConfig() if cfg is None else cfg
     if cfg.method == "midpoint":
@@ -288,6 +294,7 @@ def table1(domain: BoxDomain | None = None, cfg: AdmissibilityConfig | None = No
     Defaults reproduce the reference setting: X = [-1, 1]^3, q = 2,
     unrestricted controls, 200 midpoint cells per axis.
     """
+    _check_jobs(jobs)
     domain = BoxDomain.cube(1.0) if domain is None else domain
     cfg = AdmissibilityConfig() if cfg is None else cfg
 

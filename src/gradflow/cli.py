@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adm.add_argument("--grad-floor", type=float, dest="grad_floor", default=1e-12,
                      help="exclude points with |grad V| at or below this")
     adm.add_argument("--box", type=float, default=1.0, help="domain half-width")
-    adm.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    adm.add_argument("--jobs", type=int, default=1, help="parallel workers (at least 1)")
     adm.add_argument("--out", help="sweep CSV path")
     adm.set_defaults(func=cmd_admissibility)
 

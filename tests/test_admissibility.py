@@ -16,6 +16,7 @@ from gradflow import (
     table1,
     write_sweep_csv,
 )
+from gradflow import admissibility
 
 
 def random_pairs(n, seed, p_max=10.0):
@@ -199,6 +200,21 @@ class TestTable1:
     def test_row_order_and_count(self):
         assert len(TABLE1_COEFFS) == 7
         assert TABLE1_COEFFS[0] == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_nonpositive_jobs(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an executor was created")
+
+        monkeypatch.setattr(admissibility, "ThreadPoolExecutor", no_pool)
+        cfg = AdmissibilityConfig(grid_n=4)
+        mc = AdmissibilityConfig(method="monte_carlo", samples=1000)
+        with pytest.raises(ValueError, match="jobs"):
+            table1(cfg=cfg, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            admissibility_measure(make_quadratic(1, 1, 1), cfg=cfg, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            admissibility_measure(make_quadratic(1, 1, 1), cfg=mc, jobs=jobs)
 
     def test_jobs_do_not_change_values(self):
         cfg = AdmissibilityConfig(grid_n=24)

@@ -170,6 +170,18 @@ class TestAdmissibilityCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--quadratic", "1,1,1", "--grid-n", "10", "--jobs", "-3"],
+        ["--quadratic", "1,1,1", "--method", "monte_carlo", "--samples", "1000", "--jobs", "0"],
+        ["--table1", "--grid-n", "10", "--jobs", "0"],
+    ])
+    def test_nonpositive_jobs_exit_2(self, capsys, argv):
+        code = main(["admissibility", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "jobs" in captured.err
+
     def test_jobs_flag_deterministic(self, capsys):
         argv = ["admissibility", "--table1", "--grid-n", "10"]
         code, one = run(capsys, *argv, "--jobs", "1")

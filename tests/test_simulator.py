@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradflow import (
     ControllerParams,
@@ -20,8 +22,14 @@ from gradflow import (
     simulate,
     tracking_deviation,
 )
+from gradflow import simulator
 from gradflow._kernels import hold_step
-from gradflow.simulator import CSV_HEADER, TERMINATED_GOAL, TERMINATED_HORIZON
+from gradflow.simulator import (
+    CSV_HEADER,
+    TERMINATED_GOAL,
+    TERMINATED_HORIZON,
+    TRAJECTORY_COLUMNS,
+)
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
@@ -175,6 +183,19 @@ class TestSimulate:
         assert sparse.data.shape[0] < full.data.shape[0]
         for name in ("saturation_count", "max_abs_u1", "max_abs_u2"):
             assert getattr(sparse, name) == getattr(full, name)
+
+    def test_peak_memory_is_one_trajectory(self):
+        # the logged rows are returned in place, not copied out of the run's buffer
+        cfg = short_config(t_max=2.0, goal_tol=0.0)
+        simulate(cfg)  # warm up lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            traj = simulate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.terminated == TERMINATED_HORIZON
+        assert peak <= 1.1 * traj.data.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_raises_with_partial_trajectory(self):
@@ -342,7 +363,62 @@ class TestTrackingDeviation:
         assert devs[1] < devs[0]
 
 
+def savetxt_reference(data, path):
+    """The reference trajectory writer: one np.savetxt row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(CSV_HEADER + "\n")
+        np.savetxt(f, data, fmt="%.9g", delimiter=",", newline="\n")
+
+
+def assert_csv_matches_savetxt(data, directory):
+    """save_csv writes the bytes of savetxt_reference for `data`."""
+    ours, ref = directory / "ours.csv", directory / "ref.csv"
+    savetxt_reference(data, ref)
+    Trajectory(data, TERMINATED_HORIZON).save_csv(ours)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+# -0.0, subnormals, non-finite values, extremes, and values whose 10th
+# significant digit is a 5, so %.9g rounds them (9.9999999995 -> "10")
+CSV_EDGE_VALUES = (
+    -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e300, -1e300,
+    1.0000000005, 0.1234567895, -9.9999999995, 999999999.5, 1e-5, 123456789.0,
+)
+CSV_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                       st.sampled_from(CSV_EDGE_VALUES))
+
+
 class TestCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(data=hnp.arrays(np.float64, st.tuples(st.integers(1, 20),
+                                                 st.just(len(TRAJECTORY_COLUMNS))),
+                           elements=CSV_VALUES))
+    def test_bytes_equal_savetxt(self, tmp_path_factory, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CSV_CHUNK_ROWS", 3)  # several blocks per run
+            assert_csv_matches_savetxt(data, tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 4, 5])
+    def test_bytes_equal_savetxt_around_chunk_size(self, tmp_path, monkeypatch, n_rows):
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        data = np.random.default_rng(n_rows).normal(size=(n_rows, len(TRAJECTORY_COLUMNS)))
+        assert_csv_matches_savetxt(data, tmp_path)
+
+    def test_bytes_equal_savetxt_strided_layouts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        wide = np.random.default_rng(7).normal(size=(21, 2 * len(TRAJECTORY_COLUMNS)))
+        fortran = np.asfortranarray(wide[:, :len(TRAJECTORY_COLUMNS)])
+        strided = wide[::2, ::2]
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        assert_csv_matches_savetxt(fortran, tmp_path)
+        assert_csv_matches_savetxt(strided, tmp_path)
+
+    def test_run_bytes_equal_savetxt(self, tmp_path):
+        traj = simulate(short_config(t_max=2.0, goal_tol=0.0))
+        assert traj.data.shape[0] > simulator.CSV_CHUNK_ROWS
+        assert_csv_matches_savetxt(traj.data, tmp_path)
+
     def test_round_trip(self, tmp_path):
         traj = simulate(short_config(t_max=0.2, goal_tol=0.0))
         path = tmp_path / "run.csv"
