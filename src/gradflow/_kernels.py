@@ -45,6 +45,9 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 _BACKEND_OVERRIDE: str | None = None
 
+# values per logged row of the loop kernels (simulator.TRAJECTORY_COLUMNS)
+ROW_WIDTH = 11
+
 # status codes returned by the loop kernels
 STATUS_HORIZON = 0
 STATUS_GOAL = 1
@@ -120,7 +123,7 @@ def hold_step(x1, x2, x3, u1, u2, T):
 def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
                  n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
                  goal, goal_tol, log_every, rows):
-    """Closed-loop run; fills `rows` with (t, x, u, a, V, saturated).
+    """Closed-loop run; fills flat `rows` with (t, x, u, a, V, saturated).
 
     Returns (rows_written, status, convergence_time, saturated_updates,
     max_abs_u1, max_abs_u2); the last three cover every control update
@@ -133,6 +136,9 @@ def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
+    goal1 = goal[0]
+    goal2 = goal[1]
+    goal3 = goal[2]
     a1 = 0.0
     a2 = 0.0
     a12 = 0.0
@@ -181,26 +187,29 @@ def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
             break
         if sat != 0.0:
             n_sat += 1
-        if abs(u1) > max_u1:
-            max_u1 = abs(u1)
-        if abs(u2) > max_u2:
-            max_u2 = abs(u2)
-        d1 = x1 - goal[0]
-        d2 = x2 - goal[1]
-        d3 = x3 - goal[2]
+        abs_u1 = abs(u1)
+        if abs_u1 > max_u1:
+            max_u1 = abs_u1
+        abs_u2 = abs(u2)
+        if abs_u2 > max_u2:
+            max_u2 = abs_u2
+        d1 = x1 - goal1
+        d2 = x2 - goal2
+        d3 = x3 - goal3
         at_goal = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3) <= goal_tol
         if (k % log_every == 0) or at_goal or (k == n_updates):
-            rows[n_rows, 0] = t
-            rows[n_rows, 1] = x1
-            rows[n_rows, 2] = x2
-            rows[n_rows, 3] = x3
-            rows[n_rows, 4] = u1
-            rows[n_rows, 5] = u2
-            rows[n_rows, 6] = a1
-            rows[n_rows, 7] = a2
-            rows[n_rows, 8] = a12
-            rows[n_rows, 9] = v_val
-            rows[n_rows, 10] = sat
+            i = ROW_WIDTH * n_rows
+            rows[i] = t
+            rows[i + 1] = x1
+            rows[i + 2] = x2
+            rows[i + 3] = x3
+            rows[i + 4] = u1
+            rows[i + 5] = u2
+            rows[i + 6] = a1
+            rows[i + 7] = a2
+            rows[i + 8] = a12
+            rows[i + 9] = v_val
+            rows[i + 10] = sat
             n_rows += 1
         if at_goal:
             status = STATUS_GOAL
@@ -229,14 +238,15 @@ def _gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
             status = STATUS_NONFINITE
             break
         if (k % log_every == 0) or (k == n_steps):
-            rows[n_rows, 0] = k * h
-            rows[n_rows, 1] = x1
-            rows[n_rows, 2] = x2
-            rows[n_rows, 3] = x3
+            i = ROW_WIDTH * n_rows
+            rows[i] = k * h
+            rows[i + 1] = x1
+            rows[i + 2] = x2
+            rows[i + 3] = x3
             for j in range(4, 9):
-                rows[n_rows, j] = 0.0
-            rows[n_rows, 9] = v_val
-            rows[n_rows, 10] = 0.0
+                rows[i + j] = 0.0
+            rows[i + 9] = v_val
+            rows[i + 10] = 0.0
             n_rows += 1
         if k == n_steps:
             break
@@ -262,10 +272,16 @@ def _gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
 
 
 def _run(loop, vg, params, *args):
-    """`loop` on the selected backend; only quadratic_vg has a compiled build."""
+    """`loop` on the selected backend; only quadratic_vg has a compiled build.
+
+    The last argument is the C-contiguous (n, ROW_WIDTH) float64 row buffer;
+    the loop gets it flat. The interpreted build stores into a native-'d'
+    memoryview, which takes a Python float faster than an ndarray does.
+    """
+    *args, rows = args
     if backend() == "numba" and vg is quadratic_vg:
-        return _jit(loop)(_jit(quadratic_vg), params, *args)
-    return loop(vg, params, *args)
+        return _jit(loop)(_jit(quadratic_vg), params, *args, rows.reshape(-1))
+    return loop(vg, params, *args, memoryview(rows).cast("B").cast("d"))
 
 
 def closed_loop(vg, params, *args):

@@ -181,12 +181,14 @@ def _generic_integrand(potential: Potential, pts: np.ndarray, q: float,
 
 
 def _gradient_batch(potential: Potential, pts: np.ndarray) -> np.ndarray:
-    try:
-        g = np.asarray(potential.gradient(pts), dtype=float)
-        if g.shape == pts.shape:
-            return g
-    except Exception:
-        pass
+    """grad V at each row of pts; errors of the gradient propagate.
+
+    A gradient written for one state at a time, whose result on the batch
+    has the wrong shape, is evaluated point by point instead.
+    """
+    g = np.asarray(potential.gradient(pts), dtype=float)
+    if g.shape == pts.shape:
+        return g
     return np.stack([np.asarray(potential.gradient(p), dtype=float) for p in pts])
 
 

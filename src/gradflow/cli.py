@@ -175,7 +175,7 @@ def cmd_simulate(args) -> int:
     settings = _settings_for_simulate(args)
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
-    traj.save_csv(args.out)
+    csv_processes = traj.save_csv(args.out)
     conv = traj.convergence_time
     _emit({
         "preset": args.preset,
@@ -192,6 +192,7 @@ def cmd_simulate(args) -> int:
         "rows": int(traj.data.shape[0]),
         "backend": _kernels.backend(),
         "csv": args.out,
+        "csv_processes": csv_processes,
     })
     return 0
 
@@ -298,13 +299,14 @@ def cmd_gradient_flow(args) -> int:
     potential = _potential_from_flags(args)
     traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h,
                                    log_every=args.log_every)
-    traj.save_csv(args.out)
+    csv_processes = traj.save_csv(args.out)
     _emit({
         "final_state": [float(v) for v in traj.final_state],
         "V_end": float(traj.potential_values[-1]),
         "rows": int(traj.data.shape[0]),
         "backend": _kernels.backend(),
         "csv": args.out,
+        "csv_processes": csv_processes,
     })
     return 0
 

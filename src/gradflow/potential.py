@@ -108,7 +108,8 @@ def make_custom(value, gradient, *, check_points: int = 8, seed: int = 0,
     The analytic gradient is compared against central finite differences of
     `value` at `check_points` random states in [-1, 1]^3; a mismatch beyond
     `tol` raises. Pass check_points=0 to skip (e.g. for potentials that are
-    expensive to evaluate).
+    expensive to evaluate). The admissibility quadrature calls `gradient` on
+    an (n, 3) batch first and per state only if the result has another shape.
     """
     pot = Potential(kind="custom", value=value, gradient=gradient)
     if check_points > 0:

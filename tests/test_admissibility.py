@@ -111,11 +111,33 @@ class TestConfigValidation:
 class TestMeasure:
     def test_heading_only_potential_is_admissible(self):
         # grad V along f2 everywhere: the flow is exactly realizable
+        # the gradient broadcasts over a (n, 3) batch of states
         pot = make_custom(lambda x: float(np.asarray(x)[2] ** 2),
-                          lambda x: np.array([0.0, 0.0, 2.0 * np.asarray(x)[2]]))
+                          lambda x: np.asarray(x) * (0.0, 0.0, 2.0))
         res = admissibility_measure(pot, cfg=AdmissibilityConfig(grid_n=20))
         assert res.value == 0.0
         assert res.excluded == 0
+
+    def test_single_state_gradient_runs_point_by_point(self):
+        # on a batch this gradient returns shape (3,), so it is called per point
+        coeffs = np.array([2.0, 1.0, 0.5])
+        single = make_custom(lambda x: float(np.sum(coeffs * np.asarray(x) ** 2)),
+                             lambda x: 2.0 * coeffs * np.asarray(x).reshape(-1)[:3])
+        cfg = AdmissibilityConfig(grid_n=12)
+        res = admissibility_measure(single, cfg=cfg)
+        assert res.value == pytest.approx(
+            admissibility_measure(make_quadratic(*coeffs), cfg=cfg).value, abs=1e-13)
+
+    def test_batch_gradient_error_propagates(self):
+        def gradient(x):
+            x = np.asarray(x)
+            if x.ndim != 1:
+                raise RuntimeError("batched gradient failed")
+            return 2.0 * x
+
+        pot = make_custom(lambda x: float(np.sum(np.asarray(x) ** 2)), gradient)
+        with pytest.raises(RuntimeError, match="batched gradient failed"):
+            admissibility_measure(pot, cfg=AdmissibilityConfig(grid_n=8))
 
     def test_sum_of_squares_is_one_third(self):
         # analytic value by symmetry of the unit-coefficient integrand

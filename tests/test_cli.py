@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from gradflow import simulator
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 
@@ -28,6 +30,28 @@ class TestSimulateCommand:
         assert summary["max_abs_u2"] <= 2.84
         data = load_trajectory_csv(out)
         assert data.shape[0] == summary["rows"]
+        assert summary["csv_processes"] == 1  # 2001 rows: too few to repay a worker
+
+    def test_reports_csv_processes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+        argv = ["simulate", "--preset", "P1", "--t-max", "2", "--control-period", "0.001"]
+        code, split = run(capsys, *argv, "--out", str(tmp_path / "two.csv"))
+        assert code == 0 and split["csv_processes"] == 2
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 1)
+        code, single = run(capsys, *argv, "--out", str(tmp_path / "one.csv"))
+        assert code == 0 and single["csv_processes"] == 1
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_failed_csv_worker_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND",
+                            [sys.executable, "-I", "-S", "-c", "import sys; sys.exit(4)"])
+        code = main(["simulate", "--preset", "P1", "--t-max", "2",
+                     "--control-period", "0.001", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "CSV worker exited with status 4" in capsys.readouterr().err
 
     def test_unknown_preset_exit_2(self, capsys):
         code = main(["simulate", "--preset", "P9"])
@@ -233,6 +257,7 @@ class TestGradientFlowCommand:
         assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-6)
         data = load_trajectory_csv(out)
         assert np.all(data[:, 4:9] == 0.0)
+        assert summary["csv_processes"] == 1
 
 
 class TestPlotCommand:

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -370,12 +374,17 @@ def savetxt_reference(data, path):
         np.savetxt(f, data, fmt="%.9g", delimiter=",", newline="\n")
 
 
-def assert_csv_matches_savetxt(data, directory):
-    """save_csv writes the bytes of savetxt_reference for `data`."""
+def assert_csv_matches_savetxt(data, directory) -> int:
+    """save_csv writes the bytes of savetxt_reference for `data`.
+
+    Returns how many processes formatted the file.
+    """
     ours, ref = directory / "ours.csv", directory / "ref.csv"
     savetxt_reference(data, ref)
-    Trajectory(data, TERMINATED_HORIZON).save_csv(ours)
+    n_procs = Trajectory(data, TERMINATED_HORIZON).save_csv(ours)
     assert ours.read_bytes() == ref.read_bytes()
+    assert sorted(p.name for p in directory.iterdir()) == ["ours.csv", "ref.csv"]
+    return n_procs
 
 
 # -0.0, subnormals, non-finite values, extremes, and values whose 10th
@@ -388,21 +397,36 @@ CSV_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subn
                        st.sampled_from(CSV_EDGE_VALUES))
 
 
-class TestCsv:
-    @settings(max_examples=60, deadline=None)
-    @given(data=hnp.arrays(np.float64, st.tuples(st.integers(1, 20),
-                                                 st.just(len(TRAJECTORY_COLUMNS))),
-                           elements=CSV_VALUES))
-    def test_bytes_equal_savetxt(self, tmp_path_factory, data):
+class CsvBytesEqual:
+    """save_csv writes np.savetxt's bytes; subclasses set how many processes may format.
+
+    `cores` is the core count save_csv sees (None: the machine's), and
+    `min_share` its CSV_MIN_SHARE_BLOCKS (None: the default).
+    """
+
+    cores = None
+    min_share = None
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _processes(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "CSV_CHUNK_ROWS", 3)  # several blocks per run
-            assert_csv_matches_savetxt(data, tmp_path_factory.mktemp("csv"))
+            if self.cores is not None:
+                mp.setattr(simulator, "_usable_cores", lambda: self.cores)
+            if self.min_share is not None:
+                mp.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", self.min_share)
+            yield
+
+    def check(self, data, directory):
+        n_procs = assert_csv_matches_savetxt(data, directory)
+        n_blocks = -(-len(data) // simulator.CSV_CHUNK_ROWS)
+        expected = min(simulator._usable_cores(), n_blocks // simulator.CSV_MIN_SHARE_BLOCKS)
+        assert n_procs == max(1, expected)
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 5])
     def test_bytes_equal_savetxt_around_chunk_size(self, tmp_path, monkeypatch, n_rows):
         monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
         data = np.random.default_rng(n_rows).normal(size=(n_rows, len(TRAJECTORY_COLUMNS)))
-        assert_csv_matches_savetxt(data, tmp_path)
+        self.check(data, tmp_path)
 
     def test_bytes_equal_savetxt_strided_layouts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
@@ -411,13 +435,56 @@ class TestCsv:
         strided = wide[::2, ::2]
         assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
         assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
-        assert_csv_matches_savetxt(fortran, tmp_path)
-        assert_csv_matches_savetxt(strided, tmp_path)
+        self.check(fortran, tmp_path)
+        self.check(strided, tmp_path)
 
     def test_run_bytes_equal_savetxt(self, tmp_path):
         traj = simulate(short_config(t_max=2.0, goal_tol=0.0))
         assert traj.data.shape[0] > simulator.CSV_CHUNK_ROWS
-        assert_csv_matches_savetxt(traj.data, tmp_path)
+        self.check(traj.data, tmp_path)
+
+
+def savetxt_property():
+    """The hypothesis byte-equality test, a separate function for each class."""
+    @settings(max_examples=60, deadline=None)
+    @given(data=hnp.arrays(np.float64, st.tuples(st.integers(1, 20),
+                                                 st.just(len(TRAJECTORY_COLUMNS))),
+                           elements=CSV_VALUES))
+    def test_bytes_equal_savetxt(self, tmp_path_factory, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CSV_CHUNK_ROWS", 3)  # several blocks per run
+            self.check(data, tmp_path_factory.mktemp("csv"))
+    return test_bytes_equal_savetxt
+
+
+class TestCsvWorkers(CsvBytesEqual):
+    """Every block-aligned share big enough: one worker per further core."""
+
+    # on one core, one worker: never more workers than cores
+    cores = max(2, simulator._usable_cores())
+    min_share = 1
+    test_bytes_equal_savetxt = savetxt_property()
+
+
+class TestCsvOneCore(CsvBytesEqual):
+    """Shares small enough for workers, but a single core: all in-process."""
+
+    cores = 1
+    min_share = 1
+    test_bytes_equal_savetxt = savetxt_property()
+
+
+class TestCsv(CsvBytesEqual):
+    test_bytes_equal_savetxt = savetxt_property()
+
+    def test_shares_are_whole_blocks_one_per_core_at_most(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 3)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 4)
+        assert simulator._csv_shares(11) == [0, 11]  # 3 blocks: too few for a worker
+        assert simulator._csv_shares(23) == [0, 12, 23]  # 6 blocks: two shares of 3
+        assert simulator._csv_shares(49) == [0, 12, 24, 36, 49]  # 13 blocks, 4 cores
+        assert simulator._csv_shares(4000) == [0, 1000, 2000, 3000, 4000]
 
     def test_round_trip(self, tmp_path):
         traj = simulate(short_config(t_max=0.2, goal_tol=0.0))
@@ -452,3 +519,81 @@ class TestCsv:
         path.write_text(CSV_HEADER + "\n")
         with pytest.raises(ValueError):
             load_trajectory_csv(path)
+
+
+class TestCsvWorkerProcess:
+    """The worker interpreter that formats later shares of a trajectory CSV."""
+
+    @pytest.fixture
+    def one_worker(self, monkeypatch):
+        """save_csv splits 40 rows into two shares: one in-process, one worker."""
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        return started
+
+    def assert_reaped(self, procs):
+        assert procs
+        for proc in procs:
+            assert proc.returncode is not None
+            with pytest.raises(ChildProcessError):
+                os.waitpid(proc.pid, os.WNOHANG)
+
+    def test_worker_imports_no_numpy(self):
+        data = np.random.default_rng(3).normal(size=(5, len(TRAJECTORY_COLUMNS)))
+        command = simulator._CSV_WORKER_COMMAND
+        assert command[1:3] == ["-I", "-S"]
+        proc = subprocess.run(
+            [command[0], "-X", "importtime", *command[1:], simulator.CSV_ROW,
+             str(data.shape[1]), str(data.shape[0]), "2"],
+            input=data.tobytes(), capture_output=True, check=True,
+        )
+        imported = [line.rsplit("|", 1)[-1].strip() for line in
+                    proc.stderr.decode().splitlines() if line.startswith("import time:")]
+        assert "encodings" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
+        assert proc.stdout.decode() == simulator.CSV_ROW * 5 % tuple(data.ravel().tolist())
+
+    def test_failed_worker_raises_and_leaves_no_temporary_file(self, tmp_path, monkeypatch,
+                                                               one_worker):
+        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND",
+                            [sys.executable, "-I", "-S", "-c", "import sys; sys.exit(3)"])
+        data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
+        with pytest.raises(OSError, match="status 3"):
+            Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temporary file
+        self.assert_reaped(one_worker)
+
+    def test_writer_failure_stops_the_workers(self, tmp_path, monkeypatch, one_worker):
+        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND", [
+            sys.executable, "-I", "-S", "-c",
+            "import sys, time; sys.stdin.buffer.read(); time.sleep(60)"])
+
+        def full_disk(f, data):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(simulator, "_write_rows", full_disk)
+        data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
+        with pytest.raises(OSError, match="no space"):
+            Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        self.assert_reaped(one_worker)
+        assert one_worker[0].returncode == -signal.SIGKILL
+
+
+class TestTrajectory:
+    def test_freezes_a_view_not_the_callers_array(self):
+        a = np.zeros((3, len(TRAJECTORY_COLUMNS)))
+        traj = Trajectory(a, TERMINATED_HORIZON)
+        a[0, 0] = 1.0
+        assert traj.data[0, 0] == 1.0  # a view of the caller's rows, not a copy
+        with pytest.raises(ValueError, match="read-only"):
+            traj.data[0, 0] = 2.0
