@@ -10,6 +10,10 @@ difference so the fallback is checked for agreement, not just speed:
   (8e6 integrand evaluations),
 * Monte-Carlo quadrature: 2e6 seeded draws.
 
+The quadrature is numpy on both backends, so its two cases differ by 0 by
+construction; they stay so that every consumer of this output keeps its
+three lines.
+
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
 

@@ -1,35 +1,23 @@
-"""Hot numeric loops with a compiled and an interpreted build.
+"""Closed-loop and gradient-flow loops with a compiled and an interpreted build.
 
-Two kinds of kernels live here:
-
-* sequential loops (closed-loop integration, gradient-flow integration)
-  written once as plain scalar Python; they read the potential through a
-  scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2, dV/dx3).
-  Diagonal quadratics pass their coefficients and `quadratic_vg`, and the
-  numba backend runs the njit compilation of the very same loop, so both
-  backends execute the same arithmetic. Any other potential passes a
-  wrapper around its Python callables and runs the interpreted loop,
-* box-quadrature reductions, where the numpy backend is a slab-vectorized
-  twin of the compiled triple loop.
+Both loops are written once as plain scalar Python and read the potential
+through a scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2,
+dV/dx3). Diagonal quadratics pass their coefficients and `quadratic_vg`,
+and the numba backend runs the njit compilation of the very same loop, so
+both backends execute the same arithmetic. Any other potential passes a
+wrapper around its Python callables and runs the interpreted loop. The
+admissibility quadrature is numpy on every backend and lives in
+`gradflow.admissibility`.
 
 Backend selection: the environment variable GRADFLOW_BACKEND ("numba" or
 "numpy") is consulted at every dispatch, so tests and benchmarks can flip
 it; set_backend() overrides the environment within a process. The default
 is numba when importable, numpy otherwise. Asking for an unknown backend,
 or for numba where it does not import, raises ValueError either way.
-
-Reduction order is fixed and documented per kernel: midpoint quadrature
-accumulates x3-slab subtotals in slab index order; Monte Carlo accumulates
-fixed-size chunk subtotals in chunk index order. Results are therefore
-deterministic within a backend regardless of worker count. Across backends
-the summation order inside a slab/chunk differs, so agreement is to
-rounding (~1e-13 relative), not bitwise.
 """
 
 import math
 import os
-
-import numpy as np
 
 try:
     from numba import njit
@@ -291,104 +279,3 @@ def closed_loop(vg, params, *args):
 def gradient_flow(vg, params, *args):
     return _run(_gradient_flow, vg, params, *args)
 
-
-# ---------------------------------------------------------------------------
-# admissibility quadrature, diagonal quadratic potentials
-# ---------------------------------------------------------------------------
-
-def _midpoint_quadratic(xs1, xs2, xs3, c1, c2, c3, q, grad_floor):
-    """Sum of rho(x, grad V)^q / |grad V|^q over the tensor grid.
-
-    Accumulates one subtotal per x3 slab, added in slab index order.
-    Points with |grad V| <= grad_floor contribute 0 and are counted.
-    """
-    total = 0.0
-    excluded = 0
-    q_is_2 = q == 2.0
-    for k3 in range(xs3.shape[0]):
-        x3 = xs3[k3]
-        s = math.sin(x3)
-        c = math.cos(x3)
-        gx3 = 2.0 * c3 * x3
-        slab = 0.0
-        for i1 in range(xs1.shape[0]):
-            gx1 = 2.0 * c1 * xs1[i1]
-            for i2 in range(xs2.shape[0]):
-                gx2 = 2.0 * c2 * xs2[i2]
-                gn = math.sqrt(gx1 * gx1 + gx2 * gx2 + gx3 * gx3)
-                if gn <= grad_floor:
-                    excluded += 1
-                    continue
-                r = abs(gx1 * s - gx2 * c) / gn
-                if q_is_2:
-                    slab += r * r
-                else:
-                    slab += r ** q
-        total += slab
-    return total, excluded
-
-
-def _midpoint_quadratic_numpy(xs1, xs2, xs3, c1, c2, c3, q, grad_floor):
-    gx1 = (2.0 * c1 * xs1)[:, None]
-    gx2 = (2.0 * c2 * xs2)[None, :]
-    total = 0.0
-    excluded = 0
-    for x3 in xs3:
-        s = math.sin(x3)
-        c = math.cos(x3)
-        gx3 = 2.0 * c3 * x3
-        gn = np.sqrt(gx1 * gx1 + gx2 * gx2 + gx3 * gx3)
-        keep = gn > grad_floor
-        num = np.abs(gx1 * s - gx2 * c)
-        r = np.where(keep, num / np.where(keep, gn, 1.0), 0.0)
-        vals = r * r if q == 2.0 else r ** q
-        total += float(vals.sum())
-        excluded += int(np.count_nonzero(~keep))
-    return total, excluded
-
-
-def midpoint_quadratic(xs1, xs2, xs3, c1, c2, c3, q, grad_floor):
-    if backend() == "numba":
-        return _jit(_midpoint_quadratic)(xs1, xs2, xs3, c1, c2, c3, q, grad_floor)
-    return _midpoint_quadratic_numpy(xs1, xs2, xs3, c1, c2, c3, q, grad_floor)
-
-
-def _mc_chunk_quadratic(pts, c1, c2, c3, q, grad_floor):
-    """(sum, sum of squares, excluded count) of the integrand over `pts`."""
-    total = 0.0
-    total_sq = 0.0
-    excluded = 0
-    q_is_2 = q == 2.0
-    for i in range(pts.shape[0]):
-        gx1 = 2.0 * c1 * pts[i, 0]
-        gx2 = 2.0 * c2 * pts[i, 1]
-        x3 = pts[i, 2]
-        gx3 = 2.0 * c3 * x3
-        gn = math.sqrt(gx1 * gx1 + gx2 * gx2 + gx3 * gx3)
-        if gn <= grad_floor:
-            excluded += 1
-            continue
-        r = abs(gx1 * math.sin(x3) - gx2 * math.cos(x3)) / gn
-        v = r * r if q_is_2 else r ** q
-        total += v
-        total_sq += v * v
-    return total, total_sq, excluded
-
-
-def _mc_chunk_quadratic_numpy(pts, c1, c2, c3, q, grad_floor):
-    gx1 = 2.0 * c1 * pts[:, 0]
-    gx2 = 2.0 * c2 * pts[:, 1]
-    x3 = pts[:, 2]
-    gx3 = 2.0 * c3 * x3
-    gn = np.sqrt(gx1 * gx1 + gx2 * gx2 + gx3 * gx3)
-    keep = gn > grad_floor
-    num = np.abs(gx1 * np.sin(x3) - gx2 * np.cos(x3))
-    r = np.where(keep, num / np.where(keep, gn, 1.0), 0.0)
-    vals = r * r if q == 2.0 else r ** q
-    return float(vals.sum()), float((vals * vals).sum()), int(np.count_nonzero(~keep))
-
-
-def mc_chunk_quadratic(pts, c1, c2, c3, q, grad_floor):
-    if backend() == "numba":
-        return _jit(_mc_chunk_quadratic)(pts, c1, c2, c3, q, grad_floor)
-    return _mc_chunk_quadratic_numpy(pts, c1, c2, c3, q, grad_floor)

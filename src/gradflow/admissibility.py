@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow import _kernels
 from gradflow.kinematics import as_state, vector_fields
 from gradflow.potential import Potential, make_quadratic
 
-MC_CHUNK = 1 << 18  # fixed Monte-Carlo reduction chunk, independent of workers
+# fixed Monte-Carlo chunk, independent of workers: it is drawn, evaluated and
+# reduced as one unit, and must be a multiple of 4 (see _monte_carlo)
+MC_CHUNK = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
 # in presentation order.
@@ -168,28 +169,34 @@ def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * step
 
 
-def _generic_integrand(potential: Potential, pts: np.ndarray, q: float,
-                       grad_floor: float):
-    """Integrand values over pts for a potential without quadratic coeffs."""
-    grads = _gradient_batch(potential, pts)
-    gn = np.sqrt(np.einsum("ij,ij->i", grads, grads))
+def _integrand(g1, g2, g3, s, c, q: float, grad_floor: float):
+    """rho(x, grad V)^q / |grad V|^q from grad V = (g1, g2, g3) and s, c = sin, cos x3.
+
+    The arguments broadcast against each other. Returns the values and the
+    number of points with |grad V| <= grad_floor, which contribute 0.
+    """
+    gn = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
     keep = gn > grad_floor
-    num = np.abs(grads[:, 0] * np.sin(pts[:, 2]) - grads[:, 1] * np.cos(pts[:, 2]))
-    r = np.where(keep, num / np.where(keep, gn, 1.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(g1 * s - g2 * c) / gn
+    excluded = keep.size - int(np.count_nonzero(keep))
+    if excluded:
+        r[~keep] = 0.0
     vals = r * r if q == 2.0 else r ** q
-    return vals, int(np.count_nonzero(~keep))
+    return vals, excluded
 
 
 def _gradient_batch(potential: Potential, pts: np.ndarray) -> np.ndarray:
-    """grad V at each row of pts; errors of the gradient propagate.
+    """grad V at each row of the (n, 3) array pts; errors of the gradient propagate.
 
-    A gradient written for one state at a time, whose result on the batch
-    has the wrong shape, is evaluated point by point instead.
+    A result of any other shape, such as that of a gradient written for
+    one state at a time, raises ValueError.
     """
     g = np.asarray(potential.gradient(pts), dtype=float)
-    if g.shape == pts.shape:
-        return g
-    return np.stack([np.asarray(potential.gradient(p), dtype=float) for p in pts])
+    if g.shape != pts.shape:
+        raise ValueError(f"gradient of a batch of states must return shape {pts.shape}, "
+                         f"got {g.shape}; write it for (n, 3) arrays")
+    return g
 
 
 def _check_jobs(jobs) -> None:
@@ -204,9 +211,10 @@ def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
 
     Midpoint: tensor grid of cell centers, grid_n per axis, accumulated in
     x3-slab order. Monte Carlo: `samples` uniform draws from a Philox
-    stream keyed by `seed`, reduced in fixed-size chunks so the estimate is
-    independent of `jobs`. Raises if every point is excluded by the
-    gradient floor (the potential is flat on the domain).
+    stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
+    so memory is bounded by the chunk and the estimate is independent of
+    `jobs`. Raises if every point is excluded by the gradient floor (the
+    potential is flat on the domain).
     """
     _check_jobs(jobs)
     domain = BoxDomain.cube(1.0) if domain is None else domain
@@ -227,50 +235,57 @@ def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
 
 def _midpoint(potential, domain, cfg):
     n = cfg.grid_n
-    xs1 = _grid_centers(domain.lo[0], domain.hi[0], n)
-    xs2 = _grid_centers(domain.lo[1], domain.hi[1], n)
-    xs3 = _grid_centers(domain.lo[2], domain.hi[2], n)
+    xs1, xs2, xs3 = (_grid_centers(domain.lo[i], domain.hi[i], n) for i in range(3))
+    total = 0.0
+    excluded = 0
+    for x3, (g1, g2, g3) in zip(xs3, _slab_gradients(potential, xs1, xs2, xs3)):
+        vals, exc = _integrand(g1, g2, g3, math.sin(x3), math.cos(x3), cfg.q, cfg.grad_floor)
+        total += float(vals.sum())  # x3-slab subtotals in slab index order
+        excluded += exc
     points = n ** 3
-    if potential.coeffs is not None:
-        c1, c2, c3 = potential.coeffs
-        total, excluded = _kernels.midpoint_quadratic(
-            xs1, xs2, xs3, c1, c2, c3, cfg.q, cfg.grad_floor
-        )
-    else:
-        total = 0.0
-        excluded = 0
-        plane = np.empty((n * n, 3))
-        plane[:, 0] = np.repeat(xs1, n)
-        plane[:, 1] = np.tile(xs2, n)
-        for x3 in xs3:
-            plane[:, 2] = x3
-            vals, exc = _generic_integrand(potential, plane, cfg.q, cfg.grad_floor)
-            total += float(vals.sum())
-            excluded += exc
     return total / points, points, excluded
 
 
-def _monte_carlo(potential, domain, cfg, jobs):
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    pts = rng.uniform(size=(cfg.samples, 3))
-    pts = domain.lo + pts * (domain.hi - domain.lo)
-    chunks = [pts[i:i + MC_CHUNK] for i in range(0, cfg.samples, MC_CHUNK)]
-
+def _slab_gradients(potential, xs1, xs2, xs3):
+    """(g1, g2, g3) of grad V on each x3 slab of the grid, x1 major, x2 minor."""
     if potential.coeffs is not None:
-        c1, c2, c3 = potential.coeffs
+        # a diagonal quadratic's gradient is separable: one call on the axes
+        g = _gradient_batch(potential, np.column_stack((xs1, xs2, xs3)))
+        g1 = g[:, 0].copy()[:, None]
+        g2 = g[:, 1].copy()[None, :]
+        for g3 in g[:, 2]:
+            yield g1, g2, g3
+        return
+    plane = np.empty((3, xs1.size * xs2.size))
+    plane[0] = np.repeat(xs1, xs2.size)
+    plane[1] = np.tile(xs2, xs1.size)
+    for x3 in xs3:
+        plane[2] = x3
+        # the F-ordered (n, 3) view gets its gradient back with contiguous columns
+        g = _gradient_batch(potential, plane.T)
+        yield g[:, 0], g[:, 1], g[:, 2]
 
-        def eval_chunk(chunk):
-            return _kernels.mc_chunk_quadratic(chunk, c1, c2, c3, cfg.q, cfg.grad_floor)
-    else:
-        def eval_chunk(chunk):
-            vals, exc = _generic_integrand(potential, chunk, cfg.q, cfg.grad_floor)
-            return float(vals.sum()), float((vals * vals).sum()), exc
 
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(eval_chunk, chunks))
+def _monte_carlo(potential, domain, cfg, jobs):
+    n = cfg.samples
+    n_chunks = -(-n // MC_CHUNK)
+
+    def eval_chunk(i):
+        # Philox yields 4 doubles per counter step and chunk i starts 3*i*MC_CHUNK
+        # doubles into the seed's stream, so every chunk draws its own points
+        rng = np.random.Generator(np.random.Philox(cfg.seed).advance(i * 3 * MC_CHUNK // 4))
+        u = rng.uniform(size=(min(MC_CHUNK, n - i * MC_CHUNK), 3))
+        pts = domain.lo + u * (domain.hi - domain.lo)
+        g = _gradient_batch(potential, pts)
+        vals, exc = _integrand(g[:, 0], g[:, 1], g[:, 2], np.sin(pts[:, 2]),
+                               np.cos(pts[:, 2]), cfg.q, cfg.grad_floor)
+        return float(vals.sum()), float((vals * vals).sum()), exc
+
+    if jobs > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
+            partials = list(pool.map(eval_chunk, range(n_chunks)))
     else:
-        partials = [eval_chunk(chunk) for chunk in chunks]
+        partials = [eval_chunk(i) for i in range(n_chunks)]
 
     total = 0.0
     total_sq = 0.0
@@ -279,7 +294,6 @@ def _monte_carlo(potential, domain, cfg, jobs):
         total += s
         total_sq += s2
         excluded += exc
-    n = cfg.samples
     mean = total / n
     if n > 1:
         var = max(total_sq - total * total / n, 0.0) / (n - 1)

@@ -230,7 +230,6 @@ def cmd_admissibility(args) -> int:
     _emit({
         "method": cfg.method,
         "q": cfg.q,
-        "backend": _kernels.backend(),
         "cells": [
             {k: v for k, v in (
                 ("c", cell["c"]),

@@ -8,7 +8,7 @@ ships two closed-form families:
 
 plus user-supplied potentials whose gradients are validated against finite
 differences at construction. Quadratic-family potentials carry their
-coefficients so the hot loops can run on compiled kernels.
+coefficients, which the compiled loops and the quadrature specialise on.
 """
 
 import math
@@ -109,7 +109,7 @@ def make_custom(value, gradient, *, check_points: int = 8, seed: int = 0,
     `value` at `check_points` random states in [-1, 1]^3; a mismatch beyond
     `tol` raises. Pass check_points=0 to skip (e.g. for potentials that are
     expensive to evaluate). The admissibility quadrature calls `gradient` on
-    an (n, 3) batch first and per state only if the result has another shape.
+    (n, 3) batches of states and raises ValueError unless it returns (n, 3).
     """
     pot = Potential(kind="custom", value=value, gradient=gradient)
     if check_points > 0:

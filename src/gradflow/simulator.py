@@ -129,14 +129,19 @@ class Trajectory:
         formatted CSV_CHUNK_ROWS rows per %-operation instead of one. The rows
         are split by whole blocks into one share per usable core; this process
         writes the first and a worker interpreter formats each later one into
-        an anonymous file next to `path`, appended here in order. Returns how
-        many processes formatted the file.
+        an anonymous file next to `path`, appended here in order. The file is
+        written under a temporary name in the same directory and renamed onto
+        `path` only once it is complete; on failure it is removed and an
+        existing `path` is left as it was. Returns how many processes
+        formatted the file.
         """
         bounds = _csv_shares(len(self.data))
         directory = os.path.dirname(os.path.abspath(path))
+        tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+        f = open(tmp, "x", encoding="utf-8", newline="\n")
         workers = []
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
+            with f:
                 for lo, hi in zip(bounds[1:], bounds[2:]):
                     workers.append(_CsvWorker(self.data[lo:hi], directory))
                 f.write(CSV_HEADER + "\n")
@@ -144,6 +149,10 @@ class Trajectory:
                 f.flush()
                 for worker in workers:
                     worker.append_to(f.buffer)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         finally:
             for worker in workers:
                 worker.close()

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradflow import (
     AdmissibilityConfig,
@@ -118,15 +121,16 @@ class TestMeasure:
         assert res.value == 0.0
         assert res.excluded == 0
 
-    def test_single_state_gradient_runs_point_by_point(self):
-        # on a batch this gradient returns shape (3,), so it is called per point
+    @pytest.mark.parametrize("method", ["midpoint", "monte_carlo"])
+    def test_single_state_gradient_rejected(self, method):
+        # on an (n, 3) batch this gradient returns shape (3,)
         coeffs = np.array([2.0, 1.0, 0.5])
         single = make_custom(lambda x: float(np.sum(coeffs * np.asarray(x) ** 2)),
                              lambda x: 2.0 * coeffs * np.asarray(x).reshape(-1)[:3])
-        cfg = AdmissibilityConfig(grid_n=12)
-        res = admissibility_measure(single, cfg=cfg)
-        assert res.value == pytest.approx(
-            admissibility_measure(make_quadratic(*coeffs), cfg=cfg).value, abs=1e-13)
+        cfg = AdmissibilityConfig(method=method, grid_n=12, samples=500)
+        points = 12 * 12 if method == "midpoint" else 500
+        with pytest.raises(ValueError, match=rf"shape \({points}, 3\), got \(3,\)"):
+            admissibility_measure(single, cfg=cfg)
 
     def test_batch_gradient_error_propagates(self):
         def gradient(x):
@@ -191,17 +195,8 @@ class TestMeasure:
             method="monte_carlo", samples=10_000, seed=2))
         assert a.value != b.value
 
-    def test_generic_path_matches_quadratic_kernel(self):
-        coeffs = np.array([2.0, 1.0, 0.5])
-        pot = make_custom(lambda x: float(np.sum(coeffs * np.asarray(x) ** 2)),
-                          lambda x: 2.0 * coeffs * np.asarray(x))
-        cfg = AdmissibilityConfig(grid_n=24)
-        generic = admissibility_measure(pot, cfg=cfg)
-        kernel = admissibility_measure(make_quadratic(*coeffs), cfg=cfg)
-        assert generic.value == pytest.approx(kernel.value, abs=1e-13)
-
     def test_degenerate_potential_rejected(self):
-        flat = make_custom(lambda x: 1.0, lambda x: np.zeros(3))
+        flat = make_custom(lambda x: 1.0, lambda x: np.zeros(np.shape(x)))
         with pytest.raises(ValueError, match="degenerate"):
             admissibility_measure(flat, cfg=AdmissibilityConfig(grid_n=8))
 
@@ -216,6 +211,102 @@ class TestMeasure:
         res = admissibility_measure(make_quadratic(1, 1, 1), box,
                                     AdmissibilityConfig(grid_n=30))
         assert 0.0 < res.value < 1.0
+
+
+grid_sizes = st.integers(1, 8).map(lambda k: 2 * k)
+coefficients = st.tuples(*[st.floats(0.1, 10.0)] * 3)
+
+
+@st.composite
+def any_box(draw):
+    """An even grid size and a box that may or may not contain the origin."""
+    lo = np.array([draw(st.floats(-2.0, 1.0)) for _ in range(3)])
+    width = np.array([draw(st.floats(0.1, 3.0)) for _ in range(3)])
+    return draw(grid_sizes), BoxDomain(lo=lo, hi=lo + width)
+
+
+@st.composite
+def origin_cell_box(draw):
+    """An even grid size and a box with a cell centred at the origin, where grad V = 0."""
+    n = draw(grid_sizes)
+    lo, hi = [], []
+    for _ in range(3):
+        step = draw(st.floats(0.05, 0.5))
+        k = draw(st.integers(0, n - 1))
+        lo.append(-(k + 0.5) * step)
+        hi.append((n - k - 0.5) * step)
+    return n, BoxDomain(lo=lo, hi=hi)
+
+
+class TestOneIntegrand:
+    """Quadratics and custom potentials share one integrand, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]),
+           grid_and_box=st.one_of(any_box(), origin_cell_box()))
+    def test_custom_wrapper_equals_quadratic(self, coeffs, q, grid_and_box):
+        n, box = grid_and_box
+        quad = make_quadratic(*coeffs)
+        wrapped = make_custom(quad.value, quad.gradient)
+        for cfg in (AdmissibilityConfig(q=q, grid_n=n),
+                    AdmissibilityConfig(q=q, method="monte_carlo", samples=2500, seed=n)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(admissibility, "MC_CHUNK", 1024)
+                a = admissibility_measure(quad, box, cfg)
+                b = admissibility_measure(wrapped, box, cfg)
+            assert a.value == b.value
+            assert a.excluded == b.excluded
+            assert a.stderr == b.stderr
+
+    def test_origin_cell_is_excluded(self):
+        box = BoxDomain(lo=[-0.5, -0.5, -0.5], hi=[1.5, 1.5, 1.5])  # centres 0 and 1
+        cfg = AdmissibilityConfig(q=1.5, grid_n=2)
+        for pot in (make_quadratic(1, 1, 1),
+                    make_custom(lambda x: float(np.sum(np.asarray(x) ** 2)),
+                                lambda x: 2.0 * np.asarray(x))):
+            res = admissibility_measure(pot, box, cfg)
+            assert res.excluded == 1
+            assert 0.0 < res.value < 1.0
+
+
+def one_shot_points(domain, cfg):
+    """Every Monte-Carlo point from a single draw of the seed's Philox stream."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    return domain.lo + rng.uniform(size=(cfg.samples, 3)) * (domain.hi - domain.lo)
+
+
+class TestStreamedMonteCarlo:
+    def test_chunks_draw_the_one_shot_stream(self, monkeypatch):
+        monkeypatch.setattr(admissibility, "MC_CHUNK", 1024)
+        chunks = []
+
+        def recording(potential, pts):
+            chunks.append(pts.copy())
+            return gradient_batch(potential, pts)
+
+        gradient_batch = admissibility._gradient_batch
+        monkeypatch.setattr(admissibility, "_gradient_batch", recording)
+        box = BoxDomain(lo=[-1.0, 0.5, -2.0], hi=[2.0, 1.5, 1.0])
+        cfg = AdmissibilityConfig(method="monte_carlo", samples=7 * 1024 + 301, seed=11)
+        res = admissibility_measure(make_v_alpha(4.0), box, cfg)
+        assert [len(c) for c in chunks] == [1024] * 7 + [301]
+        assert np.array_equal(np.concatenate(chunks), one_shot_points(box, cfg))
+        par = admissibility_measure(make_v_alpha(4.0), box, cfg, jobs=3)
+        assert (par.value, par.stderr) == (res.value, res.stderr)
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(admissibility, "MC_CHUNK", 1024)
+        cfg = AdmissibilityConfig(method="monte_carlo", samples=64 * 1024, seed=3)
+        pot = make_quadratic(1, 2, 3)
+        admissibility_measure(pot, cfg=cfg)  # warm up caches outside the trace
+        tracemalloc.start()
+        try:
+            admissibility_measure(pot, cfg=cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few chunk-sized temporaries: an eighth of drawing all 64 chunks at once
+        assert peak < 8 * 24 * admissibility.MC_CHUNK
 
 
 class TestTable1:

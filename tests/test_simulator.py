@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -498,6 +499,17 @@ class TestCsv(CsvBytesEqual):
         # 9 significant digits survive the round trip
         assert np.allclose(data, traj.data, rtol=1e-8, atol=1e-12)
 
+    def test_replaces_the_target_with_a_plain_files_mode(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("x" * 100_000)
+        data = np.zeros((2, len(TRAJECTORY_COLUMNS)))
+        Trajectory(data, TERMINATED_HORIZON).save_csv(path)
+        assert path.read_text() == CSV_HEADER + "\n" + "0,0,0,0,0,0,0,0,0,0,0\n" * 2
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
     def test_saturated_column_integer(self, tmp_path):
         bounds = VelocityBounds(0.22, 2.84, mode="clamp")
         traj = simulate(short_config(bounds=bounds, t_max=0.2, goal_tol=0.0))
@@ -569,7 +581,15 @@ class TestCsvWorkerProcess:
         data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
         with pytest.raises(OSError, match="status 3"):
             Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temporary file
+        assert list(tmp_path.iterdir()) == []  # neither a partial CSV nor a temporary file
+        self.assert_reaped(one_worker)
+        one_worker.clear()
+        old = tmp_path / "out.csv"
+        old.write_bytes(b"an earlier run\n")
+        with pytest.raises(OSError, match="status 3"):
+            Trajectory(data, TERMINATED_HORIZON).save_csv(old)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert old.read_bytes() == b"an earlier run\n"
         self.assert_reaped(one_worker)
 
     def test_writer_failure_stops_the_workers(self, tmp_path, monkeypatch, one_worker):
@@ -584,7 +604,7 @@ class TestCsvWorkerProcess:
         data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
         with pytest.raises(OSError, match="no space"):
             Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert list(tmp_path.iterdir()) == []
         self.assert_reaped(one_worker)
         assert one_worker[0].returncode == -signal.SIGKILL
 
