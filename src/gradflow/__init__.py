@@ -6,7 +6,6 @@ admissibility functional that scores how well a potential's gradient flow
 fits the unicycle's controllable directions.
 """
 
-from gradflow._kernels import backend, set_backend
 from gradflow.admissibility import (
     AdmissibilityConfig,
     AdmissibilityResult,
@@ -14,7 +13,6 @@ from gradflow.admissibility import (
     TABLE1_COEFFS,
     admissibility_measure,
     rho,
-    rho_bruteforce,
     table1,
     write_sweep_csv,
 )
@@ -35,7 +33,6 @@ from gradflow.kinematics import (
 from gradflow.potential import (
     Potential,
     amplitude_vector,
-    amplitude_vector_matrix,
     finite_difference_gradient,
     make_custom,
     make_quadratic,
@@ -74,8 +71,6 @@ __all__ = [
     "WheelSpeeds",
     "admissibility_measure",
     "amplitude_vector",
-    "amplitude_vector_matrix",
-    "backend",
     "clamp",
     "control_value",
     "convergence_order",
@@ -92,8 +87,6 @@ __all__ = [
     "make_v_alpha",
     "preset_sim_config",
     "rho",
-    "rho_bruteforce",
-    "set_backend",
     "simulate",
     "table1",
     "tracking_deviation",

@@ -1,37 +1,15 @@
-"""Closed-loop and gradient-flow loops with a compiled and an interpreted build.
+"""The closed-loop and gradient-flow loops, one each for every potential.
 
 Both loops are written once as plain scalar Python and read the potential
 through a scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2,
-dV/dx3). Diagonal quadratics pass their coefficients and `quadratic_vg`,
-and the numba backend runs the njit compilation of the very same loop, so
-both backends execute the same arithmetic. Any other potential passes a
-wrapper around its Python callables and runs the interpreted loop. The
-admissibility quadrature is numpy on every backend and lives in
-`gradflow.admissibility`.
-
-Backend selection: the environment variable GRADFLOW_BACKEND ("numba" or
-"numpy") is consulted at every dispatch, so tests and benchmarks can flip
-it; set_backend() overrides the environment within a process. The default
-is numba when importable, numpy otherwise. Asking for an unknown backend,
-or for numba where it does not import, raises ValueError either way.
+dV/dx3). Diagonal quadratics pass their coefficients and `quadratic_vg`;
+any other potential passes a wrapper around its Python callables. Each
+loop stores its rows into a flat native-'d' memoryview, which takes a
+Python float faster than an ndarray does. The admissibility quadrature is
+numpy and lives in `gradflow.admissibility`.
 """
 
 import math
-import os
-
-try:
-    from numba import njit
-    from numba.extending import register_jitable as _jitable
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-    def _jitable(fn):
-        return fn
-
-_BACKEND_OVERRIDE: str | None = None
 
 # values per logged row of the loop kernels (simulator.TRAJECTORY_COLUMNS)
 ROW_WIDTH = 11
@@ -42,40 +20,9 @@ STATUS_GOAL = 1
 STATUS_NONFINITE = 2
 
 
-def _checked(name: str, source: str) -> str:
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r} from {source}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError(f"numba backend requested by {source} but numba is not importable")
-    return name
-
-
 def backend() -> str:
-    """Active backend name: override > GRADFLOW_BACKEND > availability."""
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    env = os.environ.get("GRADFLOW_BACKEND", "").strip().lower()
-    if env:
-        return _checked(env, "GRADFLOW_BACKEND")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend ("numba"/"numpy"); None restores environment selection."""
-    global _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = None if name is None else _checked(name, "set_backend()")
-
-
-_NJIT_CACHE: dict = {}
-
-
-def _jit(fn):
-    """Lazily njit-compile `fn`, keeping the interpreted original intact."""
-    compiled = _NJIT_CACHE.get(fn)
-    if compiled is None:
-        compiled = njit(cache=True, nogil=True)(fn)
-        _NJIT_CACHE[fn] = compiled
-    return compiled
+    """Name of the one numeric build, read by clibench's provenance probe."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +38,6 @@ def quadratic_vg(params, x1, x2, x3):
             2.0 * c1 * x1, 2.0 * c2 * x2, 2.0 * c3 * x3)
 
 
-@_jitable
 def hold_step(x1, x2, x3, u1, u2, T):
     """Exact unicycle flow over a hold of length T with (u1, u2) constant.
 
@@ -108,7 +54,7 @@ def hold_step(x1, x2, x3, u1, u2, T):
             x3 + u2 * T)
 
 
-def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
+def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
                  n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
                  goal, goal_tol, log_every, rows):
     """Closed-loop run; fills flat `rows` with (t, x, u, a, V, saturated).
@@ -212,7 +158,7 @@ def _closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
     return n_rows, status, conv_time, n_sat, max_u1, max_u2
 
 
-def _gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
+def gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
     """RK4 on xdot = -grad V; control/amplitude columns stay zero."""
     x1 = x0[0]
     x2 = x0[1]
@@ -257,25 +203,3 @@ def _gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
         x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 - g2) / 6.0
         x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 - g3) / 6.0
     return n_rows, status
-
-
-def _run(loop, vg, params, *args):
-    """`loop` on the selected backend; only quadratic_vg has a compiled build.
-
-    The last argument is the C-contiguous (n, ROW_WIDTH) float64 row buffer;
-    the loop gets it flat. The interpreted build stores into a native-'d'
-    memoryview, which takes a Python float faster than an ndarray does.
-    """
-    *args, rows = args
-    if backend() == "numba" and vg is quadratic_vg:
-        return _jit(loop)(_jit(quadratic_vg), params, *args, rows.reshape(-1))
-    return loop(vg, params, *args, memoryview(rows).cast("B").cast("d"))
-
-
-def closed_loop(vg, params, *args):
-    return _run(_closed_loop, vg, params, *args)
-
-
-def gradient_flow(vg, params, *args):
-    return _run(_gradient_flow, vg, params, *args)
-

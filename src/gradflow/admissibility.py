@@ -7,8 +7,8 @@ For a potential V on a box X the cost is the normalized integral
 where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
-closed form rho(x, p) = |p1*sin x3 - p2*cos x3|; a brute-force minimizer
-over u is kept alongside as an independent oracle.
+closed form rho(x, p) = |p1*sin x3 - p2*cos x3|, which the test suite
+checks against a brute-force minimizer over u.
 
 J is zero iff the gradient flow is realizable everywhere; for q = 2 the
 integrand lies in [0, 1], hence J in [0, 1]. Multiplying V by a positive
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow.kinematics import as_state, vector_fields
+from gradflow.kinematics import as_state
 from gradflow.potential import Potential, make_quadratic
 
 # fixed Monte-Carlo chunk, independent of workers: it is drawn, evaluated and
@@ -124,44 +124,6 @@ def rho(x, p) -> float:
     x = as_state(x)
     p = np.asarray(p, dtype=float)
     return abs(p[0] * math.sin(x[2]) - p[1] * math.cos(x[2]))
-
-
-def rho_bruteforce(x, p, coarse_range: float | None = None,
-                   refine_iters: int = 4, grid_points: int = 51) -> float:
-    """Independent oracle: minimize |u1*f1(x) + u2*f2(x) + p| over u by search.
-
-    Nested grid search: a grid_points^2 grid over the square of half-width
-    coarse_range, re-centered on the best point and shrunk 10x for each of
-    refine_iters refinements. coarse_range must be at least |p| so the
-    square contains the unconstrained minimizer; by default it is
-    max(1, |p|).
-    """
-    x = as_state(x)
-    p = np.asarray(p, dtype=float)
-    p_norm = float(np.linalg.norm(p))
-    if coarse_range is None:
-        coarse_range = max(1.0, p_norm)
-    elif coarse_range < p_norm:
-        raise ValueError(
-            f"coarse_range={coarse_range} must cover |p|={p_norm} so the "
-            f"minimizer lies inside the search box"
-        )
-    f1, f2 = vector_fields(x)
-    c1 = c2 = 0.0
-    half = float(coarse_range)
-    best = math.inf
-    for _ in range(refine_iters + 1):
-        g1 = np.linspace(c1 - half, c1 + half, grid_points)
-        g2 = np.linspace(c2 - half, c2 + half, grid_points)
-        u1 = np.repeat(g1, grid_points)
-        u2 = np.tile(g2, grid_points)
-        res = (np.outer(u1, f1) + np.outer(u2, f2)) + p
-        norms = np.sqrt(np.einsum("ij,ij->i", res, res))
-        i = int(np.argmin(norms))
-        best = min(best, float(norms[i]))
-        c1, c2 = float(u1[i]), float(u2[i])  # re-center, then shrink 10x
-        half /= 10.0
-    return best
 
 
 def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:

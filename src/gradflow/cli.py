@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from gradflow import _kernels
 from gradflow.admissibility import (
     AdmissibilityConfig,
     BoxDomain,
@@ -71,16 +70,26 @@ def _triple(text: str) -> list[float]:
     return vals
 
 
+def _matches(value, default) -> bool:
+    """Whether a config value has the JSON type of its default; no bool is a number."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_matches, value, default)))
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
 def _potential_from_spec(spec):
-    if not isinstance(spec, dict):
-        raise ValueError("potential spec must be an object with a \"kind\" field")
     kind = spec.get("kind")
     if kind == "v_alpha":
+        if not _matches(spec.get("alpha"), 1.0):
+            raise ValueError("v_alpha potential spec needs a number \"alpha\"")
         return make_v_alpha(float(spec["alpha"]))
     if kind == "quadratic":
         c = spec.get("c")
-        if not (isinstance(c, (list, tuple)) and len(c) == 3):
-            raise ValueError("quadratic potential spec needs \"c\": [c1, c2, c3]")
+        if not _matches(c, [1.0, 1.0, 1.0]):
+            raise ValueError("quadratic potential spec needs \"c\": [c1, c2, c3] of numbers")
         return make_quadratic(*map(float, c))
     raise ValueError(f"unknown potential kind {kind!r} (expected 'v_alpha' or 'quadratic')")
 
@@ -122,6 +131,10 @@ def _load_config_file(path: str) -> dict:
     unknown = set(cfg) - set(SIM_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if not _matches(value, SIM_DEFAULTS[key]):
+            raise ValueError(f"config key {key!r} must have the JSON type of its default "
+                             f"{SIM_DEFAULTS[key]!r}, got {value!r}")
     return cfg
 
 
@@ -154,18 +167,18 @@ def _sim_config_from_settings(settings: dict) -> SimConfig:
         bounds = VelocityBounds()
     else:
         bounds = VelocityBounds(float(settings["u1_max"]), float(settings["u2_max"]),
-                                mode=str(settings["bounds_mode"]))
+                                mode=settings["bounds_mode"])
     controller = ControllerParams(
         epsilon=float(settings["epsilon"]), gamma=float(settings["gamma"]),
         k1=float(settings["k1"]), k2=float(settings["k2"]),
-        bounds=bounds, loop_mode=str(settings["loop_mode"]),
+        bounds=bounds, loop_mode=settings["loop_mode"],
     )
     return SimConfig(
         potential=_potential_from_spec(settings["potential"]),
         controller=controller, x0=settings["x0"], goal=settings["goal"],
         goal_tol=float(settings["goal_tol"]), t_max=float(settings["t_max"]),
         control_period=float(settings["control_period"]),
-        log_every=int(settings["log_every"]),
+        log_every=settings["log_every"],
     )
 
 
@@ -190,7 +203,6 @@ def cmd_simulate(args) -> int:
         "x3_end_wrapped": wrap_angle(float(traj.final_state[2])),
         "V_end": float(traj.potential_values[-1]),
         "rows": int(traj.data.shape[0]),
-        "backend": _kernels.backend(),
         "csv": args.out,
         "csv_processes": csv_processes,
     })
@@ -284,7 +296,6 @@ def cmd_refine(args) -> int:
         "slope": convergence_order(args.eps, deviations) if len(deviations) > 1 else None,
         "window": args.window,
         "loop_mode": args.mode,
-        "backend": _kernels.backend(),
         "csv": args.out,
     })
     return 0 if non_increasing else 1
@@ -303,7 +314,6 @@ def cmd_gradient_flow(args) -> int:
         "final_state": [float(v) for v in traj.final_state],
         "V_end": float(traj.potential_values[-1]),
         "rows": int(traj.data.shape[0]),
-        "backend": _kernels.backend(),
         "csv": args.out,
         "csv_processes": csv_processes,
     })

@@ -8,7 +8,8 @@ ships two closed-form families:
 
 plus user-supplied potentials whose gradients are validated against finite
 differences at construction. Quadratic-family potentials carry their
-coefficients, which the compiled loops and the quadrature specialise on.
+coefficients, which the closed loop reads directly and the midpoint
+quadrature specialises on.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow.kinematics import as_state, frame_inverse
+from gradflow.kinematics import as_state
 
 
 @dataclass(frozen=True)
@@ -149,16 +150,3 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
         -gamma * g[2],
         -gamma * (g[0] * s - g[1] * c),
     ])
-
-
-def amplitude_vector_matrix(potential: Potential, gamma: float, x) -> np.ndarray:
-    """Same amplitudes via the matrix route -gamma * F^{-1}(x) @ grad V(x).
-
-    Kept as an independent code path; the two must agree to rounding and
-    are cross-checked in the test suite.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = as_state(x)
-    g = np.asarray(potential.gradient(x), dtype=float)
-    return -gamma * (frame_inverse(x) @ g)

@@ -234,7 +234,8 @@ def load_trajectory_csv(path) -> np.ndarray:
             with warnings.catch_warnings():
                 # an empty body is reported as a ValueError below, not a warning
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(f, delimiter=",", ndmin=2)
+                # the writer never emits "#", so a "#" is malformed, not a comment
+                data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
             raise ValueError(f"malformed trajectory CSV: {exc}") from exc
     if data.size == 0:
@@ -250,6 +251,12 @@ def _multiple_of(value: float, base: float, tol: float = 1e-9) -> int | None:
     if n >= 1 and abs(value - n * base) <= tol:
         return n
     return None
+
+
+def _check_log_every(log_every) -> None:
+    # bool is an int subclass: True would silently mean "log every update"
+    if isinstance(log_every, bool) or not (isinstance(log_every, int) and log_every >= 1):
+        raise ValueError(f"log_every must be a positive integer, got {log_every!r}")
 
 
 @dataclass(frozen=True)
@@ -295,8 +302,7 @@ class SimConfig:
             raise ValueError(
                 f"control_period={self.control_period} must divide t_max={self.t_max}"
             )
-        if not (isinstance(self.log_every, int) and self.log_every >= 1):
-            raise ValueError(f"log_every must be a positive integer, got {self.log_every}")
+        _check_log_every(self.log_every)
 
 
 def goal_reached(x, goal, tol: float) -> bool:
@@ -345,10 +351,9 @@ def _floats(x) -> tuple:
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
-    Quadratic-family potentials run on the selected numeric backend;
-    custom potentials run the interpreted build of the same loop, which
-    calls their Python callables. Identical configs produce bit-identical
-    trajectories on a fixed backend.
+    Every potential runs the same interpreted loop: quadratic-family
+    potentials through their coefficients, custom potentials through their
+    Python callables. Identical configs produce bit-identical trajectories.
     """
     ctrl = cfg.controller
     n_updates = _multiple_of(cfg.t_max, cfg.control_period)
@@ -360,7 +365,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
         vg, params, _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2, ctrl.omega,
         cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
         ctrl.bounds.mode == "clamp", ctrl.bounds.u1_max, ctrl.bounds.u2_max,
-        _floats(cfg.goal), cfg.goal_tol, cfg.log_every, rows,
+        _floats(cfg.goal), cfg.goal_tol, cfg.log_every,
+        memoryview(rows).cast("B").cast("d"),
     )
     return _status_to_trajectory(rows, *out)
 
@@ -380,13 +386,13 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
     n_steps = _multiple_of(t_max, h)
     if n_steps is None:
         raise ValueError(f"step h={h} must divide t_max={t_max}")
-    if not (isinstance(log_every, int) and log_every >= 1):
-        raise ValueError(f"log_every must be a positive integer, got {log_every}")
+    _check_log_every(log_every)
     max_rows = n_steps // log_every + 2
     rows = np.empty((max_rows, len(TRAJECTORY_COLUMNS)))
     vg, params = _vg(potential)
     n_rows, status = _kernels.gradient_flow(
-        vg, params, _floats(as_state(x0)), h, n_steps, log_every, rows
+        vg, params, _floats(as_state(x0)), h, n_steps, log_every,
+        memoryview(rows).cast("B").cast("d"),
     )
     return _status_to_trajectory(rows, n_rows, status, math.nan)
 

@@ -63,7 +63,8 @@ def test_criterion_2_v_alpha_sequence():
 
 
 def test_criterion_3_residual_oracle_equivalence():
-    from gradflow import rho, rho_bruteforce
+    from gradflow import rho
+    from oracles import rho_bruteforce
     rng = np.random.default_rng(1234)
     t0 = time.perf_counter()
     worst = 0.0

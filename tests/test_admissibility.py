@@ -15,11 +15,11 @@ from gradflow import (
     make_quadratic,
     make_v_alpha,
     rho,
-    rho_bruteforce,
     table1,
     write_sweep_csv,
 )
 from gradflow import admissibility
+from oracles import rho_bruteforce
 
 
 def random_pairs(n, seed, p_max=10.0):

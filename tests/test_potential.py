@@ -3,12 +3,12 @@ import pytest
 
 from gradflow import (
     amplitude_vector,
-    amplitude_vector_matrix,
     finite_difference_gradient,
     make_custom,
     make_quadratic,
     make_v_alpha,
 )
+from oracles import amplitude_vector_matrix
 
 
 class TestQuadratic:

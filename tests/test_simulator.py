@@ -80,6 +80,8 @@ class TestSimConfigValidation:
     def test_bad_log_every(self):
         with pytest.raises(ValueError, match="log_every"):
             short_config(log_every=0)
+        with pytest.raises(ValueError, match="log_every"):
+            short_config(log_every=True)
 
 
 class TestGoalReached:
@@ -318,6 +320,9 @@ class TestGradientFlow:
             integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=1.0, h=0.0)
         with pytest.raises(ValueError):
             integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=-1.0, h=0.1)
+        with pytest.raises(ValueError, match="log_every"):
+            integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=1.0, h=0.1,
+                                    log_every=True)
 
     def test_horizon_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="divide"):
@@ -530,6 +535,21 @@ class TestCsv(CsvBytesEqual):
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")
         with pytest.raises(ValueError):
+            load_trajectory_csv(path)
+
+    # the writer never emits "#": a line holding one is malformed, not a comment
+    ROW = ",".join(["0"] * len(TRAJECTORY_COLUMNS))
+
+    def test_loader_rejects_a_comment_line(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n# note\n{self.ROW}\n")
+        with pytest.raises(ValueError, match="malformed trajectory CSV"):
+            load_trajectory_csv(path)
+
+    def test_loader_rejects_a_trailing_comment(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW} # note\n")
+        with pytest.raises(ValueError, match="malformed trajectory CSV"):
             load_trajectory_csv(path)
 
 
