@@ -38,7 +38,7 @@ from gradflow.potential import (
     make_quadratic,
     make_v_alpha,
 )
-from gradflow.presets import PRESETS, ExperimentPreset, preset_sim_config
+from gradflow.presets import PRESETS, preset_sim_config, sim_config
 from gradflow.simulator import (
     IntegrationError,
     SimConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "AdmissibilityResult",
     "BoxDomain",
     "ControllerParams",
-    "ExperimentPreset",
     "IntegrationError",
     "PRESETS",
     "Potential",
@@ -87,6 +86,7 @@ __all__ = [
     "make_v_alpha",
     "preset_sim_config",
     "rho",
+    "sim_config",
     "simulate",
     "table1",
     "tracking_deviation",

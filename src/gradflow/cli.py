@@ -19,10 +19,13 @@ from gradflow.admissibility import (
     write_sweep_csv,
 )
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import VelocityBounds, wrap_angle
+from gradflow.kinematics import wrap_angle
 from gradflow.plotting import render_trajectory_svg
 from gradflow.potential import make_quadratic, make_v_alpha
-from gradflow.presets import PRESETS
+from gradflow.presets import PRESETS, SIM_DEFAULTS, check_settings
+# kept under its old name: clibench/replay.py times the config layer by
+# wrapping `_sim_config_from_settings` in this module's namespace
+from gradflow.presets import sim_config as _sim_config_from_settings
 from gradflow.simulator import (
     IntegrationError,
     SimConfig,
@@ -36,24 +39,6 @@ from gradflow.simulator import (
 # amplitude updates per oscillation period in the refinement study; keeps
 # the zero-order hold resolving the fast oscillation at every epsilon
 REFINE_UPDATES_PER_EPS = 2000
-
-SIM_DEFAULTS = {
-    "potential": {"kind": "v_alpha", "alpha": 1.0},
-    "epsilon": 1.0,
-    "gamma": 0.05,
-    "k1": 0.5,
-    "k2": 8.0,
-    "u1_max": 0.22,
-    "u2_max": 2.84,
-    "bounds_mode": "clamp",
-    "loop_mode": "continuous",
-    "x0": [-0.5, -0.5, 0.0],
-    "goal": [0.0, 0.0, 0.0],
-    "goal_tol": 0.05,
-    "t_max": 600.0,
-    "control_period": 5e-4,
-    "log_every": 1,
-}
 
 
 def _float_list(text: str) -> list[float]:
@@ -70,30 +55,6 @@ def _triple(text: str) -> list[float]:
     return vals
 
 
-def _matches(value, default) -> bool:
-    """Whether a config value has the JSON type of its default; no bool is a number."""
-    if isinstance(default, list):
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(map(_matches, value, default)))
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return type(value) is type(default)
-
-
-def _potential_from_spec(spec):
-    kind = spec.get("kind")
-    if kind == "v_alpha":
-        if not _matches(spec.get("alpha"), 1.0):
-            raise ValueError("v_alpha potential spec needs a number \"alpha\"")
-        return make_v_alpha(float(spec["alpha"]))
-    if kind == "quadratic":
-        c = spec.get("c")
-        if not _matches(c, [1.0, 1.0, 1.0]):
-            raise ValueError("quadratic potential spec needs \"c\": [c1, c2, c3] of numbers")
-        return make_quadratic(*map(float, c))
-    raise ValueError(f"unknown potential kind {kind!r} (expected 'v_alpha' or 'quadratic')")
-
-
 def _potential_from_flags(args):
     if getattr(args, "v_alpha", None) is not None:
         return make_v_alpha(args.v_alpha)
@@ -104,16 +65,6 @@ def _potential_from_flags(args):
 
 def _emit(summary: dict) -> None:
     print(json.dumps(summary))
-
-
-def _mc_seed(args_seed: int) -> int:
-    env = os.environ.get("GRADFLOW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"GRADFLOW_SEED must be an integer, got {env!r}") from None
-    return args_seed
 
 
 # ---------------------------------------------------------------------------
@@ -128,58 +79,21 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
-    unknown = set(cfg) - set(SIM_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        if not _matches(value, SIM_DEFAULTS[key]):
-            raise ValueError(f"config key {key!r} must have the JSON type of its default "
-                             f"{SIM_DEFAULTS[key]!r}, got {value!r}")
-    return cfg
+    return check_settings(cfg)
 
 
 def _settings_for_simulate(args) -> dict:
+    """Defaults, then the preset, then the config file, then the flags."""
     settings = dict(SIM_DEFAULTS)
     if args.preset is not None:
-        preset = PRESETS[args.preset]
-        settings.update(
-            potential={"kind": "v_alpha", "alpha": preset.alpha},
-            epsilon=preset.epsilon, gamma=preset.gamma,
-            k1=preset.k1, k2=preset.k2,
-            u1_max=preset.u1_max, u2_max=preset.u2_max,
-            x0=list(preset.x0), goal=list(preset.goal),
-        )
+        settings.update(PRESETS[args.preset])
     if args.config is not None:
         settings.update(_load_config_file(args.config))
-    for key, flag in (
-        ("loop_mode", "mode"), ("bounds_mode", "bounds"), ("t_max", "t_max"),
-        ("goal_tol", "goal_tol"), ("control_period", "control_period"),
-        ("log_every", "log_every"), ("gamma", "gamma"),
-    ):
-        val = getattr(args, flag, None)
+    for key in SIM_DEFAULTS:
+        val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
     return settings
-
-
-def _sim_config_from_settings(settings: dict) -> SimConfig:
-    if settings["bounds_mode"] == "ideal":
-        bounds = VelocityBounds()
-    else:
-        bounds = VelocityBounds(float(settings["u1_max"]), float(settings["u2_max"]),
-                                mode=settings["bounds_mode"])
-    controller = ControllerParams(
-        epsilon=float(settings["epsilon"]), gamma=float(settings["gamma"]),
-        k1=float(settings["k1"]), k2=float(settings["k2"]),
-        bounds=bounds, loop_mode=settings["loop_mode"],
-    )
-    return SimConfig(
-        potential=_potential_from_spec(settings["potential"]),
-        controller=controller, x0=settings["x0"], goal=settings["goal"],
-        goal_tol=float(settings["goal_tol"]), t_max=float(settings["t_max"]),
-        control_period=float(settings["control_period"]),
-        log_every=settings["log_every"],
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -216,7 +130,7 @@ def cmd_simulate(args) -> int:
 def cmd_admissibility(args) -> int:
     cfg = AdmissibilityConfig(
         q=args.q, method=args.method, grid_n=args.grid_n,
-        samples=args.samples, seed=_mc_seed(args.seed), grad_floor=args.grad_floor,
+        samples=args.samples, seed=args.seed, grad_floor=args.grad_floor,
     )
     domain = BoxDomain.cube(args.box)
     cells = []
@@ -361,8 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           allow_abbrev=False)
     sim.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
     sim.add_argument("--config", help="JSON config file (flags override its fields)")
-    sim.add_argument("--mode", choices=("sampling", "continuous"), help="loop mode")
-    sim.add_argument("--bounds", choices=("ideal", "clamp"), help="velocity bounds mode")
+    # each dest is a settings key, so _settings_for_simulate picks the flags up by name
+    sim.add_argument("--mode", choices=("sampling", "continuous"), dest="loop_mode",
+                     help="loop mode")
+    sim.add_argument("--bounds", choices=("ideal", "clamp"), dest="bounds_mode",
+                     help="velocity bounds mode")
     sim.add_argument("--gamma", type=float, help="feedback gain")
     sim.add_argument("--t-max", type=float, dest="t_max", help="horizon (s)")
     sim.add_argument("--goal-tol", type=float, dest="goal_tol", help="stop radius")
@@ -382,8 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adm.add_argument("--grid-n", type=int, dest="grid_n", default=200,
                      help="midpoint cells per axis (even)")
     adm.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo draws")
-    adm.add_argument("--seed", type=int, default=2025,
-                     help="Monte-Carlo seed (GRADFLOW_SEED overrides)")
+    adm.add_argument("--seed", type=int, default=2025, help="Monte-Carlo seed")
     adm.add_argument("--grad-floor", type=float, dest="grad_floor", default=1e-12,
                      help="exclude points with |grad V| at or below this")
     adm.add_argument("--box", type=float, default=1.0, help="domain half-width")
@@ -398,17 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="strictly descending oscillation periods")
     ref.add_argument("--window", type=float, default=2.0, help="comparison horizon (s)")
     ref.add_argument("--mode", choices=("sampling", "continuous"), default="sampling")
-    ref.add_argument("--gamma", type=float, default=0.05, help="feedback gain")
-    ref.add_argument("--k1", type=float, default=0.5)
-    ref.add_argument("--k2", type=float, default=8.0)
-    ref.add_argument("--x0", type=float, nargs=3, default=[-0.5, -0.5, 0.0],
+    ref.add_argument("--gamma", type=float, default=SIM_DEFAULTS["gamma"],
+                     help="feedback gain")
+    ref.add_argument("--k1", type=float, default=SIM_DEFAULTS["k1"])
+    ref.add_argument("--k2", type=float, default=SIM_DEFAULTS["k2"])
+    ref.add_argument("--x0", type=float, nargs=3, default=SIM_DEFAULTS["x0"],
                      metavar=("X1", "X2", "X3"))
     ref.add_argument("--out", help="CSV path for (epsilon, deviation) rows")
     ref.set_defaults(func=cmd_refine)
 
     gf = subs.add_parser("gradient-flow", help="integrate xdot = -grad V and export CSV")
     _add_potential_flags(gf)
-    gf.add_argument("--x0", type=float, nargs=3, default=[-0.5, -0.5, 0.0],
+    gf.add_argument("--x0", type=float, nargs=3, default=SIM_DEFAULTS["x0"],
                     metavar=("X1", "X2", "X3"))
     gf.add_argument("--t-max", type=float, dest="t_max", default=10.0)
     gf.add_argument("--h", type=float, default=1e-3)

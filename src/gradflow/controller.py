@@ -9,6 +9,8 @@ with omega = 2*pi/epsilon and k1*k2 = 4. The sqrt(omega) amplitude paired
 with the frequency omega is what lets the cos/sin pair excite the bracket
 (sideways) direction with average rate a12 per unit time, so the closed
 loop drifts along -gamma * grad V on average.
+
+ControllerParams derives omega from epsilon and always enforces k1*k2 = 4.
 """
 
 import math
@@ -32,19 +34,16 @@ class ControllerParams:
     """Validated parameter set for the oscillatory feedback.
 
     epsilon is both the oscillation period and, in sampling mode, the
-    amplitude refresh interval. omega defaults to 2*pi/epsilon and must
-    stay consistent with it. The product constraint k1*k2 = 4 is rejected
-    unless `unchecked=True` deliberately bypasses it.
+    amplitude refresh interval; the frequency omega = 2*pi/epsilon follows
+    from it. A pair (k1, k2) that breaks k1*k2 = 4 is rejected.
     """
 
     epsilon: float = 1.0
     gamma: float = 0.05
     k1: float = DEFAULT_K1
     k2: float = DEFAULT_K2
-    omega: float | None = None
     bounds: VelocityBounds = field(default_factory=VelocityBounds)
     loop_mode: str = "continuous"
-    unchecked: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -53,13 +52,7 @@ class ControllerParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not (self.k1 > 0 and self.k2 > 0):
             raise ValueError(f"k1 and k2 must be positive, got ({self.k1}, {self.k2})")
-        if self.omega is None:
-            object.__setattr__(self, "omega", TWO_PI / self.epsilon)
-        if abs(self.omega * self.epsilon - TWO_PI) > 1e-12:
-            raise ValueError(
-                f"omega*epsilon must equal 2*pi: got {self.omega * self.epsilon!r}"
-            )
-        if not self.unchecked and abs(self.k1 * self.k2 - 4.0) > 1e-9:
+        if abs(self.k1 * self.k2 - 4.0) > 1e-9:
             raise ValueError(
                 f"coefficient constraint k1*k2 = 4 violated: "
                 f"{self.k1}*{self.k2} = {self.k1 * self.k2}"
@@ -68,6 +61,11 @@ class ControllerParams:
             raise ValueError(
                 f"loop_mode must be 'sampling' or 'continuous', got {self.loop_mode!r}"
             )
+
+    @property
+    def omega(self) -> float:
+        """Oscillation frequency 2*pi/epsilon (rad/s)."""
+        return TWO_PI / self.epsilon
 
 
 def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
@@ -97,11 +95,12 @@ def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"amplitude vector must have shape (3,), got {a.shape}")
-    osc = math.sqrt(p.omega * abs(a[2]))
+    omega = p.omega
+    osc = math.sqrt(omega * abs(a[2]))
     sign = 0.0 if a[2] == 0.0 else math.copysign(1.0, a[2])
     u = np.array([
-        a[0] + p.k1 * osc * sign * math.cos(p.omega * t),
-        a[1] + p.k2 * osc * math.sin(p.omega * t),
+        a[0] + p.k1 * osc * sign * math.cos(omega * t),
+        a[1] + p.k2 * osc * math.sin(omega * t),
     ])
     if p.bounds.mode == "clamp":
         return clamp(u, p.bounds)

@@ -17,24 +17,26 @@ import numpy as np
 TB3_WHEEL_SEPARATION = 0.160
 
 
-def as_state(x) -> np.ndarray:
-    """Coerce `x` to a finite float64 vector of shape (3,)."""
+def _real_vector(x, n: int, what: str) -> np.ndarray:
+    """`x` as a finite float64 vector of shape (n,); str and bool components raise."""
+    if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+        raise ValueError(f"{what} components must be numbers, not strings or bools: {x!r}")
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {arr.shape}")
+    if arr.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("state components must be finite")
+        raise ValueError(f"{what} components must be finite")
     return arr
+
+
+def as_state(x) -> np.ndarray:
+    """`x` as a finite float64 vector of shape (3,); str and bool components raise."""
+    return _real_vector(x, 3, "state")
 
 
 def as_control(u) -> np.ndarray:
-    """Coerce `u` to a finite float64 vector of shape (2,)."""
-    arr = np.asarray(u, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"control must have shape (2,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("control components must be finite")
-    return arr
+    """`u` as a finite float64 vector of shape (2,); str and bool components raise."""
+    return _real_vector(u, 2, "control")
 
 
 def vector_fields(x) -> tuple[np.ndarray, np.ndarray]:

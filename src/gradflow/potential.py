@@ -31,11 +31,9 @@ class Potential:
     when the potential is a diagonal quadratic form, else None.
     """
 
-    kind: str  # "quadratic" | "v_alpha" | "custom"
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     coeffs: np.ndarray | None = None
-    alpha: float | None = None
 
     def scaled(self, c: float) -> "Potential":
         """The potential c*V. Positive c preserves positive definiteness."""
@@ -45,7 +43,6 @@ class Potential:
             return make_quadratic(*(c * self.coeffs))
         v, g = self.value, self.gradient
         return Potential(
-            kind="custom",
             value=lambda x: c * v(x),
             gradient=lambda x: c * np.asarray(g(x), dtype=float),
         )
@@ -70,7 +67,7 @@ def make_quadratic(c1: float, c2: float, c3: float) -> Potential:
     coeffs = np.array([c1, c2, c3], dtype=float)
     coeffs.flags.writeable = False
     value, gradient = _quadratic_callables(coeffs)
-    return Potential(kind="quadratic", value=value, gradient=gradient, coeffs=coeffs)
+    return Potential(value=value, gradient=gradient, coeffs=coeffs)
 
 
 def make_v_alpha(alpha: float) -> Potential:
@@ -82,11 +79,7 @@ def make_v_alpha(alpha: float) -> Potential:
     """
     if not alpha >= 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    coeffs = np.array([alpha, 1.0 / alpha, alpha], dtype=float)
-    coeffs.flags.writeable = False
-    value, gradient = _quadratic_callables(coeffs)
-    return Potential(kind="v_alpha", value=value, gradient=gradient,
-                     coeffs=coeffs, alpha=float(alpha))
+    return make_quadratic(alpha, 1.0 / alpha, alpha)
 
 
 def finite_difference_gradient(value, x, step: float = 1e-5) -> np.ndarray:
@@ -112,7 +105,7 @@ def make_custom(value, gradient, *, check_points: int = 8, seed: int = 0,
     expensive to evaluate). The admissibility quadrature calls `gradient` on
     (n, 3) batches of states and raises ValueError unless it returns (n, 3).
     """
-    pot = Potential(kind="custom", value=value, gradient=gradient)
+    pot = Potential(value=value, gradient=gradient)
     if check_points > 0:
         rng = np.random.default_rng(seed)
         for _ in range(check_points):

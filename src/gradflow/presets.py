@@ -1,61 +1,104 @@
-"""Experiment presets P1-P4.
+"""Simulation settings and the experiment presets P1-P4.
 
-All four share epsilon = 1 s, gamma = 0.05, initial state (-0.5, -0.5, 0),
-goal at the origin, and the TurtleBot3 velocity limits (0.22 m/s,
-2.84 rad/s). They differ in the potential anisotropy alpha and in the
-split of the oscillation budget between k1 and k2 (k1*k2 = 4 throughout).
+A run is described by flat settings with the keys and JSON types of
+SIM_DEFAULTS; `sim_config` checks them, layers them over the defaults and
+builds the SimConfig. A preset is the few settings in which it differs from
+the defaults: all four share epsilon = 1 s, gamma = 0.05, start
+(-0.5, -0.5, 0), goal at the origin and the TurtleBot3 limits (0.22 m/s,
+2.84 rad/s), and differ in the anisotropy alpha and the split of k1*k2 = 4.
 """
 
 import math
-from dataclasses import dataclass
 
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import VelocityBounds
-from gradflow.potential import make_v_alpha
+from gradflow.potential import make_quadratic, make_v_alpha
 from gradflow.simulator import SimConfig
 
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    name: str
-    alpha: float
-    k1: float
-    k2: float
-    epsilon: float = 1.0
-    gamma: float = 0.05
-    x0: tuple[float, float, float] = (-0.5, -0.5, 0.0)
-    goal: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    u1_max: float = 0.22
-    u2_max: float = 2.84
-
+SIM_DEFAULTS = {
+    "potential": {"kind": "v_alpha", "alpha": 1.0},
+    "epsilon": 1.0,
+    "gamma": 0.05,
+    "k1": 0.5,
+    "k2": 8.0,
+    "u1_max": 0.22,
+    "u2_max": 2.84,
+    "bounds_mode": "clamp",
+    "loop_mode": "continuous",
+    "x0": [-0.5, -0.5, 0.0],
+    "goal": [0.0, 0.0, 0.0],
+    "goal_tol": 0.05,
+    "t_max": 600.0,
+    "control_period": 5e-4,
+    "log_every": 1,
+}
 
 PRESETS = {
-    "P1": ExperimentPreset("P1", alpha=1.0, k1=0.5, k2=8.0),
-    "P2": ExperimentPreset("P2", alpha=1.0, k1=1.0 / math.sqrt(2.0), k2=4.0 * math.sqrt(2.0)),
-    "P3": ExperimentPreset("P3", alpha=4.0, k1=0.5, k2=8.0),
-    "P4": ExperimentPreset("P4", alpha=10.0, k1=0.5, k2=8.0),
+    "P1": {},
+    "P2": {"k1": 1.0 / math.sqrt(2.0), "k2": 4.0 * math.sqrt(2.0)},
+    "P3": {"potential": {"kind": "v_alpha", "alpha": 4.0}},
+    "P4": {"potential": {"kind": "v_alpha", "alpha": 10.0}},
 }
 
 
-def preset_sim_config(name: str, loop_mode: str = "continuous",
-                      bounds_mode: str = "clamp", goal_tol: float = 0.05,
-                      t_max: float = 600.0, control_period: float = 5e-4,
-                      log_every: int = 1) -> SimConfig:
-    """Build the full simulation config for a named preset."""
+def _matches(value, default) -> bool:
+    """Whether a setting has the JSON type of its default; no bool is a number."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_matches, value, default)))
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
+def check_settings(settings: dict) -> dict:
+    """Reject unknown keys and values without their default's JSON type."""
+    unknown = set(settings) - set(SIM_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in settings.items():
+        if not _matches(value, SIM_DEFAULTS[key]):
+            raise ValueError(f"config key {key!r} must have the JSON type of its default "
+                             f"{SIM_DEFAULTS[key]!r}, got {value!r}")
+    return settings
+
+
+def _potential_from_spec(spec):
+    kind = spec.get("kind")
+    if kind == "v_alpha":
+        if not _matches(spec.get("alpha"), 1.0):
+            raise ValueError("v_alpha potential spec needs a number \"alpha\"")
+        return make_v_alpha(float(spec["alpha"]))
+    if kind == "quadratic":
+        c = spec.get("c")
+        if not _matches(c, [1.0, 1.0, 1.0]):
+            raise ValueError("quadratic potential spec needs \"c\": [c1, c2, c3] of numbers")
+        return make_quadratic(*map(float, c))
+    raise ValueError(f"unknown potential kind {kind!r} (expected 'v_alpha' or 'quadratic')")
+
+
+def sim_config(settings: dict) -> SimConfig:
+    """Build the SimConfig of `settings` layered over SIM_DEFAULTS."""
+    s = {**SIM_DEFAULTS, **check_settings(settings)}
+    bounds = (VelocityBounds() if s["bounds_mode"] == "ideal" else
+              VelocityBounds(float(s["u1_max"]), float(s["u2_max"]), mode=s["bounds_mode"]))
+    controller = ControllerParams(
+        epsilon=float(s["epsilon"]), gamma=float(s["gamma"]),
+        k1=float(s["k1"]), k2=float(s["k2"]),
+        bounds=bounds, loop_mode=s["loop_mode"],
+    )
+    return SimConfig(
+        potential=_potential_from_spec(s["potential"]),
+        controller=controller, x0=s["x0"], goal=s["goal"],
+        goal_tol=float(s["goal_tol"]), t_max=float(s["t_max"]),
+        control_period=float(s["control_period"]), log_every=s["log_every"],
+    )
+
+
+def preset_sim_config(name: str, **settings) -> SimConfig:
+    """The SimConfig of a named preset, with `settings` layered on top of it."""
     try:
         preset = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
-    if bounds_mode == "ideal":
-        bounds = VelocityBounds()
-    else:
-        bounds = VelocityBounds(preset.u1_max, preset.u2_max, mode=bounds_mode)
-    controller = ControllerParams(
-        epsilon=preset.epsilon, gamma=preset.gamma, k1=preset.k1, k2=preset.k2,
-        bounds=bounds, loop_mode=loop_mode,
-    )
-    return SimConfig(
-        potential=make_v_alpha(preset.alpha), controller=controller,
-        x0=preset.x0, goal=preset.goal, goal_tol=goal_tol, t_max=t_max,
-        control_period=control_period, log_every=log_every,
-    )
+    return sim_config({**preset, **settings})

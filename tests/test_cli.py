@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gradflow import simulator
+from gradflow import preset_sim_config, simulate, simulator
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 
@@ -31,6 +31,17 @@ class TestSimulateCommand:
         data = load_trajectory_csv(out)
         assert data.shape[0] == summary["rows"]
         assert summary["csv_processes"] == 1  # 2001 rows: too few to repay a worker
+
+    def test_preset_flags_equal_library_preset(self, capsys, tmp_path):
+        # one preset -> SimConfig path: the command line and the library agree to the byte
+        cli_csv, lib_csv = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        code, _ = run(capsys, "simulate", "--preset", "P3", "--mode", "sampling",
+                      "--bounds", "ideal", "--t-max", "2", "--control-period", "0.001",
+                      "--out", str(cli_csv))
+        assert code == 0
+        simulate(preset_sim_config("P3", loop_mode="sampling", bounds_mode="ideal",
+                                   t_max=2.0, control_period=1e-3)).save_csv(lib_csv)
+        assert cli_csv.read_bytes() == lib_csv.read_bytes()
 
     def test_reports_csv_processes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
@@ -208,25 +219,16 @@ class TestAdmissibilityCommand:
         capsys.readouterr()
         assert code == 2
 
-    def test_monte_carlo_seed_env_override(self, capsys, monkeypatch):
+    def test_monte_carlo_seed_flag(self, capsys):
         argv = ["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
-                "--samples", "20000", "--seed", "1"]
-        code, base = run(capsys, *argv)
+                "--samples", "20000", "--seed"]
+        code, base = run(capsys, *argv, "1")
         assert code == 0
-        monkeypatch.setenv("GRADFLOW_SEED", "2")
-        code, other = run(capsys, *argv)
+        code, other = run(capsys, *argv, "2")
         assert code == 0
         assert base["cells"][0]["J"] != other["cells"][0]["J"]
-        monkeypatch.setenv("GRADFLOW_SEED", "1")
-        code, again = run(capsys, *argv)
+        code, again = run(capsys, *argv, "1")
         assert again["cells"][0]["J"] == base["cells"][0]["J"]
-
-    def test_bad_seed_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRADFLOW_SEED", "not-a-number")
-        code = main(["admissibility", "--quadratic", "1,1,1",
-                     "--method", "monte_carlo", "--samples", "1000"])
-        capsys.readouterr()
-        assert code == 2
 
     @pytest.mark.parametrize("argv", [
         ["--quadratic", "1,1,1", "--grid-n", "10", "--jobs", "-3"],

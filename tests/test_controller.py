@@ -9,7 +9,7 @@ from gradflow import (
     clamp,
     control_value,
 )
-from gradflow.presets import PRESETS
+from gradflow.presets import preset_sim_config
 
 
 def ideal_controller(**kw):
@@ -19,22 +19,17 @@ def ideal_controller(**kw):
 class TestParamValidation:
     @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
     def test_presets_accepted(self, name):
-        p = PRESETS[name]
-        ctrl = ideal_controller(epsilon=1.0, gamma=0.05, k1=p.k1, k2=p.k2)
+        ctrl = preset_sim_config(name).controller
+        assert ctrl.k1 * ctrl.k2 == pytest.approx(4.0, abs=1e-9)
         assert ctrl.omega == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_product_constraint_rejected(self):
         with pytest.raises(ValueError, match=r"k1\*k2 = 4"):
             ControllerParams(k1=1.0, k2=1.0)
 
-    def test_unchecked_bypass(self):
-        p = ControllerParams(k1=1.0, k2=1.0, unchecked=True)
-        assert p.k1 * p.k2 == 1.0
-
     def test_omega_consistency_enforced(self):
-        with pytest.raises(ValueError, match="omega"):
-            ControllerParams(epsilon=1.0, omega=6.0)
-        ok = ControllerParams(epsilon=0.5, omega=4 * math.pi)
+        ok = ControllerParams(epsilon=0.5)
+        assert ok.omega == 4 * math.pi
         assert ok.omega * ok.epsilon == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_rejects_nonpositive(self):

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from gradflow import (
+    TB3_BOUNDS,
     TB3_WHEEL_SEPARATION,
+    BoxDomain,
+    ControllerParams,
+    SimConfig,
     WheelSpeeds,
+    clamp,
     diff_drive_to_unicycle,
     frame_inverse,
     frame_matrix,
+    integrate_gradient_flow,
     lie_bracket,
+    make_v_alpha,
     unicycle_to_diff_drive,
     vector_fields,
     wrap_angle,
 )
+from gradflow.kinematics import as_control, as_state
 
 
 def random_states(n, seed, scale=10.0):
@@ -151,3 +159,57 @@ class TestWrapAngle:
     def test_wraps_multiples(self):
         assert wrap_angle(2 * math.pi + 0.3) == pytest.approx(0.3, abs=1e-12)
         assert wrap_angle(-7 * math.pi) == pytest.approx(math.pi, abs=1e-12)
+
+
+class TestNoCoercion:
+    """States and controls take numbers only: a str or bool component raises."""
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(["-0.5", "0", "0"], id="strings"),
+        pytest.param([True, 0.5, 0.0], id="one-bool"),
+        pytest.param([True, False, True], id="bools"),
+        pytest.param((0.0, np.True_, 0.0), id="numpy-bool"),
+        pytest.param(np.array([1, 0, 1], dtype=bool), id="bool-array"),
+        pytest.param(np.array(["1", "2", "3"]), id="string-array"),
+        pytest.param(np.array([1.0, True, 2.0], dtype=object), id="object-array"),
+        pytest.param("abc", id="string"),
+    ])
+    def test_as_state_rejects(self, x):
+        with pytest.raises(ValueError, match="numbers"):
+            as_state(x)
+
+    @pytest.mark.parametrize("u", [["0.1", "0.2"], [0.1, True], (False, 0.0)])
+    def test_as_control_rejects(self, u):
+        with pytest.raises(ValueError, match="numbers"):
+            as_control(u)
+
+    def test_numbers_accepted(self):
+        assert as_state([1, np.int32(2), np.float64(3.0)]).tolist() == [1.0, 2.0, 3.0]
+        x = np.array([0.5, -0.5, 0.25])
+        assert as_state(x) is x
+        assert as_control((0.1, 2)).tolist() == [0.1, 2.0]
+
+    def test_sim_config_string_x0(self):
+        with pytest.raises(ValueError, match="numbers"):
+            SimConfig(potential=make_v_alpha(1.0), controller=ControllerParams(),
+                      x0=["-0.5", "0", "0"])
+
+    def test_sim_config_bool_x0(self):
+        with pytest.raises(ValueError, match="numbers"):
+            SimConfig(potential=make_v_alpha(1.0), controller=ControllerParams(),
+                      x0=[True, 0.5, 0.0])
+
+    def test_gradient_flow_bool_x0(self):
+        with pytest.raises(ValueError, match="numbers"):
+            integrate_gradient_flow(make_v_alpha(1.0), [True, False, True],
+                                    t_max=1.0, h=1e-3)
+
+    def test_box_string_corners(self):
+        with pytest.raises(ValueError, match="numbers"):
+            BoxDomain(lo=["-1", "-1", "-1"], hi=[1.0, 1.0, 1.0])
+
+    def test_clamp(self):
+        with pytest.raises(ValueError, match="numbers"):
+            clamp(["0.5", "0"], TB3_BOUNDS)
+        with pytest.raises(ValueError, match="numbers"):
+            clamp([True, 0.0], TB3_BOUNDS)

@@ -18,12 +18,15 @@ from gradflow import (
     SimConfig,
     Trajectory,
     VelocityBounds,
+    amplitude_vector,
+    control_value,
     goal_reached,
     integrate_gradient_flow,
     load_trajectory_csv,
     make_custom,
     make_quadratic,
     make_v_alpha,
+    preset_sim_config,
     simulate,
     tracking_deviation,
 )
@@ -135,7 +138,7 @@ class TestSimulate:
         assert a.terminated == b.terminated
 
     def test_sampling_amplitudes_frozen_within_period(self):
-        controller = ControllerParams(epsilon=0.5, omega=4 * math.pi, loop_mode="sampling")
+        controller = ControllerParams(epsilon=0.5, loop_mode="sampling")
         cfg = SimConfig(potential=make_v_alpha(1.0), controller=controller,
                         x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=1.5,
                         control_period=0.01)
@@ -221,11 +224,36 @@ class TestSimulate:
 hold_values = st.floats(-3.0, 3.0, allow_nan=False)
 
 
+class TestLibraryFormulasAreTheOracle:
+    """Every logged row equals control_value and amplitude_vector, bit for bit."""
+
+    @pytest.mark.parametrize("bounds", ["ideal", "clamp"])
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    def test_p3_rows(self, mode, bounds):
+        cfg = preset_sim_config("P3", loop_mode=mode, bounds_mode=bounds,
+                                t_max=5.0, control_period=1e-3)
+        traj = simulate(cfg)
+        ctrl = cfg.controller
+        assert traj.data.shape[0] == 5001
+        refreshed = 0
+        # log_every = 1 and no goal hit: row k is control update k
+        for k, row in enumerate(traj.data):
+            t, state, a = row[0], row[1:4], row[6:9]
+            u, sat = control_value(ctrl, a, t)
+            assert u[0] == row[4] and u[1] == row[5] and float(sat) == row[10]
+            # sampling mode refreshes the amplitudes once per epsilon = 1000 updates
+            if mode == "continuous" or k % 1000 == 0:
+                assert np.array_equal(amplitude_vector(cfg.potential, ctrl.gamma, state), a)
+                refreshed += 1
+        assert refreshed == (5001 if mode == "continuous" else 6)
+        assert (traj.saturation_count > 0) == (bounds == "clamp")
+
+
 class TestExactHold:
     def test_single_hold_is_circular_arc(self):
         # one zero-order-hold segment, against the arc written as the
         # integral of (u1 cos, u1 sin)(x3 + u2 s) over s in [0, T]
-        controller = ControllerParams(epsilon=0.8, omega=2 * math.pi / 0.8)
+        controller = ControllerParams(epsilon=0.8)
         cfg = SimConfig(potential=make_quadratic(3.0, 1.0, 2.0), controller=controller,
                         x0=(0.7, -0.4, 0.6), goal_tol=0.0, t_max=0.8, control_period=0.8)
         traj = simulate(cfg)
@@ -364,8 +392,7 @@ class TestTrackingDeviation:
         devs = []
         for eps in (0.5, 0.1):
             cp = eps / 500
-            controller = ControllerParams(epsilon=eps, omega=2 * math.pi / eps,
-                                          loop_mode="sampling")
+            controller = ControllerParams(epsilon=eps, loop_mode="sampling")
             cfg = SimConfig(potential=potential, controller=controller,
                             x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=2.0,
                             control_period=cp)
