@@ -12,27 +12,13 @@ from gradflow.admissibility import (
     BoxDomain,
     TABLE1_COEFFS,
     admissibility_measure,
-    rho,
     table1,
     write_sweep_csv,
 )
-from gradflow.controller import ControllerParams, clamp, control_value
-from gradflow.kinematics import (
-    TB3_BOUNDS,
-    TB3_WHEEL_SEPARATION,
-    VelocityBounds,
-    WheelSpeeds,
-    diff_drive_to_unicycle,
-    frame_inverse,
-    frame_matrix,
-    lie_bracket,
-    unicycle_to_diff_drive,
-    vector_fields,
-    wrap_angle,
-)
+from gradflow.controller import ControllerParams
+from gradflow.kinematics import VelocityBounds, wrap_angle
 from gradflow.potential import (
     Potential,
-    amplitude_vector,
     finite_difference_gradient,
     make_custom,
     make_quadratic,
@@ -44,7 +30,6 @@ from gradflow.simulator import (
     SimConfig,
     Trajectory,
     convergence_order,
-    goal_reached,
     integrate_gradient_flow,
     load_trajectory_csv,
     simulate,
@@ -63,35 +48,21 @@ __all__ = [
     "Potential",
     "SimConfig",
     "TABLE1_COEFFS",
-    "TB3_BOUNDS",
-    "TB3_WHEEL_SEPARATION",
     "Trajectory",
     "VelocityBounds",
-    "WheelSpeeds",
     "admissibility_measure",
-    "amplitude_vector",
-    "clamp",
-    "control_value",
     "convergence_order",
-    "diff_drive_to_unicycle",
     "finite_difference_gradient",
-    "frame_inverse",
-    "frame_matrix",
-    "goal_reached",
     "integrate_gradient_flow",
-    "lie_bracket",
     "load_trajectory_csv",
     "make_custom",
     "make_quadratic",
     "make_v_alpha",
     "preset_sim_config",
-    "rho",
     "sim_config",
     "simulate",
     "table1",
     "tracking_deviation",
-    "unicycle_to_diff_drive",
-    "vector_fields",
     "wrap_angle",
     "write_sweep_csv",
 ]

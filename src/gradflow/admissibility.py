@@ -7,8 +7,9 @@ For a potential V on a box X the cost is the normalized integral
 where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
-closed form rho(x, p) = |p1*sin x3 - p2*cos x3|, which the test suite
-checks against a brute-force minimizer over u.
+closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. `_integrand` evaluates
+it for every potential and both quadratures, and the test suite checks it
+against a brute-force minimizer over u.
 
 J is zero iff the gradient flow is realizable everywhere; for q = 2 the
 integrand lies in [0, 1], hence J in [0, 1]. Multiplying V by a positive
@@ -16,16 +17,15 @@ constant leaves J unchanged.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow.kinematics import as_state
+from gradflow.kinematics import as_state, check_scalar
 from gradflow.potential import Potential, make_quadratic
 
-# fixed Monte-Carlo chunk, independent of workers: it is drawn, evaluated and
-# reduced as one unit, and must be a multiple of 4 (see _monte_carlo)
+# fixed Monte-Carlo chunk: it is drawn, evaluated and reduced as one unit,
+# and must be a multiple of 4 (see _monte_carlo)
 MC_CHUNK = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
@@ -65,6 +65,7 @@ class BoxDomain:
     @classmethod
     def cube(cls, half_width: float = 1.0) -> "BoxDomain":
         """The symmetric cube [-w, w]^3."""
+        check_scalar(half_width, "half_width")
         if not half_width > 0:
             raise ValueError(f"half_width must be positive, got {half_width}")
         w = float(half_width)
@@ -89,13 +90,17 @@ class AdmissibilityConfig:
     grad_floor: float = 1e-12
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError(f"exponent q must be positive, got {self.q}")
+        for name in ("q", "grad_floor"):
+            check_scalar(getattr(self, name), name)
+        for name in ("grid_n", "samples", "seed"):
+            check_scalar(getattr(self, name), name, integer=True)
+        if not (self.q > 0 and math.isfinite(self.q)):
+            raise ValueError(f"exponent q must be positive and finite, got {self.q}")
         if self.method not in ("midpoint", "monte_carlo"):
             raise ValueError(f"method must be 'midpoint' or 'monte_carlo', got {self.method!r}")
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 2 and self.grid_n % 2 == 0):
+        if not (self.grid_n >= 2 and self.grid_n % 2 == 0):
             raise ValueError(f"grid_n must be an even integer >= 2, got {self.grid_n}")
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        if not self.samples >= 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples}")
         if not self.grad_floor >= 0:
             raise ValueError(f"grad_floor must be nonnegative, got {self.grad_floor}")
@@ -117,13 +122,6 @@ class AdmissibilityResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def rho(x, p) -> float:
-    """Distance from -p to span{f1(x), f2(x)}: |p1*sin x3 - p2*cos x3|."""
-    x = as_state(x)
-    p = np.asarray(p, dtype=float)
-    return abs(p[0] * math.sin(x[2]) - p[1] * math.cos(x[2]))
 
 
 def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -161,31 +159,23 @@ def _gradient_batch(potential: Potential, pts: np.ndarray) -> np.ndarray:
     return g
 
 
-def _check_jobs(jobs) -> None:
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
-
-
 def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
-                          cfg: AdmissibilityConfig | None = None,
-                          jobs: int = 1) -> AdmissibilityResult:
+                          cfg: AdmissibilityConfig | None = None) -> AdmissibilityResult:
     """Estimate J over `domain` (default [-1, 1]^3) with settings `cfg`.
 
     Midpoint: tensor grid of cell centers, grid_n per axis, accumulated in
     x3-slab order. Monte Carlo: `samples` uniform draws from a Philox
     stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
-    so memory is bounded by the chunk and the estimate is independent of
-    `jobs`. Raises if every point is excluded by the gradient floor (the
-    potential is flat on the domain).
+    so memory is bounded by the chunk. Raises if every point is excluded by
+    the gradient floor (the potential is flat on the domain).
     """
-    _check_jobs(jobs)
     domain = BoxDomain.cube(1.0) if domain is None else domain
     cfg = AdmissibilityConfig() if cfg is None else cfg
     if cfg.method == "midpoint":
         value, points, excluded = _midpoint(potential, domain, cfg)
         stderr = None
     else:
-        value, points, excluded, stderr = _monte_carlo(potential, domain, cfg, jobs)
+        value, points, excluded, stderr = _monte_carlo(potential, domain, cfg)
     if excluded >= points:
         raise ValueError(
             "all quadrature points were excluded by the gradient floor; "
@@ -228,7 +218,7 @@ def _slab_gradients(potential, xs1, xs2, xs3):
         yield g[:, 0], g[:, 1], g[:, 2]
 
 
-def _monte_carlo(potential, domain, cfg, jobs):
+def _monte_carlo(potential, domain, cfg):
     n = cfg.samples
     n_chunks = -(-n // MC_CHUNK)
 
@@ -243,16 +233,10 @@ def _monte_carlo(potential, domain, cfg, jobs):
                                np.cos(pts[:, 2]), cfg.q, cfg.grad_floor)
         return float(vals.sum()), float((vals * vals).sum()), exc
 
-    if jobs > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
-            partials = list(pool.map(eval_chunk, range(n_chunks)))
-    else:
-        partials = [eval_chunk(i) for i in range(n_chunks)]
-
     total = 0.0
     total_sq = 0.0
     excluded = 0
-    for s, s2, exc in partials:  # chunk index order, independent of jobs
+    for s, s2, exc in map(eval_chunk, range(n_chunks)):  # chunk index order
         total += s
         total_sq += s2
         excluded += exc
@@ -265,25 +249,15 @@ def _monte_carlo(potential, domain, cfg, jobs):
     return mean, n, excluded, stderr
 
 
-def table1(domain: BoxDomain | None = None, cfg: AdmissibilityConfig | None = None,
-           jobs: int = 1) -> list[tuple[tuple[float, float, float], AdmissibilityResult]]:
+def table1(domain: BoxDomain | None = None, cfg: AdmissibilityConfig | None = None
+           ) -> list[tuple[tuple[float, float, float], AdmissibilityResult]]:
     """Evaluate J for the published seven-triple quadratic sweep.
 
     Defaults reproduce the reference setting: X = [-1, 1]^3, q = 2,
     unrestricted controls, 200 midpoint cells per axis.
     """
-    _check_jobs(jobs)
-    domain = BoxDomain.cube(1.0) if domain is None else domain
-    cfg = AdmissibilityConfig() if cfg is None else cfg
-
-    def cell(coeffs):
-        potential = make_quadratic(*coeffs)
-        return coeffs, admissibility_measure(potential, domain, cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cell, TABLE1_COEFFS))
-    return [cell(coeffs) for coeffs in TABLE1_COEFFS]
+    return [(coeffs, admissibility_measure(make_quadratic(*coeffs), domain, cfg))
+            for coeffs in TABLE1_COEFFS]
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -40,6 +40,10 @@ from gradflow.simulator import (
 # the zero-order hold resolving the fast oscillation at every epsilon
 REFINE_UPDATES_PER_EPS = 2000
 
+# the admissibility flags' defaults, read at import: clibench/replay.py may
+# wrap this module's `AdmissibilityConfig` name before the parser is built
+ADMISSIBILITY_DEFAULTS = AdmissibilityConfig()
+
 
 def _float_list(text: str) -> list[float]:
     try:
@@ -135,16 +139,15 @@ def cmd_admissibility(args) -> int:
     domain = BoxDomain.cube(args.box)
     cells = []
     if args.table1:
-        for coeffs, res in table1(domain, cfg, jobs=args.jobs):
+        for coeffs, res in table1(domain, cfg):
             cells.append({"c": list(coeffs), "result": res})
     elif args.v_alpha is not None:
         for alpha in args.v_alpha:
             pot = make_v_alpha(alpha)
-            res = admissibility_measure(pot, domain, cfg, jobs=args.jobs)
+            res = admissibility_measure(pot, domain, cfg)
             cells.append({"c": [float(v) for v in pot.coeffs], "alpha": alpha, "result": res})
     elif args.quadratic is not None:
-        res = admissibility_measure(make_quadratic(*args.quadratic), domain, cfg,
-                                    jobs=args.jobs)
+        res = admissibility_measure(make_quadratic(*args.quadratic), domain, cfg)
         cells.append({"c": list(args.quadratic), "result": res})
     else:
         raise ValueError("admissibility needs --table1, --v-alpha, or --quadratic")
@@ -294,16 +297,20 @@ def _build_parser() -> argparse.ArgumentParser:
     adm.add_argument("--table1", action="store_true",
                      help="run the published seven-triple coefficient sweep")
     _add_potential_flags(adm, list_valued=True)
-    adm.add_argument("--q", type=float, default=2.0, help="residual exponent")
-    adm.add_argument("--method", choices=("midpoint", "monte_carlo"), default="midpoint")
-    adm.add_argument("--grid-n", type=int, dest="grid_n", default=200,
+    adm.add_argument("--q", type=float, default=ADMISSIBILITY_DEFAULTS.q,
+                     help="residual exponent")
+    adm.add_argument("--method", choices=("midpoint", "monte_carlo"),
+                     default=ADMISSIBILITY_DEFAULTS.method)
+    adm.add_argument("--grid-n", type=int, dest="grid_n", default=ADMISSIBILITY_DEFAULTS.grid_n,
                      help="midpoint cells per axis (even)")
-    adm.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo draws")
-    adm.add_argument("--seed", type=int, default=2025, help="Monte-Carlo seed")
-    adm.add_argument("--grad-floor", type=float, dest="grad_floor", default=1e-12,
+    adm.add_argument("--samples", type=int, default=ADMISSIBILITY_DEFAULTS.samples,
+                     help="Monte-Carlo draws")
+    adm.add_argument("--seed", type=int, default=ADMISSIBILITY_DEFAULTS.seed,
+                     help="Monte-Carlo seed")
+    adm.add_argument("--grad-floor", type=float, dest="grad_floor",
+                     default=ADMISSIBILITY_DEFAULTS.grad_floor,
                      help="exclude points with |grad V| at or below this")
     adm.add_argument("--box", type=float, default=1.0, help="domain half-width")
-    adm.add_argument("--jobs", type=int, default=1, help="parallel workers (at least 1)")
     adm.add_argument("--out", help="sweep CSV path")
     adm.set_defaults(func=cmd_admissibility)
 

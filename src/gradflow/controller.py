@@ -11,22 +11,15 @@ with the frequency omega is what lets the cos/sin pair excite the bracket
 loop drifts along -gamma * grad V on average.
 
 ControllerParams derives omega from epsilon and always enforces k1*k2 = 4.
+The formula itself is evaluated, with its clamp, in `_kernels.closed_loop`.
 """
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from gradflow.kinematics import VelocityBounds, as_control
+from gradflow.kinematics import VelocityBounds, check_scalar
 
 TWO_PI = 2.0 * math.pi
-
-# Oscillation coefficients preferred after tuning against the TurtleBot3
-# actuator limits: the angular channel has the larger admissible range, so
-# k2 takes the larger share of the product constraint k1*k2 = 4.
-DEFAULT_K1 = 0.5
-DEFAULT_K2 = 8.0
 
 
 @dataclass(frozen=True)
@@ -40,12 +33,17 @@ class ControllerParams:
 
     epsilon: float = 1.0
     gamma: float = 0.05
-    k1: float = DEFAULT_K1
-    k2: float = DEFAULT_K2
+    # Oscillation coefficients preferred after tuning against the TurtleBot3
+    # actuator limits: the angular channel has the larger admissible range, so
+    # k2 takes the larger share of the product constraint k1*k2 = 4.
+    k1: float = 0.5
+    k2: float = 8.0
     bounds: VelocityBounds = field(default_factory=VelocityBounds)
     loop_mode: str = "continuous"
 
     def __post_init__(self):
+        for name in ("epsilon", "gamma", "k1", "k2"):
+            check_scalar(getattr(self, name), name)
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not self.gamma > 0:
@@ -66,42 +64,3 @@ class ControllerParams:
     def omega(self) -> float:
         """Oscillation frequency 2*pi/epsilon (rad/s)."""
         return TWO_PI / self.epsilon
-
-
-def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
-    """Componentwise clamp of u to [-u1_max, u1_max] x [-u2_max, u2_max].
-
-    Returns the (possibly) clamped control and a flag that is True iff any
-    component changed. Values exactly on the boundary pass unchanged.
-    """
-    u = as_control(u)
-    out = np.array([
-        min(max(u[0], -bounds.u1_max), bounds.u1_max),
-        min(max(u[1], -bounds.u2_max), bounds.u2_max),
-    ])
-    return out, bool(out[0] != u[0] or out[1] != u[1])
-
-
-def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
-    """Evaluate the feedback at amplitudes `a` = (a1, a2, a12) and time `t`.
-
-    With ideal bounds the formula applies verbatim and the saturation flag
-    is always False; with clamp bounds each component is saturated after
-    evaluation and the flag records whether saturation occurred. sign(0)
-    is taken as 0 (the sqrt factor vanishes there anyway).
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"amplitude vector must have shape (3,), got {a.shape}")
-    omega = p.omega
-    osc = math.sqrt(omega * abs(a[2]))
-    sign = 0.0 if a[2] == 0.0 else math.copysign(1.0, a[2])
-    u = np.array([
-        a[0] + p.k1 * osc * sign * math.cos(omega * t),
-        a[1] + p.k2 * osc * math.sin(omega * t),
-    ])
-    if p.bounds.mode == "clamp":
-        return clamp(u, p.bounds)
-    return u, False

@@ -1,4 +1,4 @@
-"""Lyapunov function candidates and the control amplitude vector.
+"""Lyapunov function candidates.
 
 A candidate is a C^2 scalar field V with an analytic gradient. The library
 ships two closed-form families:
@@ -9,16 +9,16 @@ ships two closed-form families:
 plus user-supplied potentials whose gradients are validated against finite
 differences at construction. Quadratic-family potentials carry their
 coefficients, which the closed loop reads directly and the midpoint
-quadrature specialises on.
+quadrature specialises on. The closed loop computes the control amplitudes
+(a1, a2, a12) = -gamma * F(x)^-1 grad V(x) from the gradient itself.
 """
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow.kinematics import as_state
+from gradflow.kinematics import check_scalar
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class Potential:
 
     def scaled(self, c: float) -> "Potential":
         """The potential c*V. Positive c preserves positive definiteness."""
+        check_scalar(c, "scale factor")
         if not c > 0:
             raise ValueError(f"scale factor must be positive, got {c}")
         if self.coeffs is not None:
@@ -62,6 +63,8 @@ def _quadratic_callables(coeffs: np.ndarray):
 
 def make_quadratic(c1: float, c2: float, c3: float) -> Potential:
     """Diagonal quadratic form c1*x1^2 + c2*x2^2 + c3*x3^2, all ci > 0."""
+    for name, c in (("c1", c1), ("c2", c2), ("c3", c3)):
+        check_scalar(c, name)
     if not (c1 > 0 and c2 > 0 and c3 > 0):
         raise ValueError(f"quadratic coefficients must be positive, got ({c1}, {c2}, {c3})")
     coeffs = np.array([c1, c2, c3], dtype=float)
@@ -77,6 +80,7 @@ def make_v_alpha(alpha: float) -> Potential:
     heading and forward coordinates harder than the sideways one, which
     lowers the admissibility cost of the induced gradient flow.
     """
+    check_scalar(alpha, "alpha")
     if not alpha >= 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     return make_quadratic(alpha, 1.0 / alpha, alpha)
@@ -121,25 +125,3 @@ def make_custom(value, gradient, *, check_points: int = 8, seed: int = 0,
                     f"x={x.tolist()}: max component error {err:.3e} > {tol:g}"
                 )
     return pot
-
-
-def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
-    """Control amplitudes (a1, a2, a12) at state `x`, explicit form.
-
-    a1  = -gamma * (dV/dx1 * cos x3 + dV/dx2 * sin x3)
-    a2  = -gamma * dV/dx3
-    a12 = -gamma * (dV/dx1 * sin x3 - dV/dx2 * cos x3)
-
-    a1 and a2 are the drift components along the driving fields; a12 sets
-    the strength of the oscillatory excitation of the bracket direction.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = as_state(x)
-    g = np.asarray(potential.gradient(x), dtype=float)
-    s, c = math.sin(x[2]), math.cos(x[2])
-    return np.array([
-        -gamma * (g[0] * c + g[1] * s),
-        -gamma * g[2],
-        -gamma * (g[0] * s - g[1] * c),
-    ])

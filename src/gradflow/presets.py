@@ -17,20 +17,21 @@ from gradflow.simulator import SimConfig
 
 SIM_DEFAULTS = {
     "potential": {"kind": "v_alpha", "alpha": 1.0},
-    "epsilon": 1.0,
-    "gamma": 0.05,
-    "k1": 0.5,
-    "k2": 8.0,
+    "epsilon": ControllerParams.epsilon,
+    "gamma": ControllerParams.gamma,
+    "k1": ControllerParams.k1,
+    "k2": ControllerParams.k2,
+    # TurtleBot3 Burger actuator limits: 0.22 m/s translational, 2.84 rad/s angular
     "u1_max": 0.22,
     "u2_max": 2.84,
     "bounds_mode": "clamp",
-    "loop_mode": "continuous",
+    "loop_mode": ControllerParams.loop_mode,
     "x0": [-0.5, -0.5, 0.0],
     "goal": [0.0, 0.0, 0.0],
-    "goal_tol": 0.05,
-    "t_max": 600.0,
-    "control_period": 5e-4,
-    "log_every": 1,
+    "goal_tol": SimConfig.goal_tol,
+    "t_max": SimConfig.t_max,
+    "control_period": SimConfig.control_period,
+    "log_every": SimConfig.log_every,
 }
 
 PRESETS = {

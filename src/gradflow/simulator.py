@@ -27,7 +27,7 @@ import numpy as np
 
 from gradflow import _kernels
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import as_state
+from gradflow.kinematics import as_state, check_scalar
 from gradflow.potential import Potential
 
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
@@ -50,10 +50,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
         self.trajectory = trajectory
-
-    @property
-    def last_row(self) -> np.ndarray:
-        return self.trajectory.data[-1]
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,6 @@ class Trajectory:
     @property
     def saturated(self) -> np.ndarray:
         return self.data[:, 10]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, TRAJECTORY_COLUMNS.index(name)]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -246,16 +239,22 @@ def load_trajectory_csv(path) -> np.ndarray:
 
 
 def _multiple_of(value: float, base: float, tol: float = 1e-9) -> int | None:
-    """round(value/base) if value is that multiple of base within tol, else None."""
-    n = round(value / base)
+    """round(value/base) if value is that multiple of base within tol, else None.
+
+    A quotient that is infinite, or overflows to infinity, raises ValueError.
+    """
+    quotient = value / base
+    if not math.isfinite(quotient):
+        raise ValueError(f"{value!r} is not a finite multiple of {base!r}")
+    n = round(quotient)
     if n >= 1 and abs(value - n * base) <= tol:
         return n
     return None
 
 
 def _check_log_every(log_every) -> None:
-    # bool is an int subclass: True would silently mean "log every update"
-    if isinstance(log_every, bool) or not (isinstance(log_every, int) and log_every >= 1):
+    check_scalar(log_every, "log_every", integer=True)
+    if not log_every >= 1:
         raise ValueError(f"log_every must be a positive integer, got {log_every!r}")
 
 
@@ -284,6 +283,8 @@ class SimConfig:
         object.__setattr__(self, "goal", goal)
         self.x0.flags.writeable = False
         self.goal.flags.writeable = False
+        for name in ("goal_tol", "t_max", "control_period"):
+            check_scalar(getattr(self, name), name)
         if not self.goal_tol >= 0:
             raise ValueError(f"goal_tol must be nonnegative, got {self.goal_tol}")
         if not self.t_max > 0:
@@ -303,15 +304,6 @@ class SimConfig:
                 f"control_period={self.control_period} must divide t_max={self.t_max}"
             )
         _check_log_every(self.log_every)
-
-
-def goal_reached(x, goal, tol: float) -> bool:
-    """True iff the full-state Euclidean distance from `goal` is <= tol."""
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    x = as_state(x)
-    goal = as_state(goal)
-    return bool(np.linalg.norm(x - goal) <= tol)
 
 
 def _status_to_trajectory(rows, n_rows, status, conv_time, *counts) -> Trajectory:
@@ -379,6 +371,8 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
     zeros; the result always terminates with the horizon (there is no goal
     test here).
     """
+    check_scalar(t_max, "t_max")
+    check_scalar(h, "h")
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     if not t_max > 0:

@@ -1,15 +1,145 @@
 """Independent oracles that only the tests use.
 
 Each computes a quantity of the package by another route, so a test can
-compare the two.
+compare the two. The first group are the model's formulas written one
+state at a time, as the paper states them: the frame algebra of the
+unicycle, the feedback and its clamp, and the amplitude vector. The
+package computes the same quantities only inside `_kernels.closed_loop`
+and `admissibility._integrand`; `integrand_rho` reads the latter in the
+units of the residual, so a test can hold it against `rho_bruteforce`.
 """
 
 import math
 
 import numpy as np
 
-from gradflow.kinematics import as_state, frame_inverse, vector_fields
+from gradflow import admissibility
+from gradflow.controller import ControllerParams
+from gradflow.kinematics import VelocityBounds, _real_vector, as_state
 from gradflow.potential import Potential
+
+
+def as_control(u) -> np.ndarray:
+    """`u` as a finite float64 vector of shape (2,); str and bool components raise."""
+    return _real_vector(u, 2, "control")
+
+
+def vector_fields(x) -> tuple[np.ndarray, np.ndarray]:
+    """Driving vector fields of the unicycle at state `x`.
+
+    Returns
+    -------
+    f1 : ndarray, shape (3,)
+        Heading direction (cos x3, sin x3, 0); unit norm.
+    f2 : ndarray, shape (3,)
+        Turning direction (0, 0, 1); unit norm, orthogonal to f1.
+    """
+    x = as_state(x)
+    f1 = np.array([math.cos(x[2]), math.sin(x[2]), 0.0])
+    f2 = np.array([0.0, 0.0, 1.0])
+    return f1, f2
+
+
+def lie_bracket(x) -> np.ndarray:
+    """Commutator [f1, f2] at state `x`: the sideways direction.
+
+    Closed form (sin x3, -cos x3, 0); reachable only by maneuvering, which
+    is what makes the unicycle nonholonomic.
+    """
+    x = as_state(x)
+    return np.array([math.sin(x[2]), -math.cos(x[2]), 0.0])
+
+
+def frame_matrix(x) -> np.ndarray:
+    """Frame F(x) with columns (f1, f2, [f1, f2]); nonsingular for all x."""
+    x = as_state(x)
+    s, c = math.sin(x[2]), math.cos(x[2])
+    return np.array([
+        [c, 0.0, s],
+        [s, 0.0, -c],
+        [0.0, 1.0, 0.0],
+    ])
+
+
+def frame_inverse(x) -> np.ndarray:
+    """Closed-form inverse of frame_matrix(x)."""
+    x = as_state(x)
+    s, c = math.sin(x[2]), math.cos(x[2])
+    return np.array([
+        [c, s, 0.0],
+        [0.0, 0.0, 1.0],
+        [s, -c, 0.0],
+    ])
+
+
+def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
+    """Componentwise clamp of u to [-u1_max, u1_max] x [-u2_max, u2_max].
+
+    Returns the (possibly) clamped control and a flag that is True iff any
+    component changed. Values exactly on the boundary pass unchanged.
+    """
+    u = as_control(u)
+    out = np.array([
+        min(max(u[0], -bounds.u1_max), bounds.u1_max),
+        min(max(u[1], -bounds.u2_max), bounds.u2_max),
+    ])
+    return out, bool(out[0] != u[0] or out[1] != u[1])
+
+
+def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
+    """Evaluate the feedback at amplitudes `a` = (a1, a2, a12) and time `t`.
+
+    With ideal bounds the formula applies verbatim and the saturation flag
+    is always False; with clamp bounds each component is saturated after
+    evaluation and the flag records whether saturation occurred. sign(0)
+    is taken as 0 (the sqrt factor vanishes there anyway).
+    """
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"amplitude vector must have shape (3,), got {a.shape}")
+    omega = p.omega
+    osc = math.sqrt(omega * abs(a[2]))
+    sign = 0.0 if a[2] == 0.0 else math.copysign(1.0, a[2])
+    u = np.array([
+        a[0] + p.k1 * osc * sign * math.cos(omega * t),
+        a[1] + p.k2 * osc * math.sin(omega * t),
+    ])
+    if p.bounds.mode == "clamp":
+        return clamp(u, p.bounds)
+    return u, False
+
+
+def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
+    """Control amplitudes (a1, a2, a12) at state `x`, explicit form.
+
+    a1  = -gamma * (dV/dx1 * cos x3 + dV/dx2 * sin x3)
+    a2  = -gamma * dV/dx3
+    a12 = -gamma * (dV/dx1 * sin x3 - dV/dx2 * cos x3)
+
+    a1 and a2 are the drift components along the driving fields; a12 sets
+    the strength of the oscillatory excitation of the bracket direction.
+    """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    x = as_state(x)
+    g = np.asarray(potential.gradient(x), dtype=float)
+    s, c = math.sin(x[2]), math.cos(x[2])
+    return np.array([
+        -gamma * (g[0] * c + g[1] * s),
+        -gamma * g[2],
+        -gamma * (g[0] * s - g[1] * c),
+    ])
+
+
+def integrand_rho(x, p) -> float:
+    """rho(x, p) as the quadrature computes it: `_integrand` at q = 1 with no
+    gradient floor, times |p|. A zero p is excluded by the integrand, giving 0."""
+    x = as_state(x)
+    g1, g2, g3 = (np.array([float(v)]) for v in p)
+    vals, _ = admissibility._integrand(g1, g2, g3, math.sin(x[2]), math.cos(x[2]), 1.0, 0.0)
+    return float(vals[0]) * float(np.linalg.norm(p))
 
 
 def rho_bruteforce(x, p, coarse_range: float | None = None,
@@ -53,7 +183,7 @@ def rho_bruteforce(x, p, coarse_range: float | None = None,
 def amplitude_vector_matrix(potential: Potential, gamma: float, x) -> np.ndarray:
     """Same amplitudes via the matrix route -gamma * F^{-1}(x) @ grad V(x).
 
-    An independent code path to gradflow.amplitude_vector; the two must
+    An independent code path to amplitude_vector above; the two must
     agree to rounding.
     """
     if not gamma > 0:

@@ -230,24 +230,20 @@ class TestAdmissibilityCommand:
         code, again = run(capsys, *argv, "1")
         assert again["cells"][0]["J"] == base["cells"][0]["J"]
 
-    @pytest.mark.parametrize("argv", [
-        ["--quadratic", "1,1,1", "--grid-n", "10", "--jobs", "-3"],
-        ["--quadratic", "1,1,1", "--method", "monte_carlo", "--samples", "1000", "--jobs", "0"],
-        ["--table1", "--grid-n", "10", "--jobs", "0"],
-    ])
-    def test_nonpositive_jobs_exit_2(self, capsys, argv):
-        code = main(["admissibility", *argv])
+    def test_nonfinite_q_exit_2(self, capsys):
+        # q = inf would report J = 0 and print "q": Infinity, which is not JSON
+        code = main(["admissibility", "--quadratic", "1,1,1", "--grid-n", "10", "--q", "inf"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "jobs" in captured.err
+        assert "q must be positive and finite" in captured.err
 
-    def test_jobs_flag_deterministic(self, capsys):
-        argv = ["admissibility", "--table1", "--grid-n", "10"]
-        code, one = run(capsys, *argv, "--jobs", "1")
-        code2, four = run(capsys, *argv, "--jobs", "4")
-        assert code == code2 == 0
-        assert [c["J"] for c in one["cells"]] == [c["J"] for c in four["cells"]]
+    def test_jobs_flag_removed_exit_2(self, capsys):
+        code = main(["admissibility", "--table1", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs" in captured.err
 
 
 class TestRefineCommand:
@@ -346,6 +342,28 @@ class TestPlotCommand:
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--preset", "P1", "--t-max", "inf"], id="simulate-t_max"),
+        pytest.param(["gradient-flow", "--v-alpha", "1", "--t-max", "inf"], id="flow-t_max"),
+        pytest.param(["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "inf"],
+                     id="refine-window"),
+    ])
+    def test_infinite_horizon_exit_2(self, capsys, tmp_path, argv):
+        # exit 1 means a failed property check, never a crash
+        code = main([*argv, "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "inf is not a finite multiple" in captured.err
+
+    def test_infinite_epsilon_in_config_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"epsilon": Infinity}')
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "inf is not a finite multiple" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

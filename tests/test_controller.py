@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gradflow import (
-    ControllerParams,
-    VelocityBounds,
-    clamp,
-    control_value,
-)
+from gradflow import ControllerParams, VelocityBounds
 from gradflow.presets import preset_sim_config
+from oracles import clamp, control_value
 
 
 def ideal_controller(**kw):

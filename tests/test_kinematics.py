@@ -4,24 +4,18 @@ import numpy as np
 import pytest
 
 from gradflow import (
-    TB3_BOUNDS,
-    TB3_WHEEL_SEPARATION,
+    AdmissibilityConfig,
     BoxDomain,
     ControllerParams,
     SimConfig,
-    WheelSpeeds,
-    clamp,
-    diff_drive_to_unicycle,
-    frame_inverse,
-    frame_matrix,
+    VelocityBounds,
     integrate_gradient_flow,
-    lie_bracket,
+    make_quadratic,
     make_v_alpha,
-    unicycle_to_diff_drive,
-    vector_fields,
     wrap_angle,
 )
-from gradflow.kinematics import as_control, as_state
+from gradflow.kinematics import as_state
+from oracles import as_control, clamp, frame_inverse, frame_matrix, lie_bracket, vector_fields
 
 
 def random_states(n, seed, scale=10.0):
@@ -118,39 +112,6 @@ class TestFrame:
         assert np.array_equal(F[:, 2], lie_bracket(x))
 
 
-class TestDiffDrive:
-    def test_pure_translation(self):
-        u = diff_drive_to_unicycle(WheelSpeeds(v_l=0.1, v_r=0.1, d=0.16))
-        assert np.allclose(u, [0.1, 0.0], atol=1e-15)
-
-    def test_pure_rotation(self):
-        u = diff_drive_to_unicycle(WheelSpeeds(v_l=-0.05, v_r=0.05, d=0.16))
-        assert u[0] == 0.0
-        assert u[1] == pytest.approx(0.1 / 0.16, rel=1e-15)
-
-    def test_hand_solved_inverse(self):
-        w = unicycle_to_diff_drive([0.1, 1.0], d=0.16)
-        assert w.v_r == pytest.approx(0.18, abs=1e-15)
-        assert w.v_l == pytest.approx(0.02, abs=1e-15)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            u = rng.uniform(-3, 3, size=2)
-            d = rng.uniform(0.05, 0.5)
-            back = diff_drive_to_unicycle(unicycle_to_diff_drive(u, d=d))
-            assert np.abs(back - u).max() <= 1e-12
-
-    def test_default_wheel_separation(self):
-        assert unicycle_to_diff_drive([0.1, 0.0]).d == TB3_WHEEL_SEPARATION
-
-    def test_rejects_nonpositive_separation(self):
-        with pytest.raises(ValueError):
-            unicycle_to_diff_drive([0.1, 1.0], d=0.0)
-        with pytest.raises(ValueError):
-            WheelSpeeds(v_l=0.0, v_r=0.0, d=-0.1)
-
-
 class TestWrapAngle:
     def test_identity_inside(self):
         assert wrap_angle(1.0) == pytest.approx(1.0, abs=1e-15)
@@ -209,7 +170,55 @@ class TestNoCoercion:
             BoxDomain(lo=["-1", "-1", "-1"], hi=[1.0, 1.0, 1.0])
 
     def test_clamp(self):
+        bounds = VelocityBounds(0.22, 2.84, mode="clamp")
         with pytest.raises(ValueError, match="numbers"):
-            clamp(["0.5", "0"], TB3_BOUNDS)
+            clamp(["0.5", "0"], bounds)
         with pytest.raises(ValueError, match="numbers"):
-            clamp([True, 0.0], TB3_BOUNDS)
+            clamp([True, 0.0], bounds)
+
+
+def sim_with(**fields):
+    return SimConfig(potential=make_v_alpha(1.0), controller=ControllerParams(),
+                     x0=[-0.5, -0.5, 0.0], **fields)
+
+
+class TestScalarParameters:
+    """A scalar parameter takes a number only: a bool or str raises, never stands for 1 or 0."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: make_v_alpha(True), id="alpha-bool"),
+        pytest.param(lambda: make_quadratic(True, 1, 1), id="c1-bool"),
+        pytest.param(lambda: make_quadratic(1, 1, "1"), id="c3-string"),
+        pytest.param(lambda: make_v_alpha(1.0).scaled(True), id="scale-bool"),
+        pytest.param(lambda: ControllerParams(epsilon=True), id="epsilon-bool"),
+        pytest.param(lambda: ControllerParams(epsilon="1"), id="epsilon-string"),
+        pytest.param(lambda: ControllerParams(gamma=np.True_), id="gamma-numpy-bool"),
+        pytest.param(lambda: ControllerParams(k1=True, k2=4.0), id="k1-bool"),
+        pytest.param(lambda: ControllerParams(k1=4.0, k2=True), id="k2-bool"),
+        pytest.param(lambda: VelocityBounds(True, 2.84, mode="clamp"), id="u1_max-bool"),
+        pytest.param(lambda: VelocityBounds(0.22, True, mode="clamp"), id="u2_max-bool"),
+        pytest.param(lambda: AdmissibilityConfig(samples=True), id="samples-bool"),
+        pytest.param(lambda: AdmissibilityConfig(seed=False), id="seed-bool"),
+        pytest.param(lambda: AdmissibilityConfig(seed=2.5), id="seed-fraction"),
+        pytest.param(lambda: AdmissibilityConfig(q=True), id="q-bool"),
+        pytest.param(lambda: AdmissibilityConfig(q=math.inf), id="q-inf"),
+        pytest.param(lambda: AdmissibilityConfig(grid_n=np.float64(4.0)), id="grid_n-float"),
+        pytest.param(lambda: AdmissibilityConfig(grad_floor=False), id="grad_floor-bool"),
+        pytest.param(lambda: BoxDomain.cube(True), id="half_width-bool"),
+        pytest.param(lambda: sim_with(t_max=True), id="t_max-bool"),
+        pytest.param(lambda: sim_with(goal_tol=False), id="goal_tol-bool"),
+        pytest.param(lambda: sim_with(control_period=True), id="control_period-bool"),
+        pytest.param(lambda: integrate_gradient_flow(make_v_alpha(1.0), [0.1, 0.0, 0.0],
+                                                     t_max=True, h=0.5), id="flow-t_max-bool"),
+        pytest.param(lambda: integrate_gradient_flow(make_v_alpha(1.0), [0.1, 0.0, 0.0],
+                                                     t_max=1.0, h=True), id="flow-h-bool"),
+    ])
+    def test_rejects(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_numbers_accepted(self):
+        assert make_quadratic(1, np.float64(2.0), np.int64(3)).coeffs.tolist() == [1.0, 2.0, 3.0]
+        assert AdmissibilityConfig(grid_n=np.int64(4), seed=0).grid_n == 4
+        assert sim_with(t_max=2, control_period=np.float64(0.5)).t_max == 2
+

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from gradflow import (
-    amplitude_vector,
     finite_difference_gradient,
     make_custom,
     make_quadratic,
     make_v_alpha,
 )
-from oracles import amplitude_vector_matrix
+from oracles import amplitude_vector, amplitude_vector_matrix
 
 
 class TestQuadratic:

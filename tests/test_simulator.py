@@ -18,9 +18,6 @@ from gradflow import (
     SimConfig,
     Trajectory,
     VelocityBounds,
-    amplitude_vector,
-    control_value,
-    goal_reached,
     integrate_gradient_flow,
     load_trajectory_csv,
     make_custom,
@@ -38,17 +35,18 @@ from gradflow.simulator import (
     TERMINATED_HORIZON,
     TRAJECTORY_COLUMNS,
 )
+from oracles import amplitude_vector, control_value
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
-                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1):
+                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1, goal=None):
     controller = ControllerParams(
         bounds=bounds if bounds is not None else VelocityBounds(),
         loop_mode=loop_mode,
     )
     return SimConfig(
         potential=potential if potential is not None else make_v_alpha(1.0),
-        controller=controller, x0=x0, goal_tol=goal_tol, t_max=t_max,
+        controller=controller, x0=x0, goal=goal, goal_tol=goal_tol, t_max=t_max,
         control_period=cp, log_every=log_every,
     )
 
@@ -76,6 +74,12 @@ class TestSimConfigValidation:
             short_config(t_max=1.00026, cp=5e-4)
         assert short_config(t_max=1.0005, cp=5e-4).t_max == 1.0005
 
+    def test_overflowing_horizon(self):
+        # epsilon / control_period overflows to inf: a ValueError, not an OverflowError
+        controller = ControllerParams(epsilon=1e308)
+        with pytest.raises(ValueError, match="1e\\+308 is not a finite multiple"):
+            SimConfig(potential=make_v_alpha(1.0), controller=controller, x0=(0.1, 0.0, 0.0))
+
     def test_negative_tolerance(self):
         with pytest.raises(ValueError, match="goal_tol"):
             short_config(goal_tol=-1.0)
@@ -87,25 +91,23 @@ class TestSimConfigValidation:
             short_config(log_every=True)
 
 
-class TestGoalReached:
-    def test_exact(self):
-        assert goal_reached([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.0)
-
-    def test_boundary_345(self):
-        assert goal_reached([0.03, 0.04, 0.0], [0.0, 0.0, 0.0], 0.05)
-
-    def test_outside(self):
-        assert not goal_reached([0.06, 0.0, 0.0], [0.0, 0.0, 0.0], 0.05)
-
-
 class TestSimulate:
     def test_start_at_goal_single_row(self):
-        cfg = short_config(x0=(0.0, 0.0, 0.0))
-        traj = simulate(cfg)
-        assert traj.data.shape[0] == 1
-        assert traj.terminated == TERMINATED_GOAL
-        assert traj.convergence_time == 0.0
-        assert traj.t[0] == 0.0
+        # the goal test, full-state distance <= goal_tol, runs at t = 0 first
+        for x0, goal, tol, stops in [
+            ((0.0, 0.0, 0.0), None, 0.05, True),
+            ((0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.0, True),  # exact
+            ((0.03, 0.04, 0.0), None, 0.05, True),  # on the boundary: a 3-4-5 triangle
+            ((0.06, 0.0, 0.0), None, 0.05, False),  # outside
+        ]:
+            traj = simulate(short_config(x0=x0, goal=goal, goal_tol=tol, t_max=0.01))
+            assert traj.t[0] == 0.0
+            if stops:
+                assert traj.data.shape[0] == 1
+                assert traj.terminated == TERMINATED_GOAL
+                assert traj.convergence_time == 0.0
+            else:
+                assert traj.terminated == TERMINATED_HORIZON
 
     def test_flat_potential_state_frozen(self):
         flat = make_custom(lambda x: 1.0, lambda x: np.zeros(3))
@@ -218,7 +220,7 @@ class TestSimulate:
             simulate(cfg)
         traj = info.value.trajectory
         assert traj.data.shape[0] >= 1
-        assert np.all(np.isfinite(info.value.last_row))
+        assert np.all(np.isfinite(traj.data[-1]))
 
 
 hold_values = st.floats(-3.0, 3.0, allow_nan=False)
