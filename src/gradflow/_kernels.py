@@ -4,15 +4,14 @@ Both loops are written once as plain scalar Python and read the potential
 through a scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2,
 dV/dx3). Diagonal quadratics pass their coefficients and `quadratic_vg`;
 any other potential passes a wrapper around its Python callables. Each
-loop stores its rows into a flat native-'d' memoryview, which takes a
-Python float faster than an ndarray does. The admissibility quadrature is
-numpy and lives in `gradflow.admissibility`.
+loop appends the rows it logs, one simulator.TRAJECTORY_COLUMNS row at a
+time, to an array('d') of its own and returns it, so a run's memory follows
+the rows it logs and not its horizon. The admissibility quadrature is numpy
+and lives in `gradflow.admissibility`.
 """
 
 import math
-
-# values per logged row of the loop kernels (simulator.TRAJECTORY_COLUMNS)
-ROW_WIDTH = 11
+from array import array
 
 # status codes returned by the loop kernels
 STATUS_HORIZON = 0
@@ -56,16 +55,17 @@ def hold_step(x1, x2, x3, u1, u2, T):
 
 def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
                  n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
-                 goal, goal_tol, log_every, rows):
-    """Closed-loop run; fills flat `rows` with (t, x, u, a, V, saturated).
+                 goal, goal_tol, log_every):
+    """Closed-loop run, logging rows of (t, x, u, a, V, saturated).
 
-    Returns (rows_written, status, convergence_time, saturated_updates,
-    max_abs_u1, max_abs_u2); the last three cover every control update
-    that was evaluated, logged or not. The control is held constant over
-    each control period and the state follows the exact flow of the hold.
-    Amplitudes refresh every update in continuous mode and only at
-    multiples of upd_per_eps in sampling mode. Goal detection runs at
-    update instants on the full-state distance.
+    Returns (rows, status, convergence_time, saturated_updates, max_abs_u1,
+    max_abs_u2): rows is a flat array('d') of the logged rows, row after
+    row, and the last three cover every control update that was evaluated,
+    logged or not. The control is held constant over each control period
+    and the state follows the exact flow of the hold. Amplitudes refresh
+    every update in continuous mode and only at multiples of upd_per_eps in
+    sampling mode. Goal detection runs at update instants on the full-state
+    distance.
     """
     x1 = x0[0]
     x2 = x0[1]
@@ -76,7 +76,8 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
     a1 = 0.0
     a2 = 0.0
     a12 = 0.0
-    n_rows = 0
+    rows = array("d")
+    log_row = rows.fromlist
     status = STATUS_HORIZON
     conv_time = math.nan
     n_sat = 0
@@ -132,19 +133,7 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
         d3 = x3 - goal3
         at_goal = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3) <= goal_tol
         if (k % log_every == 0) or at_goal or (k == n_updates):
-            i = ROW_WIDTH * n_rows
-            rows[i] = t
-            rows[i + 1] = x1
-            rows[i + 2] = x2
-            rows[i + 3] = x3
-            rows[i + 4] = u1
-            rows[i + 5] = u2
-            rows[i + 6] = a1
-            rows[i + 7] = a2
-            rows[i + 8] = a12
-            rows[i + 9] = v_val
-            rows[i + 10] = sat
-            n_rows += 1
+            log_row([t, x1, x2, x3, u1, u2, a1, a2, a12, v_val, sat])
         if at_goal:
             status = STATUS_GOAL
             conv_time = t
@@ -155,15 +144,19 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
         if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
             status = STATUS_NONFINITE
             break
-    return n_rows, status, conv_time, n_sat, max_u1, max_u2
+    return rows, status, conv_time, n_sat, max_u1, max_u2
 
 
-def gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
-    """RK4 on xdot = -grad V; control/amplitude columns stay zero."""
+def gradient_flow(vg, params, x0, h, n_steps, log_every):
+    """RK4 on xdot = -grad V; control/amplitude columns stay zero.
+
+    Returns (rows, status), rows being a flat array('d') of the logged rows.
+    """
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
-    n_rows = 0
+    rows = array("d")
+    log_row = rows.fromlist
     status = STATUS_HORIZON
     for k in range(n_steps + 1):
         v_val, g1, g2, g3 = vg(params, x1, x2, x3)
@@ -172,16 +165,7 @@ def gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
             status = STATUS_NONFINITE
             break
         if (k % log_every == 0) or (k == n_steps):
-            i = ROW_WIDTH * n_rows
-            rows[i] = k * h
-            rows[i + 1] = x1
-            rows[i + 2] = x2
-            rows[i + 3] = x3
-            for j in range(4, 9):
-                rows[i + j] = 0.0
-            rows[i + 9] = v_val
-            rows[i + 10] = 0.0
-            n_rows += 1
+            log_row([k * h, x1, x2, x3, 0.0, 0.0, 0.0, 0.0, 0.0, v_val, 0.0])
         if k == n_steps:
             break
         # RK4 stages p, q, r and -g of xdot = -grad V
@@ -202,4 +186,4 @@ def gradient_flow(vg, params, x0, h, n_steps, log_every, rows):
         x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 - g1) / 6.0
         x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 - g2) / 6.0
         x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 - g3) / 6.0
-    return n_rows, status
+    return rows, status

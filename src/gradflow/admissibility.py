@@ -102,6 +102,8 @@ class AdmissibilityConfig:
             raise ValueError(f"grid_n must be an even integer >= 2, got {self.grid_n}")
         if not self.samples >= 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.grad_floor >= 0:
             raise ValueError(f"grad_floor must be nonnegative, got {self.grad_floor}")
 

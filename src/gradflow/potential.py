@@ -86,8 +86,15 @@ def make_v_alpha(alpha: float) -> Potential:
     return make_quadratic(alpha, 1.0 / alpha, alpha)
 
 
+def _check_step(step) -> None:
+    check_scalar(step, "step")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step!r}")
+
+
 def finite_difference_gradient(value, x, step: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of a scalar field at `x`."""
+    _check_step(step)
     x = np.asarray(x, dtype=float)
     out = np.empty(3)
     for i in range(3):
@@ -106,9 +113,17 @@ def make_custom(value, gradient, *, check_points: int = 8, seed: int = 0,
     The analytic gradient is compared against central finite differences of
     `value` at `check_points` random states in [-1, 1]^3; a mismatch beyond
     `tol` raises. Pass check_points=0 to skip (e.g. for potentials that are
-    expensive to evaluate). The admissibility quadrature calls `gradient` on
-    (n, 3) batches of states and raises ValueError unless it returns (n, 3).
+    expensive to evaluate). check_points and seed must be nonnegative
+    integers, step positive and tol nonnegative. The admissibility
+    quadrature calls `gradient` on (n, 3) batches of states and raises
+    ValueError unless it returns (n, 3).
     """
+    for name, number, integer in (("check_points", check_points, True), ("seed", seed, True),
+                                  ("tol", tol, False)):
+        check_scalar(number, name, integer=integer)
+        if not number >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {number!r}")
+    _check_step(step)
     pot = Potential(value=value, gradient=gradient)
     if check_points > 0:
         rng = np.random.default_rng(seed)

@@ -306,11 +306,11 @@ class SimConfig:
         _check_log_every(self.log_every)
 
 
-def _status_to_trajectory(rows, n_rows, status, conv_time, *counts) -> Trajectory:
-    if n_rows == 0:
+def _status_to_trajectory(rows, status, conv_time, *counts) -> Trajectory:
+    if len(rows) == 0:
         # non-finite before anything could be logged: degenerate inputs
         raise ValueError("potential produces non-finite values at the initial state")
-    data = rows[:n_rows]
+    data = np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
     if status == _kernels.STATUS_GOAL:
         return Trajectory(data, TERMINATED_GOAL, float(conv_time), *counts)
     traj = Trajectory(data, TERMINATED_HORIZON, None, *counts)
@@ -350,17 +350,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
     ctrl = cfg.controller
     n_updates = _multiple_of(cfg.t_max, cfg.control_period)
     upd_per_eps = _multiple_of(ctrl.epsilon, cfg.control_period)
-    max_rows = n_updates // cfg.log_every + 2
-    rows = np.empty((max_rows, len(TRAJECTORY_COLUMNS)))
     vg, params = _vg(cfg.potential)
     out = _kernels.closed_loop(
         vg, params, _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2, ctrl.omega,
         cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
         ctrl.bounds.mode == "clamp", ctrl.bounds.u1_max, ctrl.bounds.u2_max,
         _floats(cfg.goal), cfg.goal_tol, cfg.log_every,
-        memoryview(rows).cast("B").cast("d"),
     )
-    return _status_to_trajectory(rows, *out)
+    return _status_to_trajectory(*out)
 
 
 def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
@@ -381,14 +378,10 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
     if n_steps is None:
         raise ValueError(f"step h={h} must divide t_max={t_max}")
     _check_log_every(log_every)
-    max_rows = n_steps // log_every + 2
-    rows = np.empty((max_rows, len(TRAJECTORY_COLUMNS)))
     vg, params = _vg(potential)
-    n_rows, status = _kernels.gradient_flow(
-        vg, params, _floats(as_state(x0)), h, n_steps, log_every,
-        memoryview(rows).cast("B").cast("d"),
-    )
-    return _status_to_trajectory(rows, n_rows, status, math.nan)
+    rows, status = _kernels.gradient_flow(vg, params, _floats(as_state(x0)), h, n_steps,
+                                          log_every)
+    return _status_to_trajectory(rows, status, math.nan)
 
 
 def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:

@@ -43,6 +43,16 @@ class TestSimulateCommand:
                                    t_max=2.0, control_period=1e-3)).save_csv(lib_csv)
         assert cli_csv.read_bytes() == lib_csv.read_bytes()
 
+    def test_huge_horizon_that_reaches_the_goal(self, capsys, tmp_path):
+        # memory follows the logged rows: a 1e9 s horizon is never allocated up front
+        code, huge = run(capsys, "simulate", "--preset", "P1", "--mode", "sampling",
+                         "--t-max", "1e9", "--out", str(tmp_path / "huge.csv"))
+        default = simulate(preset_sim_config("P1", loop_mode="sampling"))
+        assert code == 0
+        assert huge["terminated"] == "goal_reached"
+        assert huge["rows"] == len(default.data)
+        assert huge["convergence_time"] == default.convergence_time
+
     def test_reports_csv_processes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
         monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
@@ -229,6 +239,14 @@ class TestAdmissibilityCommand:
         assert base["cells"][0]["J"] != other["cells"][0]["J"]
         code, again = run(capsys, *argv, "1")
         assert again["cells"][0]["J"] == base["cells"][0]["J"]
+
+    def test_negative_seed_named_exit_2(self, capsys):
+        code = main(["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
+                     "--samples", "100", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "seed must be a nonnegative integer" in captured.err
 
     def test_nonfinite_q_exit_2(self, capsys):
         # q = inf would report J = 0 and print "q": Infinity, which is not JSON

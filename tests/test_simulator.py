@@ -197,17 +197,21 @@ class TestSimulate:
             assert getattr(sparse, name) == getattr(full, name)
 
     def test_peak_memory_is_one_trajectory(self):
-        # the logged rows are returned in place, not copied out of the run's buffer
-        cfg = short_config(t_max=2.0, goal_tol=0.0)
-        simulate(cfg)  # warm up lazy imports and caches outside the trace
-        tracemalloc.start()
-        try:
-            traj = simulate(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert traj.terminated == TERMINATED_HORIZON
-        assert peak <= 1.1 * traj.data.nbytes
+        # the logged rows are returned in place, not copied out of the run's buffer,
+        # and a run that stops at the goal holds the rows it logged, not its horizon's:
+        # P1 sampling reaches the goal at 27.9 s of its 600 s
+        runs = [(short_config(t_max=2.0, goal_tol=0.0), TERMINATED_HORIZON),
+                (preset_sim_config("P1", loop_mode="sampling"), TERMINATED_GOAL)]
+        simulate(runs[0][0])  # warm up lazy imports and caches outside the trace
+        for cfg, terminated in runs:
+            tracemalloc.start()
+            try:
+                traj = simulate(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.terminated == terminated
+            assert peak <= 1.1 * traj.data.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_raises_with_partial_trajectory(self):
