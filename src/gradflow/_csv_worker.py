@@ -1,16 +1,29 @@
-"""Format a share of a trajectory CSV in a separate, numpy-free interpreter.
+"""Format rows of a trajectory CSV; run as a script, in a numpy-free interpreter.
 
-Trajectory.save_csv starts this file as
+write_rows is the package's one CSV formatting loop: Trajectory.save_csv
+calls it in-process on its own share of the rows, and starts this file as
 
     python -I -S _csv_worker.py ROW_TEMPLATE N_COLS N_ROWS CHUNK_ROWS
 
-and writes N_ROWS * N_COLS native float64 values, C order, to its stdin.
-The rows go to stdout formatted with the %-template ROW_TEMPLATE, CHUNK_ROWS
-rows per %-operation, exactly as the in-process writer does. It imports
-nothing but sys, so the interpreter starts in milliseconds.
+for each later share, with stdin open on a file (a pipe serves as well)
+that holds N_ROWS * N_COLS native float64 values, C order. The rows go to
+stdout. The script imports nothing but sys, so the interpreter starts in
+milliseconds.
 """
 
 import sys
+
+
+def write_rows(out, values, row, n_cols, chunk) -> None:
+    """Write the flat float64 sequence `values`, n_cols to a row, to the binary file `out`.
+
+    Each row is formatted with the %-template `row`, `chunk` rows per
+    %-operation.
+    """
+    step = n_cols * chunk
+    for i in range(0, len(values), step):
+        block = values[i:i + step]
+        out.write(((row * (len(block) // n_cols)) % tuple(block.tolist())).encode())
 
 
 def main() -> int:
@@ -18,13 +31,8 @@ def main() -> int:
     raw = sys.stdin.buffer.read(8 * n_cols * n_rows)
     if len(raw) != 8 * n_cols * n_rows:
         return 1  # truncated input: the parent sees a failed worker
-    values = memoryview(raw).cast("d")
-    out = sys.stdout.buffer
-    step = n_cols * chunk
-    for i in range(0, len(values), step):
-        block = values[i:i + step]
-        out.write(((row * (len(block) // n_cols)) % tuple(block.tolist())).encode())
-    out.flush()
+    write_rows(sys.stdout.buffer, memoryview(raw).cast("d"), row, n_cols, chunk)
+    sys.stdout.buffer.flush()
     return 0
 
 

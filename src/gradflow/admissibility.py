@@ -58,10 +58,6 @@ class BoxDomain:
         if not np.all(self.lo < self.hi):
             raise ValueError("box requires lo < hi componentwise")
 
-    @property
-    def measure(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
     @classmethod
     def cube(cls, half_width: float = 1.0) -> "BoxDomain":
         """The symmetric cube [-w, w]^3."""
@@ -102,6 +98,9 @@ class AdmissibilityConfig:
             raise ValueError(f"grid_n must be an even integer >= 2, got {self.grid_n}")
         if not self.samples >= 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples}")
+        if self.method == "monte_carlo" and not self.samples >= 2:
+            raise ValueError(f"monte_carlo needs samples >= 2 for its standard error, "
+                             f"got {self.samples}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.grad_floor >= 0:
@@ -121,9 +120,6 @@ class AdmissibilityResult:
     excluded: int
     method: str
     stderr: float | None = None
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -242,13 +238,8 @@ def _monte_carlo(potential, domain, cfg):
         total += s
         total_sq += s2
         excluded += exc
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - total * total / n, 0.0) / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = math.inf
-    return mean, n, excluded, stderr
+    var = max(total_sq - total * total / n, 0.0) / (n - 1)  # n >= 2: config checks it
+    return total / n, n, excluded, math.sqrt(var / n)
 
 
 def table1(domain: BoxDomain | None = None, cfg: AdmissibilityConfig | None = None

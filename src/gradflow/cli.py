@@ -365,6 +365,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gradflow: i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"gradflow: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

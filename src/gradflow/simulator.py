@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow import _kernels
+from gradflow import _csv_worker, _kernels
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import as_state, check_scalar
 from gradflow.potential import Potential
@@ -120,35 +120,43 @@ class Trajectory:
 
         The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n"),
         formatted CSV_CHUNK_ROWS rows per %-operation instead of one. The rows
-        are split by whole blocks into one share per usable core; this process
-        writes the first and a worker interpreter formats each later one into
-        an anonymous file next to `path`, appended here in order. The file is
-        written under a temporary name in the same directory and renamed onto
-        `path` only once it is complete; on failure it is removed and an
-        existing `path` is left as it was. Returns how many processes
-        formatted the file.
+        are split by whole blocks into one share per usable core, each
+        formatted by _csv_worker.write_rows: the first in this process, each
+        later one by a worker interpreter that reads it raw from an anonymous
+        file and writes into another next to `path`, appended here in order.
+        The file is written under a temporary name in the same directory and
+        renamed onto `path` only once it is complete; on failure it is
+        removed and an existing `path` is left as it was. Returns how many
+        processes formatted the file.
         """
         bounds = _csv_shares(len(self.data))
         directory = os.path.dirname(os.path.abspath(path))
         tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-        f = open(tmp, "x", encoding="utf-8", newline="\n")
+        f = open(tmp, "xb")
         workers = []
         try:
             with f:
                 for lo, hi in zip(bounds[1:], bounds[2:]):
-                    workers.append(_CsvWorker(self.data[lo:hi], directory))
-                f.write(CSV_HEADER + "\n")
-                _write_rows(f, self.data[:bounds[1]])
-                f.flush()
-                for worker in workers:
-                    worker.append_to(f.buffer)
+                    workers.append(_start_csv_worker(self.data[lo:hi], directory))
+                f.write(CSV_HEADER.encode() + b"\n")
+                _csv_worker.write_rows(f, self.data[:bounds[1]].ravel(), CSV_ROW,
+                                       len(TRAJECTORY_COLUMNS), CSV_CHUNK_ROWS)
+                for proc, out in workers:
+                    status = proc.wait()
+                    if status != 0:
+                        raise OSError(f"CSV worker exited with status {status}")
+                    out.seek(0)
+                    shutil.copyfileobj(out, f)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
         finally:
-            for worker in workers:
-                worker.close()
+            for proc, out in workers:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                out.close()
         return len(bounds) - 1
 
 
@@ -165,56 +173,25 @@ def _csv_shares(n_rows: int) -> list:
     return [min(n_rows, k * n_blocks // n_procs * CSV_CHUNK_ROWS) for k in range(n_procs + 1)]
 
 
-def _write_rows(f, data) -> None:
-    for i in range(0, len(data), CSV_CHUNK_ROWS):
-        block = data[i:i + CSV_CHUNK_ROWS]
-        f.write((CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+def _start_csv_worker(share: np.ndarray, directory: str):
+    """Start a worker interpreter formatting `share`; returns it and its output file."""
+    import subprocess
+    import tempfile
 
-
-class _CsvWorker:
-    """A worker interpreter formatting one share of rows into an anonymous file."""
-
-    def __init__(self, share: np.ndarray, directory: str):
-        import subprocess
-        import tempfile
-        import threading
-
-        share = np.ascontiguousarray(share, dtype=np.float64)
-        self.out = tempfile.TemporaryFile(dir=directory)
-        try:
-            self.proc = subprocess.Popen(
+    out = tempfile.TemporaryFile(dir=directory)
+    try:
+        with tempfile.TemporaryFile(dir=directory) as raw:
+            raw.write(np.ascontiguousarray(share, dtype=np.float64))
+            raw.seek(0)
+            proc = subprocess.Popen(
                 [*_CSV_WORKER_COMMAND, CSV_ROW, str(share.shape[1]), str(share.shape[0]),
                  str(CSV_CHUNK_ROWS)],
-                stdin=subprocess.PIPE, stdout=self.out,
+                stdin=raw, stdout=out,
             )
-        except BaseException:
-            self.out.close()
-            raise
-        # feed the share from a thread: the worker reads it only once it has started
-        self.feeder = threading.Thread(target=self._feed, args=(memoryview(share).cast("B"),))
-        self.feeder.start()
-
-    def _feed(self, raw) -> None:
-        try:
-            with self.proc.stdin as pipe:
-                pipe.write(raw)
-        except BrokenPipeError:
-            pass  # the worker exited early; append_to reports its status
-
-    def append_to(self, dst) -> None:
-        """Wait for the worker and append its output to the binary file `dst`."""
-        status = self.proc.wait()
-        if status != 0:
-            raise OSError(f"CSV worker exited with status {status}")
-        self.out.seek(0)
-        shutil.copyfileobj(self.out, dst)
-
-    def close(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
-        self.feeder.join()
-        self.out.close()
+    except BaseException:
+        out.close()
+        raise
+    return proc, out
 
 
 def load_trajectory_csv(path) -> np.ndarray:

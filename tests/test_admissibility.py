@@ -82,14 +82,10 @@ class TestRhoBruteforce:
 
 
 class TestBoxDomain:
-    def test_measure(self):
-        box = BoxDomain(lo=[-1, -2, 0], hi=[1, 0, 3])
-        assert box.measure == pytest.approx(12.0, rel=1e-12)
-
     def test_cube(self):
         box = BoxDomain.cube(1.0)
         assert np.array_equal(box.lo, [-1, -1, -1])
-        assert box.measure == 8.0
+        assert np.array_equal(box.hi, [1, 1, 1])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gradflow import preset_sim_config, simulate, simulator
+from gradflow import cli, preset_sim_config, simulate, simulator
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 
@@ -256,6 +256,15 @@ class TestAdmissibilityCommand:
         assert captured.out == ""
         assert "q must be positive and finite" in captured.err
 
+    def test_one_monte_carlo_sample_exit_2(self, capsys):
+        # one sample has no standard error: it would print "stderr": Infinity, which is not JSON
+        code = main(["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
+                     "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "samples" in captured.err
+
     def test_jobs_flag_removed_exit_2(self, capsys):
         code = main(["admissibility", "--table1", "--jobs", "2"])
         captured = capsys.readouterr()
@@ -308,6 +317,17 @@ class TestGradientFlowCommand:
         data = load_trajectory_csv(out)
         assert np.all(data[:, 4:9] == 0.0)
         assert summary["csv_processes"] == 1
+
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate the rows")
+
+        monkeypatch.setattr(cli, "integrate_gradient_flow", no_memory)
+        code = main(["gradient-flow", "--v-alpha", "1", "--t-max", "1e9"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "gradflow: out of memory: cannot allocate the rows" in captured.err
 
 
 class TestPlotCommand:

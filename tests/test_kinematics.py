@@ -237,6 +237,8 @@ class TestScalarParameters:
         pytest.param(lambda: finite_difference_gradient(sum_of_squares, [0.1, 0.2, 0.3], step="1"),
                      id="fd-step-string"),
         pytest.param(lambda: AdmissibilityConfig(seed=-1), id="seed-negative"),
+        pytest.param(lambda: AdmissibilityConfig(method="monte_carlo", samples=1),
+                     id="monte-carlo-one-sample"),
     ])
     def test_rejects(self, build):
         with pytest.raises(ValueError):

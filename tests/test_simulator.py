@@ -4,6 +4,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from gradflow import (
     simulate,
     tracking_deviation,
 )
-from gradflow import simulator
+from gradflow import _csv_worker, simulator
 from gradflow._kernels import hold_step
 from gradflow.simulator import (
     CSV_HEADER,
@@ -645,15 +646,25 @@ class TestCsvWorkerProcess:
         assert old.read_bytes() == b"an earlier run\n"
         self.assert_reaped(one_worker)
 
+    def test_workers_need_no_thread(self, tmp_path, monkeypatch, one_worker):
+        # each worker reads its share from a file: nothing feeds it while it runs
+        def no_threads(self):
+            raise RuntimeError("save_csv started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        data = np.random.default_rng(5).normal(size=(40, len(TRAJECTORY_COLUMNS)))
+        assert assert_csv_matches_savetxt(data, tmp_path) == 2
+        self.assert_reaped(one_worker)
+
     def test_writer_failure_stops_the_workers(self, tmp_path, monkeypatch, one_worker):
         monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND", [
             sys.executable, "-I", "-S", "-c",
             "import sys, time; sys.stdin.buffer.read(); time.sleep(60)"])
 
-        def full_disk(f, data):
+        def full_disk(out, values, row, n_cols, chunk):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(simulator, "_write_rows", full_disk)
+        monkeypatch.setattr(_csv_worker, "write_rows", full_disk)
         data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
         with pytest.raises(OSError, match="no space"):
             Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
