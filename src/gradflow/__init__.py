@@ -17,13 +17,7 @@ from gradflow.admissibility import (
 )
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import VelocityBounds, wrap_angle
-from gradflow.potential import (
-    Potential,
-    finite_difference_gradient,
-    make_custom,
-    make_quadratic,
-    make_v_alpha,
-)
+from gradflow.potential import Potential, make_quadratic, make_v_alpha
 from gradflow.presets import PRESETS, preset_sim_config, sim_config
 from gradflow.simulator import (
     IntegrationError,
@@ -52,10 +46,8 @@ __all__ = [
     "VelocityBounds",
     "admissibility_measure",
     "convergence_order",
-    "finite_difference_gradient",
     "integrate_gradient_flow",
     "load_trajectory_csv",
-    "make_custom",
     "make_quadratic",
     "make_v_alpha",
     "preset_sim_config",

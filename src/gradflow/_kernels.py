@@ -1,17 +1,16 @@
-"""The closed-loop and gradient-flow loops, one each for every potential.
+"""The closed-loop and gradient-flow loops, one each.
 
-Both loops are written once as plain scalar Python and read the potential
-through a scalar callback vg(params, x1, x2, x3) -> (V, dV/dx1, dV/dx2,
-dV/dx3). Diagonal quadratics pass their coefficients and `quadratic_vg`;
-any other potential passes a wrapper around its Python callables. Each
-loop appends the rows it logs, one simulator.TRAJECTORY_COLUMNS row at a
-time, to an array('d') of its own and returns it, so a run's memory follows
-the rows it logs and not its horizon. The admissibility quadrature is numpy
-and lives in `gradflow.admissibility`.
+Both loops are written once as plain scalar Python. The potential is the
+diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2, passed as its three
+coefficients, and each loop evaluates V and grad V = (2*c1*x1, 2*c2*x2,
+2*c3*x3) inline. Each loop appends the rows it logs, one
+simulator.TRAJECTORY_COLUMNS row at a time, to an array('d') of its own and
+returns it, so a run's memory follows the rows it logs and not its horizon.
+The admissibility quadrature is numpy and lives in `gradflow.admissibility`.
 """
 
-import math
 from array import array
+from math import cos, isfinite, nan, sin, sqrt
 
 # status codes returned by the loop kernels
 STATUS_HORIZON = 0
@@ -25,47 +24,24 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# closed-loop and gradient-flow integration, any potential
+# closed-loop and gradient-flow integration
 # ---------------------------------------------------------------------------
 
-def quadratic_vg(params, x1, x2, x3):
-    """V and grad V of the diagonal quadratic with coefficients `params`."""
-    c1 = params[0]
-    c2 = params[1]
-    c3 = params[2]
-    return (c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3,
-            2.0 * c1 * x1, 2.0 * c2 * x2, 2.0 * c3 * x3)
-
-
-def hold_step(x1, x2, x3, u1, u2, T):
-    """Exact unicycle flow over a hold of length T with (u1, u2) constant.
-
-    x3 turns at the constant rate u2, so the planar motion is a circular
-    arc whose chord is u1*T*sinc(u2*T/2) along the mid-hold heading.
-    """
-    half = 0.5 * u2 * T
-    sinc = 1.0
-    if half != 0.0:
-        sinc = math.sin(half) / half
-    chord = u1 * T * sinc
-    return (x1 + chord * math.cos(x3 + half),
-            x2 + chord * math.sin(x3 + half),
-            x3 + u2 * T)
-
-
-def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
-                 n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
-                 goal, goal_tol, log_every):
+def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
+                n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
+                goal, goal_tol, log_every):
     """Closed-loop run, logging rows of (t, x, u, a, V, saturated).
 
     Returns (rows, status, convergence_time, saturated_updates, max_abs_u1,
     max_abs_u2): rows is a flat array('d') of the logged rows, row after
     row, and the last three cover every control update that was evaluated,
     logged or not. The control is held constant over each control period
-    and the state follows the exact flow of the hold. Amplitudes refresh
-    every update in continuous mode and only at multiples of upd_per_eps in
-    sampling mode. Goal detection runs at update instants on the full-state
-    distance.
+    and the state follows the exact flow of the hold: x3 turns at the
+    constant rate u2, so the planar motion is a circular arc whose chord is
+    u1*T*sinc(u2*T/2) along the mid-hold heading. Amplitudes refresh every
+    update in continuous mode and only at multiples of upd_per_eps in
+    sampling mode. Goal detection runs at update instants on the
+    full-state distance.
     """
     x1 = x0[0]
     x2 = x0[1]
@@ -73,33 +49,39 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
     goal1 = goal[0]
     goal2 = goal[1]
     goal3 = goal[2]
+    # grad V = (d1*x1, d2*x2, d3*x3)
+    d1 = 2.0 * c1
+    d2 = 2.0 * c2
+    d3 = 2.0 * c3
     a1 = 0.0
     a2 = 0.0
     a12 = 0.0
     rows = array("d")
     log_row = rows.fromlist
     status = STATUS_HORIZON
-    conv_time = math.nan
+    conv_time = nan
     n_sat = 0
     max_u1 = 0.0
     max_u2 = 0.0
     for k in range(n_updates + 1):
         t = k * control_period
-        v_val, gx1, gx2, gx3 = vg(params, x1, x2, x3)
+        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
         if (not sampling) or (k % upd_per_eps == 0):
-            s = math.sin(x3)
-            c = math.cos(x3)
+            gx1 = d1 * x1
+            gx2 = d2 * x2
+            s = sin(x3)
+            c = cos(x3)
             a1 = -gamma * (gx1 * c + gx2 * s)
-            a2 = -gamma * gx3
+            a2 = -gamma * (d3 * x3)
             a12 = -gamma * (gx1 * s - gx2 * c)
-        osc = math.sqrt(omega * abs(a12))
+        osc = sqrt(omega * abs(a12))
         sign = 0.0
         if a12 > 0.0:
             sign = 1.0
         elif a12 < 0.0:
             sign = -1.0
-        u1 = a1 + k1 * osc * sign * math.cos(omega * t)
-        u2 = a2 + k2 * osc * math.sin(omega * t)
+        u1 = a1 + k1 * osc * sign * cos(omega * t)
+        u2 = a2 + k2 * osc * sin(omega * t)
         sat = 0.0
         if do_clamp:
             if u1 > u1_max:
@@ -115,9 +97,9 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
                 u2 = -u2_max
                 sat = 1.0
         # a finite state can still overflow in u/a/V; never log such a row
-        if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)
-                and math.isfinite(u1) and math.isfinite(u2)
-                and math.isfinite(a12) and math.isfinite(v_val)):
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)
+                and isfinite(u1) and isfinite(u2)
+                and isfinite(a12) and isfinite(v_val)):
             status = STATUS_NONFINITE
             break
         if sat != 0.0:
@@ -128,10 +110,10 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
         abs_u2 = abs(u2)
         if abs_u2 > max_u2:
             max_u2 = abs_u2
-        d1 = x1 - goal1
-        d2 = x2 - goal2
-        d3 = x3 - goal3
-        at_goal = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3) <= goal_tol
+        e1 = x1 - goal1
+        e2 = x2 - goal2
+        e3 = x3 - goal3
+        at_goal = sqrt(e1 * e1 + e2 * e2 + e3 * e3) <= goal_tol
         if (k % log_every == 0) or at_goal or (k == n_updates):
             log_row([t, x1, x2, x3, u1, u2, a1, a2, a12, v_val, sat])
         if at_goal:
@@ -140,14 +122,23 @@ def closed_loop(vg, params, x0, gamma, k1, k2, omega, control_period,
             break
         if k == n_updates:
             break
-        x1, x2, x3 = hold_step(x1, x2, x3, u1, u2, control_period)
-        if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        # exact flow of the hold
+        half = 0.5 * u2 * control_period
+        sinc = 1.0
+        if half != 0.0:
+            sinc = sin(half) / half
+        chord = u1 * control_period * sinc
+        heading = x3 + half
+        x1 += chord * cos(heading)
+        x2 += chord * sin(heading)
+        x3 += u2 * control_period
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             status = STATUS_NONFINITE
             break
     return rows, status, conv_time, n_sat, max_u1, max_u2
 
 
-def gradient_flow(vg, params, x0, h, n_steps, log_every):
+def gradient_flow(c1, c2, c3, x0, h, n_steps, log_every):
     """RK4 on xdot = -grad V; control/amplitude columns stay zero.
 
     Returns (rows, status), rows being a flat array('d') of the logged rows.
@@ -155,35 +146,36 @@ def gradient_flow(vg, params, x0, h, n_steps, log_every):
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
+    # -grad V = (n1*x1, n2*x2, n3*x3)
+    n1 = -2.0 * c1
+    n2 = -2.0 * c2
+    n3 = -2.0 * c3
     rows = array("d")
     log_row = rows.fromlist
     status = STATUS_HORIZON
     for k in range(n_steps + 1):
-        v_val, g1, g2, g3 = vg(params, x1, x2, x3)
-        if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)
-                and math.isfinite(v_val)):
+        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(v_val)):
             status = STATUS_NONFINITE
             break
         if (k % log_every == 0) or (k == n_steps):
             log_row([k * h, x1, x2, x3, 0.0, 0.0, 0.0, 0.0, 0.0, v_val, 0.0])
         if k == n_steps:
             break
-        # RK4 stages p, q, r and -g of xdot = -grad V
-        p1 = -g1
-        p2 = -g2
-        p3 = -g3
-        _, g1, g2, g3 = vg(params, x1 + 0.5 * h * p1, x2 + 0.5 * h * p2,
-                           x3 + 0.5 * h * p3)
-        q1 = -g1
-        q2 = -g2
-        q3 = -g3
-        _, g1, g2, g3 = vg(params, x1 + 0.5 * h * q1, x2 + 0.5 * h * q2,
-                           x3 + 0.5 * h * q3)
-        r1 = -g1
-        r2 = -g2
-        r3 = -g3
-        _, g1, g2, g3 = vg(params, x1 + h * r1, x2 + h * r2, x3 + h * r3)
-        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 - g1) / 6.0
-        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 - g2) / 6.0
-        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 - g3) / 6.0
+        # RK4 stages p, q, r, s of xdot = -grad V
+        p1 = n1 * x1
+        p2 = n2 * x2
+        p3 = n3 * x3
+        q1 = n1 * (x1 + 0.5 * h * p1)
+        q2 = n2 * (x2 + 0.5 * h * p2)
+        q3 = n3 * (x3 + 0.5 * h * p3)
+        r1 = n1 * (x1 + 0.5 * h * q1)
+        r2 = n2 * (x2 + 0.5 * h * q2)
+        r3 = n3 * (x3 + 0.5 * h * q3)
+        s1 = n1 * (x1 + h * r1)
+        s2 = n2 * (x2 + h * r2)
+        s3 = n3 * (x3 + h * r3)
+        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 + s1) / 6.0
+        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 + s2) / 6.0
+        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 + s3) / 6.0
     return rows, status

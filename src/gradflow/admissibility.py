@@ -8,8 +8,8 @@ where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
 closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. `_integrand` evaluates
-it for every potential and both quadratures, and the test suite checks it
-against a brute-force minimizer over u.
+it for both quadratures, and the test suite checks it against a
+brute-force minimizer over u.
 
 J is zero iff the gradient flow is realizable everywhere; for q = 2 the
 integrand lies in [0, 1], hence J in [0, 1]. Multiplying V by a positive
@@ -73,9 +73,9 @@ class AdmissibilityConfig:
     """Quadrature settings for the admissibility integral.
 
     grid_n is the midpoint cell count per axis and must be even so cell
-    centers avoid the origin, where grad V vanishes for the quadratic
-    families. grad_floor excludes points with |grad V| at or below it from
-    the integrand (they contribute zero and are counted separately).
+    centers avoid the origin, where grad V vanishes. grad_floor excludes
+    points with |grad V| at or below it from the integrand (they contribute
+    zero and are counted separately).
     """
 
     q: float = 2.0
@@ -144,19 +144,6 @@ def _integrand(g1, g2, g3, s, c, q: float, grad_floor: float):
     return vals, excluded
 
 
-def _gradient_batch(potential: Potential, pts: np.ndarray) -> np.ndarray:
-    """grad V at each row of the (n, 3) array pts; errors of the gradient propagate.
-
-    A result of any other shape, such as that of a gradient written for
-    one state at a time, raises ValueError.
-    """
-    g = np.asarray(potential.gradient(pts), dtype=float)
-    if g.shape != pts.shape:
-        raise ValueError(f"gradient of a batch of states must return shape {pts.shape}, "
-                         f"got {g.shape}; write it for (n, 3) arrays")
-    return g
-
-
 def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
                           cfg: AdmissibilityConfig | None = None) -> AdmissibilityResult:
     """Estimate J over `domain` (default [-1, 1]^3) with settings `cfg`.
@@ -165,7 +152,7 @@ def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
     x3-slab order. Monte Carlo: `samples` uniform draws from a Philox
     stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
     so memory is bounded by the chunk. Raises if every point is excluded by
-    the gradient floor (the potential is flat on the domain).
+    the gradient floor.
     """
     domain = BoxDomain.cube(1.0) if domain is None else domain
     cfg = AdmissibilityConfig() if cfg is None else cfg
@@ -197,23 +184,16 @@ def _midpoint(potential, domain, cfg):
 
 
 def _slab_gradients(potential, xs1, xs2, xs3):
-    """(g1, g2, g3) of grad V on each x3 slab of the grid, x1 major, x2 minor."""
-    if potential.coeffs is not None:
-        # a diagonal quadratic's gradient is separable: one call on the axes
-        g = _gradient_batch(potential, np.column_stack((xs1, xs2, xs3)))
-        g1 = g[:, 0].copy()[:, None]
-        g2 = g[:, 1].copy()[None, :]
-        for g3 in g[:, 2]:
-            yield g1, g2, g3
-        return
-    plane = np.empty((3, xs1.size * xs2.size))
-    plane[0] = np.repeat(xs1, xs2.size)
-    plane[1] = np.tile(xs2, xs1.size)
-    for x3 in xs3:
-        plane[2] = x3
-        # the F-ordered (n, 3) view gets its gradient back with contiguous columns
-        g = _gradient_batch(potential, plane.T)
-        yield g[:, 0], g[:, 1], g[:, 2]
+    """(g1, g2, g3) of grad V on each x3 slab of the grid, x1 major, x2 minor.
+
+    grad V = (d1*x1, d2*x2, d3*x3) with d = 2*c is separable: g1 varies
+    along x1 only, g2 along x2 only and g3 is constant on a slab.
+    """
+    d1, d2, d3 = 2.0 * potential.coeffs
+    g1 = (d1 * xs1)[:, None]
+    g2 = (d2 * xs2)[None, :]
+    for g3 in d3 * xs3:
+        yield g1, g2, g3
 
 
 def _monte_carlo(potential, domain, cfg):
@@ -226,7 +206,7 @@ def _monte_carlo(potential, domain, cfg):
         rng = np.random.Generator(np.random.Philox(cfg.seed).advance(i * 3 * MC_CHUNK // 4))
         u = rng.uniform(size=(min(MC_CHUNK, n - i * MC_CHUNK), 3))
         pts = domain.lo + u * (domain.hi - domain.lo)
-        g = _gradient_batch(potential, pts)
+        g = 2.0 * potential.coeffs * pts
         vals, exc = _integrand(g[:, 0], g[:, 1], g[:, 2], np.sin(pts[:, 2]),
                                np.cos(pts[:, 2]), cfg.q, cfg.grad_floor)
         return float(vals.sum()), float((vals * vals).sum()), exc

@@ -62,16 +62,15 @@ class Trajectory:
     increasing in t, and the first row is the initial state at t = 0.
 
     saturation_count, max_abs_u1 and max_abs_u2 cover every control update
-    of the run, logged or not; when saturation_count is not given, all
-    three are taken from the logged rows.
+    of the run, logged or not.
     """
 
     data: np.ndarray
     terminated: str
-    convergence_time: float | None = None
-    saturation_count: int | None = None
-    max_abs_u1: float | None = None
-    max_abs_u2: float | None = None
+    convergence_time: float | None
+    saturation_count: int
+    max_abs_u1: float
+    max_abs_u2: float
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(TRAJECTORY_COLUMNS):
@@ -81,11 +80,6 @@ class Trajectory:
         # freeze a private view: the caller's array stays writable
         object.__setattr__(self, "data", self.data.view())
         self.data.flags.writeable = False
-        if self.saturation_count is None:
-            u_max = np.abs(self.controls).max(axis=0)
-            object.__setattr__(self, "saturation_count", int(np.count_nonzero(self.saturated)))
-            object.__setattr__(self, "max_abs_u1", float(u_max[0]))
-            object.__setattr__(self, "max_abs_u2", float(u_max[1]))
 
     @property
     def t(self) -> np.ndarray:
@@ -298,21 +292,6 @@ def _status_to_trajectory(rows, status, conv_time, *counts) -> Trajectory:
     return traj
 
 
-def _callables_vg(params, x1, x2, x3):
-    """(V, grad V) through a potential's Python value/gradient callables."""
-    value, gradient = params
-    x = np.array((x1, x2, x3))
-    g = gradient(x)
-    return float(value(x)), float(g[0]), float(g[1]), float(g[2])
-
-
-def _vg(potential: Potential):
-    """The loop kernels' potential callback and its parameters."""
-    if potential.coeffs is not None:
-        return _kernels.quadratic_vg, tuple(float(c) for c in potential.coeffs)
-    return _callables_vg, (potential.value, potential.gradient)
-
-
 def _floats(x) -> tuple:
     return tuple(float(v) for v in x)
 
@@ -320,17 +299,15 @@ def _floats(x) -> tuple:
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
-    Every potential runs the same interpreted loop: quadratic-family
-    potentials through their coefficients, custom potentials through their
-    Python callables. Identical configs produce bit-identical trajectories.
+    The loop reads the potential as its three coefficients. Identical
+    configs produce bit-identical trajectories.
     """
     ctrl = cfg.controller
     n_updates = _multiple_of(cfg.t_max, cfg.control_period)
     upd_per_eps = _multiple_of(ctrl.epsilon, cfg.control_period)
-    vg, params = _vg(cfg.potential)
     out = _kernels.closed_loop(
-        vg, params, _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2, ctrl.omega,
-        cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
+        *_floats(cfg.potential.coeffs), _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2,
+        ctrl.omega, cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
         ctrl.bounds.mode == "clamp", ctrl.bounds.u1_max, ctrl.bounds.u2_max,
         _floats(cfg.goal), cfg.goal_tol, cfg.log_every,
     )
@@ -355,10 +332,9 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
     if n_steps is None:
         raise ValueError(f"step h={h} must divide t_max={t_max}")
     _check_log_every(log_every)
-    vg, params = _vg(potential)
-    rows, status = _kernels.gradient_flow(vg, params, _floats(as_state(x0)), h, n_steps,
-                                          log_every)
-    return _status_to_trajectory(rows, status, math.nan)
+    rows, status = _kernels.gradient_flow(*_floats(potential.coeffs), _floats(as_state(x0)),
+                                          h, n_steps, log_every)
+    return _status_to_trajectory(rows, status, math.nan, 0, 0.0, 0.0)
 
 
 def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:

@@ -2,11 +2,12 @@
 
 Each computes a quantity of the package by another route, so a test can
 compare the two. The first group are the model's formulas written one
-state at a time, as the paper states them: the frame algebra of the
-unicycle, the feedback and its clamp, and the amplitude vector. The
-package computes the same quantities only inside `_kernels.closed_loop`
-and `admissibility._integrand`; `integrand_rho` reads the latter in the
-units of the residual, so a test can hold it against `rho_bruteforce`.
+state at a time, as the paper states them: the potential and its
+gradient, the frame algebra of the unicycle, the feedback and its clamp,
+the amplitude vector and the exact flow of one hold. The package computes
+the same quantities only inside `_kernels.closed_loop` and
+`admissibility._integrand`; `integrand_rho` reads the latter in the units
+of the residual, so a test can hold it against `rho_bruteforce`.
 """
 
 import math
@@ -22,6 +23,17 @@ from gradflow.potential import Potential
 def as_control(u) -> np.ndarray:
     """`u` as a finite float64 vector of shape (2,); str and bool components raise."""
     return _real_vector(u, 2, "control")
+
+
+def potential_value(potential: Potential, x):
+    """V(x) = c1*x1^2 + c2*x2^2 + c3*x3^2 over the last axis of `x`."""
+    x = np.asarray(x, dtype=float)
+    return np.sum(potential.coeffs * x * x, axis=-1)
+
+
+def potential_gradient(potential: Potential, x) -> np.ndarray:
+    """grad V(x) = 2*c*x, broadcast over the leading axes of `x`."""
+    return 2.0 * potential.coeffs * np.asarray(x, dtype=float)
 
 
 def vector_fields(x) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +123,22 @@ def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
     return u, False
 
 
+def hold_step(x1, x2, x3, u1, u2, T):
+    """Exact unicycle flow over a hold of length T with (u1, u2) constant.
+
+    x3 turns at the constant rate u2, so the planar motion is a circular
+    arc whose chord is u1*T*sinc(u2*T/2) along the mid-hold heading.
+    """
+    half = 0.5 * u2 * T
+    sinc = 1.0
+    if half != 0.0:
+        sinc = math.sin(half) / half
+    chord = u1 * T * sinc
+    return (x1 + chord * math.cos(x3 + half),
+            x2 + chord * math.sin(x3 + half),
+            x3 + u2 * T)
+
+
 def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
     """Control amplitudes (a1, a2, a12) at state `x`, explicit form.
 
@@ -124,7 +152,7 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     x = as_state(x)
-    g = np.asarray(potential.gradient(x), dtype=float)
+    g = potential_gradient(potential, x)
     s, c = math.sin(x[2]), math.cos(x[2])
     return np.array([
         -gamma * (g[0] * c + g[1] * s),
@@ -189,5 +217,5 @@ def amplitude_vector_matrix(potential: Potential, gamma: float, x) -> np.ndarray
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     x = as_state(x)
-    g = np.asarray(potential.gradient(x), dtype=float)
+    g = potential_gradient(potential, x)
     return -gamma * (frame_inverse(x) @ g)

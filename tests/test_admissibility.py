@@ -11,13 +11,12 @@ from gradflow import (
     BoxDomain,
     TABLE1_COEFFS,
     admissibility_measure,
-    make_custom,
     make_quadratic,
     make_v_alpha,
     write_sweep_csv,
 )
 from gradflow import admissibility
-from oracles import integrand_rho, rho_bruteforce, vector_fields
+from oracles import integrand_rho, potential_gradient, rho_bruteforce, vector_fields
 
 
 def random_pairs(n, seed, p_max=10.0):
@@ -107,37 +106,6 @@ class TestConfigValidation:
 
 
 class TestMeasure:
-    def test_heading_only_potential_is_admissible(self):
-        # grad V along f2 everywhere: the flow is exactly realizable
-        # the gradient broadcasts over a (n, 3) batch of states
-        pot = make_custom(lambda x: float(np.asarray(x)[2] ** 2),
-                          lambda x: np.asarray(x) * (0.0, 0.0, 2.0))
-        res = admissibility_measure(pot, cfg=AdmissibilityConfig(grid_n=20))
-        assert res.value == 0.0
-        assert res.excluded == 0
-
-    @pytest.mark.parametrize("method", ["midpoint", "monte_carlo"])
-    def test_single_state_gradient_rejected(self, method):
-        # on an (n, 3) batch this gradient returns shape (3,)
-        coeffs = np.array([2.0, 1.0, 0.5])
-        single = make_custom(lambda x: float(np.sum(coeffs * np.asarray(x) ** 2)),
-                             lambda x: 2.0 * coeffs * np.asarray(x).reshape(-1)[:3])
-        cfg = AdmissibilityConfig(method=method, grid_n=12, samples=500)
-        points = 12 * 12 if method == "midpoint" else 500
-        with pytest.raises(ValueError, match=rf"shape \({points}, 3\), got \(3,\)"):
-            admissibility_measure(single, cfg=cfg)
-
-    def test_batch_gradient_error_propagates(self):
-        def gradient(x):
-            x = np.asarray(x)
-            if x.ndim != 1:
-                raise RuntimeError("batched gradient failed")
-            return 2.0 * x
-
-        pot = make_custom(lambda x: float(np.sum(np.asarray(x) ** 2)), gradient)
-        with pytest.raises(RuntimeError, match="batched gradient failed"):
-            admissibility_measure(pot, cfg=AdmissibilityConfig(grid_n=8))
-
     def test_sum_of_squares_is_one_third(self):
         # analytic value by symmetry of the unit-coefficient integrand
         res = admissibility_measure(make_quadratic(1, 1, 1),
@@ -191,9 +159,10 @@ class TestMeasure:
         assert a.value != b.value
 
     def test_degenerate_potential_rejected(self):
-        flat = make_custom(lambda x: 1.0, lambda x: np.zeros(np.shape(x)))
+        # a floor above every |grad V| on the box excludes every point
         with pytest.raises(ValueError, match="degenerate"):
-            admissibility_measure(flat, cfg=AdmissibilityConfig(grid_n=8))
+            admissibility_measure(make_quadratic(1, 1, 1),
+                                  cfg=AdmissibilityConfig(grid_n=8, grad_floor=1e300))
 
     def test_even_grid_excludes_nothing_for_quadratics(self):
         res = admissibility_measure(make_quadratic(1, 1, 1),
@@ -234,34 +203,34 @@ def origin_cell_box(draw):
 
 
 class TestOneIntegrand:
-    """Quadratics and custom potentials share one integrand, bit for bit."""
+    """The midpoint's separable slab gradients equal grad V on the full grid, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]),
            grid_and_box=st.one_of(any_box(), origin_cell_box()))
-    def test_custom_wrapper_equals_quadratic(self, coeffs, q, grid_and_box):
+    def test_slab_gradients_equal_full_grid(self, coeffs, q, grid_and_box):
         n, box = grid_and_box
-        quad = make_quadratic(*coeffs)
-        wrapped = make_custom(quad.value, quad.gradient)
-        for cfg in (AdmissibilityConfig(q=q, grid_n=n),
-                    AdmissibilityConfig(q=q, method="monte_carlo", samples=2500, seed=n)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(admissibility, "MC_CHUNK", 1024)
-                a = admissibility_measure(quad, box, cfg)
-                b = admissibility_measure(wrapped, box, cfg)
-            assert a.value == b.value
-            assert a.excluded == b.excluded
-            assert a.stderr == b.stderr
+        pot = make_quadratic(*coeffs)
+        cfg = AdmissibilityConfig(q=q, grid_n=n)
+        xs1, xs2, xs3 = (admissibility._grid_centers(box.lo[i], box.hi[i], n) for i in range(3))
+        plane1, plane2 = np.meshgrid(xs1, xs2, indexing="ij")
+        total, excluded = 0.0, 0
+        for x3 in xs3:
+            g = potential_gradient(pot, np.stack((plane1, plane2, np.full_like(plane1, x3)), -1))
+            vals, exc = admissibility._integrand(g[..., 0], g[..., 1], g[..., 2], math.sin(x3),
+                                                 math.cos(x3), q, cfg.grad_floor)
+            total += float(vals.sum())
+            excluded += exc
+        res = admissibility_measure(pot, box, cfg)
+        assert res.value == total / n ** 3
+        assert res.excluded == excluded
 
     def test_origin_cell_is_excluded(self):
         box = BoxDomain(lo=[-0.5, -0.5, -0.5], hi=[1.5, 1.5, 1.5])  # centres 0 and 1
-        cfg = AdmissibilityConfig(q=1.5, grid_n=2)
-        for pot in (make_quadratic(1, 1, 1),
-                    make_custom(lambda x: float(np.sum(np.asarray(x) ** 2)),
-                                lambda x: 2.0 * np.asarray(x))):
-            res = admissibility_measure(pot, box, cfg)
-            assert res.excluded == 1
-            assert 0.0 < res.value < 1.0
+        res = admissibility_measure(make_quadratic(1, 1, 1), box,
+                                    AdmissibilityConfig(q=1.5, grid_n=2))
+        assert res.excluded == 1
+        assert 0.0 < res.value < 1.0
 
 
 def one_shot_points(domain, cfg):
@@ -275,17 +244,20 @@ class TestStreamedMonteCarlo:
         monkeypatch.setattr(admissibility, "MC_CHUNK", 1024)
         chunks = []
 
-        def recording(potential, pts):
-            chunks.append(pts.copy())
-            return gradient_batch(potential, pts)
+        def recording(g1, g2, g3, *args):
+            chunks.append(np.column_stack((g1, g2, g3)))
+            return integrand(g1, g2, g3, *args)
 
-        gradient_batch = admissibility._gradient_batch
-        monkeypatch.setattr(admissibility, "_gradient_batch", recording)
+        integrand = admissibility._integrand
+        monkeypatch.setattr(admissibility, "_integrand", recording)
         box = BoxDomain(lo=[-1.0, 0.5, -2.0], hi=[2.0, 1.5, 1.0])
         cfg = AdmissibilityConfig(method="monte_carlo", samples=7 * 1024 + 301, seed=11)
-        admissibility_measure(make_v_alpha(4.0), box, cfg)
+        # 2*c = (8, 0.5, 8) scales exactly, so equal gradients mean equal points
+        pot = make_v_alpha(4.0)
+        admissibility_measure(pot, box, cfg)
         assert [len(c) for c in chunks] == [1024] * 7 + [301]
-        assert np.array_equal(np.concatenate(chunks), one_shot_points(box, cfg))
+        assert np.array_equal(np.concatenate(chunks),
+                              potential_gradient(pot, one_shot_points(box, cfg)))
 
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         monkeypatch.setattr(admissibility, "MC_CHUNK", 1024)

@@ -9,9 +9,7 @@ from gradflow import (
     ControllerParams,
     SimConfig,
     VelocityBounds,
-    finite_difference_gradient,
     integrate_gradient_flow,
-    make_custom,
     make_quadratic,
     make_v_alpha,
     wrap_angle,
@@ -184,14 +182,6 @@ def sim_with(**fields):
                      x0=[-0.5, -0.5, 0.0], **fields)
 
 
-def sum_of_squares(x):
-    return float(np.sum(np.asarray(x) ** 2))
-
-
-def custom_with(gradient=lambda x: 2.0 * np.asarray(x), **options):
-    return make_custom(sum_of_squares, gradient, **options)
-
-
 class TestScalarParameters:
     """A scalar parameter takes a number only: a bool or str raises, never stands for 1 or 0."""
 
@@ -222,20 +212,6 @@ class TestScalarParameters:
                                                      t_max=True, h=0.5), id="flow-t_max-bool"),
         pytest.param(lambda: integrate_gradient_flow(make_v_alpha(1.0), [0.1, 0.0, 0.0],
                                                      t_max=1.0, h=True), id="flow-h-bool"),
-        pytest.param(lambda: custom_with(check_points=True), id="check_points-bool"),
-        pytest.param(lambda: custom_with(check_points=2.0), id="check_points-float"),
-        pytest.param(lambda: custom_with(gradient=lambda x: np.zeros(5), check_points=-3),
-                     id="check_points-negative"),
-        pytest.param(lambda: custom_with(check_points=0, seed=False), id="custom-seed-bool"),
-        pytest.param(lambda: custom_with(check_points=0, seed=-1), id="custom-seed-negative"),
-        pytest.param(lambda: custom_with(check_points=0, step=True), id="step-bool"),
-        pytest.param(lambda: custom_with(check_points=0, step=0.0), id="step-zero"),
-        pytest.param(lambda: custom_with(check_points=0, tol=True), id="tol-bool"),
-        pytest.param(lambda: custom_with(check_points=0, tol=-1), id="tol-negative"),
-        pytest.param(lambda: finite_difference_gradient(sum_of_squares, [0.1, 0.2, 0.3], step=0.0),
-                     id="fd-step-zero"),
-        pytest.param(lambda: finite_difference_gradient(sum_of_squares, [0.1, 0.2, 0.3], step="1"),
-                     id="fd-step-string"),
         pytest.param(lambda: AdmissibilityConfig(seed=-1), id="seed-negative"),
         pytest.param(lambda: AdmissibilityConfig(method="monte_carlo", samples=1),
                      id="monte-carlo-one-sample"),
@@ -248,5 +224,4 @@ class TestScalarParameters:
         assert make_quadratic(1, np.float64(2.0), np.int64(3)).coeffs.tolist() == [1.0, 2.0, 3.0]
         assert AdmissibilityConfig(grid_n=np.int64(4), seed=0).grid_n == 4
         assert sim_with(t_max=2, control_period=np.float64(0.5)).t_max == 2
-        assert custom_with(check_points=np.int64(0), seed=0, step=1e-4, tol=0).coeffs is None
 

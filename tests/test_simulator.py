@@ -21,22 +21,20 @@ from gradflow import (
     VelocityBounds,
     integrate_gradient_flow,
     load_trajectory_csv,
-    make_custom,
     make_quadratic,
     make_v_alpha,
     preset_sim_config,
     simulate,
     tracking_deviation,
 )
-from gradflow import _csv_worker, simulator
-from gradflow._kernels import hold_step
+from gradflow import _csv_worker, _kernels, simulator
 from gradflow.simulator import (
     CSV_HEADER,
     TERMINATED_GOAL,
     TERMINATED_HORIZON,
     TRAJECTORY_COLUMNS,
 )
-from oracles import amplitude_vector, control_value
+from oracles import amplitude_vector, control_value, hold_step, potential_value
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
@@ -52,11 +50,9 @@ def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
     )
 
 
-def as_custom(quadratic):
-    """Wrap a quadratic potential as a custom one, forcing the generic path."""
-    c = quadratic.coeffs.copy()
-    return make_custom(lambda x: float(np.sum(c * np.asarray(x) ** 2)),
-                       lambda x: 2.0 * c * np.asarray(x))
+def logged(data):
+    """A horizon-terminated Trajectory of `data` with zero run counts."""
+    return Trajectory(data, TERMINATED_HORIZON, None, 0, 0.0, 0.0)
 
 
 class TestSimConfigValidation:
@@ -110,14 +106,6 @@ class TestSimulate:
             else:
                 assert traj.terminated == TERMINATED_HORIZON
 
-    def test_flat_potential_state_frozen(self):
-        flat = make_custom(lambda x: 1.0, lambda x: np.zeros(3))
-        cfg = short_config(potential=flat, x0=(0.4, -0.2, 1.0), goal_tol=0.0, t_max=0.5)
-        traj = simulate(cfg)
-        assert traj.terminated == TERMINATED_HORIZON
-        assert np.array_equal(traj.states, np.tile([0.4, -0.2, 1.0], (traj.data.shape[0], 1)))
-        assert np.array_equal(traj.controls, np.zeros_like(traj.controls))
-
     def test_first_row_is_initial_state(self):
         traj = simulate(short_config(t_max=0.25, goal_tol=0.0))
         assert traj.t[0] == 0.0
@@ -130,7 +118,7 @@ class TestSimulate:
     def test_potential_column_consistent(self):
         cfg = short_config(potential=make_v_alpha(4.0), t_max=0.5, goal_tol=0.0)
         traj = simulate(cfg)
-        expected = cfg.potential.value(traj.states)
+        expected = potential_value(cfg.potential, traj.states)
         assert np.abs(traj.potential_values - expected).max() <= 1e-12
 
     def test_deterministic_bitwise(self):
@@ -157,25 +145,6 @@ class TestSimulate:
         cfg = short_config(loop_mode="continuous", t_max=0.2, goal_tol=0.0)
         traj = simulate(cfg)
         assert not np.array_equal(traj.amplitudes[0], traj.amplitudes[1])
-
-    def test_generic_path_matches_kernel_path(self):
-        quad = make_v_alpha(4.0)
-        kernel = simulate(short_config(potential=quad, loop_mode="sampling",
-                                       t_max=1.0, goal_tol=0.0))
-        generic = simulate(short_config(potential=as_custom(quad), loop_mode="sampling",
-                                        t_max=1.0, goal_tol=0.0))
-        assert np.abs(kernel.data - generic.data).max() <= 1e-12
-
-    def test_generic_path_matches_kernel_path_clamped(self):
-        quad = make_v_alpha(1.0)
-        bounds = VelocityBounds(0.22, 2.84, mode="clamp")
-        kernel = simulate(short_config(potential=quad, bounds=bounds, t_max=1.0,
-                                       goal_tol=0.0))
-        generic = simulate(short_config(potential=as_custom(quad), bounds=bounds,
-                                        t_max=1.0, goal_tol=0.0))
-        assert np.abs(kernel.data - generic.data).max() <= 1e-12
-        assert kernel.saturation_count == generic.saturation_count
-        assert kernel.saturation_count > 0
 
     def test_log_every_keeps_endpoints(self):
         cfg = short_config(t_max=0.1, goal_tol=0.0, log_every=7)
@@ -214,17 +183,16 @@ class TestSimulate:
             assert traj.terminated == terminated
             assert peak <= 1.1 * traj.data.nbytes
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_raises_with_partial_trajectory(self):
-        # negative-definite "potential": the feedback climbs it, state explodes
-        bad = make_custom(lambda x: -400.0 * float(np.sum(np.asarray(x) ** 2)),
-                          lambda x: -800.0 * np.asarray(x), check_points=4)
-        cfg = short_config(potential=bad, x0=(0.1, 0.0, 0.0), goal_tol=0.0,
-                           t_max=600.0, cp=0.05)
-        with pytest.raises(IntegrationError) as info:
+        # a stiff heading term: a2 = -gamma*2*c3*x3 = -100*x3 held for 0.05 s
+        # multiplies x3 by about -4 per hold, until the state overflows
+        cfg = SimConfig(potential=make_quadratic(1.0, 1.0, 1e3),
+                        controller=ControllerParams(epsilon=0.05), x0=(0.1, 0.0, 0.3),
+                        goal_tol=0.0, t_max=600.0, control_period=0.05)
+        with pytest.raises(IntegrationError, match=r"t=12\.7") as info:
             simulate(cfg)
         traj = info.value.trajectory
-        assert traj.data.shape[0] >= 1
+        assert traj.data.shape[0] == 255
         assert np.all(np.isfinite(traj.data[-1]))
 
 
@@ -297,6 +265,27 @@ class TestExactHold:
         assert (ahead[2] - behind[2]) / (2 * d) == pytest.approx(u2, abs=1e-8)
 
 
+class TestOneLoopStep:
+    """One update of the closed loop is the oracle's hold and V, bit for bit."""
+
+    @pytest.mark.parametrize("do_clamp", [False, True], ids=["continuous", "clamped"])
+    def test_second_row_is_oracle_hold(self, do_clamp):
+        c1, c2, c3 = 1.5, 0.7, 2.2
+        ctrl = ControllerParams()
+        T = 0.01
+        out = _kernels.closed_loop(c1, c2, c3, (-0.5, 0.4, 0.3), ctrl.gamma, ctrl.k1, ctrl.k2,
+                                   ctrl.omega, T, 1, 1, False, do_clamp, 0.22, 2.84,
+                                   (0.0, 0.0, 0.0), 0.0, 1)
+        rows = np.frombuffer(out[0]).reshape(-1, len(TRAJECTORY_COLUMNS)).tolist()
+        assert out[1] == _kernels.STATUS_HORIZON
+        assert len(rows) == 2
+        first, second = rows
+        assert first[10] == (1.0 if do_clamp else 0.0)
+        x1, x2, x3 = second[1:4]
+        assert (x1, x2, x3) == hold_step(*first[1:4], *first[4:6], T)
+        assert second[9] == c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+
+
 class TestRK4Order:
     def test_gradient_flow_order(self):
         def run(h):
@@ -337,18 +326,11 @@ class TestGradientFlow:
         assert np.array_equal(traj.controls, np.zeros_like(traj.controls))
         assert np.array_equal(traj.amplitudes, np.zeros_like(traj.amplitudes))
 
-    def test_generic_matches_kernel(self):
-        quad = make_quadratic(1.2, 0.8, 2.0)
-        a = integrate_gradient_flow(quad, [0.5, -0.5, 1.0], t_max=0.5, h=1e-3)
-        b = integrate_gradient_flow(as_custom(quad), [0.5, -0.5, 1.0], t_max=0.5, h=1e-3)
-        assert np.abs(a.data - b.data).max() <= 1e-12
-
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_raises(self):
-        bad = make_custom(lambda x: -400.0 * float(np.sum(np.asarray(x) ** 2)),
-                          lambda x: -800.0 * np.asarray(x), check_points=4)
-        with pytest.raises(IntegrationError):
-            integrate_gradient_flow(bad, [0.1, 0.0, 0.0], t_max=5.0, h=1e-2)
+        # h * 2 * 200 = 4 lies outside RK4's stability interval [-2.78, 0]
+        with pytest.raises(IntegrationError, match=r"t=2\.2"):
+            integrate_gradient_flow(make_quadratic(200.0, 200.0, 200.0), [0.1, 0.0, 0.0],
+                                    t_max=5.0, h=1e-2)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -371,7 +353,7 @@ class TestTrackingDeviation:
         rows = np.zeros((n, 11))
         rows[:, 0] = np.linspace(0.0, 1.0, n)
         rows[:, 1:4] = state
-        return Trajectory(rows, TERMINATED_HORIZON)
+        return logged(rows)
 
     def test_self_is_zero(self):
         traj = integrate_gradient_flow(make_v_alpha(1.0), [1.0, 2.0, 3.0],
@@ -387,7 +369,7 @@ class TestTrackingDeviation:
         a = self.constant_trajectory([0.0, 0.0, 0.0])
         rows = a.data.copy()
         rows[:, 0] += 2.0
-        b = Trajectory(rows, TERMINATED_HORIZON)
+        b = logged(rows)
         with pytest.raises(ValueError, match="t = 0"):
             tracking_deviation(a, b)
 
@@ -421,7 +403,7 @@ def assert_csv_matches_savetxt(data, directory) -> int:
     """
     ours, ref = directory / "ours.csv", directory / "ref.csv"
     savetxt_reference(data, ref)
-    n_procs = Trajectory(data, TERMINATED_HORIZON).save_csv(ours)
+    n_procs = logged(data).save_csv(ours)
     assert ours.read_bytes() == ref.read_bytes()
     assert sorted(p.name for p in directory.iterdir()) == ["ours.csv", "ref.csv"]
     return n_procs
@@ -542,7 +524,7 @@ class TestCsv(CsvBytesEqual):
         path = tmp_path / "run.csv"
         path.write_text("x" * 100_000)
         data = np.zeros((2, len(TRAJECTORY_COLUMNS)))
-        Trajectory(data, TERMINATED_HORIZON).save_csv(path)
+        logged(data).save_csv(path)
         assert path.read_text() == CSV_HEADER + "\n" + "0,0,0,0,0,0,0,0,0,0,0\n" * 2
         umask = os.umask(0)
         os.umask(umask)
@@ -634,14 +616,14 @@ class TestCsvWorkerProcess:
                             [sys.executable, "-I", "-S", "-c", "import sys; sys.exit(3)"])
         data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
         with pytest.raises(OSError, match="status 3"):
-            Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
+            logged(data).save_csv(tmp_path / "out.csv")
         assert list(tmp_path.iterdir()) == []  # neither a partial CSV nor a temporary file
         self.assert_reaped(one_worker)
         one_worker.clear()
         old = tmp_path / "out.csv"
         old.write_bytes(b"an earlier run\n")
         with pytest.raises(OSError, match="status 3"):
-            Trajectory(data, TERMINATED_HORIZON).save_csv(old)
+            logged(data).save_csv(old)
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert old.read_bytes() == b"an earlier run\n"
         self.assert_reaped(one_worker)
@@ -667,7 +649,7 @@ class TestCsvWorkerProcess:
         monkeypatch.setattr(_csv_worker, "write_rows", full_disk)
         data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
         with pytest.raises(OSError, match="no space"):
-            Trajectory(data, TERMINATED_HORIZON).save_csv(tmp_path / "out.csv")
+            logged(data).save_csv(tmp_path / "out.csv")
         assert list(tmp_path.iterdir()) == []
         self.assert_reaped(one_worker)
         assert one_worker[0].returncode == -signal.SIGKILL
@@ -676,7 +658,7 @@ class TestCsvWorkerProcess:
 class TestTrajectory:
     def test_freezes_a_view_not_the_callers_array(self):
         a = np.zeros((3, len(TRAJECTORY_COLUMNS)))
-        traj = Trajectory(a, TERMINATED_HORIZON)
+        traj = logged(a)
         a[0, 0] = 1.0
         assert traj.data[0, 0] == 1.0  # a view of the caller's rows, not a copy
         with pytest.raises(ValueError, match="read-only"):
