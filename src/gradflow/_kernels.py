@@ -1,18 +1,20 @@
-"""The closed-loop and gradient-flow loops, one each.
+"""The closed-loop simulation, the package's one integration loop.
 
-Both loops are written once as plain scalar Python. The potential is the
-diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2, passed as its three
-coefficients, and each loop evaluates V and grad V = (2*c1*x1, 2*c2*x2,
-2*c3*x3) inline. Each loop appends the rows it logs, one
+It is written once as plain scalar Python. The potential is the diagonal
+quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2, passed as its three
+coefficients, and the loop evaluates V and grad V = (2*c1*x1, 2*c2*x2,
+2*c3*x3) inline. It appends the rows it logs, one
 simulator.TRAJECTORY_COLUMNS row at a time, to an array('d') of its own and
 returns it, so a run's memory follows the rows it logs and not its horizon.
-The admissibility quadrature is numpy and lives in `gradflow.admissibility`.
+The gradient flow of such a V has a closed form, which
+`simulator.integrate_gradient_flow` evaluates in numpy; the admissibility
+quadrature is numpy too and lives in `gradflow.admissibility`.
 """
 
 from array import array
 from math import cos, isfinite, nan, sin, sqrt
 
-# status codes returned by the loop kernels
+# status codes returned by closed_loop
 STATUS_HORIZON = 0
 STATUS_GOAL = 1
 STATUS_NONFINITE = 2
@@ -24,7 +26,7 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# closed-loop and gradient-flow integration
+# closed-loop integration
 # ---------------------------------------------------------------------------
 
 def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
@@ -136,46 +138,3 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             status = STATUS_NONFINITE
             break
     return rows, status, conv_time, n_sat, max_u1, max_u2
-
-
-def gradient_flow(c1, c2, c3, x0, h, n_steps, log_every):
-    """RK4 on xdot = -grad V; control/amplitude columns stay zero.
-
-    Returns (rows, status), rows being a flat array('d') of the logged rows.
-    """
-    x1 = x0[0]
-    x2 = x0[1]
-    x3 = x0[2]
-    # -grad V = (n1*x1, n2*x2, n3*x3)
-    n1 = -2.0 * c1
-    n2 = -2.0 * c2
-    n3 = -2.0 * c3
-    rows = array("d")
-    log_row = rows.fromlist
-    status = STATUS_HORIZON
-    for k in range(n_steps + 1):
-        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
-        if not (isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(v_val)):
-            status = STATUS_NONFINITE
-            break
-        if (k % log_every == 0) or (k == n_steps):
-            log_row([k * h, x1, x2, x3, 0.0, 0.0, 0.0, 0.0, 0.0, v_val, 0.0])
-        if k == n_steps:
-            break
-        # RK4 stages p, q, r, s of xdot = -grad V
-        p1 = n1 * x1
-        p2 = n2 * x2
-        p3 = n3 * x3
-        q1 = n1 * (x1 + 0.5 * h * p1)
-        q2 = n2 * (x2 + 0.5 * h * p2)
-        q3 = n3 * (x3 + 0.5 * h * p3)
-        r1 = n1 * (x1 + 0.5 * h * q1)
-        r2 = n2 * (x2 + 0.5 * h * q2)
-        r3 = n3 * (x3 + 0.5 * h * q3)
-        s1 = n1 * (x1 + h * r1)
-        s2 = n2 * (x2 + h * r2)
-        s3 = n3 * (x3 + h * r3)
-        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 + s1) / 6.0
-        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 + s2) / 6.0
-        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 + s3) / 6.0
-    return rows, status

@@ -43,9 +43,12 @@ TABLE1_COEFFS = (
 SWEEP_CSV_HEADER = "c1,c2,c3,q,method,points,J,stderr,excluded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Axis-aligned box lo <= x <= hi with positive volume."""
+    """Axis-aligned box lo <= x <= hi with positive volume.
+
+    Equality and hashing are by identity: the fields are arrays.
+    """
 
     lo: np.ndarray
     hi: np.ndarray

@@ -201,6 +201,8 @@ def cmd_refine(args) -> int:
         )
         deviations.append(tracking_deviation(simulate(cfg), reference))
     non_increasing = all(b <= a for a, b in zip(deviations, deviations[1:]))
+    # a zero deviation (a run that stays at the equilibrium) has no log to fit
+    fit = len(deviations) > 1 and all(d > 0 for d in deviations)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write("epsilon,deviation\n")
@@ -210,7 +212,7 @@ def cmd_refine(args) -> int:
         "eps": args.eps,
         "deviations": deviations,
         "non_increasing": non_increasing,
-        "slope": convergence_order(args.eps, deviations) if len(deviations) > 1 else None,
+        "slope": convergence_order(args.eps, deviations) if fit else None,
         "window": args.window,
         "loop_mode": args.mode,
         "csv": args.out,
@@ -330,12 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--out", help="CSV path for (epsilon, deviation) rows")
     ref.set_defaults(func=cmd_refine)
 
-    gf = subs.add_parser("gradient-flow", help="integrate xdot = -grad V and export CSV")
+    gf = subs.add_parser("gradient-flow", help="export the exact flow xdot = -grad V, "
+                                               "x_i(t) = x0_i*exp(-2*c_i*t), as CSV")
     _add_potential_flags(gf)
     gf.add_argument("--x0", type=float, nargs=3, default=SIM_DEFAULTS["x0"],
                     metavar=("X1", "X2", "X3"))
     gf.add_argument("--t-max", type=float, dest="t_max", default=10.0)
-    gf.add_argument("--h", type=float, default=1e-3)
+    gf.add_argument("--h", type=float, default=1e-3, help="spacing of the logged time grid")
     gf.add_argument("--log-every", type=int, dest="log_every", default=1)
     gf.add_argument("--out", default="gradient_flow.csv", help="output CSV path")
     gf.set_defaults(func=cmd_gradient_flow)

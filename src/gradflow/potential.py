@@ -19,9 +19,12 @@ import numpy as np
 from gradflow.kinematics import check_scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
-    """Diagonal quadratic form; coeffs is the read-only float array (c1, c2, c3)."""
+    """Diagonal quadratic form; coeffs is the read-only float array (c1, c2, c3).
+
+    Equality and hashing are by identity: compare `coeffs` for equal forms.
+    """
 
     coeffs: np.ndarray
 

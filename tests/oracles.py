@@ -8,6 +8,8 @@ the amplitude vector and the exact flow of one hold. The package computes
 the same quantities only inside `_kernels.closed_loop` and
 `admissibility._integrand`; `integrand_rho` reads the latter in the units
 of the residual, so a test can hold it against `rho_bruteforce`.
+`rk4_gradient_flow` integrates the reference flow that
+`simulator.integrate_gradient_flow` evaluates in closed form.
 """
 
 import math
@@ -137,6 +139,42 @@ def hold_step(x1, x2, x3, u1, u2, T):
     return (x1 + chord * math.cos(x3 + half),
             x2 + chord * math.sin(x3 + half),
             x3 + u2 * T)
+
+
+def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float,
+                      log_every: int = 1) -> np.ndarray:
+    """Classical RK4 with step h on xdot = -grad V, one state at a time.
+
+    Returns the rows (t, x1, x2, x3) at t = k*h for every step k that is a
+    multiple of log_every and for the last step n_steps, the grid
+    integrate_gradient_flow logs.
+    """
+    x1, x2, x3 = (float(v) for v in as_state(x0))
+    # -grad V = (n1*x1, n2*x2, n3*x3)
+    n1, n2, n3 = (-2.0 * float(c) for c in potential.coeffs)
+    rows = []
+    for k in range(n_steps + 1):
+        if (k % log_every == 0) or (k == n_steps):
+            rows.append((k * h, x1, x2, x3))
+        if k == n_steps:
+            break
+        # RK4 stages p, q, r, s
+        p1 = n1 * x1
+        p2 = n2 * x2
+        p3 = n3 * x3
+        q1 = n1 * (x1 + 0.5 * h * p1)
+        q2 = n2 * (x2 + 0.5 * h * p2)
+        q3 = n3 * (x3 + 0.5 * h * p3)
+        r1 = n1 * (x1 + 0.5 * h * q1)
+        r2 = n2 * (x2 + 0.5 * h * q2)
+        r3 = n3 * (x3 + 0.5 * h * q3)
+        s1 = n1 * (x1 + h * r1)
+        s2 = n2 * (x2 + h * r2)
+        s3 = n3 * (x3 + h * r3)
+        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 + s1) / 6.0
+        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 + s2) / 6.0
+        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 + s3) / 6.0
+    return np.array(rows)
 
 
 def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:

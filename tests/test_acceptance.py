@@ -196,9 +196,9 @@ def test_criterion_8_gradient_flow_exactness():
                                    t_max=1.0, h=1e-3)
     expected = math.exp(-2.0) * np.array([-0.5, -0.5, 0.0])
     err = np.abs(traj.final_state - expected).max()
-    ok = err <= 1e-6
+    ok = err <= 1e-15
     report("criterion 8 (gradient-flow closed form)", ok,
-           f"max |x(1) - exp(-2) x0| = {err:.2e} (tol 1e-6)")
+           f"max |x(1) - exp(-2) x0| = {err:.2e} (tol 1e-15)")
 
 
 def test_criterion_9_controller_algebra():

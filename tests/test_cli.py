@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gradflow
 from gradflow import cli, preset_sim_config, simulate, simulator
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
@@ -295,6 +298,15 @@ class TestRefineCommand:
         assert len(summary["deviations"]) == 1
         assert summary["slope"] is None
 
+    def test_equilibrium_has_zero_deviation_and_no_slope(self, capsys):
+        # both runs stay at the origin, so there is no log-log slope to fit
+        code, summary = run(capsys, "refine", "--v-alpha", "1", "--eps", "0.5,0.1",
+                            "--x0", "0", "0", "0")
+        assert code == 0
+        assert summary["deviations"] == [0.0, 0.0]
+        assert summary["non_increasing"] is True
+        assert summary["slope"] is None
+
     def test_empty_eps_exit_2(self, capsys):
         code = main(["refine", "--v-alpha", "1", "--eps", ""])
         capsys.readouterr()
@@ -313,21 +325,43 @@ class TestGradientFlowCommand:
                             "--x0", "-0.5", "-0.5", "0", "--t-max", "1",
                             "--h", "0.001", "--out", str(out))
         assert code == 0
-        assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-6)
+        assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-15)
         data = load_trajectory_csv(out)
         assert np.all(data[:, 4:9] == 0.0)
         assert summary["csv_processes"] == 1
 
-    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
-        def no_memory(*args, **kwargs):
-            raise MemoryError("cannot allocate the rows")
+    # 2**47 rows need more than the 128 TiB user address space of x86_64 for the
+    # first array, so the allocation fails at once whatever the overcommit policy
+    @pytest.mark.parametrize("argv", [
+        pytest.param(None, id="monkeypatched"),
+        pytest.param(["gradient-flow", "--v-alpha", "1", "--t-max", "137438953472",
+                      "--h", "0.0009765625"], id="gradient-flow-2e47-rows"),
+        pytest.param(["refine", "--v-alpha", "1", "--eps", "0.5,0.1",
+                      "--window", "137438953472"], id="refine-2e47-rows"),
+    ])
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch, tmp_path, argv):
+        if argv is None:
+            def no_memory(*args, **kwargs):
+                raise MemoryError("cannot allocate the rows")
 
-        monkeypatch.setattr(cli, "integrate_gradient_flow", no_memory)
-        code = main(["gradient-flow", "--v-alpha", "1", "--t-max", "1e9"])
-        captured = capsys.readouterr()
+            monkeypatch.setattr(cli, "integrate_gradient_flow", no_memory)
+            code = main(["gradient-flow", "--v-alpha", "1", "--t-max", "1e9"])
+            out, err = capsys.readouterr()
+            assert "gradflow: out of memory: cannot allocate the rows" in err
+        else:
+            # in a child with a timeout: a run that never fails to allocate ends
+            # this test, not the CI job
+            package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from gradflow.cli import main; "
+                                       "sys.exit(main(sys.argv[1:]))", *argv],
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
+                capture_output=True, text=True, timeout=30,
+            )
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+            assert "gradflow: out of memory:" in err
         assert code == 3
-        assert captured.out == ""
-        assert "gradflow: out of memory: cannot allocate the rows" in captured.err
+        assert out == ""
 
 
 class TestPlotCommand:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradflow import (
+    BoxDomain,
     ControllerParams,
     IntegrationError,
     SimConfig,
@@ -34,7 +36,13 @@ from gradflow.simulator import (
     TERMINATED_HORIZON,
     TRAJECTORY_COLUMNS,
 )
-from oracles import amplitude_vector, control_value, hold_step, potential_value
+from oracles import (
+    amplitude_vector,
+    control_value,
+    hold_step,
+    potential_value,
+    rk4_gradient_flow,
+)
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
@@ -289,8 +297,8 @@ class TestOneLoopStep:
 class TestRK4Order:
     def test_gradient_flow_order(self):
         def run(h):
-            return integrate_gradient_flow(make_quadratic(1.0, 2.0, 0.5),
-                                           [1.0, -1.0, 0.5], t_max=1.0, h=h).final_state
+            return rk4_gradient_flow(make_quadratic(1.0, 2.0, 0.5), [1.0, -1.0, 0.5],
+                                     round(1.0 / h), h)[-1, 1:]
 
         ref = run(1.0 / 1024)
         err_h = np.linalg.norm(run(0.25) - ref)
@@ -302,11 +310,30 @@ class TestGradientFlow:
     def test_closed_form_sum_of_squares(self):
         traj = integrate_gradient_flow(make_v_alpha(1.0), [-0.5, -0.5, 0.0],
                                        t_max=1.0, h=1e-3)
-        assert traj.final_state[0] == pytest.approx(-0.06766764161830635, abs=1e-6)
-        assert traj.final_state[1] == pytest.approx(-0.06766764161830635, abs=1e-6)
+        assert traj.final_state[0] == pytest.approx(-0.06766764161830635, abs=1e-15)
+        assert traj.final_state[1] == pytest.approx(-0.06766764161830635, abs=1e-15)
         assert traj.final_state[2] == 0.0
         assert traj.terminated == TERMINATED_HORIZON
         assert traj.convergence_time is None
+
+    # 2*c*h at most 0.02 keeps RK4's own error on these states below 1e-9
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
+           st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           st.floats(1e-4, 0.02), st.integers(1, 400), st.integers(1, 50))
+    def test_matches_rk4_oracle(self, coeffs, x0, step, n_steps, log_every):
+        h = step / (2.0 * max(coeffs))
+        potential = make_quadratic(*coeffs)
+        traj = integrate_gradient_flow(potential, x0, t_max=n_steps * h, h=h,
+                                       log_every=log_every)
+        ref = rk4_gradient_flow(potential, x0, n_steps, h, log_every)
+        assert np.array_equal(traj.t, ref[:, 0])
+        assert np.abs(traj.states - ref[:, 1:]).max() <= 1e-9
+        x = traj.states
+        assert np.array_equal(traj.potential_values, coeffs[0] * x[:, 0] * x[:, 0]
+                              + coeffs[1] * x[:, 1] * x[:, 1] + coeffs[2] * x[:, 2] * x[:, 2])
+        assert np.array_equal(traj.data[:, 4:9], np.zeros((len(ref), 5)))
+        assert np.array_equal(traj.saturated, np.zeros(len(ref)))
 
     def test_equilibrium(self):
         traj = integrate_gradient_flow(make_v_alpha(2.0), [0.0, 0.0, 0.0],
@@ -326,11 +353,27 @@ class TestGradientFlow:
         assert np.array_equal(traj.controls, np.zeros_like(traj.controls))
         assert np.array_equal(traj.amplitudes, np.zeros_like(traj.amplitudes))
 
-    def test_blowup_raises(self):
-        # h * 2 * 200 = 4 lies outside RK4's stability interval [-2.78, 0]
-        with pytest.raises(IntegrationError, match=r"t=2\.2"):
-            integrate_gradient_flow(make_quadratic(200.0, 200.0, 200.0), [0.1, 0.0, 0.0],
-                                    t_max=5.0, h=1e-2)
+    def test_stiff_flow_reaches_horizon(self):
+        # 2 * 200 * h = 4 lies outside RK4's stability interval [-2.78, 0]; the
+        # closed form has no step to be unstable in
+        traj = integrate_gradient_flow(make_quadratic(200.0, 200.0, 200.0), [0.1, 0.0, 0.0],
+                                       t_max=5.0, h=1e-2)
+        assert traj.terminated == TERMINATED_HORIZON
+        assert traj.t[-1] == 5.0
+        assert np.array_equal(traj.final_state, np.zeros(3))
+
+    def test_overflowing_initial_potential_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite values at the initial state"):
+                integrate_gradient_flow(make_v_alpha(1.0), [1e200, 0.0, 0.0], t_max=1.0, h=0.1)
+
+    def test_decay_past_the_float_range(self):
+        # c*t overflows to inf at t = 1e9, where the state has long been 0
+        traj = integrate_gradient_flow(make_quadratic(1e300, 1.0, 1.0), [1.0, 1.0, 0.0],
+                                       t_max=2e9, h=1e9)
+        assert traj.t.tolist() == [0.0, 1e9, 2e9]
+        assert np.array_equal(traj.states[1:, 0], [0.0, 0.0])
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -653,6 +696,23 @@ class TestCsvWorkerProcess:
         assert list(tmp_path.iterdir()) == []
         self.assert_reaped(one_worker)
         assert one_worker[0].returncode == -signal.SIGKILL
+
+
+class TestValueTypes:
+    """Types with array fields compare and hash by identity, and never raise."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: make_quadratic(1.0, 2.0, 3.0), id="Potential"),
+        pytest.param(lambda: preset_sim_config("P1"), id="SimConfig"),
+        pytest.param(lambda: logged(np.zeros((2, len(TRAJECTORY_COLUMNS)))), id="Trajectory"),
+        pytest.param(lambda: BoxDomain.cube(1.0), id="BoxDomain"),
+    ])
+    def test_eq_and_hash_do_not_raise(self, build):
+        a, b = build(), build()
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 class TestTrajectory:
