@@ -18,7 +18,7 @@ from gradflow.admissibility import (
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import VelocityBounds, wrap_angle
 from gradflow.potential import Potential, make_quadratic, make_v_alpha
-from gradflow.presets import PRESETS, preset_sim_config, sim_config
+from gradflow.presets import PRESETS, sim_config
 from gradflow.simulator import (
     IntegrationError,
     SimConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "load_trajectory_csv",
     "make_quadratic",
     "make_v_alpha",
-    "preset_sim_config",
     "sim_config",
     "simulate",
     "table1",

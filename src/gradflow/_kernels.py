@@ -12,7 +12,7 @@ quadrature is numpy too and lives in `gradflow.admissibility`.
 """
 
 from array import array
-from math import cos, isfinite, nan, sin, sqrt
+from math import copysign, cos, isfinite, nan, sin, sqrt
 
 # status codes returned by closed_loop
 STATUS_HORIZON = 0
@@ -30,8 +30,7 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
-                n_updates, upd_per_eps, sampling, do_clamp, u1_max, u2_max,
-                goal, goal_tol, log_every):
+                n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
     """Closed-loop run, logging rows of (t, x, u, a, V, saturated).
 
     Returns (rows, status, convergence_time, saturated_updates, max_abs_u1,
@@ -40,17 +39,16 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     logged or not. The control is held constant over each control period
     and the state follows the exact flow of the hold: x3 turns at the
     constant rate u2, so the planar motion is a circular arc whose chord is
-    u1*T*sinc(u2*T/2) along the mid-hold heading. Amplitudes refresh every
-    update in continuous mode and only at multiples of upd_per_eps in
-    sampling mode. Goal detection runs at update instants on the
-    full-state distance.
+    u1*T*sinc(u2*T/2) along the mid-hold heading. The amplitudes refresh
+    at every multiple of refresh_every updates: 1 in continuous mode, the
+    updates per epsilon in sampling mode. Each control component is clamped
+    to [-u_max, u_max]; an infinite u_max (the ideal bounds) never clamps.
+    The goal is the origin, the minimiser of V: the run stops at the first
+    update whose full-state distance to it is at most goal_tol.
     """
     x1 = x0[0]
     x2 = x0[1]
     x3 = x0[2]
-    goal1 = goal[0]
-    goal2 = goal[1]
-    goal3 = goal[2]
     # grad V = (d1*x1, d2*x2, d3*x3)
     d1 = 2.0 * c1
     d2 = 2.0 * c2
@@ -68,7 +66,7 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     for k in range(n_updates + 1):
         t = k * control_period
         v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
-        if (not sampling) or (k % upd_per_eps == 0):
+        if k % refresh_every == 0:
             gx1 = d1 * x1
             gx2 = d2 * x2
             s = sin(x3)
@@ -85,19 +83,16 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
         u1 = a1 + k1 * osc * sign * cos(omega * t)
         u2 = a2 + k2 * osc * sin(omega * t)
         sat = 0.0
-        if do_clamp:
-            if u1 > u1_max:
-                u1 = u1_max
-                sat = 1.0
-            elif u1 < -u1_max:
-                u1 = -u1_max
-                sat = 1.0
-            if u2 > u2_max:
-                u2 = u2_max
-                sat = 1.0
-            elif u2 < -u2_max:
-                u2 = -u2_max
-                sat = 1.0
+        abs_u1 = abs(u1)
+        if abs_u1 > u1_max:
+            u1 = copysign(u1_max, u1)
+            abs_u1 = u1_max
+            sat = 1.0
+        abs_u2 = abs(u2)
+        if abs_u2 > u2_max:
+            u2 = copysign(u2_max, u2)
+            abs_u2 = u2_max
+            sat = 1.0
         # a finite state can still overflow in u/a/V; never log such a row
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)
                 and isfinite(u1) and isfinite(u2)
@@ -106,16 +101,11 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             break
         if sat != 0.0:
             n_sat += 1
-        abs_u1 = abs(u1)
         if abs_u1 > max_u1:
             max_u1 = abs_u1
-        abs_u2 = abs(u2)
         if abs_u2 > max_u2:
             max_u2 = abs_u2
-        e1 = x1 - goal1
-        e2 = x2 - goal2
-        e3 = x3 - goal3
-        at_goal = sqrt(e1 * e1 + e2 * e2 + e3 * e3) <= goal_tol
+        at_goal = sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= goal_tol
         if (k % log_every == 0) or at_goal or (k == n_updates):
             log_row([t, x1, x2, x3, u1, u2, a1, a2, a12, v_val, sat])
         if at_goal:

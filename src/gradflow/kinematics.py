@@ -48,23 +48,21 @@ def check_scalar(value, what: str, integer: bool = False) -> None:
 
 @dataclass(frozen=True)
 class VelocityBounds:
-    """Admissible control set.
+    """Admissible control set [-u1_max, u1_max] x [-u2_max, u2_max].
 
-    mode "ideal" means U = R^2 (no clamping; the max fields are unused).
-    mode "clamp" saturates each control component to [-max, +max].
+    The closed loop saturates each control component to its interval. The
+    defaults are infinite: the ideal bounds U = R^2, which never clamp.
     """
 
     u1_max: float = math.inf
     u2_max: float = math.inf
-    mode: str = "ideal"
 
     def __post_init__(self):
-        if self.mode not in ("ideal", "clamp"):
-            raise ValueError(f"bounds mode must be 'ideal' or 'clamp', got {self.mode!r}")
         check_scalar(self.u1_max, "u1_max")
         check_scalar(self.u2_max, "u2_max")
-        if self.mode == "clamp" and not (self.u1_max > 0 and self.u2_max > 0):
-            raise ValueError("clamp mode requires u1_max > 0 and u2_max > 0")
+        if not (self.u1_max > 0 and self.u2_max > 0):
+            raise ValueError(f"velocity bounds must be positive, got "
+                             f"u1_max={self.u1_max!r}, u2_max={self.u2_max!r}")
 
 
 def wrap_angle(theta: float) -> float:

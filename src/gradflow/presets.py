@@ -4,8 +4,9 @@ A run is described by flat settings with the keys and JSON types of
 SIM_DEFAULTS; `sim_config` checks them, layers them over the defaults and
 builds the SimConfig. A preset is the few settings in which it differs from
 the defaults: all four share epsilon = 1 s, gamma = 0.05, start
-(-0.5, -0.5, 0), goal at the origin and the TurtleBot3 limits (0.22 m/s,
-2.84 rad/s), and differ in the anisotropy alpha and the split of k1*k2 = 4.
+(-0.5, -0.5, 0) and the TurtleBot3 limits (0.22 m/s, 2.84 rad/s), and
+differ in the anisotropy alpha and the split of k1*k2 = 4. Every run steers
+to the origin, the minimiser of its potential, so no setting names a goal.
 """
 
 import math
@@ -27,7 +28,6 @@ SIM_DEFAULTS = {
     "bounds_mode": "clamp",
     "loop_mode": ControllerParams.loop_mode,
     "x0": [-0.5, -0.5, 0.0],
-    "goal": [0.0, 0.0, 0.0],
     "goal_tol": SimConfig.goal_tol,
     "t_max": SimConfig.t_max,
     "control_period": SimConfig.control_period,
@@ -81,8 +81,13 @@ def _potential_from_spec(spec):
 def sim_config(settings: dict) -> SimConfig:
     """Build the SimConfig of `settings` layered over SIM_DEFAULTS."""
     s = {**SIM_DEFAULTS, **check_settings(settings)}
-    bounds = (VelocityBounds() if s["bounds_mode"] == "ideal" else
-              VelocityBounds(float(s["u1_max"]), float(s["u2_max"]), mode=s["bounds_mode"]))
+    # "ideal" is the default, infinite bounds; u1_max and u2_max apply to "clamp" only
+    if s["bounds_mode"] == "ideal":
+        bounds = VelocityBounds()
+    elif s["bounds_mode"] == "clamp":
+        bounds = VelocityBounds(float(s["u1_max"]), float(s["u2_max"]))
+    else:
+        raise ValueError(f"bounds_mode must be 'ideal' or 'clamp', got {s['bounds_mode']!r}")
     controller = ControllerParams(
         epsilon=float(s["epsilon"]), gamma=float(s["gamma"]),
         k1=float(s["k1"]), k2=float(s["k2"]),
@@ -90,16 +95,8 @@ def sim_config(settings: dict) -> SimConfig:
     )
     return SimConfig(
         potential=_potential_from_spec(s["potential"]),
-        controller=controller, x0=s["x0"], goal=s["goal"],
+        controller=controller, x0=s["x0"],
         goal_tol=float(s["goal_tol"]), t_max=float(s["t_max"]),
         control_period=float(s["control_period"]), log_every=s["log_every"],
     )
 
-
-def preset_sim_config(name: str, **settings) -> SimConfig:
-    """The SimConfig of a named preset, with `settings` layered on top of it."""
-    try:
-        preset = PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
-    return sim_config({**preset, **settings})

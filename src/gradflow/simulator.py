@@ -12,8 +12,9 @@ solution semantics are supported, selected by the controller's loop mode:
 * "continuous": the amplitude vector is recomputed at every control update.
 
 Time in the oscillatory terms is absolute simulation time throughout; the
-phase is never reset. Goal detection runs at control-update instants on
-the full-state Euclidean distance.
+phase is never reset. The goal is the origin, the minimiser of every
+potential: goal detection runs at control-update instants on the
+full-state Euclidean distance to it.
 
 The reference dynamics xdot = -grad V of a diagonal quadratic V decouple
 into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
@@ -65,13 +66,14 @@ class Trajectory:
     value, and whether the control was saturated. Rows are strictly
     increasing in t, and the first row is the initial state at t = 0.
 
+    convergence_time is the time of the update that reached the goal, or
+    None when the run used its whole horizon; `terminated` names which.
     saturation_count, max_abs_u1 and max_abs_u2 cover every control update
     of the run, logged or not. Equality and hashing are by identity: data is
     an array.
     """
 
     data: np.ndarray
-    terminated: str
     convergence_time: float | None
     saturation_count: int
     max_abs_u1: float
@@ -85,6 +87,10 @@ class Trajectory:
         # freeze a private view: the caller's array stays writable
         object.__setattr__(self, "data", self.data.view())
         self.data.flags.writeable = False
+
+    @property
+    def terminated(self) -> str:
+        return TERMINATED_HORIZON if self.convergence_time is None else TERMINATED_GOAL
 
     @property
     def t(self) -> np.ndarray:
@@ -238,17 +244,17 @@ def _check_log_every(log_every) -> None:
 class SimConfig:
     """Full description of one closed-loop run.
 
-    goal_tol is a full-state Euclidean radius; the run stops at the first
-    control update inside it. control_period must divide both the
-    controller's epsilon and t_max. log_every decimates logging to every
-    Nth control update (the initial and final instants are always kept).
-    Equality and hashing are by identity: x0 and goal are arrays.
+    goal_tol is a full-state Euclidean radius around the origin; the run
+    stops at the first control update inside it. control_period must
+    divide both the controller's epsilon and t_max. log_every decimates
+    logging to every Nth control update (the initial and final instants
+    are always kept).
+    Equality and hashing are by identity: x0 is an array.
     """
 
     potential: Potential
     controller: ControllerParams
     x0: np.ndarray
-    goal: np.ndarray | None = None
     goal_tol: float = 0.05
     t_max: float = 600.0
     control_period: float = 5e-4
@@ -256,10 +262,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_state(self.x0))
-        goal = np.zeros(3) if self.goal is None else as_state(self.goal)
-        object.__setattr__(self, "goal", goal)
         self.x0.flags.writeable = False
-        self.goal.flags.writeable = False
         for name in ("goal_tol", "t_max", "control_period"):
             check_scalar(getattr(self, name), name)
         if not self.goal_tol >= 0:
@@ -295,20 +298,20 @@ def simulate(cfg: SimConfig) -> Trajectory:
     """
     ctrl = cfg.controller
     n_updates = _multiple_of(cfg.t_max, cfg.control_period)
-    upd_per_eps = _multiple_of(ctrl.epsilon, cfg.control_period)
+    refresh_every = (_multiple_of(ctrl.epsilon, cfg.control_period)
+                     if ctrl.loop_mode == "sampling" else 1)
     rows, status, conv_time, *counts = _kernels.closed_loop(
         *_floats(cfg.potential.coeffs), _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2,
-        ctrl.omega, cfg.control_period, n_updates, upd_per_eps, ctrl.loop_mode == "sampling",
-        ctrl.bounds.mode == "clamp", ctrl.bounds.u1_max, ctrl.bounds.u2_max,
-        _floats(cfg.goal), cfg.goal_tol, cfg.log_every,
+        ctrl.omega, cfg.control_period, n_updates, refresh_every,
+        ctrl.bounds.u1_max, ctrl.bounds.u2_max, cfg.goal_tol, cfg.log_every,
     )
     if len(rows) == 0:
         # non-finite before anything could be logged: degenerate inputs
         raise ValueError("potential produces non-finite values at the initial state")
     data = np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
     if status == _kernels.STATUS_GOAL:
-        return Trajectory(data, TERMINATED_GOAL, float(conv_time), *counts)
-    traj = Trajectory(data, TERMINATED_HORIZON, None, *counts)
+        return Trajectory(data, float(conv_time), *counts)
+    traj = Trajectory(data, None, *counts)
     if status == _kernels.STATUS_NONFINITE:
         raise IntegrationError(
             f"state became non-finite after t={data[-1, 0]:g}", traj
@@ -351,7 +354,7 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
         data[:, 1:4] = x0 * np.exp(-2.0 * np.outer(t, potential.coeffs))
     x1, x2, x3 = data[:, 1:4].T
     data[:, 9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
-    return Trajectory(data, TERMINATED_HORIZON, None, 0, 0.0, 0.0)
+    return Trajectory(data, None, 0, 0.0, 0.0)
 
 
 def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:

@@ -9,7 +9,9 @@ the same quantities only inside `_kernels.closed_loop` and
 `admissibility._integrand`; `integrand_rho` reads the latter in the units
 of the residual, so a test can hold it against `rho_bruteforce`.
 `rk4_gradient_flow` integrates the reference flow that
-`simulator.integrate_gradient_flow` evaluates in closed form.
+`simulator.integrate_gradient_flow` evaluates in closed form, and
+`semi_analytic_j` computes the admissibility cost that
+`admissibility_measure` sums by midpoint quadrature.
 """
 
 import math
@@ -103,10 +105,11 @@ def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
 def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
     """Evaluate the feedback at amplitudes `a` = (a1, a2, a12) and time `t`.
 
-    With ideal bounds the formula applies verbatim and the saturation flag
-    is always False; with clamp bounds each component is saturated after
-    evaluation and the flag records whether saturation occurred. sign(0)
-    is taken as 0 (the sqrt factor vanishes there anyway).
+    Each component is saturated to the controller's bounds after
+    evaluation, and the flag records whether saturation occurred. The ideal
+    bounds are infinite, so there the formula applies verbatim and the flag
+    is always False. sign(0) is taken as 0 (the sqrt factor vanishes there
+    anyway).
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -120,9 +123,7 @@ def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
         a[0] + p.k1 * osc * sign * math.cos(omega * t),
         a[1] + p.k2 * osc * math.sin(omega * t),
     ])
-    if p.bounds.mode == "clamp":
-        return clamp(u, p.bounds)
-    return u, False
+    return clamp(u, p.bounds)
 
 
 def hold_step(x1, x2, x3, u1, u2, T):
@@ -257,3 +258,30 @@ def amplitude_vector_matrix(potential: Potential, gamma: float, x) -> np.ndarray
     x = as_state(x)
     g = potential_gradient(potential, x)
     return -gamma * (frame_inverse(x) @ g)
+
+
+def semi_analytic_j(coeffs, half_width: float = 1.0, nodes: int = 100) -> float:
+    """J for q = 2 of the diagonal quadratic `coeffs` on the cube [-w, w]^3.
+
+    Along x1 the integrand is (a*x1 - b)^2 / (p*x1^2 + r) with
+    a = 2*c1*sin x3, b = 2*c2*x2*cos x3, p = 4*c1^2 and
+    r = 4*c2^2*x2^2 + 4*c3^2*x3^2. Its integral over [-w, w] is
+    2*w*a^2/p + 2*(b^2 - a^2*r/p) * arctan(w*sqrt(p/r)) / sqrt(p*r); the
+    odd term, which would give a log, cancels on the symmetric interval.
+    What is left is smooth in (x2, x3) but for the kink of sqrt(r) at 0, so
+    Gauss-Legendre with `nodes` nodes covers each half-axis [-w, 0] and
+    [0, w]. Its nodes are interior, so r > 0 wherever it is evaluated.
+    """
+    c1, c2, c3 = (float(c) for c in coeffs)
+    w = float(half_width)
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    x = np.concatenate([(t - 1.0) * w / 2.0, (t + 1.0) * w / 2.0])
+    wx = np.concatenate([weights, weights]) * w / 2.0
+    x2, x3 = x[:, None], x[None, :]
+    a = 2.0 * c1 * np.sin(x3)
+    b = 2.0 * c2 * x2 * np.cos(x3)
+    p = 4.0 * c1 * c1
+    r = 4.0 * c2 * c2 * x2 * x2 + 4.0 * c3 * c3 * x3 * x3
+    inner = (2.0 * w * a * a / p
+             + 2.0 * (b * b - a * a * r / p) * np.arctan(w * np.sqrt(p / r)) / np.sqrt(p * r))
+    return float(wx @ inner @ wx) / (2.0 * w) ** 3

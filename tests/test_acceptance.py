@@ -15,17 +15,18 @@ import pytest
 from gradflow import (
     AdmissibilityConfig,
     ControllerParams,
+    TABLE1_COEFFS,
     admissibility_measure,
     convergence_order,
     integrate_gradient_flow,
     make_v_alpha,
-    preset_sim_config,
     simulate,
     table1,
     tracking_deviation,
 )
 from gradflow.presets import PRESETS
 from gradflow.simulator import SimConfig, TERMINATED_GOAL
+from helpers import preset_sim_config
 from oracles import (
     control_value,
     frame_inverse,
@@ -33,6 +34,7 @@ from oracles import (
     integrand_rho,
     lie_bracket,
     rho_bruteforce,
+    semi_analytic_j,
     vector_fields,
 )
 
@@ -45,16 +47,45 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_table1_reproduction():
+@pytest.fixture(scope="module")
+def table1_run():
+    """The default sweep, X = [-1,1]^3, q = 2, midpoint 200 cells/axis, and its run time."""
     t0 = time.perf_counter()
-    results = table1()  # X = [-1,1]^3, q = 2, midpoint 200 cells/axis
-    elapsed = time.perf_counter() - t0
+    results = table1()
+    return results, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def table1_oracle():
+    return [semi_analytic_j(coeffs) for coeffs in TABLE1_COEFFS]
+
+
+def test_criterion_1_table1_reproduction(table1_run):
+    results, elapsed = table1_run
     worst = 0.0
     for (coeffs, res), ref in zip(results, TABLE1_REFERENCE):
         worst = max(worst, abs(res.value - ref))
     ok = worst <= 0.005 and elapsed <= 60.0
     report("criterion 1 (seven-cell quadratic sweep)", ok,
            f"max |J - ref| = {worst:.6f} (tol 0.005), runtime {elapsed:.1f}s (cap 60s)")
+
+
+def test_criterion_1_semi_analytic_agreement(table1_run, table1_oracle):
+    worst = max(abs(res.value - exact) for (_, res), exact in zip(table1_run[0], table1_oracle))
+    report("criterion 1 (sweep against the semi-analytic J)", worst <= 5e-6,
+           f"max |J - J_oracle| = {worst:.2e} (tol 5e-6)")
+
+
+def test_criterion_1_midpoint_order(table1_run, table1_oracle):
+    # the midpoint rule converges as h^2 on a smooth integrand
+    grids = (50, 100, 200)
+    runs = [table1(cfg=AdmissibilityConfig(grid_n=n)) for n in grids[:-1]] + [table1_run[0]]
+    worst = [max(abs(res.value - exact) for (_, res), exact in zip(run, table1_oracle))
+             for run in runs]
+    order = -float(np.polyfit(np.log(grids), np.log(worst), 1)[0])
+    report("criterion 1 (midpoint order)", 1.8 <= order <= 2.4,
+           f"worst errors {', '.join(f'{e:.2e}' for e in worst)} at grid_n {grids}: "
+           f"order {order:.2f} (want [1.8, 2.4])")
 
 
 def test_criterion_2_v_alpha_sequence():
@@ -67,6 +98,13 @@ def test_criterion_2_v_alpha_sequence():
     report("criterion 2 (anisotropic cost sequence)", ok,
            f"J = {values[2.0]:.4f} > {values[4.0]:.4f} > {values[10.0]:.4f}, "
            f"max |J - ref| = {worst:.6f} (tol 0.005), decreasing = {decreasing}")
+
+
+def test_criterion_2_semi_analytic_sequence():
+    values = [semi_analytic_j(make_v_alpha(alpha).coeffs) for alpha in V_ALPHA_REFERENCE]
+    ok = values[0] > values[1] > values[2]
+    report("criterion 2 (semi-analytic cost sequence)", ok,
+           "J_oracle = " + " > ".join(f"{v:.6f}" for v in values))
 
 
 def test_criterion_3_residual_oracle_equivalence():

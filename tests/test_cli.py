@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import gradflow
-from gradflow import cli, preset_sim_config, simulate, simulator
+from gradflow import cli, simulate, simulator
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
+from helpers import preset_sim_config
 
 
 def run(capsys, *argv):
@@ -186,6 +187,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "unknown config keys: ['h']" in err
+
+    def test_config_goal_key_exit_2(self, capsys, tmp_path):
+        # every run steers to the origin, so a goal elsewhere is not a setting
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_max": 1.0, "goal": [0.0, 0.0, 0.0]}))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--preset", "P1", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown config keys: ['goal']" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
     def test_counts_independent_of_log_every(self, capsys, tmp_path, bounds):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gradflow import ControllerParams, VelocityBounds
-from gradflow.presets import preset_sim_config
+from gradflow.presets import sim_config
+from helpers import preset_sim_config
 from oracles import clamp, control_value
 
 
@@ -99,7 +100,7 @@ class TestControlValue:
         assert u[0] == 0.2 and u[1] == 0.1
 
     def test_clamped_output_and_flag(self):
-        bounds = VelocityBounds(0.22, 2.84, mode="clamp")
+        bounds = VelocityBounds(0.22, 2.84)
         ctrl = ideal_controller(bounds=bounds)
         u, sat = control_value(ctrl, np.array([0.0, 0.0, -0.5]), 0.0)
         assert sat is True
@@ -112,17 +113,17 @@ class TestControlValue:
 
 class TestClamp:
     def test_inside_passes_through(self):
-        u, sat = clamp([0.1, 1.0], VelocityBounds(0.22, 2.84, mode="clamp"))
+        u, sat = clamp([0.1, 1.0], VelocityBounds(0.22, 2.84))
         assert np.array_equal(u, [0.1, 1.0])
         assert sat is False
 
     def test_clamps_both_components(self):
-        u, sat = clamp([-0.33, 4.48], VelocityBounds(0.22, 2.84, mode="clamp"))
+        u, sat = clamp([-0.33, 4.48], VelocityBounds(0.22, 2.84))
         assert np.array_equal(u, [-0.22, 2.84])
         assert sat is True
 
     def test_boundary_not_flagged(self):
-        u, sat = clamp([0.22, -2.84], VelocityBounds(0.22, 2.84, mode="clamp"))
+        u, sat = clamp([0.22, -2.84], VelocityBounds(0.22, 2.84))
         assert np.array_equal(u, [0.22, -2.84])
         assert sat is False
 
@@ -134,9 +135,11 @@ class TestClamp:
 
 class TestVelocityBounds:
     def test_clamp_requires_positive_limits(self):
-        with pytest.raises(ValueError):
-            VelocityBounds(0.0, 1.0, mode="clamp")
+        for limits in [(0.0, 1.0), (1.0, -2.84), (math.nan, 1.0), (-math.inf, math.inf)]:
+            with pytest.raises(ValueError, match="positive"):
+                VelocityBounds(*limits)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            VelocityBounds(mode="soft")
+        # the bounds mode is a setting: "ideal" or "clamp", nothing else
+        with pytest.raises(ValueError, match="bounds_mode"):
+            sim_config({"bounds_mode": "soft"})

@@ -170,7 +170,7 @@ class TestNoCoercion:
             BoxDomain(lo=["-1", "-1", "-1"], hi=[1.0, 1.0, 1.0])
 
     def test_clamp(self):
-        bounds = VelocityBounds(0.22, 2.84, mode="clamp")
+        bounds = VelocityBounds(0.22, 2.84)
         with pytest.raises(ValueError, match="numbers"):
             clamp(["0.5", "0"], bounds)
         with pytest.raises(ValueError, match="numbers"):
@@ -195,8 +195,8 @@ class TestScalarParameters:
         pytest.param(lambda: ControllerParams(gamma=np.True_), id="gamma-numpy-bool"),
         pytest.param(lambda: ControllerParams(k1=True, k2=4.0), id="k1-bool"),
         pytest.param(lambda: ControllerParams(k1=4.0, k2=True), id="k2-bool"),
-        pytest.param(lambda: VelocityBounds(True, 2.84, mode="clamp"), id="u1_max-bool"),
-        pytest.param(lambda: VelocityBounds(0.22, True, mode="clamp"), id="u2_max-bool"),
+        pytest.param(lambda: VelocityBounds(True, 2.84), id="u1_max-bool"),
+        pytest.param(lambda: VelocityBounds(0.22, True), id="u2_max-bool"),
         pytest.param(lambda: AdmissibilityConfig(samples=True), id="samples-bool"),
         pytest.param(lambda: AdmissibilityConfig(seed=False), id="seed-bool"),
         pytest.param(lambda: AdmissibilityConfig(seed=2.5), id="seed-fraction"),

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gradflow import PRESETS, SimConfig, make_v_alpha, preset_sim_config, sim_config
+from gradflow import PRESETS, SimConfig, VelocityBounds, make_v_alpha, sim_config
 from gradflow.presets import SIM_DEFAULTS
+from helpers import preset_sim_config
 
 
 class TestSettings:
@@ -31,17 +32,17 @@ class TestSettings:
         assert isinstance(cfg, SimConfig)
         ctrl = cfg.controller
         assert (ctrl.epsilon, ctrl.gamma, ctrl.k1, ctrl.k2) == (1.0, 0.05, k1, k2)
-        assert (ctrl.bounds.u1_max, ctrl.bounds.u2_max, ctrl.bounds.mode) == (0.22, 2.84, "clamp")
+        assert ctrl.bounds == VelocityBounds(0.22, 2.84)
         assert ctrl.loop_mode == "continuous"
         assert np.array_equal(cfg.potential.coeffs, make_v_alpha(alpha).coeffs)
-        assert cfg.x0.tolist() == [-0.5, -0.5, 0.0] and cfg.goal.tolist() == [0.0, 0.0, 0.0]
+        assert cfg.x0.tolist() == [-0.5, -0.5, 0.0]
         assert (cfg.goal_tol, cfg.t_max, cfg.control_period, cfg.log_every) == \
             (0.05, 600.0, 5e-4, 1)
 
     def test_overrides_layer_over_the_preset(self):
         cfg = preset_sim_config("P2", bounds_mode="ideal", x0=[0.1, 0.2, 0.3], log_every=3)
         assert cfg.controller.k1 == 1.0 / math.sqrt(2.0)
-        assert cfg.controller.bounds.mode == "ideal" and cfg.controller.bounds.u1_max == math.inf
+        assert cfg.controller.bounds == VelocityBounds(math.inf, math.inf)
         assert cfg.x0.tolist() == [0.1, 0.2, 0.3] and cfg.log_every == 3
         quad = preset_sim_config("P3", potential={"kind": "quadratic", "c": [1, 2, 3]})
         assert quad.potential.coeffs.tolist() == [1.0, 2.0, 3.0]
@@ -59,7 +60,3 @@ class TestSettings:
             preset_sim_config("P1", **overrides)
         with pytest.raises(ValueError):
             sim_config(overrides)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown preset"):
-            preset_sim_config("P9")

@@ -25,7 +25,6 @@ from gradflow import (
     load_trajectory_csv,
     make_quadratic,
     make_v_alpha,
-    preset_sim_config,
     simulate,
     tracking_deviation,
 )
@@ -36,6 +35,7 @@ from gradflow.simulator import (
     TERMINATED_HORIZON,
     TRAJECTORY_COLUMNS,
 )
+from helpers import preset_sim_config
 from oracles import (
     amplitude_vector,
     control_value,
@@ -46,21 +46,21 @@ from oracles import (
 
 
 def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
-                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1, goal=None):
+                 x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1):
     controller = ControllerParams(
         bounds=bounds if bounds is not None else VelocityBounds(),
         loop_mode=loop_mode,
     )
     return SimConfig(
         potential=potential if potential is not None else make_v_alpha(1.0),
-        controller=controller, x0=x0, goal=goal, goal_tol=goal_tol, t_max=t_max,
+        controller=controller, x0=x0, goal_tol=goal_tol, t_max=t_max,
         control_period=cp, log_every=log_every,
     )
 
 
 def logged(data):
     """A horizon-terminated Trajectory of `data` with zero run counts."""
-    return Trajectory(data, TERMINATED_HORIZON, None, 0, 0.0, 0.0)
+    return Trajectory(data, None, 0, 0.0, 0.0)
 
 
 class TestSimConfigValidation:
@@ -98,14 +98,14 @@ class TestSimConfigValidation:
 
 class TestSimulate:
     def test_start_at_goal_single_row(self):
-        # the goal test, full-state distance <= goal_tol, runs at t = 0 first
-        for x0, goal, tol, stops in [
-            ((0.0, 0.0, 0.0), None, 0.05, True),
-            ((0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.0, True),  # exact
-            ((0.03, 0.04, 0.0), None, 0.05, True),  # on the boundary: a 3-4-5 triangle
-            ((0.06, 0.0, 0.0), None, 0.05, False),  # outside
+        # the goal test, full-state distance to the origin <= goal_tol, runs at t = 0 first
+        for x0, tol, stops in [
+            ((0.0, 0.0, 0.0), 0.05, True),
+            ((0.0, -0.0, 0.0), 0.0, True),  # exact
+            ((0.03, 0.04, 0.0), 0.05, True),  # on the boundary: a 3-4-5 triangle
+            ((0.06, 0.0, 0.0), 0.05, False),  # outside
         ]:
-            traj = simulate(short_config(x0=x0, goal=goal, goal_tol=tol, t_max=0.01))
+            traj = simulate(short_config(x0=x0, goal_tol=tol, t_max=0.01))
             assert traj.t[0] == 0.0
             if stops:
                 assert traj.data.shape[0] == 1
@@ -163,7 +163,7 @@ class TestSimulate:
         assert traj.data.shape[0] < full.data.shape[0]
         assert np.array_equal(traj.data[-1], full.data[-1])
 
-    @pytest.mark.parametrize("bounds", [VelocityBounds(), VelocityBounds(0.22, 2.84, "clamp")])
+    @pytest.mark.parametrize("bounds", [VelocityBounds(), VelocityBounds(0.22, 2.84)])
     def test_counts_cover_every_update(self, bounds):
         full = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0))
         assert full.saturation_count == int(np.count_nonzero(full.saturated))
@@ -173,6 +173,15 @@ class TestSimulate:
         assert sparse.data.shape[0] < full.data.shape[0]
         for name in ("saturation_count", "max_abs_u1", "max_abs_u2"):
             assert getattr(sparse, name) == getattr(full, name)
+
+    def test_finite_bounds_saturate(self):
+        # finite limits are the clamp: P1's limits need no mode to act
+        controller = ControllerParams(bounds=VelocityBounds(0.22, 2.84))
+        traj = simulate(SimConfig(potential=make_v_alpha(1.0), controller=controller,
+                                  x0=(-0.5, -0.5, 0.0), t_max=2.0))
+        assert traj.saturation_count > 0
+        assert traj.max_abs_u1 == 0.22 and traj.max_abs_u2 <= 2.84
+        assert np.array_equal(traj.data, simulate(preset_sim_config("P1", t_max=2.0)).data)
 
     def test_peak_memory_is_one_trajectory(self):
         # the logged rows are returned in place, not copied out of the run's buffer,
@@ -276,19 +285,20 @@ class TestExactHold:
 class TestOneLoopStep:
     """One update of the closed loop is the oracle's hold and V, bit for bit."""
 
-    @pytest.mark.parametrize("do_clamp", [False, True], ids=["continuous", "clamped"])
-    def test_second_row_is_oracle_hold(self, do_clamp):
+    @pytest.mark.parametrize("bounds,saturated", [(VelocityBounds(), 0.0),
+                                                  (VelocityBounds(0.22, 2.84), 1.0)],
+                             ids=["continuous", "clamped"])
+    def test_second_row_is_oracle_hold(self, bounds, saturated):
         c1, c2, c3 = 1.5, 0.7, 2.2
         ctrl = ControllerParams()
         T = 0.01
         out = _kernels.closed_loop(c1, c2, c3, (-0.5, 0.4, 0.3), ctrl.gamma, ctrl.k1, ctrl.k2,
-                                   ctrl.omega, T, 1, 1, False, do_clamp, 0.22, 2.84,
-                                   (0.0, 0.0, 0.0), 0.0, 1)
+                                   ctrl.omega, T, 1, 1, bounds.u1_max, bounds.u2_max, 0.0, 1)
         rows = np.frombuffer(out[0]).reshape(-1, len(TRAJECTORY_COLUMNS)).tolist()
         assert out[1] == _kernels.STATUS_HORIZON
         assert len(rows) == 2
         first, second = rows
-        assert first[10] == (1.0 if do_clamp else 0.0)
+        assert first[10] == saturated
         x1, x2, x3 = second[1:4]
         assert (x1, x2, x3) == hold_step(*first[1:4], *first[4:6], T)
         assert second[9] == c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
@@ -575,7 +585,7 @@ class TestCsv(CsvBytesEqual):
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
     def test_saturated_column_integer(self, tmp_path):
-        bounds = VelocityBounds(0.22, 2.84, mode="clamp")
+        bounds = VelocityBounds(0.22, 2.84)
         traj = simulate(short_config(bounds=bounds, t_max=0.2, goal_tol=0.0))
         path = tmp_path / "run.csv"
         traj.save_csv(path)
@@ -723,3 +733,11 @@ class TestTrajectory:
         assert traj.data[0, 0] == 1.0  # a view of the caller's rows, not a copy
         with pytest.raises(ValueError, match="read-only"):
             traj.data[0, 0] = 2.0
+
+    def test_terminated_follows_convergence_time(self):
+        data = np.zeros((2, len(TRAJECTORY_COLUMNS)))
+        assert Trajectory(data, None, 0, 0.0, 0.0).terminated == TERMINATED_HORIZON
+        assert Trajectory(data, 0.5, 0, 0.0, 0.0).terminated == TERMINATED_GOAL
+        # the status is derived, so it cannot be passed to disagree with the time
+        with pytest.raises(TypeError):
+            Trajectory(data, TERMINATED_GOAL, None, 0, 0.0, 0.0)
