@@ -9,7 +9,6 @@ fits the unicycle's controllable directions.
 from gradflow.admissibility import (
     AdmissibilityConfig,
     AdmissibilityResult,
-    BoxDomain,
     TABLE1_COEFFS,
     admissibility_measure,
     table1,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityConfig",
     "AdmissibilityResult",
-    "BoxDomain",
     "ControllerParams",
     "IntegrationError",
     "PRESETS",

@@ -11,9 +11,14 @@ closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. `_integrand` evaluates
 it for both quadratures, and the test suite checks it against a
 brute-force minimizer over u.
 
-J is zero iff the gradient flow is realizable everywhere; for q = 2 the
-integrand lies in [0, 1], hence J in [0, 1]. Multiplying V by a positive
-constant leaves J unchanged.
+X is the centred cube [-w, w]^3. J is zero iff the gradient flow is
+realizable everywhere; for q = 2 the integrand lies in [0, 1], hence J in
+[0, 1]. Multiplying V by a positive constant leaves J unchanged, and the
+quadratures keep that in floating point: they evaluate grad V times a power
+of two chosen from the largest coefficient and w, which rounds nothing and
+brings every gradient component on the cube below 2, so |grad V|^2 cannot
+overflow and a tiny V is not lost to underflow. Multiplying V by a power of
+two leaves every bit of J unchanged.
 """
 
 import math
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow.kinematics import as_state, check_scalar
+from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
 
 # fixed Monte-Carlo chunk: it is drawn, evaluated and reduced as one unit,
@@ -43,42 +48,12 @@ TABLE1_COEFFS = (
 SWEEP_CSV_HEADER = "c1,c2,c3,q,method,points,J,stderr,excluded"
 
 
-@dataclass(frozen=True, eq=False)
-class BoxDomain:
-    """Axis-aligned box lo <= x <= hi with positive volume.
-
-    Equality and hashing are by identity: the fields are arrays.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_state(self.lo))
-        object.__setattr__(self, "hi", as_state(self.hi))
-        self.lo.flags.writeable = False
-        self.hi.flags.writeable = False
-        if not np.all(self.lo < self.hi):
-            raise ValueError("box requires lo < hi componentwise")
-
-    @classmethod
-    def cube(cls, half_width: float = 1.0) -> "BoxDomain":
-        """The symmetric cube [-w, w]^3."""
-        check_scalar(half_width, "half_width")
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width}")
-        w = float(half_width)
-        return cls(lo=np.full(3, -w), hi=np.full(3, w))
-
-
 @dataclass(frozen=True)
 class AdmissibilityConfig:
-    """Quadrature settings for the admissibility integral.
+    """Quadrature settings for the admissibility integral over [-w, w]^3.
 
-    grid_n is the midpoint cell count per axis and must be even so cell
-    centers avoid the origin, where grad V vanishes. grad_floor excludes
-    points with |grad V| at or below it from the integrand (they contribute
-    zero and are counted separately).
+    half_width is w. grid_n is the midpoint cell count per axis and must be
+    even so cell centers avoid the origin, where grad V vanishes.
     """
 
     q: float = 2.0
@@ -86,10 +61,10 @@ class AdmissibilityConfig:
     grid_n: int = 200
     samples: int = 1_000_000
     seed: int = 2025
-    grad_floor: float = 1e-12
+    half_width: float = 1.0
 
     def __post_init__(self):
-        for name in ("q", "grad_floor"):
+        for name in ("q", "half_width"):
             check_scalar(getattr(self, name), name)
         for name in ("grid_n", "samples", "seed"):
             check_scalar(getattr(self, name), name, integer=True)
@@ -106,8 +81,10 @@ class AdmissibilityConfig:
                              f"got {self.samples}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not self.grad_floor >= 0:
-            raise ValueError(f"grad_floor must be nonnegative, got {self.grad_floor}")
+        # the box's width 2*w must be finite too: the quadratures step across it
+        if not (self.half_width > 0 and math.isfinite(2.0 * self.half_width)):
+            raise ValueError(f"half_width must be positive with a finite width 2*half_width, "
+                             f"got {self.half_width}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +92,7 @@ class AdmissibilityResult:
     """Quadrature estimate of J plus audit counters.
 
     stderr is the Monte-Carlo standard error (None for midpoint); excluded
-    counts quadrature points dropped by the gradient floor.
+    counts quadrature points where grad V vanishes, which contribute 0.
     """
 
     value: float
@@ -130,14 +107,26 @@ def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * step
 
 
-def _integrand(g1, g2, g3, s, c, q: float, grad_floor: float):
+def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
+    """2*c times 2^-(e_c + e_w), with e_c, e_w the binary exponents of max c and w.
+
+    grad V = (2*c) * x, so every component of this scaled gradient on the
+    cube lies below 2 in magnitude. The exponents are added, not c and w
+    multiplied, so nothing overflows on the way; a power of two rounds
+    nothing, so the integrand's ratio is the one of the unscaled gradient.
+    """
+    k = np.frexp(potential.coeffs.max())[1] + np.frexp(w)[1]
+    return np.ldexp(potential.coeffs, 1 - k)
+
+
+def _integrand(g1, g2, g3, s, c, q: float):
     """rho(x, grad V)^q / |grad V|^q from grad V = (g1, g2, g3) and s, c = sin, cos x3.
 
     The arguments broadcast against each other. Returns the values and the
-    number of points with |grad V| <= grad_floor, which contribute 0.
+    number of points with grad V = 0, which contribute 0.
     """
     gn = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-    keep = gn > grad_floor
+    keep = gn > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.abs(g1 * s - g2 * c) / gn
     excluded = keep.size - int(np.count_nonzero(keep))
@@ -147,60 +136,46 @@ def _integrand(g1, g2, g3, s, c, q: float, grad_floor: float):
     return vals, excluded
 
 
-def admissibility_measure(potential: Potential, domain: BoxDomain | None = None,
+def admissibility_measure(potential: Potential,
                           cfg: AdmissibilityConfig | None = None) -> AdmissibilityResult:
-    """Estimate J over `domain` (default [-1, 1]^3) with settings `cfg`.
+    """Estimate J over [-w, w]^3 with settings `cfg` (default w = 1).
 
     Midpoint: tensor grid of cell centers, grid_n per axis, accumulated in
     x3-slab order. Monte Carlo: `samples` uniform draws from a Philox
     stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
-    so memory is bounded by the chunk. Raises if every point is excluded by
-    the gradient floor.
+    so memory is bounded by the chunk.
     """
-    domain = BoxDomain.cube(1.0) if domain is None else domain
     cfg = AdmissibilityConfig() if cfg is None else cfg
     if cfg.method == "midpoint":
-        value, points, excluded = _midpoint(potential, domain, cfg)
+        value, points, excluded = _midpoint(potential, cfg)
         stderr = None
     else:
-        value, points, excluded, stderr = _monte_carlo(potential, domain, cfg)
-    if excluded >= points:
-        raise ValueError(
-            "all quadrature points were excluded by the gradient floor; "
-            "the potential is degenerate on this domain"
-        )
+        value, points, excluded, stderr = _monte_carlo(potential, cfg)
     return AdmissibilityResult(value=value, points=points, excluded=excluded,
                                method=cfg.method, stderr=stderr)
 
 
-def _midpoint(potential, domain, cfg):
-    n = cfg.grid_n
-    xs1, xs2, xs3 = (_grid_centers(domain.lo[i], domain.hi[i], n) for i in range(3))
+def _midpoint(potential, cfg):
+    n, w = cfg.grid_n, cfg.half_width
+    xs = _grid_centers(-w, w, n)  # the cell centers of every axis
+    # the scaled grad V is separable: g1 varies along x1 (rows) only, g2
+    # along x2 (columns) only, and g3 is constant on an x3 slab
+    d1, d2, d3 = _gradient_coeffs(potential, w)
+    g1 = (d1 * xs)[:, None]
+    g2 = (d2 * xs)[None, :]
     total = 0.0
     excluded = 0
-    for x3, (g1, g2, g3) in zip(xs3, _slab_gradients(potential, xs1, xs2, xs3)):
-        vals, exc = _integrand(g1, g2, g3, math.sin(x3), math.cos(x3), cfg.q, cfg.grad_floor)
+    for x3, g3 in zip(xs, d3 * xs):
+        vals, exc = _integrand(g1, g2, g3, math.sin(x3), math.cos(x3), cfg.q)
         total += float(vals.sum())  # x3-slab subtotals in slab index order
         excluded += exc
     points = n ** 3
     return total / points, points, excluded
 
 
-def _slab_gradients(potential, xs1, xs2, xs3):
-    """(g1, g2, g3) of grad V on each x3 slab of the grid, x1 major, x2 minor.
-
-    grad V = (d1*x1, d2*x2, d3*x3) with d = 2*c is separable: g1 varies
-    along x1 only, g2 along x2 only and g3 is constant on a slab.
-    """
-    d1, d2, d3 = 2.0 * potential.coeffs
-    g1 = (d1 * xs1)[:, None]
-    g2 = (d2 * xs2)[None, :]
-    for g3 in d3 * xs3:
-        yield g1, g2, g3
-
-
-def _monte_carlo(potential, domain, cfg):
-    n = cfg.samples
+def _monte_carlo(potential, cfg):
+    n, w = cfg.samples, cfg.half_width
+    d = _gradient_coeffs(potential, w)
     n_chunks = -(-n // MC_CHUNK)
 
     def eval_chunk(i):
@@ -208,10 +183,10 @@ def _monte_carlo(potential, domain, cfg):
         # doubles into the seed's stream, so every chunk draws its own points
         rng = np.random.Generator(np.random.Philox(cfg.seed).advance(i * 3 * MC_CHUNK // 4))
         u = rng.uniform(size=(min(MC_CHUNK, n - i * MC_CHUNK), 3))
-        pts = domain.lo + u * (domain.hi - domain.lo)
-        g = 2.0 * potential.coeffs * pts
+        pts = -w + u * (w - -w)
+        g = d * pts
         vals, exc = _integrand(g[:, 0], g[:, 1], g[:, 2], np.sin(pts[:, 2]),
-                               np.cos(pts[:, 2]), cfg.q, cfg.grad_floor)
+                               np.cos(pts[:, 2]), cfg.q)
         return float(vals.sum()), float((vals * vals).sum()), exc
 
     total = 0.0
@@ -225,14 +200,14 @@ def _monte_carlo(potential, domain, cfg):
     return total / n, n, excluded, math.sqrt(var / n)
 
 
-def table1(domain: BoxDomain | None = None, cfg: AdmissibilityConfig | None = None
+def table1(cfg: AdmissibilityConfig | None = None
            ) -> list[tuple[tuple[float, float, float], AdmissibilityResult]]:
     """Evaluate J for the published seven-triple quadratic sweep.
 
     Defaults reproduce the reference setting: X = [-1, 1]^3, q = 2,
     unrestricted controls, 200 midpoint cells per axis.
     """
-    return [(coeffs, admissibility_measure(make_quadratic(*coeffs), domain, cfg))
+    return [(coeffs, admissibility_measure(make_quadratic(*coeffs), cfg))
             for coeffs in TABLE1_COEFFS]
 
 

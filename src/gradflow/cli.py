@@ -13,7 +13,6 @@ import sys
 
 from gradflow.admissibility import (
     AdmissibilityConfig,
-    BoxDomain,
     admissibility_measure,
     table1,
     write_sweep_csv,
@@ -134,23 +133,21 @@ def cmd_simulate(args) -> int:
 def cmd_admissibility(args) -> int:
     cfg = AdmissibilityConfig(
         q=args.q, method=args.method, grid_n=args.grid_n,
-        samples=args.samples, seed=args.seed, grad_floor=args.grad_floor,
+        samples=args.samples, seed=args.seed, half_width=args.box,
     )
-    domain = BoxDomain.cube(args.box)
     cells = []
+    # the parser requires exactly one of --table1, --v-alpha and --quadratic
     if args.table1:
-        for coeffs, res in table1(domain, cfg):
+        for coeffs, res in table1(cfg):
             cells.append({"c": list(coeffs), "result": res})
     elif args.v_alpha is not None:
         for alpha in args.v_alpha:
             pot = make_v_alpha(alpha)
-            res = admissibility_measure(pot, domain, cfg)
+            res = admissibility_measure(pot, cfg)
             cells.append({"c": [float(v) for v in pot.coeffs], "alpha": alpha, "result": res})
-    elif args.quadratic is not None:
-        res = admissibility_measure(make_quadratic(*args.quadratic), domain, cfg)
-        cells.append({"c": list(args.quadratic), "result": res})
     else:
-        raise ValueError("admissibility needs --table1, --v-alpha, or --quadratic")
+        res = admissibility_measure(make_quadratic(*args.quadratic), cfg)
+        cells.append({"c": list(args.quadratic), "result": res})
 
     if args.out is not None:
         write_sweep_csv(
@@ -255,8 +252,9 @@ def cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_potential_flags(sub, list_valued: bool = False):
-    group = sub.add_mutually_exclusive_group()
+def _add_potential_flags(sub, list_valued: bool = False, required: bool = False):
+    """The --v-alpha/--quadratic group; returned so a command can add to it."""
+    group = sub.add_mutually_exclusive_group(required=required)
     if list_valued:
         group.add_argument("--v-alpha", type=_float_list, metavar="A[,A...]",
                            help="anisotropy values for the v_alpha family")
@@ -265,6 +263,7 @@ def _add_potential_flags(sub, list_valued: bool = False):
                            help="anisotropy of the v_alpha potential")
     group.add_argument("--quadratic", type=_triple, metavar="C1,C2,C3",
                        help="diagonal quadratic form coefficients")
+    return group
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,9 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     adm = subs.add_parser("admissibility", help="evaluate the admissibility cost J")
-    adm.add_argument("--table1", action="store_true",
-                     help="run the published seven-triple coefficient sweep")
-    _add_potential_flags(adm, list_valued=True)
+    selection = _add_potential_flags(adm, list_valued=True, required=True)
+    selection.add_argument("--table1", action="store_true",
+                           help="run the published seven-triple coefficient sweep")
     adm.add_argument("--q", type=float, default=ADMISSIBILITY_DEFAULTS.q,
                      help="residual exponent")
     adm.add_argument("--method", choices=("midpoint", "monte_carlo"),
@@ -309,10 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte-Carlo draws")
     adm.add_argument("--seed", type=int, default=ADMISSIBILITY_DEFAULTS.seed,
                      help="Monte-Carlo seed")
-    adm.add_argument("--grad-floor", type=float, dest="grad_floor",
-                     default=ADMISSIBILITY_DEFAULTS.grad_floor,
-                     help="exclude points with |grad V| at or below this")
-    adm.add_argument("--box", type=float, default=1.0, help="domain half-width")
+    adm.add_argument("--box", type=float, default=ADMISSIBILITY_DEFAULTS.half_width,
+                     help="half-width w of the cube [-w, w]^3")
     adm.add_argument("--out", help="sweep CSV path")
     adm.set_defaults(func=cmd_admissibility)
 

@@ -81,11 +81,12 @@ def _potential_from_spec(spec):
 def sim_config(settings: dict) -> SimConfig:
     """Build the SimConfig of `settings` layered over SIM_DEFAULTS."""
     s = {**SIM_DEFAULTS, **check_settings(settings)}
-    # "ideal" is the default, infinite bounds; u1_max and u2_max apply to "clamp" only
+    # the limits are checked in either mode; "ideal" runs with the default, infinite bounds
+    limits = VelocityBounds(float(s["u1_max"]), float(s["u2_max"]))
     if s["bounds_mode"] == "ideal":
         bounds = VelocityBounds()
     elif s["bounds_mode"] == "clamp":
-        bounds = VelocityBounds(float(s["u1_max"]), float(s["u2_max"]))
+        bounds = limits
     else:
         raise ValueError(f"bounds_mode must be 'ideal' or 'clamp', got {s['bounds_mode']!r}")
     controller = ControllerParams(

@@ -201,11 +201,11 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
 
 
 def integrand_rho(x, p) -> float:
-    """rho(x, p) as the quadrature computes it: `_integrand` at q = 1 with no
-    gradient floor, times |p|. A zero p is excluded by the integrand, giving 0."""
+    """rho(x, p) as the quadrature computes it: `_integrand` at q = 1, times |p|.
+    A zero p is excluded by the integrand, giving 0."""
     x = as_state(x)
     g1, g2, g3 = (np.array([float(v)]) for v in p)
-    vals, _ = admissibility._integrand(g1, g2, g3, math.sin(x[2]), math.cos(x[2]), 1.0, 0.0)
+    vals, _ = admissibility._integrand(g1, g2, g3, math.sin(x[2]), math.cos(x[2]), 1.0)
     return float(vals[0]) * float(np.linalg.norm(p))
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gradflow import (
     AdmissibilityConfig,
-    BoxDomain,
     TABLE1_COEFFS,
     admissibility_measure,
     make_quadratic,
@@ -81,14 +80,24 @@ class TestRhoBruteforce:
 
 
 class TestBoxDomain:
+    """The domain is the centred cube [-w, w]^3, w = half_width."""
+
     def test_cube(self):
-        box = BoxDomain.cube(1.0)
-        assert np.array_equal(box.lo, [-1, -1, -1])
-        assert np.array_equal(box.hi, [1, 1, 1])
+        assert AdmissibilityConfig().half_width == 1.0
+        # J reads the box through w alone: the sum of squares gives 1/3 on any cube
+        res = admissibility_measure(make_quadratic(1, 1, 1),
+                                    AdmissibilityConfig(grid_n=10, half_width=2.5))
+        assert res.value == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            BoxDomain(lo=[0, 0, 0], hi=[1, 0, 1])
+        for w in (0.0, -1.0):
+            with pytest.raises(ValueError, match="half_width must be positive"):
+                AdmissibilityConfig(half_width=w)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 1e308])
+    def test_rejects_infinite_width(self, w):
+        with pytest.raises(ValueError, match="finite width"):
+            AdmissibilityConfig(half_width=w)
 
 
 class TestConfigValidation:
@@ -122,11 +131,14 @@ class TestMeasure:
             assert 0.0 <= res.value <= 1.0
 
     def test_scale_invariance(self):
-        cfg = AdmissibilityConfig(grid_n=50)
-        base = admissibility_measure(make_v_alpha(1.0), cfg=cfg).value
-        for c in (0.5, 3.0):
-            scaled = admissibility_measure(make_v_alpha(1.0).scaled(c), cfg=cfg).value
-            assert abs(scaled - base) <= 1e-3
+        pot = make_quadratic(2.0, 1.0, 0.5)
+        for cfg in (AdmissibilityConfig(grid_n=50),
+                    AdmissibilityConfig(method="monte_carlo", samples=20_000, seed=5)):
+            base = admissibility_measure(pot, cfg=cfg)
+            for c in (2.0 ** -40, 2.0 ** 40):
+                scaled = admissibility_measure(pot.scaled(c), cfg=cfg)
+                assert scaled.value == base.value
+                assert scaled.stderr == base.stderr
 
     def test_v_alpha_sequence_decreases(self):
         cfg = AdmissibilityConfig(grid_n=50)
@@ -142,7 +154,7 @@ class TestMeasure:
         # midpoint error at this resolution is well under 1e-4
         assert abs(mc.value - mp.value) <= 3.0 * (mc.stderr + 1e-4)
 
-    def test_monte_carlo_deterministic_and_jobs_independent(self):
+    def test_monte_carlo_deterministic(self):
         cfg = AdmissibilityConfig(method="monte_carlo", samples=300_000, seed=42)
         pot = make_v_alpha(4.0)
         r1 = admissibility_measure(pot, cfg=cfg)
@@ -158,85 +170,86 @@ class TestMeasure:
             method="monte_carlo", samples=10_000, seed=2))
         assert a.value != b.value
 
-    def test_degenerate_potential_rejected(self):
-        # a floor above every |grad V| on the box excludes every point
-        with pytest.raises(ValueError, match="degenerate"):
-            admissibility_measure(make_quadratic(1, 1, 1),
-                                  cfg=AdmissibilityConfig(grid_n=8, grad_floor=1e300))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, half_width", [
+        pytest.param((1e-12, 1e-12, 1e-12), 1.0, id="tiny-1e-12"),
+        pytest.param((1e-13, 1e-13, 1e-13), 1.0, id="tiny-1e-13"),
+        pytest.param((1e155, 1e155, 1e155), 1.0, id="huge-coeffs"),
+        pytest.param((1.0, 1.0, 1.0), 1e300, id="huge-box"),
+    ])
+    def test_extreme_scales_give_one_third(self, coeffs, half_width):
+        # a tiny |grad V| is kept, and a huge one does not overflow when squared
+        cfg = AdmissibilityConfig(grid_n=40, half_width=half_width)
+        res = admissibility_measure(make_quadratic(*coeffs), cfg)
+        assert abs(res.value - 1.0 / 3.0) <= 1e-12
+        assert res.excluded == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_scale_monte_carlo(self):
+        # the same draws as the unit sum of squares, so the same estimate up to rounding
+        cfg = AdmissibilityConfig(method="monte_carlo", samples=20_000, seed=3)
+        base = admissibility_measure(make_quadratic(1, 1, 1), cfg)
+        huge = admissibility_measure(make_quadratic(1e155, 1e155, 1e155), cfg)
+        assert abs(huge.value - base.value) <= 1e-12
+        assert abs(base.value - 1.0 / 3.0) <= 4.0 * base.stderr
 
     def test_even_grid_excludes_nothing_for_quadratics(self):
         res = admissibility_measure(make_quadratic(1, 1, 1),
                                     cfg=AdmissibilityConfig(grid_n=40))
         assert res.excluded == 0
 
-    def test_off_center_domain(self):
-        # gradient never vanishes on a box away from the origin
-        box = BoxDomain(lo=[0.5, 0.5, 0.5], hi=[1.5, 1.5, 1.5])
-        res = admissibility_measure(make_quadratic(1, 1, 1), box,
-                                    AdmissibilityConfig(grid_n=30))
-        assert 0.0 < res.value < 1.0
-
 
 grid_sizes = st.integers(1, 8).map(lambda k: 2 * k)
 coefficients = st.tuples(*[st.floats(0.1, 10.0)] * 3)
+half_widths = st.floats(0.1, 3.0)
 
 
-@st.composite
-def any_box(draw):
-    """An even grid size and a box that may or may not contain the origin."""
-    lo = np.array([draw(st.floats(-2.0, 1.0)) for _ in range(3)])
-    width = np.array([draw(st.floats(0.1, 3.0)) for _ in range(3)])
-    return draw(grid_sizes), BoxDomain(lo=lo, hi=lo + width)
-
-
-@st.composite
-def origin_cell_box(draw):
-    """An even grid size and a box with a cell centred at the origin, where grad V = 0."""
-    n = draw(grid_sizes)
-    lo, hi = [], []
-    for _ in range(3):
-        step = draw(st.floats(0.05, 0.5))
-        k = draw(st.integers(0, n - 1))
-        lo.append(-(k + 0.5) * step)
-        hi.append((n - k - 0.5) * step)
-    return n, BoxDomain(lo=lo, hi=hi)
+def gradient_scale(pot, w):
+    """The power of two the quadratures multiply grad V by (see `_gradient_coeffs`)."""
+    return 2.0 ** -(np.frexp(pot.coeffs.max())[1] + np.frexp(w)[1])
 
 
 class TestOneIntegrand:
-    """The midpoint's separable slab gradients equal grad V on the full grid, bit for bit."""
+    """The midpoint's separable slab gradients give J of the full grid, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]),
-           grid_and_box=st.one_of(any_box(), origin_cell_box()))
-    def test_slab_gradients_equal_full_grid(self, coeffs, q, grid_and_box):
-        n, box = grid_and_box
+    @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]), n=grid_sizes,
+           w=half_widths)
+    def test_slab_gradients_equal_full_grid(self, coeffs, q, n, w):
         pot = make_quadratic(*coeffs)
-        cfg = AdmissibilityConfig(q=q, grid_n=n)
-        xs1, xs2, xs3 = (admissibility._grid_centers(box.lo[i], box.hi[i], n) for i in range(3))
-        plane1, plane2 = np.meshgrid(xs1, xs2, indexing="ij")
+        cfg = AdmissibilityConfig(q=q, grid_n=n, half_width=w)
+        xs = admissibility._grid_centers(-w, w, n)
+        plane1, plane2 = np.meshgrid(xs, xs, indexing="ij")
         total, excluded = 0.0, 0
-        for x3 in xs3:
+        for x3 in xs:
+            # the unscaled gradient: the scaling must not change a bit of J
             g = potential_gradient(pot, np.stack((plane1, plane2, np.full_like(plane1, x3)), -1))
             vals, exc = admissibility._integrand(g[..., 0], g[..., 1], g[..., 2], math.sin(x3),
-                                                 math.cos(x3), q, cfg.grad_floor)
+                                                 math.cos(x3), q)
             total += float(vals.sum())
             excluded += exc
-        res = admissibility_measure(pot, box, cfg)
+        res = admissibility_measure(pot, cfg)
         assert res.value == total / n ** 3
-        assert res.excluded == excluded
+        assert res.excluded == excluded == 0
 
-    def test_origin_cell_is_excluded(self):
-        box = BoxDomain(lo=[-0.5, -0.5, -0.5], hi=[1.5, 1.5, 1.5])  # centres 0 and 1
-        res = admissibility_measure(make_quadratic(1, 1, 1), box,
-                                    AdmissibilityConfig(q=1.5, grid_n=2))
-        assert res.excluded == 1
-        assert 0.0 < res.value < 1.0
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gradient_is_excluded(self):
+        # grad V = 0 (the origin) is the 0/0 point: it counts as excluded and adds 0
+        zero = np.zeros(3)
+        vals, excluded = admissibility._integrand(zero, zero, zero, 1.0, 0.0, 1.5)
+        assert excluded == 3
+        assert vals.tolist() == [0.0, 0.0, 0.0]
+        # any nonzero gradient is kept, however small; only the zero one is excluded
+        g1 = np.array([0.0, 1e-150, 1.0])
+        vals, excluded = admissibility._integrand(g1, 0.0, 0.0, 1.0, 0.0, 2.0)
+        assert excluded == 1
+        assert vals.tolist() == [0.0, 1.0, 1.0]
 
 
-def one_shot_points(domain, cfg):
+def one_shot_points(w, cfg):
     """Every Monte-Carlo point from a single draw of the seed's Philox stream."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    return domain.lo + rng.uniform(size=(cfg.samples, 3)) * (domain.hi - domain.lo)
+    return -w + rng.uniform(size=(cfg.samples, 3)) * (w - -w)
 
 
 class TestStreamedMonteCarlo:
@@ -250,14 +263,16 @@ class TestStreamedMonteCarlo:
 
         integrand = admissibility._integrand
         monkeypatch.setattr(admissibility, "_integrand", recording)
-        box = BoxDomain(lo=[-1.0, 0.5, -2.0], hi=[2.0, 1.5, 1.0])
-        cfg = AdmissibilityConfig(method="monte_carlo", samples=7 * 1024 + 301, seed=11)
-        # 2*c = (8, 0.5, 8) scales exactly, so equal gradients mean equal points
+        cfg = AdmissibilityConfig(method="monte_carlo", samples=7 * 1024 + 301, seed=11,
+                                  half_width=1.5)
+        # 2*c = (8, 0.5, 8) and its scaling are powers of two, so equal gradients
+        # mean equal points
         pot = make_v_alpha(4.0)
-        admissibility_measure(pot, box, cfg)
+        admissibility_measure(pot, cfg)
         assert [len(c) for c in chunks] == [1024] * 7 + [301]
         assert np.array_equal(np.concatenate(chunks),
-                              potential_gradient(pot, one_shot_points(box, cfg)))
+                              gradient_scale(pot, 1.5) * potential_gradient(
+                                  pot, one_shot_points(1.5, cfg)))
 
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         monkeypatch.setattr(admissibility, "MC_CHUNK", 1024)

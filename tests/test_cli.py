@@ -199,6 +199,17 @@ class TestSimulateCommand:
         assert "unknown config keys: ['goal']" in err
         assert not out.exists()
 
+    def test_ideal_bounds_check_the_limits_exit_2(self, capsys, tmp_path):
+        # "ideal" runs unbounded, but a negative limit is still a config error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bounds_mode": "ideal", "u1_max": -1.0, "t_max": 1.0}))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--preset", "P1", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "velocity bounds must be positive" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
     def test_counts_independent_of_log_every(self, capsys, tmp_path, bounds):
         summaries = []
@@ -241,8 +252,9 @@ class TestAdmissibilityCommand:
 
     def test_requires_potential_choice(self, capsys):
         code = main(["admissibility", "--grid-n", "10"])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2
+        assert "one of the arguments --v-alpha --quadratic --table1 is required" in captured.err
 
     def test_monte_carlo_seed_flag(self, capsys):
         argv = ["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
@@ -286,6 +298,30 @@ class TestAdmissibilityCommand:
         assert code == 2
         assert captured.out == ""
         assert "unrecognized arguments: --jobs" in captured.err
+
+    def test_grad_floor_flag_removed_exit_2(self, capsys):
+        code = main(["admissibility", "--quadratic", "1,1,1", "--grad-floor", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --grad-floor" in captured.err
+
+    @pytest.mark.parametrize("box", ["inf", "0", "-1", "nan"])
+    def test_bad_box_named_exit_2(self, capsys, box):
+        code = main(["admissibility", "--quadratic", "1,1,1", "--grid-n", "10", "--box", box])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "half_width must be positive" in captured.err
+
+    @pytest.mark.parametrize("potential", [["--v-alpha", "2"], ["--quadratic", "1,2,3"]])
+    def test_table1_with_a_potential_exit_2(self, capsys, potential):
+        # --table1 has its own potentials: a second selection is a conflict, not ignored
+        code = main(["admissibility", "--table1", *potential])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
 
 class TestRefineCommand:

@@ -5,7 +5,6 @@ import pytest
 
 from gradflow import (
     AdmissibilityConfig,
-    BoxDomain,
     ControllerParams,
     SimConfig,
     VelocityBounds,
@@ -166,8 +165,8 @@ class TestNoCoercion:
                                     t_max=1.0, h=1e-3)
 
     def test_box_string_corners(self):
-        with pytest.raises(ValueError, match="numbers"):
-            BoxDomain(lo=["-1", "-1", "-1"], hi=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="half_width must be a number"):
+            AdmissibilityConfig(half_width="1")
 
     def test_clamp(self):
         bounds = VelocityBounds(0.22, 2.84)
@@ -203,8 +202,7 @@ class TestScalarParameters:
         pytest.param(lambda: AdmissibilityConfig(q=True), id="q-bool"),
         pytest.param(lambda: AdmissibilityConfig(q=math.inf), id="q-inf"),
         pytest.param(lambda: AdmissibilityConfig(grid_n=np.float64(4.0)), id="grid_n-float"),
-        pytest.param(lambda: AdmissibilityConfig(grad_floor=False), id="grad_floor-bool"),
-        pytest.param(lambda: BoxDomain.cube(True), id="half_width-bool"),
+        pytest.param(lambda: AdmissibilityConfig(half_width=True), id="half_width-bool"),
         pytest.param(lambda: sim_with(t_max=True), id="t_max-bool"),
         pytest.param(lambda: sim_with(goal_tol=False), id="goal_tol-bool"),
         pytest.param(lambda: sim_with(control_period=True), id="control_period-bool"),

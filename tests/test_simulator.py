@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradflow import (
-    BoxDomain,
     ControllerParams,
     IntegrationError,
     SimConfig,
@@ -715,7 +714,6 @@ class TestValueTypes:
         pytest.param(lambda: make_quadratic(1.0, 2.0, 3.0), id="Potential"),
         pytest.param(lambda: preset_sim_config("P1"), id="SimConfig"),
         pytest.param(lambda: logged(np.zeros((2, len(TRAJECTORY_COLUMNS)))), id="Trajectory"),
-        pytest.param(lambda: BoxDomain.cube(1.0), id="BoxDomain"),
     ])
     def test_eq_and_hash_do_not_raise(self, build):
         a, b = build(), build()
