@@ -15,7 +15,7 @@ from gradflow.admissibility import (
     write_sweep_csv,
 )
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import VelocityBounds, wrap_angle
+from gradflow.kinematics import wrap_angle
 from gradflow.potential import Potential, make_quadratic, make_v_alpha
 from gradflow.presets import PRESETS, sim_config
 from gradflow.simulator import (
@@ -41,7 +41,6 @@ __all__ = [
     "SimConfig",
     "TABLE1_COEFFS",
     "Trajectory",
-    "VelocityBounds",
     "admissibility_measure",
     "convergence_order",
     "integrate_gradient_flow",

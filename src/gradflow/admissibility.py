@@ -30,7 +30,8 @@ from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
 
 # fixed Monte-Carlo chunk: it is drawn, evaluated and reduced as one unit,
-# and must be a multiple of 4 (see _monte_carlo)
+# and must be a multiple of 4 (see _monte_carlo); midpoint evaluates its
+# slabs in row blocks of at most this many points
 MC_CHUNK = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
@@ -141,7 +142,8 @@ def admissibility_measure(potential: Potential,
     """Estimate J over [-w, w]^3 with settings `cfg` (default w = 1).
 
     Midpoint: tensor grid of cell centers, grid_n per axis, accumulated in
-    x3-slab order. Monte Carlo: `samples` uniform draws from a Philox
+    x3-slab order, each slab in blocks of rows, so memory is bounded by
+    MC_CHUNK points. Monte Carlo: `samples` uniform draws from a Philox
     stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
     so memory is bounded by the chunk.
     """
@@ -163,12 +165,15 @@ def _midpoint(potential, cfg):
     d1, d2, d3 = _gradient_coeffs(potential, w)
     g1 = (d1 * xs)[:, None]
     g2 = (d2 * xs)[None, :]
+    rows = max(1, MC_CHUNK // n)  # up to grid_n 512 a slab is one block
     total = 0.0
     excluded = 0
     for x3, g3 in zip(xs, d3 * xs):
-        vals, exc = _integrand(g1, g2, g3, math.sin(x3), math.cos(x3), cfg.q)
-        total += float(vals.sum())  # x3-slab subtotals in slab index order
-        excluded += exc
+        s, c = math.sin(x3), math.cos(x3)
+        for lo in range(0, n, rows):
+            vals, exc = _integrand(g1[lo:lo + rows], g2, g3, s, c, cfg.q)
+            total += float(vals.sum())  # block subtotals in slab, then row order
+            excluded += exc
     points = n ** 3
     return total / points, points, excluded
 

@@ -182,19 +182,17 @@ def cmd_refine(args) -> int:
     if any(b >= a for a, b in zip(args.eps, args.eps[1:])):
         raise ValueError(f"--eps must be strictly descending, got {args.eps}")
     potential = _potential_from_flags(args)
+    # the controllers check gamma and k1 before the reference flow is built from gamma
+    controllers = [ControllerParams(epsilon=eps, gamma=args.gamma, k1=args.k1,
+                                    loop_mode=args.mode) for eps in args.eps]
     reference = integrate_gradient_flow(
         potential.scaled(args.gamma), args.x0, t_max=args.window, h=1e-3
     )
     deviations = []
-    for eps in args.eps:
-        cp = eps / REFINE_UPDATES_PER_EPS
-        controller = ControllerParams(
-            epsilon=eps, gamma=args.gamma, k1=args.k1, k2=args.k2,
-            loop_mode=args.mode,
-        )
+    for controller in controllers:
         cfg = SimConfig(
-            potential=potential, controller=controller, x0=args.x0,
-            goal_tol=0.0, t_max=args.window, control_period=cp,
+            potential=potential, controller=controller, x0=args.x0, goal_tol=0.0,
+            t_max=args.window, control_period=controller.epsilon / REFINE_UPDATES_PER_EPS,
         )
         deviations.append(tracking_deviation(simulate(cfg), reference))
     non_increasing = all(b <= a for a, b in zip(deviations, deviations[1:]))
@@ -223,8 +221,7 @@ def cmd_refine(args) -> int:
 
 def cmd_gradient_flow(args) -> int:
     potential = _potential_from_flags(args)
-    traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h,
-                                   log_every=args.log_every)
+    traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h)
     csv_processes = traj.save_csv(args.out)
     _emit({
         "final_state": [float(v) for v in traj.final_state],
@@ -323,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--gamma", type=float, default=SIM_DEFAULTS["gamma"],
                      help="feedback gain")
     ref.add_argument("--k1", type=float, default=SIM_DEFAULTS["k1"])
-    ref.add_argument("--k2", type=float, default=SIM_DEFAULTS["k2"])
     ref.add_argument("--x0", type=float, nargs=3, default=SIM_DEFAULTS["x0"],
                      metavar=("X1", "X2", "X3"))
     ref.add_argument("--out", help="CSV path for (epsilon, deviation) rows")
@@ -336,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar=("X1", "X2", "X3"))
     gf.add_argument("--t-max", type=float, dest="t_max", default=10.0)
     gf.add_argument("--h", type=float, default=1e-3, help="spacing of the logged time grid")
-    gf.add_argument("--log-every", type=int, dest="log_every", default=1)
     gf.add_argument("--out", default="gradient_flow.csv", help="output CSV path")
     gf.set_defaults(func=cmd_gradient_flow)
 

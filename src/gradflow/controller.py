@@ -10,14 +10,15 @@ with the frequency omega is what lets the cos/sin pair excite the bracket
 (sideways) direction with average rate a12 per unit time, so the closed
 loop drifts along -gamma * grad V on average.
 
-ControllerParams derives omega from epsilon and always enforces k1*k2 = 4.
-The formula itself is evaluated, with its clamp, in `_kernels.closed_loop`.
+ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
+k1*k2 = 4 holds by construction. The formula itself is evaluated, with its
+clamp, in `_kernels.closed_loop`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from gradflow.kinematics import VelocityBounds, check_scalar
+from gradflow.kinematics import check_scalar
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,37 +29,43 @@ class ControllerParams:
 
     epsilon is both the oscillation period and, in sampling mode, the
     amplitude refresh interval; the frequency omega = 2*pi/epsilon follows
-    from it. A pair (k1, k2) that breaks k1*k2 = 4 is rejected.
+    from it. The controls are saturated to [-u1_max, u1_max] x
+    [-u2_max, u2_max]; the infinite defaults are the ideal bounds U = R^2,
+    which never clamp.
     """
 
     epsilon: float = 1.0
     gamma: float = 0.05
-    # Oscillation coefficients preferred after tuning against the TurtleBot3
+    # Oscillation coefficient preferred after tuning against the TurtleBot3
     # actuator limits: the angular channel has the larger admissible range, so
-    # k2 takes the larger share of the product constraint k1*k2 = 4.
+    # k2 = 4/k1 = 8 takes the larger share of the product k1*k2 = 4.
     k1: float = 0.5
-    k2: float = 8.0
-    bounds: VelocityBounds = field(default_factory=VelocityBounds)
+    u1_max: float = math.inf
+    u2_max: float = math.inf
     loop_mode: str = "continuous"
 
     def __post_init__(self):
-        for name in ("epsilon", "gamma", "k1", "k2"):
+        for name in ("epsilon", "gamma", "k1", "u1_max", "u2_max"):
             check_scalar(getattr(self, name), name)
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ValueError(f"k1 and k2 must be positive, got ({self.k1}, {self.k2})")
-        if abs(self.k1 * self.k2 - 4.0) > 1e-9:
-            raise ValueError(
-                f"coefficient constraint k1*k2 = 4 violated: "
-                f"{self.k1}*{self.k2} = {self.k1 * self.k2}"
-            )
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (self.k1 > 0 and math.isfinite(self.k1) and math.isfinite(self.k2)):
+            raise ValueError(f"k1 must be positive and finite with a finite k2 = 4/k1, "
+                             f"got {self.k1}")
+        if not (self.u1_max > 0 and self.u2_max > 0):
+            raise ValueError(f"velocity bounds must be positive, got "
+                             f"u1_max={self.u1_max!r}, u2_max={self.u2_max!r}")
         if self.loop_mode not in ("sampling", "continuous"):
             raise ValueError(
                 f"loop_mode must be 'sampling' or 'continuous', got {self.loop_mode!r}"
             )
+
+    @property
+    def k2(self) -> float:
+        """The angular coefficient 4/k1, so that k1*k2 = 4."""
+        return 4.0 / self.k1
 
     @property
     def omega(self) -> float:

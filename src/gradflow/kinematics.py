@@ -7,12 +7,11 @@ display concern, not a model one. Controls are u = (u1, u2): translational
 velocity (m/s) and angular velocity (rad/s). The driving vector fields
 f1 = (cos x3, sin x3, 0) and f2 = (0, 0, 1) are written out where the closed
 loop and the admissibility integrand use them; this module checks the
-inputs: states, scalar parameters and velocity bounds.
+inputs: states and scalar parameters.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,25 +43,6 @@ def check_scalar(value, what: str, integer: bool = False) -> None:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
         raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
                          f"got {value!r}")
-
-
-@dataclass(frozen=True)
-class VelocityBounds:
-    """Admissible control set [-u1_max, u1_max] x [-u2_max, u2_max].
-
-    The closed loop saturates each control component to its interval. The
-    defaults are infinite: the ideal bounds U = R^2, which never clamp.
-    """
-
-    u1_max: float = math.inf
-    u2_max: float = math.inf
-
-    def __post_init__(self):
-        check_scalar(self.u1_max, "u1_max")
-        check_scalar(self.u2_max, "u2_max")
-        if not (self.u1_max > 0 and self.u2_max > 0):
-            raise ValueError(f"velocity bounds must be positive, got "
-                             f"u1_max={self.u1_max!r}, u2_max={self.u2_max!r}")
 
 
 def wrap_angle(theta: float) -> float:

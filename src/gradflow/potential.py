@@ -2,7 +2,7 @@
 
 Every candidate is a diagonal quadratic form
 
-    V = c1*x1^2 + c2*x2^2 + c3*x3^2  with ci > 0,
+    V = c1*x1^2 + c2*x2^2 + c3*x3^2  with 0 < ci < inf,
 
 stored as its coefficient triple. The anisotropic family
 V = alpha*(x1^2 + x3^2) + x2^2/alpha is the triple (alpha, 1/alpha, alpha).
@@ -12,6 +12,7 @@ closed loop computes the control amplitudes (a1, a2, a12) =
 -gamma * F(x)^-1 grad V(x) from that gradient.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +30,24 @@ class Potential:
     coeffs: np.ndarray
 
     def scaled(self, c: float) -> "Potential":
-        """The potential c*V. Positive c preserves positive definiteness."""
+        """The potential c*V. Positive c preserves positive definiteness.
+
+        A product c*ci past the float range is infinite, and raises.
+        """
         check_scalar(c, "scale factor")
         if not c > 0:
             raise ValueError(f"scale factor must be positive, got {c}")
-        return make_quadratic(*(c * self.coeffs))
+        # on Python floats, so an overflow is inf without a numpy warning
+        return make_quadratic(*(float(c) * ci for ci in self.coeffs.tolist()))
 
 
 def make_quadratic(c1: float, c2: float, c3: float) -> Potential:
-    """Diagonal quadratic form c1*x1^2 + c2*x2^2 + c3*x3^2, all ci > 0."""
+    """Diagonal quadratic form c1*x1^2 + c2*x2^2 + c3*x3^2, all ci positive and finite."""
     for name, c in (("c1", c1), ("c2", c2), ("c3", c3)):
         check_scalar(c, name)
-    if not (c1 > 0 and c2 > 0 and c3 > 0):
-        raise ValueError(f"quadratic coefficients must be positive, got ({c1}, {c2}, {c3})")
+    if not all(c > 0 and math.isfinite(c) for c in (c1, c2, c3)):
+        raise ValueError(f"quadratic coefficients must be positive and finite, "
+                         f"got ({c1}, {c2}, {c3})")
     coeffs = np.array([c1, c2, c3], dtype=float)
     coeffs.flags.writeable = False
     return Potential(coeffs=coeffs)

@@ -5,14 +5,15 @@ SIM_DEFAULTS; `sim_config` checks them, layers them over the defaults and
 builds the SimConfig. A preset is the few settings in which it differs from
 the defaults: all four share epsilon = 1 s, gamma = 0.05, start
 (-0.5, -0.5, 0) and the TurtleBot3 limits (0.22 m/s, 2.84 rad/s), and
-differ in the anisotropy alpha and the split of k1*k2 = 4. Every run steers
-to the origin, the minimiser of its potential, so no setting names a goal.
+differ in the anisotropy alpha and in k1, which fixes k2 = 4/k1. Every run
+steers to the origin, the minimiser of its potential, so no setting names a
+goal.
 """
 
 import math
+from dataclasses import replace
 
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import VelocityBounds
 from gradflow.potential import make_quadratic, make_v_alpha
 from gradflow.simulator import SimConfig
 
@@ -21,7 +22,6 @@ SIM_DEFAULTS = {
     "epsilon": ControllerParams.epsilon,
     "gamma": ControllerParams.gamma,
     "k1": ControllerParams.k1,
-    "k2": ControllerParams.k2,
     # TurtleBot3 Burger actuator limits: 0.22 m/s translational, 2.84 rad/s angular
     "u1_max": 0.22,
     "u2_max": 2.84,
@@ -36,7 +36,7 @@ SIM_DEFAULTS = {
 
 PRESETS = {
     "P1": {},
-    "P2": {"k1": 1.0 / math.sqrt(2.0), "k2": 4.0 * math.sqrt(2.0)},
+    "P2": {"k1": 1.0 / math.sqrt(2.0)},
     "P3": {"potential": {"kind": "v_alpha", "alpha": 4.0}},
     "P4": {"potential": {"kind": "v_alpha", "alpha": 10.0}},
 }
@@ -81,19 +81,15 @@ def _potential_from_spec(spec):
 def sim_config(settings: dict) -> SimConfig:
     """Build the SimConfig of `settings` layered over SIM_DEFAULTS."""
     s = {**SIM_DEFAULTS, **check_settings(settings)}
-    # the limits are checked in either mode; "ideal" runs with the default, infinite bounds
-    limits = VelocityBounds(float(s["u1_max"]), float(s["u2_max"]))
-    if s["bounds_mode"] == "ideal":
-        bounds = VelocityBounds()
-    elif s["bounds_mode"] == "clamp":
-        bounds = limits
-    else:
+    if s["bounds_mode"] not in ("ideal", "clamp"):
         raise ValueError(f"bounds_mode must be 'ideal' or 'clamp', got {s['bounds_mode']!r}")
     controller = ControllerParams(
-        epsilon=float(s["epsilon"]), gamma=float(s["gamma"]),
-        k1=float(s["k1"]), k2=float(s["k2"]),
-        bounds=bounds, loop_mode=s["loop_mode"],
+        epsilon=float(s["epsilon"]), gamma=float(s["gamma"]), k1=float(s["k1"]),
+        u1_max=float(s["u1_max"]), u2_max=float(s["u2_max"]), loop_mode=s["loop_mode"],
     )
+    if s["bounds_mode"] == "ideal":
+        # the limits are checked above in either mode; "ideal" runs without them
+        controller = replace(controller, u1_max=math.inf, u2_max=math.inf)
     return SimConfig(
         potential=_potential_from_spec(s["potential"]),
         controller=controller, x0=s["x0"],

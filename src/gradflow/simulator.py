@@ -234,12 +234,6 @@ def _multiple_of(value: float, base: float, tol: float = 1e-9) -> int | None:
     return None
 
 
-def _check_log_every(log_every) -> None:
-    check_scalar(log_every, "log_every", integer=True)
-    if not log_every >= 1:
-        raise ValueError(f"log_every must be a positive integer, got {log_every!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Full description of one closed-loop run.
@@ -283,7 +277,9 @@ class SimConfig:
             raise ValueError(
                 f"control_period={self.control_period} must divide t_max={self.t_max}"
             )
-        _check_log_every(self.log_every)
+        check_scalar(self.log_every, "log_every", integer=True)
+        if not self.log_every >= 1:
+            raise ValueError(f"log_every must be a positive integer, got {self.log_every!r}")
 
 
 def _floats(x) -> tuple:
@@ -303,11 +299,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
     rows, status, conv_time, *counts = _kernels.closed_loop(
         *_floats(cfg.potential.coeffs), _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2,
         ctrl.omega, cfg.control_period, n_updates, refresh_every,
-        ctrl.bounds.u1_max, ctrl.bounds.u2_max, cfg.goal_tol, cfg.log_every,
+        ctrl.u1_max, ctrl.u2_max, cfg.goal_tol, cfg.log_every,
     )
     if len(rows) == 0:
         # non-finite before anything could be logged: degenerate inputs
-        raise ValueError("potential produces non-finite values at the initial state")
+        raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")
     data = np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
     if status == _kernels.STATUS_GOAL:
         return Trajectory(data, float(conv_time), *counts)
@@ -319,17 +315,15 @@ def simulate(cfg: SimConfig) -> Trajectory:
     return traj
 
 
-def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
-                            log_every: int = 1) -> Trajectory:
+def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) -> Trajectory:
     """The reference dynamics xdot = -grad V(x), in closed form.
 
     The state x_i(t) = x0_i * exp(-2*c_i*t) is evaluated at t = k*h for
-    every step k that is a multiple of log_every, and for the last step
-    t_max/h; h must divide t_max. Control, amplitude and saturated columns
-    are logged as zeros, and the result always terminates with the horizon
-    (there is no goal test here). Every c_i is positive, so no component
-    grows and this never raises IntegrationError; a V that overflows at x0
-    raises ValueError.
+    k = 0..t_max/h; h must divide t_max. Control, amplitude and saturated
+    columns are logged as zeros, and the result always terminates with the
+    horizon (there is no goal test here). Every c_i is positive, so no
+    component grows and this never raises IntegrationError; a V that
+    overflows at x0 raises ValueError.
     """
     check_scalar(t_max, "t_max")
     check_scalar(h, "h")
@@ -340,14 +334,13 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float,
     n_steps = _multiple_of(t_max, h)
     if n_steps is None:
         raise ValueError(f"step h={h} must divide t_max={t_max}")
-    _check_log_every(log_every)
     x0 = as_state(x0)
     c1, c2, c3 = _floats(potential.coeffs)
     x1, x2, x3 = _floats(x0)
     # on Python floats, so an overflow cannot warn; no later V exceeds this one
     if not math.isfinite(c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3):
         raise ValueError("potential produces non-finite values at the initial state")
-    t = np.append(np.arange(0, n_steps, log_every), n_steps) * h
+    t = np.arange(n_steps + 1) * h
     data = np.zeros((t.size, len(TRAJECTORY_COLUMNS)))
     data[:, 0] = t
     with np.errstate(over="ignore"):  # c*t past the float range decays to exp(-inf) = 0

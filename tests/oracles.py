@@ -20,7 +20,7 @@ import numpy as np
 
 from gradflow import admissibility
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import VelocityBounds, _real_vector, as_state
+from gradflow.kinematics import _real_vector, as_state
 from gradflow.potential import Potential
 
 
@@ -88,16 +88,16 @@ def frame_inverse(x) -> np.ndarray:
     ])
 
 
-def clamp(u, bounds: VelocityBounds) -> tuple[np.ndarray, bool]:
-    """Componentwise clamp of u to [-u1_max, u1_max] x [-u2_max, u2_max].
+def clamp(u, p: ControllerParams) -> tuple[np.ndarray, bool]:
+    """Componentwise clamp of u to p's [-u1_max, u1_max] x [-u2_max, u2_max].
 
     Returns the (possibly) clamped control and a flag that is True iff any
     component changed. Values exactly on the boundary pass unchanged.
     """
     u = as_control(u)
     out = np.array([
-        min(max(u[0], -bounds.u1_max), bounds.u1_max),
-        min(max(u[1], -bounds.u2_max), bounds.u2_max),
+        min(max(u[0], -p.u1_max), p.u1_max),
+        min(max(u[1], -p.u2_max), p.u2_max),
     ])
     return out, bool(out[0] != u[0] or out[1] != u[1])
 
@@ -123,7 +123,7 @@ def control_value(p: ControllerParams, a, t: float) -> tuple[np.ndarray, bool]:
         a[0] + p.k1 * osc * sign * math.cos(omega * t),
         a[1] + p.k2 * osc * math.sin(omega * t),
     ])
-    return clamp(u, p.bounds)
+    return clamp(u, p)
 
 
 def hold_step(x1, x2, x3, u1, u2, T):
@@ -142,21 +142,18 @@ def hold_step(x1, x2, x3, u1, u2, T):
             x3 + u2 * T)
 
 
-def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float,
-                      log_every: int = 1) -> np.ndarray:
+def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float) -> np.ndarray:
     """Classical RK4 with step h on xdot = -grad V, one state at a time.
 
-    Returns the rows (t, x1, x2, x3) at t = k*h for every step k that is a
-    multiple of log_every and for the last step n_steps, the grid
-    integrate_gradient_flow logs.
+    Returns the rows (t, x1, x2, x3) at t = k*h for k = 0..n_steps, the
+    grid integrate_gradient_flow logs.
     """
     x1, x2, x3 = (float(v) for v in as_state(x0))
     # -grad V = (n1*x1, n2*x2, n3*x3)
     n1, n2, n3 = (-2.0 * float(c) for c in potential.coeffs)
     rows = []
     for k in range(n_steps + 1):
-        if (k % log_every == 0) or (k == n_steps):
-            rows.append((k * h, x1, x2, x3))
+        rows.append((k * h, x1, x2, x3))
         if k == n_steps:
             break
         # RK4 stages p, q, r, s

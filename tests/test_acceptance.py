@@ -247,9 +247,10 @@ def test_criterion_9_controller_algebra():
             accepted.append(name)
         except ValueError:
             pass
+    # k2 = 4/k1, so k1 = 1e-320 (k2 = inf) is the only way left to break k1*k2 = 4
     rejected = False
     try:
-        ControllerParams(k1=1.0, k2=1.0)
+        ControllerParams(k1=1e-320)
     except ValueError:
         rejected = True
 
@@ -269,6 +270,6 @@ def test_criterion_9_controller_algebra():
 
     ok = (len(accepted) == 4 and rejected and zero_ok and period_err <= 1e-12)
     report("criterion 9 (controller algebra)", ok,
-           f"presets accepted = {sorted(accepted)}, (1,1) rejected = {rejected}, "
+           f"presets accepted = {sorted(accepted)}, k1 without a finite k2 rejected = {rejected}, "
            f"zero amplitude -> zero control = {zero_ok}, "
            f"periodicity error = {period_err:.2e} (tol 1e-12)")

@@ -289,6 +289,42 @@ class TestStreamedMonteCarlo:
         assert peak < 8 * 24 * admissibility.MC_CHUNK
 
 
+class TestMidpointBlocks:
+    """Midpoint evaluates each x3 slab in row blocks of at most MC_CHUNK points."""
+
+    def test_blocks_agree_with_one_block_per_slab(self, monkeypatch):
+        cfg = AdmissibilityConfig(grid_n=256)
+        pot = make_quadratic(1, 2, 3)
+        one = admissibility_measure(pot, cfg)  # 256 <= 512: each slab is one block
+        blocks = []
+
+        def recording(g1, *args):
+            blocks.append(g1.shape)
+            return integrand(g1, *args)
+
+        integrand = admissibility._integrand
+        monkeypatch.setattr(admissibility, "_integrand", recording)
+        monkeypatch.setattr(admissibility, "MC_CHUNK", 4096)
+        split = admissibility_measure(pot, cfg)
+        assert blocks == [(16, 1)] * (16 * 256)
+        assert abs(split.value - one.value) <= 1e-13 * one.value
+        assert (split.points, split.excluded) == (one.points, one.excluded)
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        monkeypatch.setattr(admissibility, "MC_CHUNK", 4096)
+        cfg = AdmissibilityConfig(grid_n=256)
+        pot = make_quadratic(1, 2, 3)
+        admissibility_measure(pot, cfg)  # warm up caches outside the trace
+        tracemalloc.start()
+        try:
+            admissibility_measure(pot, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 256 x 256 slab temporary is 512 KB; a few 16-row blocks stay under half of it
+        assert peak < 256 * 1024
+
+
 class TestTable1:
     def test_row_order_and_count(self):
         assert len(TABLE1_COEFFS) == 7

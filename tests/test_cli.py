@@ -484,6 +484,57 @@ class TestExitCodeContract:
         assert code == 2
         assert "inf is not a finite multiple" in captured.err
 
+    def test_infinite_coefficient_exit_2(self, capsys):
+        # an infinite c would print "J": NaN, which is not JSON
+        code = main(["admissibility", "--quadratic", "inf,1,1", "--grid-n", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "quadratic coefficients must be positive and finite" in captured.err
+
+    def test_infinite_coefficient_in_config_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"potential": {"kind": "quadratic", "c": [Infinity, 1, 1]}}')
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "quadratic coefficients must be positive and finite" in captured.err
+        assert not out.exists()
+
+    def test_controls_overflowing_at_the_start_exit_2(self, capsys, tmp_path):
+        # V is finite at x0; sqrt(omega*|a12|) overflows, and u2 = 8*inf*sin(0) is nan
+        path = tmp_path / "cfg.json"
+        path.write_text('{"gamma": 1e308}')
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--preset", "P1", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "V, the amplitudes or the controls are non-finite at the initial state" \
+            in captured.err
+        assert not out.exists()
+
+    def test_infinite_gamma_exit_2(self, capsys):
+        code = main(["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--gamma", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "gamma must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["refine", "--v-alpha", "1", "--eps", "0.5", "--k2", "8"], id="refine-k2"),
+        pytest.param(["gradient-flow", "--v-alpha", "1", "--log-every", "2"],
+                     id="gradient-flow-log-every"),
+    ])
+    def test_removed_flags_exit_2(self, capsys, argv):
+        # k2 = 4/k1 follows from --k1, and --h alone spaces the flow's logged grid
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradflow import ControllerParams, VelocityBounds
+from gradflow import ControllerParams
 from gradflow.presets import sim_config
 from helpers import preset_sim_config
 from oracles import clamp, control_value
@@ -11,6 +13,9 @@ from oracles import clamp, control_value
 
 def ideal_controller(**kw):
     return ControllerParams(**kw)
+
+
+TB3 = ControllerParams(u1_max=0.22, u2_max=2.84)
 
 
 class TestParamValidation:
@@ -21,8 +26,30 @@ class TestParamValidation:
         assert ctrl.omega == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_product_constraint_rejected(self):
-        with pytest.raises(ValueError, match=r"k1\*k2 = 4"):
+        # k2 is derived from k1, so no pair can break k1*k2 = 4
+        with pytest.raises(TypeError, match="k2"):
             ControllerParams(k1=1.0, k2=1.0)
+
+    def test_k2_of_the_presets(self):
+        assert preset_sim_config("P1").controller.k2 == 8.0
+        assert preset_sim_config("P2").controller.k2 == 4.0 * math.sqrt(2.0)
+
+    @settings(deadline=None)
+    @given(st.floats(1e-3, 1e3))
+    def test_k2_is_four_over_k1(self, k1):
+        ctrl = ControllerParams(k1=k1)
+        assert ctrl.k2 == 4.0 / k1
+        assert abs(ctrl.k1 * ctrl.k2 - 4.0) <= math.ulp(4.0)
+
+    @pytest.mark.parametrize("k1", [0.0, -1.0, math.inf, math.nan, 1e-320, True])
+    def test_k1_without_a_finite_k2_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1"):
+            ControllerParams(k1=k1)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ControllerParams(gamma=gamma)
 
     def test_omega_consistency_enforced(self):
         ok = ControllerParams(epsilon=0.5)
@@ -35,7 +62,7 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ControllerParams(gamma=-0.1)
         with pytest.raises(ValueError):
-            ControllerParams(k1=-0.5, k2=-8.0)
+            ControllerParams(k1=-0.5)
 
     def test_rejects_bad_loop_mode(self):
         with pytest.raises(ValueError, match="loop_mode"):
@@ -59,7 +86,7 @@ class TestControlValue:
 
     def test_frozen_value_at_t0(self):
         # u1 = 0.05 - 0.5*sqrt(2*pi*0.05), high-precision reference
-        ctrl = ideal_controller(k1=0.5, k2=8.0)
+        ctrl = ideal_controller(k1=0.5)
         u, _ = control_value(ctrl, np.array([0.05, 0.0, -0.05]), 0.0)
         assert u[0] == pytest.approx(-0.23024956081989643, abs=1e-15)
         assert u[1] == 0.0
@@ -100,9 +127,7 @@ class TestControlValue:
         assert u[0] == 0.2 and u[1] == 0.1
 
     def test_clamped_output_and_flag(self):
-        bounds = VelocityBounds(0.22, 2.84)
-        ctrl = ideal_controller(bounds=bounds)
-        u, sat = control_value(ctrl, np.array([0.0, 0.0, -0.5]), 0.0)
+        u, sat = control_value(TB3, np.array([0.0, 0.0, -0.5]), 0.0)
         assert sat is True
         assert abs(u[0]) <= 0.22 and abs(u[1]) <= 2.84
 
@@ -113,22 +138,22 @@ class TestControlValue:
 
 class TestClamp:
     def test_inside_passes_through(self):
-        u, sat = clamp([0.1, 1.0], VelocityBounds(0.22, 2.84))
+        u, sat = clamp([0.1, 1.0], TB3)
         assert np.array_equal(u, [0.1, 1.0])
         assert sat is False
 
     def test_clamps_both_components(self):
-        u, sat = clamp([-0.33, 4.48], VelocityBounds(0.22, 2.84))
+        u, sat = clamp([-0.33, 4.48], TB3)
         assert np.array_equal(u, [-0.22, 2.84])
         assert sat is True
 
     def test_boundary_not_flagged(self):
-        u, sat = clamp([0.22, -2.84], VelocityBounds(0.22, 2.84))
+        u, sat = clamp([0.22, -2.84], TB3)
         assert np.array_equal(u, [0.22, -2.84])
         assert sat is False
 
     def test_ideal_bounds_never_clamp(self):
-        u, sat = clamp([1e6, -1e6], VelocityBounds())
+        u, sat = clamp([1e6, -1e6], ControllerParams())
         assert np.array_equal(u, [1e6, -1e6])
         assert sat is False
 
@@ -137,7 +162,7 @@ class TestVelocityBounds:
     def test_clamp_requires_positive_limits(self):
         for limits in [(0.0, 1.0), (1.0, -2.84), (math.nan, 1.0), (-math.inf, math.inf)]:
             with pytest.raises(ValueError, match="positive"):
-                VelocityBounds(*limits)
+                ControllerParams(u1_max=limits[0], u2_max=limits[1])
 
     def test_bad_mode(self):
         # the bounds mode is a setting: "ideal" or "clamp", nothing else

@@ -7,7 +7,6 @@ from gradflow import (
     AdmissibilityConfig,
     ControllerParams,
     SimConfig,
-    VelocityBounds,
     integrate_gradient_flow,
     make_quadratic,
     make_v_alpha,
@@ -169,7 +168,7 @@ class TestNoCoercion:
             AdmissibilityConfig(half_width="1")
 
     def test_clamp(self):
-        bounds = VelocityBounds(0.22, 2.84)
+        bounds = ControllerParams(u1_max=0.22, u2_max=2.84)
         with pytest.raises(ValueError, match="numbers"):
             clamp(["0.5", "0"], bounds)
         with pytest.raises(ValueError, match="numbers"):
@@ -192,10 +191,9 @@ class TestScalarParameters:
         pytest.param(lambda: ControllerParams(epsilon=True), id="epsilon-bool"),
         pytest.param(lambda: ControllerParams(epsilon="1"), id="epsilon-string"),
         pytest.param(lambda: ControllerParams(gamma=np.True_), id="gamma-numpy-bool"),
-        pytest.param(lambda: ControllerParams(k1=True, k2=4.0), id="k1-bool"),
-        pytest.param(lambda: ControllerParams(k1=4.0, k2=True), id="k2-bool"),
-        pytest.param(lambda: VelocityBounds(True, 2.84), id="u1_max-bool"),
-        pytest.param(lambda: VelocityBounds(0.22, True), id="u2_max-bool"),
+        pytest.param(lambda: ControllerParams(k1=True), id="k1-bool"),
+        pytest.param(lambda: ControllerParams(u1_max=True), id="u1_max-bool"),
+        pytest.param(lambda: ControllerParams(u2_max=True), id="u2_max-bool"),
         pytest.param(lambda: AdmissibilityConfig(samples=True), id="samples-bool"),
         pytest.param(lambda: AdmissibilityConfig(seed=False), id="seed-bool"),
         pytest.param(lambda: AdmissibilityConfig(seed=2.5), id="seed-fraction"),

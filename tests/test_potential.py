@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ class TestQuadratic:
         for bad in [(0, 1, 1), (1, -2, 1), (1, 1, 0)]:
             with pytest.raises(ValueError):
                 make_quadratic(*bad)
+
+    def test_rejects_infinite(self):
+        for bad in [(math.inf, 1, 1), (1, math.inf, 1), (1, 1, math.nan)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_quadratic(*bad)
+
+    def test_scaled_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_quadratic(1e300, 1, 1).scaled(1e10)
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_v_alpha(1.0).scaled(np.float64(math.inf))
 
     def test_scaled(self):
         v = make_quadratic(1, 2, 3).scaled(0.05)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gradflow import PRESETS, SimConfig, VelocityBounds, make_v_alpha, sim_config
+from gradflow import PRESETS, SimConfig, make_v_alpha, sim_config
 from gradflow.presets import SIM_DEFAULTS
 from helpers import preset_sim_config
 
@@ -32,7 +32,7 @@ class TestSettings:
         assert isinstance(cfg, SimConfig)
         ctrl = cfg.controller
         assert (ctrl.epsilon, ctrl.gamma, ctrl.k1, ctrl.k2) == (1.0, 0.05, k1, k2)
-        assert ctrl.bounds == VelocityBounds(0.22, 2.84)
+        assert (ctrl.u1_max, ctrl.u2_max) == (0.22, 2.84)
         assert ctrl.loop_mode == "continuous"
         assert np.array_equal(cfg.potential.coeffs, make_v_alpha(alpha).coeffs)
         assert cfg.x0.tolist() == [-0.5, -0.5, 0.0]
@@ -42,18 +42,21 @@ class TestSettings:
     def test_overrides_layer_over_the_preset(self):
         cfg = preset_sim_config("P2", bounds_mode="ideal", x0=[0.1, 0.2, 0.3], log_every=3)
         assert cfg.controller.k1 == 1.0 / math.sqrt(2.0)
-        assert cfg.controller.bounds == VelocityBounds(math.inf, math.inf)
+        assert (cfg.controller.u1_max, cfg.controller.u2_max) == (math.inf, math.inf)
         assert cfg.x0.tolist() == [0.1, 0.2, 0.3] and cfg.log_every == 3
         quad = preset_sim_config("P3", potential={"kind": "quadratic", "c": [1, 2, 3]})
         assert quad.potential.coeffs.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"h": 1e-3}, id="unknown-key"),
+        pytest.param({"k2": 8.0}, id="k2-key"),
         pytest.param({"log_every": 2.5}, id="log_every-fraction"),
         pytest.param({"t_max": "600"}, id="t_max-string"),
         pytest.param({"gamma": True}, id="gamma-bool"),
         pytest.param({"x0": (-0.5, -0.5, 0.0)}, id="x0-tuple"),
         pytest.param({"potential": {"kind": "v_alpha", "alpha": "4"}}, id="alpha-string"),
+        pytest.param({"potential": {"kind": "quadratic", "c": [math.inf, 1, 1]}},
+                     id="c-infinite"),
     ])
     def test_overrides_are_checked_like_a_config_file(self, overrides):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from gradflow import (
     IntegrationError,
     SimConfig,
     Trajectory,
-    VelocityBounds,
     integrate_gradient_flow,
     load_trajectory_csv,
     make_quadratic,
@@ -44,12 +43,14 @@ from oracles import (
 )
 
 
-def short_config(loop_mode="continuous", bounds=None, potential=None, t_max=2.0,
+IDEAL = (math.inf, math.inf)
+TB3 = (0.22, 2.84)
+
+
+def short_config(loop_mode="continuous", bounds=IDEAL, potential=None, t_max=2.0,
                  x0=(-0.5, -0.5, 0.0), goal_tol=0.05, cp=1e-3, log_every=1):
-    controller = ControllerParams(
-        bounds=bounds if bounds is not None else VelocityBounds(),
-        loop_mode=loop_mode,
-    )
+    """`bounds` is the pair (u1_max, u2_max)."""
+    controller = ControllerParams(u1_max=bounds[0], u2_max=bounds[1], loop_mode=loop_mode)
     return SimConfig(
         potential=potential if potential is not None else make_v_alpha(1.0),
         controller=controller, x0=x0, goal_tol=goal_tol, t_max=t_max,
@@ -96,6 +97,13 @@ class TestSimConfigValidation:
 
 
 class TestSimulate:
+    def test_controls_overflowing_at_the_start(self):
+        # V(x0) = 0.5 is finite, but omega*|a12| overflows and u2 = 8*inf*sin(0) is nan
+        cfg = SimConfig(potential=make_v_alpha(1.0), controller=ControllerParams(gamma=1e308),
+                        x0=(-0.5, -0.5, 0.0), t_max=1.0)
+        with pytest.raises(ValueError, match="V, the amplitudes or the controls are non-finite"):
+            simulate(cfg)
+
     def test_start_at_goal_single_row(self):
         # the goal test, full-state distance to the origin <= goal_tol, runs at t = 0 first
         for x0, tol, stops in [
@@ -162,7 +170,7 @@ class TestSimulate:
         assert traj.data.shape[0] < full.data.shape[0]
         assert np.array_equal(traj.data[-1], full.data[-1])
 
-    @pytest.mark.parametrize("bounds", [VelocityBounds(), VelocityBounds(0.22, 2.84)])
+    @pytest.mark.parametrize("bounds", [IDEAL, TB3])
     def test_counts_cover_every_update(self, bounds):
         full = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0))
         assert full.saturation_count == int(np.count_nonzero(full.saturated))
@@ -175,7 +183,7 @@ class TestSimulate:
 
     def test_finite_bounds_saturate(self):
         # finite limits are the clamp: P1's limits need no mode to act
-        controller = ControllerParams(bounds=VelocityBounds(0.22, 2.84))
+        controller = ControllerParams(u1_max=0.22, u2_max=2.84)
         traj = simulate(SimConfig(potential=make_v_alpha(1.0), controller=controller,
                                   x0=(-0.5, -0.5, 0.0), t_max=2.0))
         assert traj.saturation_count > 0
@@ -284,15 +292,14 @@ class TestExactHold:
 class TestOneLoopStep:
     """One update of the closed loop is the oracle's hold and V, bit for bit."""
 
-    @pytest.mark.parametrize("bounds,saturated", [(VelocityBounds(), 0.0),
-                                                  (VelocityBounds(0.22, 2.84), 1.0)],
+    @pytest.mark.parametrize("bounds,saturated", [(IDEAL, 0.0), (TB3, 1.0)],
                              ids=["continuous", "clamped"])
     def test_second_row_is_oracle_hold(self, bounds, saturated):
         c1, c2, c3 = 1.5, 0.7, 2.2
         ctrl = ControllerParams()
         T = 0.01
         out = _kernels.closed_loop(c1, c2, c3, (-0.5, 0.4, 0.3), ctrl.gamma, ctrl.k1, ctrl.k2,
-                                   ctrl.omega, T, 1, 1, bounds.u1_max, bounds.u2_max, 0.0, 1)
+                                   ctrl.omega, T, 1, 1, *bounds, 0.0, 1)
         rows = np.frombuffer(out[0]).reshape(-1, len(TRAJECTORY_COLUMNS)).tolist()
         assert out[1] == _kernels.STATUS_HORIZON
         assert len(rows) == 2
@@ -329,13 +336,12 @@ class TestGradientFlow:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
            st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-           st.floats(1e-4, 0.02), st.integers(1, 400), st.integers(1, 50))
-    def test_matches_rk4_oracle(self, coeffs, x0, step, n_steps, log_every):
+           st.floats(1e-4, 0.02), st.integers(1, 400))
+    def test_matches_rk4_oracle(self, coeffs, x0, step, n_steps):
         h = step / (2.0 * max(coeffs))
         potential = make_quadratic(*coeffs)
-        traj = integrate_gradient_flow(potential, x0, t_max=n_steps * h, h=h,
-                                       log_every=log_every)
-        ref = rk4_gradient_flow(potential, x0, n_steps, h, log_every)
+        traj = integrate_gradient_flow(potential, x0, t_max=n_steps * h, h=h)
+        ref = rk4_gradient_flow(potential, x0, n_steps, h)
         assert np.array_equal(traj.t, ref[:, 0])
         assert np.abs(traj.states - ref[:, 1:]).max() <= 1e-9
         x = traj.states
@@ -389,9 +395,6 @@ class TestGradientFlow:
             integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=1.0, h=0.0)
         with pytest.raises(ValueError):
             integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=-1.0, h=0.1)
-        with pytest.raises(ValueError, match="log_every"):
-            integrate_gradient_flow(make_v_alpha(1.0), [0, 0, 0], t_max=1.0, h=0.1,
-                                    log_every=True)
 
     def test_horizon_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="divide"):
@@ -584,8 +587,7 @@ class TestCsv(CsvBytesEqual):
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
     def test_saturated_column_integer(self, tmp_path):
-        bounds = VelocityBounds(0.22, 2.84)
-        traj = simulate(short_config(bounds=bounds, t_max=0.2, goal_tol=0.0))
+        traj = simulate(short_config(bounds=TB3, t_max=0.2, goal_tol=0.0))
         path = tmp_path / "run.csv"
         traj.save_csv(path)
         lines = path.read_text().splitlines()[1:]
