@@ -8,13 +8,14 @@ where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
 closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. `_integrand` evaluates
-it for both quadratures, and the test suite checks it against a
-brute-force minimizer over u.
+it, and the test suite checks it against a brute-force minimizer over u.
+The integral is one deterministic rule: the midpoint rule on a tensor grid
+of grid_n cells per axis.
 
 X is the centred cube [-w, w]^3. J is zero iff the gradient flow is
 realizable everywhere; for q = 2 the integrand lies in [0, 1], hence J in
 [0, 1]. Multiplying V by a positive constant leaves J unchanged, and the
-quadratures keep that in floating point: they evaluate grad V times a power
+quadrature keeps that in floating point: it evaluates grad V times a power
 of two chosen from the largest coefficient and w, which rounds nothing and
 brings every gradient component on the cube below 2, so |grad V|^2 cannot
 overflow and a tiny V is not lost to underflow. Multiplying V by a power of
@@ -29,10 +30,8 @@ import numpy as np
 from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
 
-# fixed Monte-Carlo chunk: it is drawn, evaluated and reduced as one unit,
-# and must be a multiple of 4 (see _monte_carlo); midpoint evaluates its
-# slabs in row blocks of at most this many points
-MC_CHUNK = 1 << 18
+# midpoint evaluates its x3 slabs in row blocks of at most this many points
+BLOCK_POINTS = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
 # in presentation order.
@@ -58,31 +57,18 @@ class AdmissibilityConfig:
     """
 
     q: float = 2.0
-    method: str = "midpoint"
     grid_n: int = 200
-    samples: int = 1_000_000
-    seed: int = 2025
     half_width: float = 1.0
 
     def __post_init__(self):
         for name in ("q", "half_width"):
             check_scalar(getattr(self, name), name)
-        for name in ("grid_n", "samples", "seed"):
-            check_scalar(getattr(self, name), name, integer=True)
+        check_scalar(self.grid_n, "grid_n", integer=True)
         if not (self.q > 0 and math.isfinite(self.q)):
             raise ValueError(f"exponent q must be positive and finite, got {self.q}")
-        if self.method not in ("midpoint", "monte_carlo"):
-            raise ValueError(f"method must be 'midpoint' or 'monte_carlo', got {self.method!r}")
         if not (self.grid_n >= 2 and self.grid_n % 2 == 0):
             raise ValueError(f"grid_n must be an even integer >= 2, got {self.grid_n}")
-        if not self.samples >= 1:
-            raise ValueError(f"samples must be a positive integer, got {self.samples}")
-        if self.method == "monte_carlo" and not self.samples >= 2:
-            raise ValueError(f"monte_carlo needs samples >= 2 for its standard error, "
-                             f"got {self.samples}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        # the box's width 2*w must be finite too: the quadratures step across it
+        # the box's width 2*w must be finite too: the grid steps across it
         if not (self.half_width > 0 and math.isfinite(2.0 * self.half_width)):
             raise ValueError(f"half_width must be positive with a finite width 2*half_width, "
                              f"got {self.half_width}")
@@ -90,17 +76,14 @@ class AdmissibilityConfig:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    """Quadrature estimate of J plus audit counters.
+    """Midpoint estimate of J plus audit counters.
 
-    stderr is the Monte-Carlo standard error (None for midpoint); excluded
-    counts quadrature points where grad V vanishes, which contribute 0.
+    excluded counts grid points where grad V vanishes, which contribute 0.
     """
 
     value: float
     points: int
     excluded: int
-    method: str
-    stderr: float | None = None
 
 
 def _grid_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -139,25 +122,13 @@ def _integrand(g1, g2, g3, s, c, q: float):
 
 def admissibility_measure(potential: Potential,
                           cfg: AdmissibilityConfig | None = None) -> AdmissibilityResult:
-    """Estimate J over [-w, w]^3 with settings `cfg` (default w = 1).
+    """Midpoint estimate of J over [-w, w]^3 with settings `cfg` (default w = 1).
 
-    Midpoint: tensor grid of cell centers, grid_n per axis, accumulated in
-    x3-slab order, each slab in blocks of rows, so memory is bounded by
-    MC_CHUNK points. Monte Carlo: `samples` uniform draws from a Philox
-    stream keyed by `seed`, drawn and reduced in chunks of MC_CHUNK points,
-    so memory is bounded by the chunk.
+    The grid has the cell centers of grid_n cells per axis. It is
+    accumulated in x3-slab order, each slab in blocks of rows, so memory is
+    bounded by BLOCK_POINTS points whatever grid_n is.
     """
     cfg = AdmissibilityConfig() if cfg is None else cfg
-    if cfg.method == "midpoint":
-        value, points, excluded = _midpoint(potential, cfg)
-        stderr = None
-    else:
-        value, points, excluded, stderr = _monte_carlo(potential, cfg)
-    return AdmissibilityResult(value=value, points=points, excluded=excluded,
-                               method=cfg.method, stderr=stderr)
-
-
-def _midpoint(potential, cfg):
     n, w = cfg.grid_n, cfg.half_width
     xs = _grid_centers(-w, w, n)  # the cell centers of every axis
     # the scaled grad V is separable: g1 varies along x1 (rows) only, g2
@@ -165,7 +136,7 @@ def _midpoint(potential, cfg):
     d1, d2, d3 = _gradient_coeffs(potential, w)
     g1 = (d1 * xs)[:, None]
     g2 = (d2 * xs)[None, :]
-    rows = max(1, MC_CHUNK // n)  # up to grid_n 512 a slab is one block
+    rows = max(1, BLOCK_POINTS // n)  # up to grid_n 512 a slab is one block
     total = 0.0
     excluded = 0
     for x3, g3 in zip(xs, d3 * xs):
@@ -175,34 +146,7 @@ def _midpoint(potential, cfg):
             total += float(vals.sum())  # block subtotals in slab, then row order
             excluded += exc
     points = n ** 3
-    return total / points, points, excluded
-
-
-def _monte_carlo(potential, cfg):
-    n, w = cfg.samples, cfg.half_width
-    d = _gradient_coeffs(potential, w)
-    n_chunks = -(-n // MC_CHUNK)
-
-    def eval_chunk(i):
-        # Philox yields 4 doubles per counter step and chunk i starts 3*i*MC_CHUNK
-        # doubles into the seed's stream, so every chunk draws its own points
-        rng = np.random.Generator(np.random.Philox(cfg.seed).advance(i * 3 * MC_CHUNK // 4))
-        u = rng.uniform(size=(min(MC_CHUNK, n - i * MC_CHUNK), 3))
-        pts = -w + u * (w - -w)
-        g = d * pts
-        vals, exc = _integrand(g[:, 0], g[:, 1], g[:, 2], np.sin(pts[:, 2]),
-                               np.cos(pts[:, 2]), cfg.q)
-        return float(vals.sum()), float((vals * vals).sum()), exc
-
-    total = 0.0
-    total_sq = 0.0
-    excluded = 0
-    for s, s2, exc in map(eval_chunk, range(n_chunks)):  # chunk index order
-        total += s
-        total_sq += s2
-        excluded += exc
-    var = max(total_sq - total * total / n, 0.0) / (n - 1)  # n >= 2: config checks it
-    return total / n, n, excluded, math.sqrt(var / n)
+    return AdmissibilityResult(value=total / points, points=points, excluded=excluded)
 
 
 def table1(cfg: AdmissibilityConfig | None = None
@@ -219,14 +163,13 @@ def table1(cfg: AdmissibilityConfig | None = None
 def write_sweep_csv(rows, path) -> None:
     """Write sweep results as CSV rows (c1,c2,c3,q,method,points,J,stderr,excluded).
 
-    `rows` is an iterable of (coeffs, q, result) triples; stderr is left
-    empty for midpoint estimates.
+    `rows` is an iterable of (coeffs, q, result) triples.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(SWEEP_CSV_HEADER + "\n")
         for coeffs, q, res in rows:
-            stderr = "" if res.stderr is None else format(res.stderr, ".9g")
+            # the nine published columns, which clibench checks byte for byte; stderr is empty
             f.write(
                 f"{coeffs[0]:.9g},{coeffs[1]:.9g},{coeffs[2]:.9g},{q:.9g},"
-                f"{res.method},{res.points},{res.value:.9g},{stderr},{res.excluded}\n"
+                f"midpoint,{res.points},{res.value:.9g},,{res.excluded}\n"
             )

@@ -131,10 +131,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_admissibility(args) -> int:
-    cfg = AdmissibilityConfig(
-        q=args.q, method=args.method, grid_n=args.grid_n,
-        samples=args.samples, seed=args.seed, half_width=args.box,
-    )
+    cfg = AdmissibilityConfig(q=args.q, grid_n=args.grid_n, half_width=args.box)
     cells = []
     # the parser requires exactly one of --table1, --v-alpha and --quadratic
     if args.table1:
@@ -154,17 +151,15 @@ def cmd_admissibility(args) -> int:
             [(cell["c"], args.q, cell["result"]) for cell in cells], args.out
         )
     _emit({
-        "method": cfg.method,
         "q": cfg.q,
         "cells": [
             {k: v for k, v in (
                 ("c", cell["c"]),
                 ("alpha", cell.get("alpha")),
                 ("J", cell["result"].value),
-                ("stderr", cell["result"].stderr),
                 ("points", cell["result"].points),
                 ("excluded", cell["result"].excluded),
-            ) if v is not None or k in ("J", "stderr")}
+            ) if v is not None}
             for cell in cells
         ],
         "csv": args.out,
@@ -297,14 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run the published seven-triple coefficient sweep")
     adm.add_argument("--q", type=float, default=ADMISSIBILITY_DEFAULTS.q,
                      help="residual exponent")
-    adm.add_argument("--method", choices=("midpoint", "monte_carlo"),
-                     default=ADMISSIBILITY_DEFAULTS.method)
     adm.add_argument("--grid-n", type=int, dest="grid_n", default=ADMISSIBILITY_DEFAULTS.grid_n,
                      help="midpoint cells per axis (even)")
-    adm.add_argument("--samples", type=int, default=ADMISSIBILITY_DEFAULTS.samples,
-                     help="Monte-Carlo draws")
-    adm.add_argument("--seed", type=int, default=ADMISSIBILITY_DEFAULTS.seed,
-                     help="Monte-Carlo seed")
     adm.add_argument("--box", type=float, default=ADMISSIBILITY_DEFAULTS.half_width,
                      help="half-width w of the cube [-w, w]^3")
     adm.add_argument("--out", help="sweep CSV path")

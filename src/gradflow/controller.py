@@ -7,8 +7,14 @@ Given amplitudes a = (a1, a2, a12) computed from a potential, the control is
 
 with omega = 2*pi/epsilon and k1*k2 = 4. The sqrt(omega) amplitude paired
 with the frequency omega is what lets the cos/sin pair excite the bracket
-(sideways) direction with average rate a12 per unit time, so the closed
-loop drifts along -gamma * grad V on average.
+(sideways) direction [f1, f2]: over one period with the amplitudes frozen
+the state moves on average along
+
+    a1 f1 + a2 f2 + (k1*k2/2) * a12 [f1, f2] = a1 f1 + a2 f2 + 2 a12 [f1, f2],
+
+up to O(sqrt(epsilon)), so the bracket rate is 2 a12, not a12. With
+a = -gamma * F^-1 grad V and the frame F = (f1, f2, [f1, f2]) orthonormal,
+that field still decreases V.
 
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its

@@ -220,16 +220,18 @@ def load_trajectory_csv(path) -> np.ndarray:
     return data
 
 
-def _multiple_of(value: float, base: float, tol: float = 1e-9) -> int | None:
-    """round(value/base) if value is that multiple of base within tol, else None.
+def _multiple_of(value: float, base: float) -> int | None:
+    """round(value/base) if value is that multiple of base up to rounding, else None.
 
-    A quotient that is infinite, or overflows to infinity, raises ValueError.
+    The tolerance is 1e-9 or 4 ulp of value, whichever is larger: above about
+    1e6 the rounding of n*base alone exceeds 1e-9. A quotient that is
+    infinite, or overflows to infinity, raises ValueError.
     """
     quotient = value / base
     if not math.isfinite(quotient):
         raise ValueError(f"{value!r} is not a finite multiple of {base!r}")
     n = round(quotient)
-    if n >= 1 and abs(value - n * base) <= tol:
+    if n >= 1 and abs(value - n * base) <= max(1e-9, 4 * math.ulp(value)):
         return n
     return None
 

@@ -256,24 +256,18 @@ class TestAdmissibilityCommand:
         assert code == 2
         assert "one of the arguments --v-alpha --quadratic --table1 is required" in captured.err
 
-    def test_monte_carlo_seed_flag(self, capsys):
-        argv = ["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
-                "--samples", "20000", "--seed"]
-        code, base = run(capsys, *argv, "1")
-        assert code == 0
-        code, other = run(capsys, *argv, "2")
-        assert code == 0
-        assert base["cells"][0]["J"] != other["cells"][0]["J"]
-        code, again = run(capsys, *argv, "1")
-        assert again["cells"][0]["J"] == base["cells"][0]["J"]
-
-    def test_negative_seed_named_exit_2(self, capsys):
-        code = main(["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
-                     "--samples", "100", "--seed", "-1"])
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--method", "monte_carlo", id="method"),
+        pytest.param("--samples", "10", id="samples"),
+        pytest.param("--seed", "1", id="seed"),
+    ])
+    def test_monte_carlo_flags_removed_exit_2(self, capsys, flag, value):
+        # J has one deterministic rule, the midpoint grid, and no Monte Carlo settings
+        code = main(["admissibility", "--quadratic", "1,1,1", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "seed must be a nonnegative integer" in captured.err
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_nonfinite_q_exit_2(self, capsys):
         # q = inf would report J = 0 and print "q": Infinity, which is not JSON
@@ -282,15 +276,6 @@ class TestAdmissibilityCommand:
         assert code == 2
         assert captured.out == ""
         assert "q must be positive and finite" in captured.err
-
-    def test_one_monte_carlo_sample_exit_2(self, capsys):
-        # one sample has no standard error: it would print "stderr": Infinity, which is not JSON
-        code = main(["admissibility", "--quadratic", "1,1,1", "--method", "monte_carlo",
-                     "--samples", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "samples" in captured.err
 
     def test_jobs_flag_removed_exit_2(self, capsys):
         code = main(["admissibility", "--table1", "--jobs", "2"])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradflow import ControllerParams
+from gradflow import ControllerParams, convergence_order
 from gradflow.presets import sim_config
 from helpers import preset_sim_config
-from oracles import clamp, control_value
+from oracles import clamp, control_value, frame_inverse, hold_step
 
 
 def ideal_controller(**kw):
@@ -134,6 +134,43 @@ class TestControlValue:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             control_value(ideal_controller(), np.zeros(3), -0.1)
+
+
+AVERAGING_EPS = (0.016, 0.004, 0.001, 0.00025)
+HOLDS_PER_PERIOD = 4000
+
+
+def one_period_coefficients(x, a, k1, eps):
+    """Frame coefficients of the mean velocity over one period with `a` frozen.
+
+    The period is HOLDS_PER_PERIOD exact holds of the feedback; the result
+    is F(x)^-1 (x(eps) - x) / eps, the mean velocity in the frame
+    (f1, f2, [f1, f2]) at the start.
+    """
+    p = ControllerParams(epsilon=eps, k1=k1)
+    T = eps / HOLDS_PER_PERIOD
+    state = tuple(x)
+    for k in range(HOLDS_PER_PERIOD):
+        u, _ = control_value(p, a, k * T)
+        state = hold_step(*state, u[0], u[1], T)
+    return frame_inverse(x) @ np.subtract(state, x) / eps
+
+
+class TestOnePeriodAveraging:
+    """Over one period the feedback moves the state by eps * (a1 f1 + a2 f2 +
+    (k1 k2 / 2) a12 [f1, f2]) + O(eps^1.5): the bracket rate is 2 a12, not a12."""
+
+    @pytest.mark.parametrize("x, a, k1", [
+        pytest.param((0.3, -0.2, 0.7), (0.1, -0.05, 0.2), 0.5, id="a12-positive"),
+        pytest.param((-0.4, 0.5, -1.2), (-0.05, 0.08, -0.15), 0.5, id="a12-negative"),
+        pytest.param((1.0, 0.2, 2.5), (0.02, 0.1, -0.3), 1 / math.sqrt(2), id="k1-P2"),
+    ])
+    def test_frame_coefficients_approach_the_averaged_field(self, x, a, k1):
+        averaged = np.array([a[0], a[1], 2.0 * a[2]])  # k1 k2 / 2 = 2
+        errors = [np.abs(one_period_coefficients(x, a, k1, eps) - averaged).max()
+                  for eps in AVERAGING_EPS]
+        assert 0.4 <= convergence_order(AVERAGING_EPS, errors) <= 0.6
+        assert errors[-1] <= 0.1 * abs(a[2])
 
 
 class TestClamp:

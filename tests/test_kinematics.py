@@ -194,12 +194,10 @@ class TestScalarParameters:
         pytest.param(lambda: ControllerParams(k1=True), id="k1-bool"),
         pytest.param(lambda: ControllerParams(u1_max=True), id="u1_max-bool"),
         pytest.param(lambda: ControllerParams(u2_max=True), id="u2_max-bool"),
-        pytest.param(lambda: AdmissibilityConfig(samples=True), id="samples-bool"),
-        pytest.param(lambda: AdmissibilityConfig(seed=False), id="seed-bool"),
-        pytest.param(lambda: AdmissibilityConfig(seed=2.5), id="seed-fraction"),
         pytest.param(lambda: AdmissibilityConfig(q=True), id="q-bool"),
         pytest.param(lambda: AdmissibilityConfig(q=math.inf), id="q-inf"),
         pytest.param(lambda: AdmissibilityConfig(grid_n=np.float64(4.0)), id="grid_n-float"),
+        pytest.param(lambda: AdmissibilityConfig(grid_n=4.5), id="grid_n-fraction"),
         pytest.param(lambda: AdmissibilityConfig(half_width=True), id="half_width-bool"),
         pytest.param(lambda: sim_with(t_max=True), id="t_max-bool"),
         pytest.param(lambda: sim_with(goal_tol=False), id="goal_tol-bool"),
@@ -208,9 +206,6 @@ class TestScalarParameters:
                                                      t_max=True, h=0.5), id="flow-t_max-bool"),
         pytest.param(lambda: integrate_gradient_flow(make_v_alpha(1.0), [0.1, 0.0, 0.0],
                                                      t_max=1.0, h=True), id="flow-h-bool"),
-        pytest.param(lambda: AdmissibilityConfig(seed=-1), id="seed-negative"),
-        pytest.param(lambda: AdmissibilityConfig(method="monte_carlo", samples=1),
-                     id="monte-carlo-one-sample"),
     ])
     def test_rejects(self, build):
         with pytest.raises(ValueError):
@@ -218,6 +213,6 @@ class TestScalarParameters:
 
     def test_numbers_accepted(self):
         assert make_quadratic(1, np.float64(2.0), np.int64(3)).coeffs.tolist() == [1.0, 2.0, 3.0]
-        assert AdmissibilityConfig(grid_n=np.int64(4), seed=0).grid_n == 4
+        assert AdmissibilityConfig(grid_n=np.int64(4)).grid_n == 4
         assert sim_with(t_max=2, control_period=np.float64(0.5)).t_max == 2
 

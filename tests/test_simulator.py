@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -78,6 +79,30 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="t_max"):
             short_config(t_max=1.00026, cp=5e-4)
         assert short_config(t_max=1.0005, cp=5e-4).t_max == 1.0005
+
+    def test_large_decimal_horizon(self):
+        # 17,214,402,104 periods: n*base rounds by more than 1e-9 at this size
+        assert short_config(t_max=8607201.052, cp=5e-4).t_max == 8607201.052
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 2 ** 40 - 1), base=st.sampled_from(["5e-4", "1e-3", "1e-5"]))
+    def test_decimal_multiples_accepted(self, k, base):
+        # k*base in decimal, rounded once to a float, is k steps; a third of a
+        # step more is no multiple, however large the value
+        step = float(base)
+        assert simulator._multiple_of(float(k * Decimal(base)), step) == k
+        assert simulator._multiple_of(float(k * Decimal(base) + Decimal(base) / 3), step) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2 ** 40), base=st.floats(1e-6, 10.0),
+           offset=st.floats(-2e-9, 2e-9))
+    def test_absolute_tolerance_multiples_keep_their_count(self, n, base, offset):
+        # whatever an absolute 1e-9 tolerance accepts keeps its count, so no
+        # run that was accepted before changes its number of steps
+        value = n * base + offset
+        count = round(value / base)
+        if count >= 1 and abs(value - count * base) <= 1e-9:
+            assert simulator._multiple_of(value, base) == count
 
     def test_overflowing_horizon(self):
         # epsilon / control_period overflows to inf: a ValueError, not an OverflowError
