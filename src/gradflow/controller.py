@@ -18,7 +18,8 @@ that field still decreases V.
 
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its
-clamp, in `_kernels.closed_loop`.
+clamp, in `_kernels.closed_loop` and, one frozen window at a time, in
+`_kernels.sampling_loop`.
 """
 
 import math

@@ -288,21 +288,34 @@ def _floats(x) -> tuple:
     return tuple(float(v) for v in x)
 
 
+def _loop_args(cfg: SimConfig) -> dict:
+    """The keyword arguments of `_kernels.closed_loop` and `sampling_loop` for `cfg`."""
+    ctrl = cfg.controller
+    c1, c2, c3 = _floats(cfg.potential.coeffs)
+    return dict(
+        c1=c1, c2=c2, c3=c3, x0=_floats(cfg.x0), gamma=ctrl.gamma, k1=ctrl.k1, k2=ctrl.k2,
+        omega=ctrl.omega, control_period=cfg.control_period,
+        n_updates=_multiple_of(cfg.t_max, cfg.control_period),
+        refresh_every=(_multiple_of(ctrl.epsilon, cfg.control_period)
+                       if ctrl.loop_mode == "sampling" else 1),
+        u1_max=ctrl.u1_max, u2_max=ctrl.u2_max, goal_tol=cfg.goal_tol,
+        log_every=cfg.log_every,
+    )
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
-    The loop reads the potential as its three coefficients. Identical
-    configs produce bit-identical trajectories.
+    The loop reads the potential as its three coefficients. A run whose
+    amplitudes are frozen for at least `_kernels.SAMPLING_MIN_WINDOW`
+    updates goes to `_kernels.sampling_loop`, every other run to
+    `_kernels.closed_loop`; the two give the same bits. Identical configs
+    produce bit-identical trajectories.
     """
-    ctrl = cfg.controller
-    n_updates = _multiple_of(cfg.t_max, cfg.control_period)
-    refresh_every = (_multiple_of(ctrl.epsilon, cfg.control_period)
-                     if ctrl.loop_mode == "sampling" else 1)
-    rows, status, conv_time, *counts = _kernels.closed_loop(
-        *_floats(cfg.potential.coeffs), _floats(cfg.x0), ctrl.gamma, ctrl.k1, ctrl.k2,
-        ctrl.omega, cfg.control_period, n_updates, refresh_every,
-        ctrl.u1_max, ctrl.u2_max, cfg.goal_tol, cfg.log_every,
-    )
+    args = _loop_args(cfg)
+    loop = (_kernels.sampling_loop if args["refresh_every"] >= _kernels.SAMPLING_MIN_WINDOW
+            else _kernels.closed_loop)
+    rows, status, conv_time, *counts = loop(**args)
     if len(rows) == 0:
         # non-finite before anything could be logged: degenerate inputs
         raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")

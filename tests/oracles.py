@@ -5,11 +5,14 @@ compare the two. The first group are the model's formulas written one
 state at a time, as the paper states them: the potential and its
 gradient, the frame algebra of the unicycle, the feedback and its clamp,
 the amplitude vector and the exact flow of one hold. The package computes
-the same quantities only inside `_kernels.closed_loop` and
+the same quantities only inside its two closed-loop kernels,
+`_kernels.closed_loop` and `_kernels.sampling_loop` (the scalar loop is in
+turn the bitwise oracle of the numpy one), and in
 `admissibility._integrand`; `integrand_rho` reads the latter in the units
 of the residual, so a test can hold it against `rho_bruteforce`.
-`rk4_gradient_flow` integrates the reference flow that
-`simulator.integrate_gradient_flow` evaluates in closed form, and
+`rk4_flow` integrates any field: `rk4_gradient_flow` is the reference
+flow that `simulator.integrate_gradient_flow` evaluates in closed form,
+and `averaged_field` is the flow that the sampling loop tracks.
 `semi_analytic_j` computes the admissibility cost that
 `admissibility_measure` sums by midpoint quadrature.
 """
@@ -142,37 +145,41 @@ def hold_step(x1, x2, x3, u1, u2, T):
             x3 + u2 * T)
 
 
-def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float) -> np.ndarray:
-    """Classical RK4 with step h on xdot = -grad V, one state at a time.
+def rk4_flow(field, x0, n_steps: int, h: float) -> np.ndarray:
+    """Classical RK4 with step h on xdot = field(x), x a float64 vector of shape (3,).
 
-    Returns the rows (t, x1, x2, x3) at t = k*h for k = 0..n_steps, the
-    grid integrate_gradient_flow logs.
+    Returns the rows (t, x1, x2, x3) at t = k*h for k = 0..n_steps.
     """
-    x1, x2, x3 = (float(v) for v in as_state(x0))
-    # -grad V = (n1*x1, n2*x2, n3*x3)
-    n1, n2, n3 = (-2.0 * float(c) for c in potential.coeffs)
-    rows = []
+    x = as_state(x0)
+    rows = np.empty((n_steps + 1, 4))
     for k in range(n_steps + 1):
-        rows.append((k * h, x1, x2, x3))
+        rows[k, 0] = k * h
+        rows[k, 1:] = x
         if k == n_steps:
             break
-        # RK4 stages p, q, r, s
-        p1 = n1 * x1
-        p2 = n2 * x2
-        p3 = n3 * x3
-        q1 = n1 * (x1 + 0.5 * h * p1)
-        q2 = n2 * (x2 + 0.5 * h * p2)
-        q3 = n3 * (x3 + 0.5 * h * p3)
-        r1 = n1 * (x1 + 0.5 * h * q1)
-        r2 = n2 * (x2 + 0.5 * h * q2)
-        r3 = n3 * (x3 + 0.5 * h * q3)
-        s1 = n1 * (x1 + h * r1)
-        s2 = n2 * (x2 + h * r2)
-        s3 = n3 * (x3 + h * r3)
-        x1 += h * (p1 + 2.0 * q1 + 2.0 * r1 + s1) / 6.0
-        x2 += h * (p2 + 2.0 * q2 + 2.0 * r2 + s2) / 6.0
-        x3 += h * (p3 + 2.0 * q3 + 2.0 * r3 + s3) / 6.0
-    return np.array(rows)
+        p = field(x)
+        q = field(x + 0.5 * h * p)
+        r = field(x + 0.5 * h * q)
+        s = field(x + h * r)
+        x = x + h * (p + 2.0 * q + 2.0 * r + s) / 6.0
+    return rows
+
+
+def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float) -> np.ndarray:
+    """rk4_flow on xdot = -grad V: the grid integrate_gradient_flow logs."""
+    n = -2.0 * potential.coeffs
+    return rk4_flow(lambda x: n * x, x0, n_steps, h)
+
+
+def averaged_field(potential: Potential, gamma: float, x) -> np.ndarray:
+    """-gamma * (grad V + (f3 . grad V) f3), with f3 = [f1, f2] = (sin x3, -cos x3, 0).
+
+    The field the sampling loop averages to: a1 f1 + a2 f2 + 2 a12 f3 with
+    a = -gamma F^T grad V, where F = (f1, f2, f3) is orthonormal.
+    """
+    g = potential_gradient(potential, x)
+    f3 = lie_bracket(x)
+    return -gamma * (g + (f3 @ g) * f3)
 
 
 def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:

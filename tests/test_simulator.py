@@ -20,6 +20,7 @@ from gradflow import (
     IntegrationError,
     SimConfig,
     Trajectory,
+    convergence_order,
     integrate_gradient_flow,
     load_trajectory_csv,
     make_quadratic,
@@ -37,9 +38,11 @@ from gradflow.simulator import (
 from helpers import preset_sim_config
 from oracles import (
     amplitude_vector,
+    averaged_field,
     control_value,
     hold_step,
     potential_value,
+    rk4_flow,
     rk4_gradient_flow,
 )
 
@@ -335,6 +338,122 @@ class TestOneLoopStep:
         assert second[9] == c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
 
 
+def same_run(**args):
+    """closed_loop's run of `args`, asserted equal to sampling_loop's, bit for bit."""
+    scalar = _kernels.closed_loop(**args)
+    window = _kernels.sampling_loop(**args)
+    assert window[0].tobytes() == scalar[0].tobytes()
+    assert window[1] == scalar[1]
+    assert window[2] == scalar[2] or (math.isnan(window[2]) and math.isnan(scalar[2]))
+    assert window[3:] == scalar[3:]
+    return scalar
+
+
+def refine_config(eps, t_max=2.0, log_every=1):
+    """One closed loop of `refine --v-alpha 1` at this eps: 2,000 updates per eps."""
+    controller = ControllerParams(epsilon=eps, gamma=0.05, loop_mode="sampling")
+    return SimConfig(potential=make_v_alpha(1.0), controller=controller, x0=(-0.5, -0.5, 0.0),
+                     goal_tol=0.0, t_max=t_max, control_period=eps / 2000,
+                     log_every=log_every)
+
+
+def overflow_args(refresh_every):
+    """A run whose x3 first overflows at update 4, after four logged rows.
+
+    c3 = 0 keeps V finite at any x3, and u2 = k2*osc*sin(omega*t) clamps to
+    u2_max = 1e307 from update 1 on, so x3 grows by 1e307 per hold until the
+    hold of update 3 takes it past the float range, its heading x3 + u2*T/2
+    still in it.
+    """
+    return dict(c1=1.0, c2=1.0, c3=0.0, x0=(1000.0, 0.0, 1.52e308), gamma=0.05, k1=1.0,
+                k2=1e307, omega=0.4, control_period=1.0, n_updates=40,
+                refresh_every=refresh_every, u1_max=1.0, u2_max=1e307, goal_tol=0.0,
+                log_every=1)
+
+
+class TestSamplingWindows:
+    """sampling_loop is closed_loop, bit for bit: rows, status, convergence
+    time and the counters of every evaluated update."""
+
+    @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
+    @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+    def test_presets(self, name, bounds):
+        args = simulator._loop_args(
+            preset_sim_config(name, loop_mode="sampling", bounds_mode=bounds))
+        assert args["refresh_every"] == 2000
+        status, _, n_sat = same_run(**args)[1:4]
+        assert status == _kernels.STATUS_GOAL
+        assert (n_sat > 0) == (bounds == "clamp")
+
+    @pytest.mark.parametrize("eps, t_max", [(0.5, 2.0), (0.1, 2.0), (0.02, 2.0), (0.004, 0.5)])
+    def test_refine_runs(self, eps, t_max):
+        # eps 0.004 over the first 0.5 s of its 2 s, 125 windows: the whole
+        # run would take the scalar loop about 2 s
+        args = simulator._loop_args(refine_config(eps, t_max))
+        assert same_run(**args)[1] == _kernels.STATUS_HORIZON
+
+    def test_log_every_7(self):
+        args = simulator._loop_args(preset_sim_config("P1", loop_mode="sampling", log_every=7))
+        rows = same_run(**args)[0]
+        assert len(rows) < 11 * args["n_updates"] / 6
+
+    def test_goal_mid_window(self):
+        cfg = short_config(loop_mode="sampling", x0=(0.3, -0.2, 0.1), goal_tol=0.2,
+                           t_max=20.0, cp=1e-3, log_every=5)
+        args = simulator._loop_args(cfg)
+        assert args["refresh_every"] == 1000
+        rows, status, conv_time = same_run(**args)[:3]
+        k = round(conv_time / 1e-3)
+        assert status == _kernels.STATUS_GOAL
+        assert k % 1000 != 0 and k % 5 != 0
+        assert rows[-11] == conv_time
+
+    @pytest.mark.parametrize("refresh_every, block", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
+                             ids=["window-edge", "mid-window", "block-edge", "mid-block"])
+    def test_nonfinite_stop(self, refresh_every, block, monkeypatch):
+        monkeypatch.setattr(_kernels, "WINDOW_BLOCK", block)
+        rows, status, _, n_sat = same_run(**overflow_args(refresh_every))[:4]
+        assert status == _kernels.STATUS_NONFINITE
+        assert len(rows) == 4 * 11 and n_sat == 4
+        assert math.isfinite(rows[-8])  # x3 of update 3; update 4's is inf
+
+    @pytest.mark.parametrize("block", [3, 25, 1024])
+    @pytest.mark.parametrize("refresh_every", [1, 3, 100])
+    def test_partial_last_window(self, refresh_every, block, monkeypatch):
+        # 550 updates: the last window is cut, and update 550 is logged though
+        # 550 % 7 != 0; a block of 25 ends on every window edge
+        monkeypatch.setattr(_kernels, "WINDOW_BLOCK", block)
+        controller = ControllerParams(epsilon=refresh_every * 1e-3, u1_max=0.22, u2_max=2.84,
+                                      loop_mode="sampling")
+        cfg = SimConfig(potential=make_v_alpha(4.0), controller=controller,
+                        x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=0.55, control_period=1e-3,
+                        log_every=7)
+        args = simulator._loop_args(cfg)
+        assert args["n_updates"] == 550 and args["refresh_every"] == refresh_every
+        rows = same_run(**args)[0]
+        assert rows[-11] == 0.55 and len(rows) == 11 * (550 // 7 + 2)
+
+    @pytest.mark.parametrize("offset, kernel", [(0, "sampling_loop"), (-1, "closed_loop")])
+    def test_simulate_switches_at_the_crossover(self, offset, kernel, monkeypatch):
+        refresh_every = _kernels.SAMPLING_MIN_WINDOW + offset
+        controller = ControllerParams(epsilon=refresh_every * 1e-3, u1_max=0.22, u2_max=2.84,
+                                      loop_mode="sampling")
+        cfg = SimConfig(potential=make_v_alpha(1.0), controller=controller,
+                        x0=(-0.5, -0.5, 0.0), goal_tol=0.0,
+                        t_max=(3 * refresh_every + 5) * 1e-3, control_period=1e-3)
+        rows = same_run(**simulator._loop_args(cfg))[0]
+        loop = getattr(_kernels, kernel)
+        calls = []
+
+        def counted(**args):
+            calls.append(args["refresh_every"])
+            return loop(**args)
+
+        monkeypatch.setattr(_kernels, kernel, counted)
+        assert simulate(cfg).data.tobytes() == rows.tobytes()
+        assert calls == [refresh_every]
+
+
 class TestRK4Order:
     def test_gradient_flow_order(self):
         def run(h):
@@ -497,6 +616,33 @@ CSV_EDGE_VALUES = (
 )
 CSV_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                        st.sampled_from(CSV_EDGE_VALUES))
+
+
+class TestAveragedFieldTracking:
+    """Sampling mode tracks the averaged field -gamma (grad V + (f3 . grad V) f3)
+    to O(sqrt(eps)); against -gamma grad V its deviation flattens below eps 0.02."""
+
+    EPS = (0.02, 0.004, 0.0008)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # logged on the references' 1e-3 s grid: every 1e-3 / (eps/2000) updates
+        return [simulate(refine_config(eps, log_every=round(2.0 / eps))) for eps in self.EPS]
+
+    def test_order_against_the_averaged_field(self, runs):
+        potential = make_v_alpha(1.0)
+        rows = rk4_flow(lambda x: averaged_field(potential, 0.05, x), (-0.5, -0.5, 0.0),
+                        2000, 1e-3)
+        data = np.zeros((rows.shape[0], len(TRAJECTORY_COLUMNS)))
+        data[:, :4] = rows
+        deviations = [tracking_deviation(run, logged(data)) for run in runs]
+        assert 0.4 <= convergence_order(self.EPS, deviations) <= 0.6
+
+    def test_gradient_flow_is_not_tracked(self, runs):
+        reference = integrate_gradient_flow(make_v_alpha(1.0).scaled(0.05), (-0.5, -0.5, 0.0),
+                                            t_max=2.0, h=1e-3)
+        deviations = [tracking_deviation(run, reference) for run in runs]
+        assert convergence_order(self.EPS, deviations) < 0.4
 
 
 class CsvBytesEqual:
