@@ -103,21 +103,34 @@ def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
     return np.ldexp(potential.coeffs, 1 - k)
 
 
-def _integrand(g1, g2, g3, s, c, q: float):
-    """rho(x, grad V)^q / |grad V|^q from grad V = (g1, g2, g3) and s, c = sin, cos x3.
+def _integrand(g1, g2, g3, s, c, q: float, plane, gn, r) -> int:
+    """rho(x, grad V)^q / |grad V|^q on one x3 slab, written into r.
 
-    The arguments broadcast against each other. Returns the values and the
-    number of points with grad V = 0, which contribute 0.
+    grad V = (g1, g2, g3), with g3 a scalar, s, c = sin, cos x3 and plane =
+    g1*g1 + g2*g2. g1 and g2 broadcast to the shape of plane, gn and r; gn
+    is scratch. Returns the number of points with grad V = 0, which
+    contribute 0.
     """
-    gn = np.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-    keep = gn > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.abs(g1 * s - g2 * c) / gn
-    excluded = keep.size - int(np.count_nonzero(keep))
+    g3sq = g3 * g3
+    np.add(plane, g3sq, out=gn)  # the order of g1*g1 + g2*g2 + g3*g3
+    np.sqrt(gn, out=gn)
+    np.subtract(g1 * s, g2 * c, out=r)
+    excluded = 0
+    if g3sq == 0.0:  # else |grad V| >= |g3| > 0 at every point
+        zero = gn == 0.0
+        excluded = int(np.count_nonzero(zero))
     if excluded:
-        r[~keep] = 0.0
-    vals = r * r if q == 2.0 else r ** q
-    return vals, excluded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= gn
+        r[zero] = 0.0
+    else:
+        r /= gn
+    if q == 2.0:
+        r *= r  # the square ignores the sign
+    else:
+        np.abs(r, out=r)
+        r **= q
+    return excluded
 
 
 def admissibility_measure(potential: Potential,
@@ -129,22 +142,31 @@ def admissibility_measure(potential: Potential,
     bounded by BLOCK_POINTS points whatever grid_n is.
     """
     cfg = AdmissibilityConfig() if cfg is None else cfg
-    n, w = cfg.grid_n, cfg.half_width
+    n, w, q = cfg.grid_n, cfg.half_width, cfg.q
     xs = _grid_centers(-w, w, n)  # the cell centers of every axis
     # the scaled grad V is separable: g1 varies along x1 (rows) only, g2
     # along x2 (columns) only, and g3 is constant on an x3 slab
     d1, d2, d3 = _gradient_coeffs(potential, w)
     g1 = (d1 * xs)[:, None]
     g2 = (d2 * xs)[None, :]
-    rows = max(1, BLOCK_POINTS // n)  # up to grid_n 512 a slab is one block
+    g1sq, g2sq = g1 * g1, g2 * g2
+    rows = min(n, max(1, BLOCK_POINTS // n))  # up to grid_n 512 a slab is one block
+    # g1*g1 + g2*g2, |grad V| and the values of one block, reused by every block
+    plane, gn, r = np.empty((3, rows, n))
+    one_block = rows == n
+    if one_block:
+        np.add(g1sq, g2sq, out=plane)
     total = 0.0
     excluded = 0
     for x3, g3 in zip(xs, d3 * xs):
         s, c = math.sin(x3), math.cos(x3)
         for lo in range(0, n, rows):
-            vals, exc = _integrand(g1[lo:lo + rows], g2, g3, s, c, cfg.q)
-            total += float(vals.sum())  # block subtotals in slab, then row order
-            excluded += exc
+            hi = min(lo + rows, n)
+            m = hi - lo
+            if not one_block:
+                np.add(g1sq[lo:hi], g2sq, out=plane[:m])
+            excluded += _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
+            total += float(r[:m].sum())  # block subtotals in slab, then row order
     points = n ** 3
     return AdmissibilityResult(value=total / points, points=points, excluded=excluded)
 

@@ -8,8 +8,9 @@ the amplitude vector and the exact flow of one hold. The package computes
 the same quantities only inside its two closed-loop kernels,
 `_kernels.closed_loop` and `_kernels.sampling_loop` (the scalar loop is in
 turn the bitwise oracle of the numpy one), and in
-`admissibility._integrand`; `integrand_rho` reads the latter in the units
-of the residual, so a test can hold it against `rho_bruteforce`.
+`admissibility._integrand`; `integrand` calls the latter with buffers of
+its own, and `integrand_rho` reads it in the units of the residual, so a
+test can hold it against `rho_bruteforce`.
 `rk4_flow` integrates any field: `rk4_gradient_flow` is the reference
 flow that `simulator.integrate_gradient_flow` evaluates in closed form,
 and `averaged_field` is the flow that the sampling loop tracks.
@@ -204,12 +205,22 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
     ])
 
 
+def integrand(g1, g2, g3, s, c, q):
+    """`admissibility._integrand` with its buffers allocated: (values, excluded).
+
+    g1 and g2 broadcast against each other, and g3 is a scalar."""
+    plane = g1 * g1 + g2 * g2
+    gn, r = np.empty((2, *plane.shape))
+    excluded = admissibility._integrand(g1, g2, g3, s, c, q, plane, gn, r)
+    return r, excluded
+
+
 def integrand_rho(x, p) -> float:
     """rho(x, p) as the quadrature computes it: `_integrand` at q = 1, times |p|.
     A zero p is excluded by the integrand, giving 0."""
     x = as_state(x)
-    g1, g2, g3 = (np.array([float(v)]) for v in p)
-    vals, _ = admissibility._integrand(g1, g2, g3, math.sin(x[2]), math.cos(x[2]), 1.0)
+    g1, g2 = np.array([float(p[0])]), np.array([float(p[1])])
+    vals, _ = integrand(g1, g2, float(p[2]), math.sin(x[2]), math.cos(x[2]), 1.0)
     return float(vals[0]) * float(np.linalg.norm(p))
 
 

@@ -15,7 +15,7 @@ from gradflow import (
     write_sweep_csv,
 )
 from gradflow import admissibility
-from oracles import integrand_rho, potential_gradient, rho_bruteforce, vector_fields
+from oracles import integrand, integrand_rho, potential_gradient, rho_bruteforce, vector_fields
 
 
 def random_pairs(n, seed, p_max=10.0):
@@ -177,8 +177,8 @@ class TestOneIntegrand:
         for x3 in xs:
             # the unscaled gradient: the scaling must not change a bit of J
             g = potential_gradient(pot, np.stack((plane1, plane2, np.full_like(plane1, x3)), -1))
-            vals, exc = admissibility._integrand(g[..., 0], g[..., 1], g[..., 2], math.sin(x3),
-                                                 math.cos(x3), q)
+            vals, exc = integrand(g[..., 0], g[..., 1], float(g[0, 0, 2]), math.sin(x3),
+                                  math.cos(x3), q)
             total += float(vals.sum())
             excluded += exc
         res = admissibility_measure(pot, cfg)
@@ -189,12 +189,12 @@ class TestOneIntegrand:
     def test_zero_gradient_is_excluded(self):
         # grad V = 0 (the origin) is the 0/0 point: it counts as excluded and adds 0
         zero = np.zeros(3)
-        vals, excluded = admissibility._integrand(zero, zero, zero, 1.0, 0.0, 1.5)
+        vals, excluded = integrand(zero, zero, 0.0, 1.0, 0.0, 1.5)
         assert excluded == 3
         assert vals.tolist() == [0.0, 0.0, 0.0]
         # any nonzero gradient is kept, however small; only the zero one is excluded
         g1 = np.array([0.0, 1e-150, 1.0])
-        vals, excluded = admissibility._integrand(g1, 0.0, 0.0, 1.0, 0.0, 2.0)
+        vals, excluded = integrand(g1, 0.0, 0.0, 1.0, 0.0, 2.0)
         assert excluded == 1
         assert vals.tolist() == [0.0, 1.0, 1.0]
 
