@@ -163,7 +163,7 @@ half_widths = st.floats(0.1, 3.0)
 
 
 class TestOneIntegrand:
-    """The midpoint's separable slab gradients give J of the full grid, bit for bit."""
+    """The midpoint's quarter grid and slab gradients give J of the full grid."""
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]), n=grid_sizes,
@@ -171,19 +171,42 @@ class TestOneIntegrand:
     def test_slab_gradients_equal_full_grid(self, coeffs, q, n, w):
         pot = make_quadratic(*coeffs)
         cfg = AdmissibilityConfig(q=q, grid_n=n, half_width=w)
-        xs = admissibility._grid_centers(-w, w, n)
+        xs = admissibility._grid_centers(w, n)
         plane1, plane2 = np.meshgrid(xs, xs, indexing="ij")
         total, excluded = 0.0, 0
         for x3 in xs:
-            # the unscaled gradient: the scaling must not change a bit of J
+            # the unscaled gradient: the scaling must not change a bit of a value
             g = potential_gradient(pot, np.stack((plane1, plane2, np.full_like(plane1, x3)), -1))
             vals, exc = integrand(g[..., 0], g[..., 1], float(g[0, 0, 2]), math.sin(x3),
                                   math.cos(x3), q)
             total += float(vals.sum())
             excluded += exc
         res = admissibility_measure(pot, cfg)
-        assert res.value == total / n ** 3
+        # the same values summed in another order
+        assert abs(res.value - total / n ** 3) <= 1e-14 * res.value
         assert res.excluded == excluded == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=coefficients, q=st.sampled_from([2.0, 1.5, 3.0]), n=grid_sizes,
+           w=half_widths, data=st.data())
+    def test_reflections_leave_the_integrand_unchanged(self, coeffs, q, n, w, data):
+        # (x1, x2, x3) -> (-x1, -x2, x3) and (-x1, x2, -x3) map the grid onto
+        # itself and each value onto its own bits: the quarter grid relies on it
+        xs = admissibility._grid_centers(w, n)
+        assert xs.tolist() == (-xs[::-1]).tolist()
+        d = admissibility._gradient_coeffs(make_quadratic(*coeffs), w)
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+
+        def value(i, j, k):
+            x1, x2, x3 = xs[i], xs[j], xs[k]
+            vals, exc = integrand(np.array([d[0] * x1]), np.array([d[1] * x2]), d[2] * x3,
+                                  math.sin(x3), math.cos(x3), q)
+            assert exc == 0
+            return vals[0]
+
+        v = value(i, j, k)
+        assert value(n - 1 - i, n - 1 - j, k) == v
+        assert value(n - 1 - i, j, n - 1 - k) == v
 
     @pytest.mark.filterwarnings("error")
     def test_zero_gradient_is_excluded(self):
@@ -200,12 +223,12 @@ class TestOneIntegrand:
 
 
 class TestMidpointBlocks:
-    """Midpoint evaluates each x3 slab in row blocks of at most BLOCK_POINTS points."""
+    """Midpoint evaluates each x3 > 0 slab's x1 > 0 rows in blocks of at most BLOCK_POINTS points."""
 
     def test_blocks_agree_with_one_block_per_slab(self, monkeypatch):
         cfg = AdmissibilityConfig(grid_n=256)
         pot = make_quadratic(1, 2, 3)
-        one = admissibility_measure(pot, cfg)  # 256 <= 512: each slab is one block
+        one = admissibility_measure(pot, cfg)  # 128 x 256 <= 2^18: each slab is one block
         blocks = []
 
         def recording(g1, *args):
@@ -216,7 +239,8 @@ class TestMidpointBlocks:
         monkeypatch.setattr(admissibility, "_integrand", recording)
         monkeypatch.setattr(admissibility, "BLOCK_POINTS", 4096)
         split = admissibility_measure(pot, cfg)
-        assert blocks == [(16, 1)] * (16 * 256)
+        # 4096 // 256 = 16 rows a block, 8 blocks for the 128 rows x1 > 0, 128 slabs x3 > 0
+        assert blocks == [(16, 1)] * (8 * 128)
         assert abs(split.value - one.value) <= 1e-13 * one.value
         assert (split.points, split.excluded) == (one.points, one.excluded)
 
