@@ -125,15 +125,20 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             break
         if k == n_updates:
             break
-        # exact flow of the hold
+        # exact flow of the hold; a finite hold can overflow its half-angle
+        # or heading to inf, on which sin and cos raise
         half = 0.5 * u2 * control_period
-        sinc = 1.0
-        if half != 0.0:
-            sinc = sin(half) / half
-        chord = u1 * control_period * sinc
-        heading = x3 + half
-        x1 += chord * cos(heading)
-        x2 += chord * sin(heading)
+        try:
+            sinc = 1.0
+            if half != 0.0:
+                sinc = sin(half) / half
+            chord = u1 * control_period * sinc
+            heading = x3 + half
+            x1 += chord * cos(heading)
+            x2 += chord * sin(heading)
+        except ValueError:
+            status = STATUS_NONFINITE
+            break
         x3 += u2 * control_period
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             status = STATUS_NONFINITE

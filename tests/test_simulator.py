@@ -25,6 +25,7 @@ from gradflow import (
     load_trajectory_csv,
     make_quadratic,
     make_v_alpha,
+    sim_config,
     simulate,
     tracking_deviation,
 )
@@ -416,6 +417,26 @@ class TestSamplingWindows:
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 4 * 11 and n_sat == 4
         assert math.isfinite(rows[-8])  # x3 of update 3; update 4's is inf
+
+    @pytest.mark.parametrize("case", ["half-angle", "heading"])
+    def test_hold_angle_overflow_stops_nonfinite(self, case):
+        # a finite hold whose half-angle u2*T/2 or heading x3 + u2*T/2 is inf:
+        # math.sin/cos raise on it, and closed_loop stops as sampling_loop does
+        if case == "half-angle":
+            # u2 = -2e307 on the first hold, so u2*T/2 = -2e308
+            args = simulator._loop_args(sim_config({
+                "potential": {"kind": "quadratic", "c": [1, 1, 1]}, "epsilon": 20.0,
+                "gamma": 1e157, "x0": [0, 0, 1e150], "goal_tol": 0, "t_max": 40,
+                "control_period": 20, "bounds_mode": "ideal"}))
+            logged = 1
+        else:
+            # x3 = 1.79e308 and u2 = 1.75e307 on the second hold
+            args = dict(overflow_args(1), x0=(1000.0, 0.0, 1.79e308), u2_max=2e307)
+            logged = 2
+        assert args["refresh_every"] == 1
+        rows, status = same_run(**args)[:2]
+        assert status == _kernels.STATUS_NONFINITE
+        assert len(rows) == 11 * logged
 
     @pytest.mark.parametrize("block", [3, 25, 1024])
     @pytest.mark.parametrize("refresh_every", [1, 3, 100])
