@@ -17,9 +17,9 @@ rounds nothing. With grad V = 2*c*x, the integrand |g1 sin x3 - g2 cos x3|
 / |g| then keeps every bit under (x1, x2, x3) -> (-x1, -x2, x3), which
 negates the numerator, and under (-x1, x2, -x3), which leaves it as it is.
 The quadrature sums the quarter x1 > 0, x3 > 0 of the grid and counts it
-four times. Each slab is evaluated in row blocks, into three buffers that
-every block reuses: g1^2 + g2^2 (computed once per run when a slab is one
-block), |grad V| and the values.
+four times. The grid is evaluated in blocks of rows, each block on every
+slab, into three buffers that every block reuses: g1^2 + g2^2, computed
+once per block, |grad V| and the values.
 
 X is the centred cube [-w, w]^3. J is zero iff the gradient flow is
 realizable everywhere; for q = 2 the integrand lies in [0, 1], hence J in
@@ -39,7 +39,7 @@ import numpy as np
 from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
 
-# midpoint evaluates its x3 slabs in row blocks of at most this many points
+# midpoint evaluates its grid in row blocks of at most this many points per slab
 BLOCK_POINTS = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
@@ -150,8 +150,8 @@ def admissibility_measure(potential: Potential,
     The grid has the cell centers of grid_n cells per axis. The integrand
     is bitwise unchanged by the reflections (x1, x2, x3) -> (-x1, -x2, x3)
     and (-x1, x2, -x3) of the antisymmetric centers, so the quarter x1 > 0,
-    x3 > 0 of the grid is summed and counted four times. It is accumulated
-    in x3-slab order, each slab in blocks of rows, so memory is bounded by
+    x3 > 0 of the grid is summed and counted four times. It is evaluated in
+    blocks of rows, each block on every x3 slab, so memory is bounded by
     BLOCK_POINTS points whatever grid_n is.
     """
     cfg = AdmissibilityConfig() if cfg is None else cfg
@@ -168,20 +168,19 @@ def admissibility_measure(potential: Potential,
     rows = min(h, max(1, BLOCK_POINTS // n))  # up to grid_n 724 a slab is one block
     # g1*g1 + g2*g2, |grad V| and the values of one block, reused by every block
     plane, gn, r = np.empty((3, rows, n))
-    one_block = rows == h
-    if one_block:
-        np.add(g1sq, g2sq, out=plane)
-    total = 0.0
+    slabs = [(g3, math.sin(x3), math.cos(x3)) for x3, g3 in zip(pos, d3 * pos)]
+    sums = [0.0] * h  # each slab's block subtotals, in row order
     excluded = 0
-    for x3, g3 in zip(pos, d3 * pos):
-        s, c = math.sin(x3), math.cos(x3)
-        for lo in range(0, h, rows):
-            hi = min(lo + rows, h)
-            m = hi - lo
-            if not one_block:
-                np.add(g1sq[lo:hi], g2sq, out=plane[:m])
+    for lo in range(0, h, rows):
+        hi = min(lo + rows, h)
+        m = hi - lo
+        np.add(g1sq[lo:hi], g2sq, out=plane[:m])
+        for k, (g3, s, c) in enumerate(slabs):
             excluded += _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
-            total += float(r[:m].sum())  # block subtotals in slab, then row order
+            sums[k] += float(r[:m].sum())
+    total = 0.0
+    for v in sums:  # in slab order
+        total += v
     points = n ** 3
     return AdmissibilityResult(value=4.0 * total / points, points=points,
                                excluded=4 * excluded)
