@@ -165,7 +165,7 @@ def admissibility_measure(potential: Potential,
     g1 = (d1 * pos)[:, None]
     g2 = (d2 * xs)[None, :]
     g1sq, g2sq = g1 * g1, g2 * g2
-    rows = min(h, max(1, BLOCK_POINTS // n))  # up to grid_n 724 a slab is one block
+    rows = min(h, max(1, BLOCK_POINTS // n))  # up to grid_n 724 the rows are one block
     # g1*g1 + g2*g2, |grad V| and the values of one block, reused by every block
     plane, gn, r = np.empty((3, rows, n))
     slabs = [(g3, math.sin(x3), math.cos(x3)) for x3, g3 in zip(pos, d3 * pos)]
