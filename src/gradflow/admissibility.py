@@ -179,7 +179,7 @@ def admissibility_measure(potential: Potential,
             excluded += _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
             sums[k] += float(r[:m].sum())
     total = 0.0
-    for v in sums:  # in slab order
+    for v in sums:  # a running sum in slab order; sum() compensates on Python 3.12+
         total += v
     points = n ** 3
     return AdmissibilityResult(value=4.0 * total / points, points=points,
