@@ -8,16 +8,29 @@ arguments and returns the same bits: while the amplitudes are frozen it
 runs a window's updates as numpy arrays. `simulator.simulate` sends a run
 to it when its windows are at least SAMPLING_MIN_WINDOW updates long, and
 every other run, continuous mode included, to `closed_loop`, which is also
-the window kernel's bitwise oracle. Both append the rows they log, in
-simulator.TRAJECTORY_COLUMNS order, to an array('d') of their own and
-return it, so a run's memory follows the rows it logs and not its horizon.
+the window kernel's bitwise oracle.
+
+Both return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
+rows is an array('d') of their own holding the logged rows, row after row,
+in simulator.TRAJECTORY_COLUMNS order, so a run's memory follows the rows
+it logs and not its horizon. status is STATUS_HORIZON, STATUS_GOAL or
+STATUS_NONFINITE; a goal row is always logged and always last, so its t is
+the convergence time. The three counters cover every update that met the row
+rule, logged or not.
+
+The row rule: an update's row is logged, or counted, only if V, u1, u2, a1,
+a2 and a12 are all finite, and the first update that breaks it ends the run
+with STATUS_NONFINITE. V stands for the state: with every c_i > 0, c*x*x is
+inf or nan wherever x is. a1 and a2 are tested in their own right, since a
+clamp turns an infinite amplitude into a finite control.
+
 The gradient flow of such a V has a closed form, which
 `simulator.integrate_gradient_flow` evaluates in numpy; the admissibility
 quadrature is numpy too and lives in `gradflow.admissibility`.
 """
 
 from array import array
-from math import copysign, cos, isfinite, nan, sin, sqrt
+from math import copysign, cos, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -40,10 +53,8 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
                 n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
     """Closed-loop run, logging rows of (t, x, u, a, V, saturated).
 
-    Returns (rows, status, convergence_time, saturated_updates, max_abs_u1,
-    max_abs_u2): rows is a flat array('d') of the logged rows, row after
-    row, and the last three cover every control update that was evaluated,
-    logged or not. The control is held constant over each control period
+    Returns the five fields, and logs under the row rule, that the module
+    docstring states. The control is held constant over each control period
     and the state follows the exact flow of the hold: x3 turns at the
     constant rate u2, so the planar motion is a circular arc whose chord is
     u1*T*sinc(u2*T/2) along the mid-hold heading. The amplitudes refresh
@@ -70,65 +81,61 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     rows = array("d")
     log_row = rows.fromlist
     status = STATUS_HORIZON
-    conv_time = nan
     n_sat = 0
     max_u1 = 0.0
     max_u2 = 0.0
-    for k in range(n_updates + 1):
-        t = k * control_period
-        v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
-        if k % refresh_every == 0:
-            gx1 = d1 * x1
-            gx2 = d2 * x2
-            s = sin(x3)
-            c = cos(x3)
-            a1 = -gamma * (gx1 * c + gx2 * s)
-            a2 = -gamma * (d3 * x3)
-            a12 = -gamma * (gx1 * s - gx2 * c)
-        osc = sqrt(omega * abs(a12))
-        sign = 0.0
-        if a12 > 0.0:
-            sign = 1.0
-        elif a12 < 0.0:
-            sign = -1.0
-        u1 = a1 + k1 * osc * sign * cos(omega * t)
-        u2 = a2 + k2 * osc * sin(omega * t)
-        sat = 0.0
-        abs_u1 = abs(u1)
-        if abs_u1 > u1_max:
-            u1 = copysign(u1_max, u1)
-            abs_u1 = u1_max
-            sat = 1.0
-        abs_u2 = abs(u2)
-        if abs_u2 > u2_max:
-            u2 = copysign(u2_max, u2)
-            abs_u2 = u2_max
-            sat = 1.0
-        # a finite state can still overflow in u/a/V; never log such a row
-        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)
-                and isfinite(u1) and isfinite(u2)
-                and isfinite(a12) and isfinite(v_val)):
-            status = STATUS_NONFINITE
-            break
-        if sat != 0.0:
-            n_sat += 1
-        if abs_u1 > max_u1:
-            max_u1 = abs_u1
-        if abs_u2 > max_u2:
-            max_u2 = abs_u2
-        at_goal = sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= goal_tol
-        if (k % log_every == 0) or at_goal or (k == n_updates):
-            log_row([t, x1, x2, x3, u1, u2, a1, a2, a12, v_val, sat])
-        if at_goal:
-            status = STATUS_GOAL
-            conv_time = t
-            break
-        if k == n_updates:
-            break
-        # exact flow of the hold; a finite hold can overflow its half-angle
-        # or heading to inf, on which sin and cos raise
-        half = 0.5 * u2 * control_period
-        try:
+    try:
+        for k in range(n_updates + 1):
+            t = k * control_period
+            v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+            if k % refresh_every == 0:
+                gx1 = d1 * x1
+                gx2 = d2 * x2
+                s = sin(x3)
+                c = cos(x3)
+                a1 = -gamma * (gx1 * c + gx2 * s)
+                a2 = -gamma * (d3 * x3)
+                a12 = -gamma * (gx1 * s - gx2 * c)
+            osc = sqrt(omega * abs(a12))
+            sign = 0.0
+            if a12 > 0.0:
+                sign = 1.0
+            elif a12 < 0.0:
+                sign = -1.0
+            u1 = a1 + k1 * osc * sign * cos(omega * t)
+            u2 = a2 + k2 * osc * sin(omega * t)
+            sat = 0.0
+            abs_u1 = abs(u1)
+            if abs_u1 > u1_max:
+                u1 = copysign(u1_max, u1)
+                abs_u1 = u1_max
+                sat = 1.0
+            abs_u2 = abs(u2)
+            if abs_u2 > u2_max:
+                u2 = copysign(u2_max, u2)
+                abs_u2 = u2_max
+                sat = 1.0
+            # the row rule
+            if not (isfinite(v_val) and isfinite(u1) and isfinite(u2)
+                    and isfinite(a1) and isfinite(a2) and isfinite(a12)):
+                status = STATUS_NONFINITE
+                break
+            if sat != 0.0:
+                n_sat += 1
+            if abs_u1 > max_u1:
+                max_u1 = abs_u1
+            if abs_u2 > max_u2:
+                max_u2 = abs_u2
+            at_goal = sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= goal_tol
+            if (k % log_every == 0) or at_goal or (k == n_updates):
+                log_row([t, x1, x2, x3, u1, u2, a1, a2, a12, v_val, sat])
+            if at_goal:
+                status = STATUS_GOAL
+                break
+            if k == n_updates:
+                break
+            # exact flow of the hold
+            half = 0.5 * u2 * control_period
             sinc = 1.0
             if half != 0.0:
                 sinc = sin(half) / half
@@ -136,14 +143,12 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             heading = x3 + half
             x1 += chord * cos(heading)
             x2 += chord * sin(heading)
-        except ValueError:
-            status = STATUS_NONFINITE
-            break
-        x3 += u2 * control_period
-        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            status = STATUS_NONFINITE
-            break
-    return rows, status, conv_time, n_sat, max_u1, max_u2
+            x3 += u2 * control_period
+    except ValueError:
+        # sin and cos raise on an infinite angle: an x3 that a hold overflowed,
+        # or a hold's half-angle or heading
+        status = STATUS_NONFINITE
+    return rows, status, n_sat, max_u1, max_u2
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,10 @@ def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     controls with their clamp, the chord of each hold, and the state as the
     running sum of the holds, which np.add.accumulate adds in the loop's
     order. The amplitudes are computed at each window start with
-    closed_loop's scalar math. The first non-finite or goal update cuts a
-    block short, and the state after a block's last hold is checked before
-    the next block starts, as closed_loop checks it after every hold.
+    closed_loop's scalar math. The first update that breaks the row rule
+    (module docstring) or reaches the goal cuts a block short, and the state
+    after a block's last hold is checked before the next block refreshes
+    its amplitudes from it.
     """
     x1, x2, x3 = x0
     d1 = 2.0 * c1
@@ -181,7 +187,6 @@ def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     T = control_period
     rows = array("d")
     status = STATUS_HORIZON
-    conv_time = nan
     n_sat = 0
     max_u1 = 0.0
     max_u2 = 0.0
@@ -253,10 +258,9 @@ def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             del half, sinc, chord, heading  # keep a block's memory near its rows'
             x1s, x2s, x3s = xs1[:m], xs2[:m], xs3[:m]
             v[:] = c1 * x1s * x1s + c2 * x2s * x2s + c3 * x3s * x3s
-            # V is non-finite wherever the state is; u/a/V can overflow on a
-            # finite state, and closed_loop never logs such a row
-            finite = np.isfinite(u1) & np.isfinite(u2) & np.isfinite(v)
-            if not isfinite(a12):
+            # the row rule, with the window's amplitudes tested once
+            finite = np.isfinite(v) & np.isfinite(u1) & np.isfinite(u2)
+            if not (isfinite(a1) and isfinite(a2) and isfinite(a12)):
                 finite[:] = False
             at_goal = np.sqrt(x1s * x1s + x2s * x2s + x3s * x3s) <= goal_tol
             n = m
@@ -266,7 +270,6 @@ def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
                 n = stop
             elif at_goal[stop]:
                 status = STATUS_GOAL
-                conv_time = float(t[stop])
                 n = stop + 1
             if n:
                 n_sat += int(np.count_nonzero(sat[:n]))
@@ -281,4 +284,4 @@ def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
             x2 = float(xs2[m])
             x3 = float(xs3[m])
             lo = hi
-    return rows, status, conv_time, n_sat, max_u1, max_u2
+    return rows, status, n_sat, max_u1, max_u2

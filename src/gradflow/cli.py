@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
 
 import argparse
 import json
+import mmap
 import os
 import sys
 
@@ -26,8 +27,10 @@ from gradflow.presets import PRESETS, SIM_DEFAULTS, check_settings
 # wrapping `_sim_config_from_settings` in this module's namespace
 from gradflow.presets import sim_config as _sim_config_from_settings
 from gradflow.simulator import (
+    TRAJECTORY_COLUMNS,
     IntegrationError,
     SimConfig,
+    _multiple_of,
     convergence_order,
     integrate_gradient_flow,
     load_trajectory_csv,
@@ -38,6 +41,8 @@ from gradflow.simulator import (
 # amplitude updates per oscillation period in the refinement study; keeps
 # the zero-order hold resolving the fast oscillation at every epsilon
 REFINE_UPDATES_PER_EPS = 2000
+# the spacing of refine's reference gradient flow
+REFINE_REFERENCE_STEP = 1e-3
 
 # the admissibility flags' defaults, read at import: clibench/replay.py may
 # wrap this module's `AdmissibilityConfig` name before the parser is built
@@ -106,13 +111,12 @@ def cmd_simulate(args) -> int:
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
     csv_processes = traj.save_csv(args.out)
-    conv = traj.convergence_time
     _emit({
         "preset": args.preset,
         "loop_mode": settings["loop_mode"],
         "bounds_mode": settings["bounds_mode"],
         "terminated": traj.terminated,
-        "convergence_time": conv if conv is None else float(conv),
+        "convergence_time": traj.convergence_time,
         "max_abs_u1": traj.max_abs_u1,
         "max_abs_u2": traj.max_abs_u2,
         "saturation_count": traj.saturation_count,
@@ -171,6 +175,26 @@ def cmd_admissibility(args) -> int:
 # refine
 # ---------------------------------------------------------------------------
 
+def _window_updates(window: float, eps: list) -> int:
+    """The updates of refine's last run; ValueError unless --window fits every grid.
+
+    The window must be a whole number of the reference flow's steps and of
+    each run's control period eps/REFINE_UPDATES_PER_EPS.
+    """
+    grids = [(REFINE_REFERENCE_STEP, "the reference flow's step")]
+    grids += [(e / REFINE_UPDATES_PER_EPS,
+               f"the control period eps/{REFINE_UPDATES_PER_EPS} of --eps {e}") for e in eps]
+    for step, name in grids:
+        try:
+            n = _multiple_of(window, step)
+        except ValueError as exc:
+            raise ValueError(f"--window {exc}") from None
+        if n is None:
+            raise ValueError(f"--window {window} must be a positive multiple of {step:g}, "
+                             f"{name}")
+    return n
+
+
 def cmd_refine(args) -> int:
     if len(args.eps) == 0:
         raise ValueError("refine needs a nonempty --eps list")
@@ -180,9 +204,19 @@ def cmd_refine(args) -> int:
     # the controllers check gamma and k1 before the reference flow is built from gamma
     controllers = [ControllerParams(epsilon=eps, gamma=args.gamma, k1=args.k1,
                                     loop_mode=args.mode) for eps in args.eps]
+    n_updates = _window_updates(args.window, args.eps)
     reference = integrate_gradient_flow(
-        potential.scaled(args.gamma), args.x0, t_max=args.window, h=1e-3
+        potential.scaled(args.gamma), args.x0, t_max=args.window, h=REFINE_REFERENCE_STEP
     )
+    # goal_tol = 0 logs every update, so the last and longest run's rows are
+    # known now: fail before any run starts if they cannot be mapped. A freed
+    # np.empty of them would raise glibc's mmap threshold, and refine's peak
+    # RSS with it by 1.5 MB; an anonymous mapping leaves malloc as it was
+    try:
+        mmap.mmap(-1, (n_updates + 1) * 8 * len(TRAJECTORY_COLUMNS)).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"the {n_updates + 1} rows of the --eps {args.eps[-1]} run: "
+                          f"{exc}") from None
     deviations = []
     for controller in controllers:
         cfg = SimConfig(

@@ -101,20 +101,8 @@ class Trajectory:
         return self.data[:, 1:4]
 
     @property
-    def controls(self) -> np.ndarray:
-        return self.data[:, 4:6]
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self.data[:, 6:9]
-
-    @property
     def potential_values(self) -> np.ndarray:
         return self.data[:, 9]
-
-    @property
-    def saturated(self) -> np.ndarray:
-        return self.data[:, 10]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -310,19 +298,20 @@ def simulate(cfg: SimConfig) -> Trajectory:
     amplitudes are frozen for at least `_kernels.SAMPLING_MIN_WINDOW`
     updates goes to `_kernels.sampling_loop`, every other run to
     `_kernels.closed_loop`; the two give the same bits. Identical configs
-    produce bit-identical trajectories.
+    produce bit-identical trajectories. The `_kernels` module docstring
+    states which rows are logged and what the loops return: a goal run's
+    last row is its goal, and a non-finite stop raises IntegrationError.
     """
     args = _loop_args(cfg)
     loop = (_kernels.sampling_loop if args["refresh_every"] >= _kernels.SAMPLING_MIN_WINDOW
             else _kernels.closed_loop)
-    rows, status, conv_time, *counts = loop(**args)
+    rows, status, *counts = loop(**args)
     if len(rows) == 0:
-        # non-finite before anything could be logged: degenerate inputs
+        # the row rule broken before anything could be logged: degenerate inputs
         raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")
     data = np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
-    if status == _kernels.STATUS_GOAL:
-        return Trajectory(data, float(conv_time), *counts)
-    traj = Trajectory(data, None, *counts)
+    conv_time = float(data[-1, 0]) if status == _kernels.STATUS_GOAL else None
+    traj = Trajectory(data, conv_time, *counts)
     if status == _kernels.STATUS_NONFINITE:
         raise IntegrationError(
             f"state became non-finite after t={data[-1, 0]:g}", traj

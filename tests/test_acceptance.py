@@ -183,8 +183,8 @@ def test_criterion_6_preset_convergence():
             clamped = simulate(preset_sim_config(name, loop_mode=mode, bounds_mode="clamp"))
             elapsed = time.perf_counter() - t0
             planar = float(np.hypot(clamped.final_state[0], clamped.final_state[1]))
-            max_u1 = float(np.abs(clamped.controls[:, 0]).max())
-            max_u2 = float(np.abs(clamped.controls[:, 1]).max())
+            max_u1 = float(np.abs(clamped.data[:, 4]).max())
+            max_u2 = float(np.abs(clamped.data[:, 5]).max())
             run_ok = (planar < 0.1 and max_u1 <= 0.22 and max_u2 <= 2.84
                       and elapsed <= 120.0)
             ok = ok and run_ok

@@ -350,6 +350,18 @@ class TestRefineCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("eps, window, fault", [
+        ("0.5", "0.0015", "of 0.001, the reference flow's step"),
+        ("0.5,0.3", "1", "of 0.00015, the control period eps/2000 of --eps 0.3"),
+    ], ids=["reference-grid", "control-period"])
+    def test_window_off_a_grid_names_window_exit_2(self, capsys, eps, window, fault):
+        # refine has no --h or --control-period: the message names its own flags
+        code = main(["refine", "--v-alpha", "1", "--eps", eps, "--window", window])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--window {float(window)} must be a positive multiple {fault}" in captured.err
+
 
 class TestGradientFlowCommand:
     def test_exports_csv(self, capsys, tmp_path):
@@ -363,14 +375,17 @@ class TestGradientFlowCommand:
         assert np.all(data[:, 4:9] == 0.0)
         assert summary["csv_processes"] == 1
 
-    # 2**47 rows need more than the 128 TiB user address space of x86_64 for the
-    # first array, so the allocation fails at once whatever the overcommit policy
+    # 2**47 rows, or refine's 4e12 closed-loop rows of 88 bytes, need more than
+    # the 128 TiB user address space of x86_64 for one array, so the allocation
+    # fails at once whatever the overcommit policy
     @pytest.mark.parametrize("argv", [
         pytest.param(None, id="monkeypatched"),
         pytest.param(["gradient-flow", "--v-alpha", "1", "--t-max", "137438953472",
                       "--h", "0.0009765625"], id="gradient-flow-2e47-rows"),
         pytest.param(["refine", "--v-alpha", "1", "--eps", "0.5,0.1",
                       "--window", "137438953472"], id="refine-2e47-rows"),
+        pytest.param(["refine", "--v-alpha", "1", "--eps", "1e-9", "--window", "2"],
+                     id="refine-4e12-updates"),
     ])
     def test_out_of_memory_exit_3(self, capsys, monkeypatch, tmp_path, argv):
         if argv is None:
@@ -493,6 +508,23 @@ class TestExitCodeContract:
         path.write_text('{"gamma": 1e308}')
         out = tmp_path / "x.csv"
         code = main(["simulate", "--preset", "P1", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "V, the amplitudes or the controls are non-finite at the initial state" \
+            in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    @pytest.mark.parametrize("x0", [[1e152, 0, 0], [0, 0, 1e152]], ids=["a1", "a2"])
+    def test_clamped_amplitude_overflow_at_the_start_exit_2(self, capsys, tmp_path, x0, mode):
+        # a1 or a2 is -inf at x0, and the clamp would log it with a finite control
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "potential": {"kind": "quadratic", "c": [1, 1, 1]}, "gamma": 1e157, "x0": x0,
+            "t_max": 0.002, "goal_tol": 0}))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(path), "--mode", mode, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

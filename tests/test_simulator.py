@@ -180,15 +180,15 @@ class TestSimulate:
         traj = simulate(cfg)
         block = np.floor(traj.t / 0.5 + 1e-9).astype(int)
         for j in np.unique(block):
-            amps = traj.amplitudes[block == j]
+            amps = traj.data[block == j, 6:9]
             assert np.array_equal(amps, np.tile(amps[0], (amps.shape[0], 1)))
-        firsts = [traj.amplitudes[block == j][0] for j in np.unique(block)]
+        firsts = [traj.data[block == j, 6:9][0] for j in np.unique(block)]
         assert not np.array_equal(firsts[0], firsts[1])
 
     def test_continuous_amplitudes_track_state(self):
         cfg = short_config(loop_mode="continuous", t_max=0.2, goal_tol=0.0)
         traj = simulate(cfg)
-        assert not np.array_equal(traj.amplitudes[0], traj.amplitudes[1])
+        assert not np.array_equal(traj.data[0, 6:9], traj.data[1, 6:9])
 
     def test_log_every_keeps_endpoints(self):
         cfg = short_config(t_max=0.1, goal_tol=0.0, log_every=7)
@@ -202,9 +202,9 @@ class TestSimulate:
     @pytest.mark.parametrize("bounds", [IDEAL, TB3])
     def test_counts_cover_every_update(self, bounds):
         full = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0))
-        assert full.saturation_count == int(np.count_nonzero(full.saturated))
-        assert full.max_abs_u1 == np.abs(full.controls[:, 0]).max()
-        assert full.max_abs_u2 == np.abs(full.controls[:, 1]).max()
+        assert full.saturation_count == int(np.count_nonzero(full.data[:, 10]))
+        assert full.max_abs_u1 == np.abs(full.data[:, 4]).max()
+        assert full.max_abs_u2 == np.abs(full.data[:, 5]).max()
         sparse = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0, log_every=7))
         assert sparse.data.shape[0] < full.data.shape[0]
         for name in ("saturation_count", "max_abs_u1", "max_abs_u2"):
@@ -286,7 +286,7 @@ class TestExactHold:
                         x0=(0.7, -0.4, 0.6), goal_tol=0.0, t_max=0.8, control_period=0.8)
         traj = simulate(cfg)
         assert traj.data.shape[0] == 2
-        (x1, x2, x3), (u1, u2) = traj.states[0], traj.controls[0]
+        (x1, x2, x3), (u1, u2) = traj.states[0], traj.data[0, 4:6]
         assert abs(u2) > 0.1
         r = u1 / u2
         arc = [x1 + r * (math.sin(x3 + 0.8 * u2) - math.sin(x3)),
@@ -340,13 +340,16 @@ class TestOneLoopStep:
 
 
 def same_run(**args):
-    """closed_loop's run of `args`, asserted equal to sampling_loop's, bit for bit."""
+    """closed_loop's run of `args`, asserted equal to sampling_loop's, bit for bit.
+
+    Also asserts the row rule: no logged value is non-finite.
+    """
     scalar = _kernels.closed_loop(**args)
     window = _kernels.sampling_loop(**args)
+    assert len(scalar) == 5
     assert window[0].tobytes() == scalar[0].tobytes()
-    assert window[1] == scalar[1]
-    assert window[2] == scalar[2] or (math.isnan(window[2]) and math.isnan(scalar[2]))
-    assert window[3:] == scalar[3:]
+    assert window[1:] == scalar[1:]
+    assert np.all(np.isfinite(scalar[0]))
     return scalar
 
 
@@ -373,8 +376,8 @@ def overflow_args(refresh_every):
 
 
 class TestSamplingWindows:
-    """sampling_loop is closed_loop, bit for bit: rows, status, convergence
-    time and the counters of every evaluated update."""
+    """sampling_loop is closed_loop, bit for bit: rows, status and the
+    counters of every evaluated update."""
 
     @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
     @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
@@ -382,7 +385,7 @@ class TestSamplingWindows:
         args = simulator._loop_args(
             preset_sim_config(name, loop_mode="sampling", bounds_mode=bounds))
         assert args["refresh_every"] == 2000
-        status, _, n_sat = same_run(**args)[1:4]
+        status, n_sat = same_run(**args)[1:3]
         assert status == _kernels.STATUS_GOAL
         assert (n_sat > 0) == (bounds == "clamp")
 
@@ -403,17 +406,20 @@ class TestSamplingWindows:
                            t_max=20.0, cp=1e-3, log_every=5)
         args = simulator._loop_args(cfg)
         assert args["refresh_every"] == 1000
-        rows, status, conv_time = same_run(**args)[:3]
-        k = round(conv_time / 1e-3)
+        rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_GOAL
+        # the goal row is logged though k % 5 != 0, and is the last
+        t, x1, x2, x3 = rows[-11:-7]
+        k = round(t / 1e-3)
         assert k % 1000 != 0 and k % 5 != 0
-        assert rows[-11] == conv_time
+        assert math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= 0.2
+        assert simulate(cfg).convergence_time == t
 
     @pytest.mark.parametrize("refresh_every, block", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
                              ids=["window-edge", "mid-window", "block-edge", "mid-block"])
     def test_nonfinite_stop(self, refresh_every, block, monkeypatch):
         monkeypatch.setattr(_kernels, "WINDOW_BLOCK", block)
-        rows, status, _, n_sat = same_run(**overflow_args(refresh_every))[:4]
+        rows, status, n_sat = same_run(**overflow_args(refresh_every))[:3]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 4 * 11 and n_sat == 4
         assert math.isfinite(rows[-8])  # x3 of update 3; update 4's is inf
@@ -437,6 +443,19 @@ class TestSamplingWindows:
         rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 11 * logged
+
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    @pytest.mark.parametrize("x0", [[1e152, 0, 0], [0, 0, 1e152]], ids=["a1", "a2"])
+    def test_clamped_amplitude_overflow_logs_no_row(self, x0, mode):
+        # a1 = -gamma*2*c1*x1 or a2 = -gamma*2*c3*x3 is -inf at x0, V = 1e304 and
+        # a12 are finite, and the clamp makes the control a finite -u_max: only the
+        # test of a1 or a2 itself stops the run
+        args = simulator._loop_args(sim_config({
+            "potential": {"kind": "quadratic", "c": [1, 1, 1]}, "gamma": 1e157, "x0": x0,
+            "t_max": 0.002, "goal_tol": 0, "loop_mode": mode}))
+        rows, status = same_run(**args)[:2]
+        assert status == _kernels.STATUS_NONFINITE
+        assert len(rows) == 0
 
     @pytest.mark.parametrize("block", [3, 25, 1024])
     @pytest.mark.parametrize("refresh_every", [1, 3, 100])
@@ -513,7 +532,7 @@ class TestGradientFlow:
         assert np.array_equal(traj.potential_values, coeffs[0] * x[:, 0] * x[:, 0]
                               + coeffs[1] * x[:, 1] * x[:, 1] + coeffs[2] * x[:, 2] * x[:, 2])
         assert np.array_equal(traj.data[:, 4:9], np.zeros((len(ref), 5)))
-        assert np.array_equal(traj.saturated, np.zeros(len(ref)))
+        assert np.array_equal(traj.data[:, 10], np.zeros(len(ref)))
 
     def test_equilibrium(self):
         traj = integrate_gradient_flow(make_v_alpha(2.0), [0.0, 0.0, 0.0],
@@ -530,8 +549,7 @@ class TestGradientFlow:
     def test_controls_logged_zero(self):
         traj = integrate_gradient_flow(make_v_alpha(1.0), [1.0, 0.0, 0.0],
                                        t_max=0.1, h=1e-3)
-        assert np.array_equal(traj.controls, np.zeros_like(traj.controls))
-        assert np.array_equal(traj.amplitudes, np.zeros_like(traj.amplitudes))
+        assert np.array_equal(traj.data[:, 4:9], np.zeros((traj.data.shape[0], 5)))
 
     def test_stiff_flow_reaches_horizon(self):
         # 2 * 200 * h = 4 lies outside RK4's stability interval [-2.78, 0]; the
