@@ -32,6 +32,7 @@ two leaves every bit of J unchanged.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,11 @@ class AdmissibilityConfig:
             raise ValueError(f"exponent q must be positive and finite, got {self.q}")
         if not (self.grid_n >= 2 and self.grid_n % 2 == 0):
             raise ValueError(f"grid_n must be an even integer >= 2, got {self.grid_n}")
-        # the box's width 2*w must be finite too: the grid steps across it
-        if not (self.half_width > 0 and math.isfinite(2.0 * self.half_width)):
-            raise ValueError(f"half_width must be positive with a finite width 2*half_width, "
+        # the box's width 2*w must be finite too: the grid steps across it; and w
+        # normal: _gradient_coeffs scales by 2^-(e_c + e_w), which overflows below
+        if not (self.half_width >= sys.float_info.min and math.isfinite(2.0 * self.half_width)):
+            raise ValueError(f"half_width must be positive and normal (at least "
+                             f"{sys.float_info.min!r}) with a finite width 2*half_width, "
                              f"got {self.half_width}")
 
 
@@ -87,7 +90,9 @@ class AdmissibilityConfig:
 class AdmissibilityResult:
     """Midpoint estimate of J plus audit counters.
 
-    excluded counts grid points where grad V vanishes, which contribute 0.
+    excluded is 0 by construction: grad V vanishes at no cell center (see
+    `_integrand`). It stays because the sweep CSV has a column for it and
+    the benchmark's replay and run checks read it.
     """
 
     value: float
@@ -113,34 +118,25 @@ def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
     return np.ldexp(potential.coeffs, 1 - k)
 
 
-def _integrand(g1, g2, g3, s, c, q: float, plane, gn, r) -> int:
+def _integrand(g1, g2, g3, s, c, q: float, plane, gn, r) -> None:
     """rho(x, grad V)^q / |grad V|^q on one x3 slab, written into r.
 
     grad V = (g1, g2, g3), with g3 a scalar, s, c = sin, cos x3 and plane =
     g1*g1 + g2*g2. g1 and g2 broadcast to the shape of plane, gn and r; gn
-    is scratch. Returns the number of points with grad V = 0, which
-    contribute 0.
+    is scratch. grad V does not vanish at a center: on the axis of the
+    largest coefficient the scaled gradient at the first center w/n is
+    2*m_c*m_w/n, with mantissas m_c, m_w in [0.5, 1) (w is normal), so
+    |grad V| >= 0.5/n.
     """
-    g3sq = g3 * g3
-    np.add(plane, g3sq, out=gn)  # the order of g1*g1 + g2*g2 + g3*g3
+    np.add(plane, g3 * g3, out=gn)  # the order of g1*g1 + g2*g2 + g3*g3
     np.sqrt(gn, out=gn)
     np.subtract(g1 * s, g2 * c, out=r)
-    excluded = 0
-    if g3sq == 0.0:  # else |grad V| >= |g3| > 0 at every point
-        zero = gn == 0.0
-        excluded = int(np.count_nonzero(zero))
-    if excluded:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r /= gn
-        r[zero] = 0.0
-    else:
-        r /= gn
+    r /= gn
     if q == 2.0:
         r *= r  # the square ignores the sign
     else:
         np.abs(r, out=r)
         r **= q
-    return excluded
 
 
 def admissibility_measure(potential: Potential,
@@ -169,21 +165,16 @@ def admissibility_measure(potential: Potential,
     # g1*g1 + g2*g2, |grad V| and the values of one block, reused by every block
     plane, gn, r = np.empty((3, rows, n))
     slabs = [(g3, math.sin(x3), math.cos(x3)) for x3, g3 in zip(pos, d3 * pos)]
-    sums = [0.0] * h  # each slab's block subtotals, in row order
-    excluded = 0
+    total = 0.0  # one running sum, in block and slab order
     for lo in range(0, h, rows):
         hi = min(lo + rows, h)
         m = hi - lo
         np.add(g1sq[lo:hi], g2sq, out=plane[:m])
-        for k, (g3, s, c) in enumerate(slabs):
-            excluded += _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
-            sums[k] += float(r[:m].sum())
-    total = 0.0
-    for v in sums:  # a running sum in slab order; sum() compensates on Python 3.12+
-        total += v
+        for g3, s, c in slabs:
+            _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
+            total += float(r[:m].sum())
     points = n ** 3
-    return AdmissibilityResult(value=4.0 * total / points, points=points,
-                               excluded=4 * excluded)
+    return AdmissibilityResult(value=4.0 * total / points, points=points, excluded=0)
 
 
 def table1(cfg: AdmissibilityConfig | None = None

@@ -50,7 +50,10 @@ TERMINATED_HORIZON = "horizon_exhausted"
 
 
 class IntegrationError(RuntimeError):
-    """State became non-finite. Carries the trajectory logged so far."""
+    """V, a control or an amplitude became non-finite: the `_kernels` row rule broke.
+
+    V stands for the state. Carries the trajectory logged so far.
+    """
 
     def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
@@ -188,7 +191,7 @@ def _start_csv_worker(share: np.ndarray, directory: str):
 
 
 def load_trajectory_csv(path) -> np.ndarray:
-    """Parse a trajectory CSV back into its data array, validating the header."""
+    """Parse a trajectory CSV back into its data array, validating the header and values."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").rstrip("\r")
         if header != CSV_HEADER:
@@ -205,6 +208,10 @@ def load_trajectory_csv(path) -> np.ndarray:
         raise ValueError("trajectory CSV has no data rows")
     if data.shape[1] != len(TRAJECTORY_COLUMNS):
         raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, got {data.shape[1]}")
+    # the writer logs no non-finite value (the _kernels row rule), so one is malformed
+    if not np.isfinite(data).all():
+        line = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0]) + 2  # the header is line 1
+        raise ValueError(f"malformed trajectory CSV: non-finite value on line {line}")
     return data
 
 
@@ -314,7 +321,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     traj = Trajectory(data, conv_time, *counts)
     if status == _kernels.STATUS_NONFINITE:
         raise IntegrationError(
-            f"state became non-finite after t={data[-1, 0]:g}", traj
+            f"V, a control or an amplitude became non-finite after t={data[-1, 0]:g}", traj
         )
     return traj
 

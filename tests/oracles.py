@@ -206,22 +206,27 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
 
 
 def integrand(g1, g2, g3, s, c, q):
-    """`admissibility._integrand` with its buffers allocated: (values, excluded).
+    """`admissibility._integrand` with its buffers allocated: the values.
 
     g1 and g2 broadcast against each other, and g3 is a scalar."""
     plane = g1 * g1 + g2 * g2
     gn, r = np.empty((2, *plane.shape))
-    excluded = admissibility._integrand(g1, g2, g3, s, c, q, plane, gn, r)
-    return r, excluded
+    admissibility._integrand(g1, g2, g3, s, c, q, plane, gn, r)
+    return r
 
 
 def integrand_rho(x, p) -> float:
     """rho(x, p) as the quadrature computes it: `_integrand` at q = 1, times |p|.
-    A zero p is excluded by the integrand, giving 0."""
+
+    rho(x, 0) = 0. The integrand is 0/0 there, a point the quadrature's grid
+    never reaches, so a zero p is answered here."""
     x = as_state(x)
+    p_norm = float(np.linalg.norm(p))
+    if p_norm == 0.0:
+        return 0.0
     g1, g2 = np.array([float(p[0])]), np.array([float(p[1])])
-    vals, _ = integrand(g1, g2, float(p[2]), math.sin(x[2]), math.cos(x[2]), 1.0)
-    return float(vals[0]) * float(np.linalg.norm(p))
+    vals = integrand(g1, g2, float(p[2]), math.sin(x[2]), math.cos(x[2]), 1.0)
+    return float(vals[0]) * p_norm
 
 
 def rho_bruteforce(x, p, coarse_range: float | None = None,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import gradflow
-from gradflow import cli, simulate, simulator
+from gradflow import (ControllerParams, SimConfig, cli, integrate_gradient_flow, make_v_alpha,
+                      simulate, simulator, tracking_deviation)
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 from helpers import preset_sim_config
@@ -291,7 +292,7 @@ class TestAdmissibilityCommand:
         assert captured.out == ""
         assert "unrecognized arguments: --grad-floor" in captured.err
 
-    @pytest.mark.parametrize("box", ["inf", "0", "-1", "nan"])
+    @pytest.mark.parametrize("box", ["inf", "0", "-1", "nan", "1e-310"])
     def test_bad_box_named_exit_2(self, capsys, box):
         code = main(["admissibility", "--quadratic", "1,1,1", "--grid-n", "10", "--box", box])
         captured = capsys.readouterr()
@@ -339,6 +340,25 @@ class TestRefineCommand:
         assert summary["deviations"] == [0.0, 0.0]
         assert summary["non_increasing"] is True
         assert summary["slope"] is None
+
+    @pytest.mark.parametrize("flags, loop_mode, k1", [
+        (["--mode", "continuous"], "continuous", 0.5),
+        (["--k1", "0.7"], "sampling", 0.7),
+    ], ids=["mode-continuous", "k1"])
+    def test_mode_and_k1_reach_the_runs(self, capsys, flags, loop_mode, k1):
+        # each deviation is that of a library run with the same loop_mode and k1
+        code, summary = run(capsys, "refine", "--v-alpha", "1", "--eps", "0.5,0.1",
+                            "--window", "0.5", *flags)
+        assert code == 0
+        assert summary["loop_mode"] == loop_mode
+        potential, x0 = make_v_alpha(1.0), [-0.5, -0.5, 0.0]
+        reference = integrate_gradient_flow(potential.scaled(0.05), x0, t_max=0.5, h=1e-3)
+        expected = [tracking_deviation(simulate(SimConfig(
+            potential=potential, controller=ControllerParams(epsilon=eps, k1=k1,
+                                                             loop_mode=loop_mode),
+            x0=x0, goal_tol=0.0, t_max=0.5, control_period=eps / 2000)), reference)
+            for eps in (0.5, 0.1)]
+        assert summary["deviations"] == expected
 
     def test_empty_eps_exit_2(self, capsys):
         code = main(["refine", "--v-alpha", "1", "--eps", ""])
@@ -454,11 +474,24 @@ class TestPlotCommand:
         assert code == 2
 
     def test_malformed_numbers_exit_2(self, capsys, tmp_path):
-        bad = tmp_path / "nan.csv"
+        bad = tmp_path / "zero.csv"
         bad.write_text(CSV_HEADER + "\n0,zero,0,0,0,0,0,0,0,0,0\n")
         code = main(["plot", str(bad)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_named_exit_2(self, capsys, tmp_path, value):
+        # the writer logs no non-finite value, so plot must not draw one
+        bad = tmp_path / "bad.csv"
+        row = ",".join(["0"] * 11)
+        bad.write_text(f"{CSV_HEADER}\n{row}\n0.1,0,{value},0,0,0,0,0,0,0,0\n{row}\n")
+        code = main(["plot", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "malformed trajectory CSV: non-finite value on line 3" in captured.err
+        assert not (tmp_path / "bad.svg").exists()
 
 
 class TestExitCodeContract:
@@ -530,6 +563,23 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert "V, the amplitudes or the controls are non-finite at the initial state" \
             in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    def test_finite_state_with_infinite_v_exit_3(self, capsys, tmp_path, mode):
+        # the first hold leaves x1 = -5e304, finite, but V = x1*x1 overflows:
+        # the message names what the row rule tests, not the state
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "potential": {"kind": "quadratic", "c": [1, 1, 1]}, "gamma": 1e157,
+            "x0": [5e150, 0, 0], "bounds_mode": "ideal", "t_max": 0.002, "goal_tol": 0}))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(path), "--mode", mode, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "integration failure: V, a control or an amplitude became non-finite " \
+            "after t=0" in captured.err
         assert not out.exists()
 
     def test_infinite_gamma_exit_2(self, capsys):
