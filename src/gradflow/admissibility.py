@@ -114,7 +114,7 @@ def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
     multiplied, so nothing overflows on the way; a power of two rounds
     nothing, so the integrand's ratio is the one of the unscaled gradient.
     """
-    k = np.frexp(potential.coeffs.max())[1] + np.frexp(w)[1]
+    k = np.frexp(max(potential.coeffs))[1] + np.frexp(w)[1]
     return np.ldexp(potential.coeffs, 1 - k)
 
 

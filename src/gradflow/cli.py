@@ -145,7 +145,7 @@ def cmd_admissibility(args) -> int:
         for alpha in args.v_alpha:
             pot = make_v_alpha(alpha)
             res = admissibility_measure(pot, cfg)
-            cells.append({"c": [float(v) for v in pot.coeffs], "alpha": alpha, "result": res})
+            cells.append({"c": list(pot.coeffs), "alpha": alpha, "result": res})
     else:
         res = admissibility_measure(make_quadratic(*args.quadratic), cfg)
         cells.append({"c": list(args.quadratic), "result": res})
@@ -196,8 +196,6 @@ def _window_updates(window: float, eps: list) -> int:
 
 
 def cmd_refine(args) -> int:
-    if len(args.eps) == 0:
-        raise ValueError("refine needs a nonempty --eps list")
     if any(b >= a for a, b in zip(args.eps, args.eps[1:])):
         raise ValueError(f"--eps must be strictly descending, got {args.eps}")
     potential = _potential_from_flags(args)
@@ -208,10 +206,11 @@ def cmd_refine(args) -> int:
     reference = integrate_gradient_flow(
         potential.scaled(args.gamma), args.x0, t_max=args.window, h=REFINE_REFERENCE_STEP
     )
-    # goal_tol = 0 logs every update, so the last and longest run's rows are
-    # known now: fail before any run starts if they cannot be mapped. A freed
-    # np.empty of them would raise glibc's mmap threshold, and refine's peak
-    # RSS with it by 1.5 MB; an anonymous mapping leaves malloc as it was
+    # the default log_every = 1 logs every update, and goal_tol = 0 keeps a run
+    # from ending early, so the last and longest run's rows are known now: fail
+    # before any run starts if they cannot be mapped. A freed np.empty of them
+    # would raise glibc's mmap threshold, and refine's peak RSS with it by
+    # 1.5 MB; an anonymous mapping leaves malloc as it was
     try:
         mmap.mmap(-1, (n_updates + 1) * 8 * len(TRAJECTORY_COLUMNS)).close()
     except (OSError, OverflowError) as exc:
@@ -339,7 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--eps", type=_float_list, required=True, metavar="E[,E...]",
                      help="strictly descending oscillation periods")
     ref.add_argument("--window", type=float, default=2.0, help="comparison horizon (s)")
-    ref.add_argument("--mode", choices=("sampling", "continuous"), default="sampling")
+    ref.add_argument("--mode", choices=("sampling", "continuous"), default="sampling",
+                     help="loop mode; continuous mode measures the distance to a flow "
+                          "that its loop does not track")
     ref.add_argument("--gamma", type=float, default=SIM_DEFAULTS["gamma"],
                      help="feedback gain")
     ref.add_argument("--k1", type=float, default=SIM_DEFAULTS["k1"])

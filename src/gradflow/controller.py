@@ -7,14 +7,21 @@ Given amplitudes a = (a1, a2, a12) computed from a potential, the control is
 
 with omega = 2*pi/epsilon and k1*k2 = 4. The sqrt(omega) amplitude paired
 with the frequency omega is what lets the cos/sin pair excite the bracket
-(sideways) direction [f1, f2]: over one period with the amplitudes frozen
-the state moves on average along
+(sideways) direction [f1, f2]. The field the state follows on average, up
+to O(sqrt(epsilon)), depends on the loop mode. In sampling mode the
+amplitudes are frozen over each period, and the field is
 
     a1 f1 + a2 f2 + (k1*k2/2) * a12 [f1, f2] = a1 f1 + a2 f2 + 2 a12 [f1, f2],
 
-up to O(sqrt(epsilon)), so the bracket rate is 2 a12, not a12. With
-a = -gamma * F^-1 grad V and the frame F = (f1, f2, [f1, f2]) orthonormal,
-that field still decreases V.
+so the bracket rate is 2 a12, not a12. With a = -gamma * F^-1 grad V and
+the frame F = (f1, f2, [f1, f2]) orthonormal, that field still decreases V.
+In continuous mode the amplitudes follow the state within a period, the
+bracket of the oscillating inputs picks up the derivatives of
+sqrt(|a12|), and where a12 != 0 the field is
+
+    a2 f2 + 2 a12 [f1, f2] - gamma (c1 - c2) sin(2 x3) f2,
+
+with no f1 component: the a1 f1 drift cancels.
 
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its

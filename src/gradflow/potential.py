@@ -15,19 +15,14 @@ closed loop computes the control amplitudes (a1, a2, a12) =
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from gradflow.kinematics import check_scalar
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Potential:
-    """Diagonal quadratic form; coeffs is the read-only float array (c1, c2, c3).
+    """Diagonal quadratic form, the float triple coeffs = (c1, c2, c3)."""
 
-    Equality and hashing are by identity: compare `coeffs` for equal forms.
-    """
-
-    coeffs: np.ndarray
+    coeffs: tuple[float, float, float]
 
     def scaled(self, c: float) -> "Potential":
         """The potential c*V. Positive c preserves positive definiteness.
@@ -38,7 +33,7 @@ class Potential:
         if not c > 0:
             raise ValueError(f"scale factor must be positive, got {c}")
         # on Python floats, so an overflow is inf without a numpy warning
-        return make_quadratic(*(float(c) * ci for ci in self.coeffs.tolist()))
+        return make_quadratic(*(float(c) * ci for ci in self.coeffs))
 
 
 def make_quadratic(c1: float, c2: float, c3: float) -> Potential:
@@ -48,9 +43,7 @@ def make_quadratic(c1: float, c2: float, c3: float) -> Potential:
     if not all(c > 0 and math.isfinite(c) for c in (c1, c2, c3)):
         raise ValueError(f"quadratic coefficients must be positive and finite, "
                          f"got ({c1}, {c2}, {c3})")
-    coeffs = np.array([c1, c2, c3], dtype=float)
-    coeffs.flags.writeable = False
-    return Potential(coeffs=coeffs)
+    return Potential(coeffs=(float(c1), float(c2), float(c3)))
 
 
 def make_v_alpha(alpha: float) -> Potential:

@@ -231,7 +231,7 @@ def _multiple_of(value: float, base: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimConfig:
     """Full description of one closed-loop run.
 
@@ -239,21 +239,19 @@ class SimConfig:
     stops at the first control update inside it. control_period must
     divide both the controller's epsilon and t_max. log_every decimates
     logging to every Nth control update (the initial and final instants
-    are always kept).
-    Equality and hashing are by identity: x0 is an array.
+    are always kept). x0 is stored as a float triple.
     """
 
     potential: Potential
     controller: ControllerParams
-    x0: np.ndarray
+    x0: tuple[float, float, float]
     goal_tol: float = 0.05
     t_max: float = 600.0
     control_period: float = 5e-4
     log_every: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", as_state(self.x0))
-        self.x0.flags.writeable = False
+        object.__setattr__(self, "x0", tuple(as_state(self.x0).tolist()))
         for name in ("goal_tol", "t_max", "control_period"):
             check_scalar(getattr(self, name), name)
         if not self.goal_tol >= 0:
@@ -279,16 +277,12 @@ class SimConfig:
             raise ValueError(f"log_every must be a positive integer, got {self.log_every!r}")
 
 
-def _floats(x) -> tuple:
-    return tuple(float(v) for v in x)
-
-
 def _loop_args(cfg: SimConfig) -> dict:
     """The keyword arguments of `_kernels.closed_loop` and `sampling_loop` for `cfg`."""
     ctrl = cfg.controller
-    c1, c2, c3 = _floats(cfg.potential.coeffs)
+    c1, c2, c3 = cfg.potential.coeffs
     return dict(
-        c1=c1, c2=c2, c3=c3, x0=_floats(cfg.x0), gamma=ctrl.gamma, k1=ctrl.k1, k2=ctrl.k2,
+        c1=c1, c2=c2, c3=c3, x0=cfg.x0, gamma=ctrl.gamma, k1=ctrl.k1, k2=ctrl.k2,
         omega=ctrl.omega, control_period=cfg.control_period,
         n_updates=_multiple_of(cfg.t_max, cfg.control_period),
         refresh_every=(_multiple_of(ctrl.epsilon, cfg.control_period)
@@ -346,8 +340,8 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
     if n_steps is None:
         raise ValueError(f"step h={h} must divide t_max={t_max}")
     x0 = as_state(x0)
-    c1, c2, c3 = _floats(potential.coeffs)
-    x1, x2, x3 = _floats(x0)
+    c1, c2, c3 = potential.coeffs
+    x1, x2, x3 = x0.tolist()
     # on Python floats, so an overflow cannot warn; no later V exceeds this one
     if not math.isfinite(c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3):
         raise ValueError("potential produces non-finite values at the initial state")

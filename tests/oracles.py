@@ -13,7 +13,8 @@ its own, and `integrand_rho` reads it in the units of the residual, so a
 test can hold it against `rho_bruteforce`.
 `rk4_flow` integrates any field: `rk4_gradient_flow` is the reference
 flow that `simulator.integrate_gradient_flow` evaluates in closed form,
-and `averaged_field` is the flow that the sampling loop tracks.
+`averaged_field` is the flow that the sampling loop tracks, and
+`continuous_averaged_field` the one that the continuous loop tracks.
 `semi_analytic_j` computes the admissibility cost that
 `admissibility_measure` sums by midpoint quadrature.
 """
@@ -36,12 +37,12 @@ def as_control(u) -> np.ndarray:
 def potential_value(potential: Potential, x):
     """V(x) = c1*x1^2 + c2*x2^2 + c3*x3^2 over the last axis of `x`."""
     x = np.asarray(x, dtype=float)
-    return np.sum(potential.coeffs * x * x, axis=-1)
+    return np.sum(np.asarray(potential.coeffs) * x * x, axis=-1)
 
 
 def potential_gradient(potential: Potential, x) -> np.ndarray:
     """grad V(x) = 2*c*x, broadcast over the leading axes of `x`."""
-    return 2.0 * potential.coeffs * np.asarray(x, dtype=float)
+    return 2.0 * np.asarray(potential.coeffs) * np.asarray(x, dtype=float)
 
 
 def vector_fields(x) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +169,7 @@ def rk4_flow(field, x0, n_steps: int, h: float) -> np.ndarray:
 
 def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float) -> np.ndarray:
     """rk4_flow on xdot = -grad V: the grid integrate_gradient_flow logs."""
-    n = -2.0 * potential.coeffs
+    n = -2.0 * np.asarray(potential.coeffs)
     return rk4_flow(lambda x: n * x, x0, n_steps, h)
 
 
@@ -181,6 +182,34 @@ def averaged_field(potential: Potential, gamma: float, x) -> np.ndarray:
     g = potential_gradient(potential, x)
     f3 = lie_bracket(x)
     return -gamma * (g + (f3 @ g) * f3)
+
+
+def continuous_averaged_field(potential: Potential, gamma: float, x) -> np.ndarray:
+    """a2 f2 + 2 a12 f3 - gamma (c1 - c2) sin(2 x3) f2, where a12 != 0.
+
+    The field the continuous loop averages to. There the amplitudes follow
+    the state within a period, so the oscillating input fields
+    b1 = k1 sqrt|a12| sgn(a12) f1 and b2 = k2 sqrt|a12| f2 are state
+    dependent, and the drift is a1 f1 + a2 f2 + 1/2 [b1, b2], with the
+    bracket [X, Y] = DY X - DX Y of `lie_bracket`. For b1 = alpha f1 and
+    b2 = beta f2,
+
+        [b1, b2] = alpha beta f3 + alpha (L_f1 beta) f2 - beta (L_f2 alpha) f1,
+
+    and L sqrt|a12| = sgn(a12) (L a12) / (2 sqrt|a12|), which needs
+    a12 != 0. With k1 k2 = 4 this is 4 a12 f3 + 2 (L_f1 a12) f2 -
+    2 (L_f2 a12) f1. For a diagonal quadratic, L_f2 a12 = a1, so the a1 f1
+    drift cancels and the field has no f1 component, and
+    L_f1 a12 = -gamma (c1 - c2) sin(2 x3). Freezing the amplitudes over the
+    period drops both Lie derivatives and leaves `averaged_field`.
+
+    Along this field dV/dt = -gamma (g3^2 + 2 (f3 . g)^2 + (c1 - c2)
+    sin(2 x3) g3) with g = grad V, which is <= 0 wherever c3 >= |c1 - c2|.
+    """
+    a2, a12 = amplitude_vector(potential, gamma, x)[1:]
+    c1, c2, _ = potential.coeffs
+    turn = a2 - gamma * (c1 - c2) * math.sin(2.0 * as_state(x)[2])
+    return turn * vector_fields(x)[1] + 2.0 * a12 * lie_bracket(x)
 
 
 def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:

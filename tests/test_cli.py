@@ -361,8 +361,9 @@ class TestRefineCommand:
         assert summary["deviations"] == expected
 
     def test_empty_eps_exit_2(self, capsys):
+        # argparse refuses the empty field before refine runs
         code = main(["refine", "--v-alpha", "1", "--eps", ""])
-        capsys.readouterr()
+        assert "expected comma-separated floats" in capsys.readouterr().err
         assert code == 2
 
     def test_non_descending_eps_exit_2(self, capsys):

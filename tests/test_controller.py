@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradflow import ControllerParams, convergence_order
+from gradflow import ControllerParams, convergence_order, make_quadratic, make_v_alpha
 from gradflow.presets import sim_config
 from helpers import preset_sim_config
-from oracles import clamp, control_value, frame_inverse, hold_step
+from oracles import (
+    amplitude_vector,
+    averaged_field,
+    clamp,
+    continuous_averaged_field,
+    control_value,
+    frame_inverse,
+    hold_step,
+    potential_gradient,
+    vector_fields,
+)
 
 
 def ideal_controller(**kw):
@@ -171,6 +181,65 @@ class TestOnePeriodAveraging:
                   for eps in AVERAGING_EPS]
         assert 0.4 <= convergence_order(AVERAGING_EPS, errors) <= 0.6
         assert errors[-1] <= 0.1 * abs(a[2])
+
+
+def central_bracket(b1, b2, x, step=1e-6):
+    """[b1, b2] = Db2 b1 - Db1 b2 at x, with central-difference Jacobians."""
+    def jac(field):
+        cols = []
+        for j in range(3):
+            dx = np.zeros(3)
+            dx[j] = step
+            cols.append((field(x + dx) - field(x - dx)) / (2.0 * step))
+        return np.column_stack(cols)
+
+    return jac(b2) @ b1(x) - jac(b1) @ b2(x)
+
+
+class TestAveragedFields:
+    """Each loop mode's averaged field is a1 f1 + a2 f2 + 1/2 [b1, b2], with
+    b1 = k1 sqrt|a12| sgn(a12) f1 and b2 = k2 sqrt|a12| f2: the amplitudes
+    follow the state in continuous mode and are frozen at x in sampling mode."""
+
+    GAMMA = 0.05
+    STATES = [(0.3, -0.4, 1.0), (-0.5, -0.5, 0.4), (0.6, 0.2, -0.7)]
+
+    @pytest.mark.parametrize("k1", [0.5, 1 / math.sqrt(2)], ids=["P1", "P2"])
+    @pytest.mark.parametrize("potential", [make_v_alpha(1.0), make_v_alpha(4.0),
+                                           make_quadratic(2.0, 0.5, 1.3)],
+                             ids=["alpha-1", "alpha-4", "quadratic"])
+    def test_bracket_construction_matches_the_oracles(self, potential, k1):
+        k2 = ControllerParams(k1=k1).k2
+
+        def inputs(amplitudes):
+            def b1(y):
+                a12 = amplitudes(y)[2]
+                return k1 * math.sqrt(abs(a12)) * math.copysign(1.0, a12) * vector_fields(y)[0]
+
+            def b2(y):
+                return k2 * math.sqrt(abs(amplitudes(y)[2])) * vector_fields(y)[1]
+            return b1, b2
+
+        for x in map(np.array, self.STATES):
+            a = amplitude_vector(potential, self.GAMMA, x)
+            assert a[2] != 0.0
+            f1, f2 = vector_fields(x)
+            drift = a[0] * f1 + a[1] * f2
+            following = central_bracket(
+                *inputs(lambda y: amplitude_vector(potential, self.GAMMA, y)), x)
+            frozen = central_bracket(*inputs(lambda y: a), x)
+            continuous = continuous_averaged_field(potential, self.GAMMA, x)
+            sampling = averaged_field(potential, self.GAMMA, x)
+            assert np.abs(drift + 0.5 * following - continuous).max() <= 1e-9
+            assert np.abs(drift + 0.5 * frozen - sampling).max() <= 1e-9
+            # the two fields differ: the continuous one has no f1 component
+            assert abs(continuous @ f1) <= 1e-15 and abs(sampling @ f1) >= 1e-3
+            g = potential_gradient(potential, x)
+            c1, c2, _ = potential.coeffs
+            f3g = g[0] * math.sin(x[2]) - g[1] * math.cos(x[2])
+            assert g @ continuous == pytest.approx(
+                -self.GAMMA * (g[2] ** 2 + 2.0 * f3g ** 2 + (c1 - c2) * math.sin(2 * x[2]) * g[2]),
+                rel=1e-12)
 
 
 class TestClamp:

@@ -212,7 +212,7 @@ class TestScalarParameters:
             build()
 
     def test_numbers_accepted(self):
-        assert make_quadratic(1, np.float64(2.0), np.int64(3)).coeffs.tolist() == [1.0, 2.0, 3.0]
+        assert make_quadratic(1, np.float64(2.0), np.int64(3)).coeffs == (1.0, 2.0, 3.0)
         assert AdmissibilityConfig(grid_n=np.int64(4)).grid_n == 4
         assert sim_with(t_max=2, control_period=np.float64(0.5)).t_max == 2
 

@@ -35,7 +35,7 @@ class TestSettings:
         assert (ctrl.u1_max, ctrl.u2_max) == (0.22, 2.84)
         assert ctrl.loop_mode == "continuous"
         assert np.array_equal(cfg.potential.coeffs, make_v_alpha(alpha).coeffs)
-        assert cfg.x0.tolist() == [-0.5, -0.5, 0.0]
+        assert cfg.x0 == (-0.5, -0.5, 0.0)
         assert (cfg.goal_tol, cfg.t_max, cfg.control_period, cfg.log_every) == \
             (0.05, 600.0, 5e-4, 1)
 
@@ -43,9 +43,9 @@ class TestSettings:
         cfg = preset_sim_config("P2", bounds_mode="ideal", x0=[0.1, 0.2, 0.3], log_every=3)
         assert cfg.controller.k1 == 1.0 / math.sqrt(2.0)
         assert (cfg.controller.u1_max, cfg.controller.u2_max) == (math.inf, math.inf)
-        assert cfg.x0.tolist() == [0.1, 0.2, 0.3] and cfg.log_every == 3
+        assert cfg.x0 == (0.1, 0.2, 0.3) and cfg.log_every == 3
         quad = preset_sim_config("P3", potential={"kind": "quadratic", "c": [1, 2, 3]})
-        assert quad.potential.coeffs.tolist() == [1.0, 2.0, 3.0]
+        assert quad.potential.coeffs == (1.0, 2.0, 3.0)
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"h": 1e-3}, id="unknown-key"),

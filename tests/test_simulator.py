@@ -150,6 +150,19 @@ class TestSimulate:
             else:
                 assert traj.terminated == TERMINATED_HORIZON
 
+    @pytest.mark.parametrize("mode, refresh_every", [("continuous", 1), ("sampling", 1000)])
+    def test_zero_goal_tol_stops_once_the_distance_underflows(self, mode, refresh_every):
+        # sqrt(x1*x1 + x2*x2 + x3*x3) <= 0 holds once every square underflows to 0,
+        # below about 2.2e-162: so goal_tol = 0 stops a run before the exact origin
+        for x1, stops in [(1.5e-162, True), (3e-162, False)]:
+            cfg = short_config(loop_mode=mode, x0=(x1, 0.0, 0.0), goal_tol=0.0, t_max=0.01)
+            assert simulator._loop_args(cfg)["refresh_every"] == refresh_every
+            traj = simulate(cfg)
+            if stops:
+                assert traj.data.shape[0] == 1 and traj.convergence_time == 0.0
+            else:
+                assert traj.terminated == TERMINATED_HORIZON and traj.data.shape[0] == 11
+
     def test_first_row_is_initial_state(self):
         traj = simulate(short_config(t_max=0.25, goal_tol=0.0))
         assert traj.t[0] == 0.0
@@ -920,19 +933,22 @@ class TestCsvWorkerProcess:
 
 
 class TestValueTypes:
-    """Types with array fields compare and hash by identity, and never raise."""
+    """The config types compare and hash by value; Trajectory, which holds an
+    array, by identity. None of them raises."""
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: make_quadratic(1.0, 2.0, 3.0), id="Potential"),
-        pytest.param(lambda: preset_sim_config("P1"), id="SimConfig"),
-        pytest.param(lambda: logged(np.zeros((2, len(TRAJECTORY_COLUMNS)))), id="Trajectory"),
+    @pytest.mark.parametrize("build, by_value", [
+        pytest.param(lambda: make_quadratic(1.0, 2.0, 3.0), True, id="Potential"),
+        pytest.param(lambda: preset_sim_config("P1"), True, id="SimConfig"),
+        pytest.param(lambda: logged(np.zeros((2, len(TRAJECTORY_COLUMNS)))), False,
+                     id="Trajectory"),
     ])
-    def test_eq_and_hash_do_not_raise(self, build):
+    def test_eq_and_hash_do_not_raise(self, build, by_value):
         a, b = build(), build()
         assert a == a
-        assert a != b
+        assert (a == b) is by_value
         assert hash(a) == hash(a)
-        assert len({a, b}) == 2
+        assert (hash(a) == hash(b)) is by_value
+        assert len({a, b}) == (1 if by_value else 2)
 
 
 class TestTrajectory:
