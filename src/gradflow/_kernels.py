@@ -1,14 +1,14 @@
-"""The closed-loop simulation: one scalar loop, and its sampling-mode twin in numpy.
+"""The closed-loop simulation: one loop, compiled in C, and its Python twin.
 
 `closed_loop` is plain scalar Python, one control update at a time. The
 potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
-(2*c1*x1, 2*c2*x2, 2*c3*x3) inline. `sampling_loop` takes the same
-arguments and returns the same bits: while the amplitudes are frozen it
-runs a window's updates as numpy arrays. `simulator.simulate` sends a run
-to it when its windows are at least SAMPLING_MIN_WINDOW updates long, and
-every other run, continuous mode included, to `closed_loop`, which is also
-the window kernel's bitwise oracle.
+(2*c1*x1, 2*c2*x2, 2*c3*x3) inline. `_closed_loop.c` holds the same loop in
+C, in the same operation order, and `c_loop` runs it with closed_loop's
+arguments and value, bit for bit. `simulator.simulate` runs every run, in
+both loop modes, in the C loop, which `compiled_loop` builds with `cc` on
+first use; where it cannot be built or loaded, it runs `closed_loop`, which
+is also the C loop's bitwise oracle. `kernel` names the one that runs.
 
 Both return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
@@ -29,12 +29,17 @@ The gradient flow of such a V has a closed form, which
 quadrature is numpy too and lives in `gradflow.admissibility`.
 """
 
+import ctypes
+import functools
+import os
+import platform
+import sys
+import zlib
 from array import array
 from math import copysign, cos, isfinite, sin, sqrt
 
-import numpy as np
-
-# status codes returned by closed_loop
+# status codes returned by closed_loop and c_loop; the C function also
+# sets -1, for rows full before the run ended
 STATUS_HORIZON = 0
 STATUS_GOAL = 1
 STATUS_NONFINITE = 2
@@ -64,9 +69,8 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     The goal is the origin, the minimiser of V: the run stops at the first
     update whose full-state distance to it is at most goal_tol.
 
-    simulate runs continuous mode and sampling windows shorter than
-    SAMPLING_MIN_WINDOW updates here, and longer windows in sampling_loop,
-    which the tests hold to this loop bit for bit.
+    simulate runs it where the C loop cannot be built or loaded, and the
+    tests hold the C loop to it bit for bit.
     """
     x1 = x0[0]
     x2 = x0[1]
@@ -152,136 +156,98 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
 
 
 # ---------------------------------------------------------------------------
-# sampling mode, one frozen-amplitude window at a time
+# the compiled loop
 # ---------------------------------------------------------------------------
 
-# updates per numpy block of sampling_loop. A block's arrays peak at about
-# 145 bytes per update, 88 of them its rows: at 1,024 that is 3 % of the
-# rows a P1 sampling run logs
-WINDOW_BLOCK = 1024
-# the shortest window, in updates, that simulate runs in sampling_loop: on
-# 2 vCPUs the two loops broke even near 40 updates, and at 48 the window
-# kernel took 0.85 of the scalar loop's time
-SAMPLING_MIN_WINDOW = 48
+_C_SOURCE = os.path.join(os.path.dirname(__file__), "_closed_loop.c")
+# no fast-math, no FMA contraction, and sin and cos called as math calls them
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
+            "-fPIC", "-shared")
+# rows per zero extend of c_loop's row buffer; a call's room is at least one
+# extend and at least 1/64 of the rows logged so far
+GROW_ROWS = 16
+# n_updates, refresh_every and log_every above this never meet k: no run
+# reaches 2^62 updates, and the C loop's k is a 64-bit integer
+_MAX_COUNT = 2 ** 62
 
 
-def sampling_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
-                  n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
-    """closed_loop's run, bit for bit, with each window's updates in numpy.
+@functools.cache
+def compiled_loop():
+    """The C loop of `_closed_loop.c` as a ctypes function, or None.
 
-    Takes closed_loop's arguments and returns its value. While the
-    amplitudes are frozen, u1 and u2 depend on t alone, so the updates of
-    a window, at most WINDOW_BLOCK at a time, are array expressions: the
-    controls with their clamp, the chord of each hold, and the state as the
-    running sum of the holds, which np.add.accumulate adds in the loop's
-    order. The amplitudes are computed at each window start with
-    closed_loop's scalar math. The first update that breaks the row rule
-    (module docstring) or reaches the goal cuts a block short, and the state
-    after a block's last hold is checked before the next block refreshes
-    its amplitudes from it.
+    Built on the first call with `cc` into the package's __pycache__, under a
+    name that carries a hash of the source and the flags, and then loaded
+    from there. If it cannot be built or loaded, the reason goes to stderr
+    and None comes back, and `simulate` runs `closed_loop`.
     """
-    x1, x2, x3 = x0
-    d1 = 2.0 * c1
-    d2 = 2.0 * c2
-    d3 = 2.0 * c3
-    T = control_period
+    try:
+        with open(_C_SOURCE, "rb") as f:
+            source = f.read()
+        # CRC-32, as numpy has loaded zlib already: hashlib would load OpenSSL,
+        # 3.5 MB of resident memory
+        key = zlib.crc32(source + " ".join((*_C_FLAGS, platform.machine())).encode())
+        cache = os.path.join(os.path.dirname(__file__), "__pycache__")
+        path = os.path.join(cache, f"_closed_loop.{key:08x}.so")
+        if not os.path.exists(path):
+            _build(path)
+        fn = ctypes.CDLL(path).closed_loop
+    except OSError as exc:
+        print(f"gradflow: running the Python closed loop: {exc}", file=sys.stderr)
+        return None
+    c_double_p = ctypes.POINTER(ctypes.c_double)
+    fn.argtypes = (c_double_p, ctypes.POINTER(ctypes.c_int64), c_double_p, ctypes.c_void_p,
+                   ctypes.c_int64)
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def _build(path):
+    """Compile _closed_loop.c to `path`, written under a temporary name and renamed."""
+    import subprocess
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        done = subprocess.run(["cc", *_C_FLAGS, "-o", tmp, _C_SOURCE, "-lm"],
+                              stdin=subprocess.DEVNULL, capture_output=True)
+        if done.returncode != 0:
+            raise OSError(f"cc exited with status {done.returncode}: "
+                          f"{done.stderr.decode(errors='replace').strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def kernel() -> str:
+    """The loop that `simulate` runs in this process: "c" or "python"."""
+    return "c" if compiled_loop() else "python"
+
+
+def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
+           n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
+    """closed_loop's run in the C loop: its arguments, and its value bit for bit.
+
+    The rows go straight into the array('d') that is returned. Before each
+    call it grows by max(GROW_ROWS, rows so far // 64) rows of zeros, and
+    the call resumes where the last one ran out of room; after it the unused
+    rows are deleted. So the memory follows the rows logged, as in
+    closed_loop.
+    """
+    fn = compiled_loop()
+    p = (ctypes.c_double * 11)(c1, c2, c3, gamma, k1, k2, omega, control_period,
+                               u1_max, u2_max, goal_tol)
+    n = (ctypes.c_int64 * 6)(*(min(i, _MAX_COUNT) for i in (n_updates, refresh_every,
+                                                              log_every)), 0, 0, -1)
+    s = (ctypes.c_double * 8)(*x0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    width = 11
+    zeros = array("d", bytes(8 * width * GROW_ROWS))
     rows = array("d")
-    status = STATUS_HORIZON
-    n_sat = 0
-    max_u1 = 0.0
-    max_u2 = 0.0
-    # row j of a block is update lo + j, with closed_loop's columns; the row
-    # after the block's last is the state after its last hold
-    buf = np.empty((min(WINDOW_BLOCK, refresh_every, n_updates + 1) + 1, 11))
-    lo = 0
-    with np.errstate(all="ignore"):
-        while True:
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                status = STATUS_NONFINITE
-                break
-            if lo % refresh_every == 0:
-                gx1 = d1 * x1
-                gx2 = d2 * x2
-                s = sin(x3)
-                c = cos(x3)
-                a1 = -gamma * (gx1 * c + gx2 * s)
-                a2 = -gamma * (d3 * x3)
-                a12 = -gamma * (gx1 * s - gx2 * c)
-                osc = sqrt(omega * abs(a12))
-                sign = 0.0
-                if a12 > 0.0:
-                    sign = 1.0
-                elif a12 < 0.0:
-                    sign = -1.0
-                p1 = k1 * osc * sign
-                p2 = k2 * osc
-            hi = min(lo + WINDOW_BLOCK, lo - lo % refresh_every + refresh_every,
-                     n_updates + 1)
-            m = hi - lo
-            t, u1, u2, v = buf[:m, 0], buf[:m, 4], buf[:m, 5], buf[:m, 9]
-            xs1, xs2, xs3 = buf[:m + 1, 1], buf[:m + 1, 2], buf[:m + 1, 3]
-            buf[:m, 6] = a1
-            buf[:m, 7] = a2
-            buf[:m, 8] = a12
-            k = np.arange(lo, hi)
-            np.multiply(k, T, out=t)
-            phase = omega * t
-            # a + p*cos(omega*t), p*cos first as in closed_loop
-            np.multiply(np.cos(phase), p1, out=u1)
-            u1 += a1
-            np.multiply(np.sin(phase), p2, out=u2)
-            u2 += a2
-            del phase
-            sat = (np.abs(u1) > u1_max) | (np.abs(u2) > u2_max)
-            buf[:m, 10] = sat
-            # |u| > u_max becomes copysign(u_max, u)
-            np.clip(u1, -u1_max, u1_max, out=u1)
-            np.clip(u2, -u2_max, u2_max, out=u2)
-            # the exact flow of each hold: x3 turns by u2*T, and the plane
-            # moves by the chord u1*T*sinc(half) along the heading x3 + half.
-            # Rows 1..m of the state columns take the holds' increments, and
-            # then their running sums
-            half = 0.5 * u2 * T
-            sinc = np.sin(half) / half
-            sinc[half == 0.0] = 1.0
-            chord = u1 * T * sinc
-            xs3[0] = x3
-            np.multiply(u2, T, out=xs3[1:])
-            np.add.accumulate(xs3, out=xs3)
-            heading = xs3[:m] + half
-            xs1[0] = x1
-            np.multiply(chord, np.cos(heading), out=xs1[1:])
-            np.add.accumulate(xs1, out=xs1)
-            xs2[0] = x2
-            np.multiply(chord, np.sin(heading), out=xs2[1:])
-            np.add.accumulate(xs2, out=xs2)
-            del half, sinc, chord, heading  # keep a block's memory near its rows'
-            x1s, x2s, x3s = xs1[:m], xs2[:m], xs3[:m]
-            v[:] = c1 * x1s * x1s + c2 * x2s * x2s + c3 * x3s * x3s
-            # the row rule, with the window's amplitudes tested once
-            finite = np.isfinite(v) & np.isfinite(u1) & np.isfinite(u2)
-            if not (isfinite(a1) and isfinite(a2) and isfinite(a12)):
-                finite[:] = False
-            at_goal = np.sqrt(x1s * x1s + x2s * x2s + x3s * x3s) <= goal_tol
-            n = m
-            stop = int(np.argmax(~finite | at_goal))
-            if not finite[stop]:
-                status = STATUS_NONFINITE
-                n = stop
-            elif at_goal[stop]:
-                status = STATUS_GOAL
-                n = stop + 1
-            if n:
-                n_sat += int(np.count_nonzero(sat[:n]))
-                max_u1 = max(max_u1, float(np.abs(u1[:n]).max()))
-                max_u2 = max(max_u2, float(np.abs(u2[:n]).max()))
-                log = (k[:n] % log_every == 0) | at_goal[:n] | (k[:n] == n_updates)
-                block = buf[:n] if log.all() else buf[:n][log]
-                rows.frombytes(block.view(np.uint8))
-            if status != STATUS_HORIZON or hi > n_updates:
-                break
-            x1 = float(xs1[m])
-            x2 = float(xs2[m])
-            x3 = float(xs3[m])
-            lo = hi
-    return rows, status, n_sat, max_u1, max_u2
+    while n[5] < 0:
+        used = len(rows)
+        for _ in range(max(1, used // (64 * width * GROW_ROWS))):
+            rows.extend(zeros)
+        room = (len(rows) - used) // width
+        logged = fn(p, n, s, rows.buffer_info()[0] + 8 * used, room)
+        del rows[used + width * logged:]
+    return rows, n[5], n[4], s[6], s[7]

@@ -12,6 +12,7 @@ import mmap
 import os
 import sys
 
+from gradflow import _kernels
 from gradflow.admissibility import (
     AdmissibilityConfig,
     admissibility_measure,
@@ -126,6 +127,7 @@ def cmd_simulate(args) -> int:
         "rows": int(traj.data.shape[0]),
         "csv": args.out,
         "csv_processes": csv_processes,
+        "kernel": _kernels.kernel(),
     })
     return 0
 
@@ -239,6 +241,7 @@ def cmd_refine(args) -> int:
         "window": args.window,
         "loop_mode": args.mode,
         "csv": args.out,
+        "kernel": _kernels.kernel(),
     })
     return 0 if non_increasing else 1
 

@@ -11,6 +11,7 @@ goal.
 """
 
 import math
+import reprlib
 from dataclasses import replace
 
 from gradflow.controller import ControllerParams
@@ -43,24 +44,35 @@ PRESETS = {
 
 
 def _matches(value, default) -> bool:
-    """Whether a setting has the JSON type of its default; no bool is a number."""
+    """Whether a setting has the JSON type of its default.
+
+    No bool is a number, and an integer where a float is due must convert to
+    one: float() of an integer past the float range raises OverflowError.
+    """
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) == len(default)
                 and all(map(_matches, value, default)))
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                return False
+            return True
+        return isinstance(value, float)
     return type(value) is type(default)
 
 
 def check_settings(settings: dict) -> dict:
-    """Reject unknown keys and values without their default's JSON type."""
+    """Reject unknown keys, and values without their default's JSON type (`_matches`)."""
     unknown = set(settings) - set(SIM_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in settings.items():
         if not _matches(value, SIM_DEFAULTS[key]):
             raise ValueError(f"config key {key!r} must have the JSON type of its default "
-                             f"{SIM_DEFAULTS[key]!r}, got {value!r}")
+                             f"{SIM_DEFAULTS[key]!r}, and a number must convert to a float, "
+                             f"got {reprlib.repr(value)}")
     return settings
 
 

@@ -278,7 +278,7 @@ class SimConfig:
 
 
 def _loop_args(cfg: SimConfig) -> dict:
-    """The keyword arguments of `_kernels.closed_loop` and `sampling_loop` for `cfg`."""
+    """The keyword arguments of `_kernels.closed_loop` and `c_loop` for `cfg`."""
     ctrl = cfg.controller
     c1, c2, c3 = cfg.potential.coeffs
     return dict(
@@ -295,18 +295,17 @@ def _loop_args(cfg: SimConfig) -> dict:
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
-    The loop reads the potential as its three coefficients. A run whose
-    amplitudes are frozen for at least `_kernels.SAMPLING_MIN_WINDOW`
-    updates goes to `_kernels.sampling_loop`, every other run to
-    `_kernels.closed_loop`; the two give the same bits. Identical configs
-    produce bit-identical trajectories. The `_kernels` module docstring
-    states which rows are logged and what the loops return: a goal run's
-    last row is its goal, and a non-finite stop raises IntegrationError.
+    The loop reads the potential as its three coefficients. Every run, in
+    either loop mode, goes to the C loop, `_kernels.c_loop`, or to
+    `_kernels.closed_loop` where the C loop cannot be built or loaded; the two
+    give the same bits, and `_kernels.kernel()` names the one that ran.
+    Identical configs produce bit-identical trajectories. The `_kernels`
+    module docstring states which rows are logged and what the loops return:
+    a goal run's last row is its goal, and a non-finite stop raises
+    IntegrationError.
     """
-    args = _loop_args(cfg)
-    loop = (_kernels.sampling_loop if args["refresh_every"] >= _kernels.SAMPLING_MIN_WINDOW
-            else _kernels.closed_loop)
-    rows, status, *counts = loop(**args)
+    loop = _kernels.c_loop if _kernels.compiled_loop() else _kernels.closed_loop
+    rows, status, *counts = loop(**_loop_args(cfg))
     if len(rows) == 0:
         # the row rule broken before anything could be logged: degenerate inputs
         raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")

@@ -5,9 +5,9 @@ compare the two. The first group are the model's formulas written one
 state at a time, as the paper states them: the potential and its
 gradient, the frame algebra of the unicycle, the feedback and its clamp,
 the amplitude vector and the exact flow of one hold. The package computes
-the same quantities only inside its two closed-loop kernels,
-`_kernels.closed_loop` and `_kernels.sampling_loop` (the scalar loop is in
-turn the bitwise oracle of the numpy one), and in
+the same quantities only inside its closed loop, `_kernels.closed_loop`
+and its C build `_closed_loop.c` (the Python loop is in turn the bitwise
+oracle of the C one), and in
 `admissibility._integrand`; `integrand` calls the latter with buffers of
 its own, and `integrand_rho` reads it in the units of the residual, so a
 test can hold it against `rho_bruteforce`.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradflow
+from gradflow import _kernels
 from gradflow import (ControllerParams, SimConfig, cli, integrate_gradient_flow, make_v_alpha,
                       simulate, simulator, tracking_deviation)
 from gradflow.cli import main
@@ -152,6 +153,23 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, key", [
+        pytest.param({"gamma": 10 ** 400}, "gamma", id="gamma"),
+        pytest.param({"x0": [10 ** 400, 0, 0]}, "x0", id="x0"),
+    ])
+    def test_config_integer_past_the_float_range_exit_2(self, capsys, tmp_path, entry, key):
+        # float() of a 401-digit integer raises OverflowError; the settings
+        # check rejects it first and names the key
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--preset", "P1", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"config key {key!r} must have the JSON type of its default" in captured.err
+        assert not out.exists()
+
     def test_config_integers_are_numbers(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"t_max": 1, "log_every": 10, "x0": [-1, 0, 0]}))
@@ -225,6 +243,33 @@ class TestSimulateCommand:
         for key in ("saturation_count", "max_abs_u1", "max_abs_u2"):
             assert sparse[key] == full[key]
         assert (full["saturation_count"] > 0) == (bounds == "clamp")
+
+
+class TestKernelReport:
+    """simulate and refine name the closed loop that ran; the Python fallback
+    writes the same bytes and says so."""
+
+    ARGV = {
+        "simulate": ["simulate", "--preset", "P1", "--t-max", "10"],
+        "refine": ["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "0.5"],
+    }
+
+    def outputs(self, capsys, tmp_path, command):
+        out = tmp_path / "out.csv"
+        code, summary = run(capsys, *self.ARGV[command], "--out", str(out))
+        assert code == 0
+        return summary, out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "refine"])
+    def test_python_fallback_writes_the_same_bytes(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        summary, csv = self.outputs(capsys, tmp_path, command)
+        assert summary["kernel"] == "c"
+        monkeypatch.setattr(_kernels, "compiled_loop", lambda: None)
+        fallback, fallback_csv = self.outputs(capsys, tmp_path, command)
+        assert fallback.pop("kernel") == "python"
+        summary.pop("kernel")
+        assert fallback == summary and fallback_csv == csv
 
 
 class TestAdmissibilityCommand:

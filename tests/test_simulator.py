@@ -40,6 +40,7 @@ from helpers import preset_sim_config
 from oracles import (
     amplitude_vector,
     averaged_field,
+    continuous_averaged_field,
     control_value,
     hold_step,
     potential_value,
@@ -353,17 +354,32 @@ class TestOneLoopStep:
 
 
 def same_run(**args):
-    """closed_loop's run of `args`, asserted equal to sampling_loop's, bit for bit.
+    """closed_loop's run of `args`, asserted equal to the C loop's, bit for bit.
 
     Also asserts the row rule: no logged value is non-finite.
     """
+    assert _kernels.compiled_loop() is not None
     scalar = _kernels.closed_loop(**args)
-    window = _kernels.sampling_loop(**args)
+    compiled = _kernels.c_loop(**args)
     assert len(scalar) == 5
-    assert window[0].tobytes() == scalar[0].tobytes()
-    assert window[1:] == scalar[1:]
+    assert compiled[0].tobytes() == scalar[0].tobytes()
+    assert compiled[1:] == scalar[1:]
     assert np.all(np.isfinite(scalar[0]))
     return scalar
+
+
+def recorded_c_calls(monkeypatch):
+    """Record each call of the C loop: its rows logged, then k, status and state after it."""
+    fn = _kernels.compiled_loop()
+    calls = []
+
+    def recorded(p, n, s, rows, room):
+        logged = fn(p, n, s, rows, room)
+        calls.append((logged, n[3], n[5], list(s)))
+        return logged
+
+    monkeypatch.setattr(_kernels, "compiled_loop", lambda: recorded)
+    return calls
 
 
 def refine_config(eps, t_max=2.0, log_every=1):
@@ -389,23 +405,27 @@ def overflow_args(refresh_every):
 
 
 class TestSamplingWindows:
-    """sampling_loop is closed_loop, bit for bit: rows, status and the
-    counters of every evaluated update."""
+    """The C loop is closed_loop, bit for bit, in both loop modes: rows, status
+    and the counters of every evaluated update."""
+
+    def test_c_loop_loads_on_this_host(self):
+        assert _kernels.kernel() == "c"
 
     @pytest.mark.parametrize("bounds", ["clamp", "ideal"])
     @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
     def test_presets(self, name, bounds):
-        args = simulator._loop_args(
-            preset_sim_config(name, loop_mode="sampling", bounds_mode=bounds))
-        assert args["refresh_every"] == 2000
-        status, n_sat = same_run(**args)[1:3]
-        assert status == _kernels.STATUS_GOAL
-        assert (n_sat > 0) == (bounds == "clamp")
+        for mode, refresh_every in [("continuous", 1), ("sampling", 2000)]:
+            args = simulator._loop_args(
+                preset_sim_config(name, loop_mode=mode, bounds_mode=bounds))
+            assert args["refresh_every"] == refresh_every
+            status, n_sat = same_run(**args)[1:3]
+            assert status == _kernels.STATUS_GOAL
+            assert (n_sat > 0) == (bounds == "clamp")
 
     @pytest.mark.parametrize("eps, t_max", [(0.5, 2.0), (0.1, 2.0), (0.02, 2.0), (0.004, 0.5)])
     def test_refine_runs(self, eps, t_max):
         # eps 0.004 over the first 0.5 s of its 2 s, 125 windows: the whole
-        # run would take the scalar loop about 2 s
+        # run would take closed_loop about 2 s
         args = simulator._loop_args(refine_config(eps, t_max))
         assert same_run(**args)[1] == _kernels.STATUS_HORIZON
 
@@ -428,19 +448,41 @@ class TestSamplingWindows:
         assert math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= 0.2
         assert simulate(cfg).convergence_time == t
 
-    @pytest.mark.parametrize("refresh_every, block", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    def test_resume_at_every_row(self, mode, monkeypatch):
+        # one row of room per call until 64 rows are logged: every row is the
+        # last of a call, and the next call resumes from k, the state, the
+        # amplitudes and the counters; the goal is reached mid-run
+        monkeypatch.setattr(_kernels, "GROW_ROWS", 1)
+        cfg = short_config(loop_mode=mode, bounds=TB3, x0=(0.3, -0.2, 0.1), goal_tol=0.2,
+                           t_max=20.0, cp=1e-3, log_every=7)
+        args = simulator._loop_args(cfg)
+        rows, status = same_run(**args)[:2]
+        assert status == _kernels.STATUS_GOAL and len(rows) > 11 * 64
+        calls = recorded_c_calls(monkeypatch)
+        assert _kernels.c_loop(**args)[0].tobytes() == rows.tobytes()
+        assert [logged for logged, *_ in calls[:64]] == [1] * 64
+        assert [c_status for *_, c_status, _ in calls] == [-1] * (len(calls) - 1) + [status]
+
+    @pytest.mark.parametrize("refresh_every, grow", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
                              ids=["window-edge", "mid-window", "block-edge", "mid-block"])
-    def test_nonfinite_stop(self, refresh_every, block, monkeypatch):
-        monkeypatch.setattr(_kernels, "WINDOW_BLOCK", block)
+    def test_nonfinite_stop(self, refresh_every, grow, monkeypatch):
+        # room for 4 rows puts a call's end right before the stopping update
+        # 4, room for 3 one row before it
+        monkeypatch.setattr(_kernels, "GROW_ROWS", grow)
         rows, status, n_sat = same_run(**overflow_args(refresh_every))[:3]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 4 * 11 and n_sat == 4
         assert math.isfinite(rows[-8])  # x3 of update 3; update 4's is inf
+        # the C loop stops at update 4 on the row rule: V = 0*inf*inf is nan, and
+        # at the window edge, where math.sin(inf) raises, so are C's amplitudes
+        calls = recorded_c_calls(monkeypatch)
+        _kernels.c_loop(**overflow_args(refresh_every))
+        assert calls[-1][1:3] == (4, _kernels.STATUS_NONFINITE)
 
     @pytest.mark.parametrize("case", ["half-angle", "heading"])
-    def test_hold_angle_overflow_stops_nonfinite(self, case):
-        # a finite hold whose half-angle u2*T/2 or heading x3 + u2*T/2 is inf:
-        # math.sin/cos raise on it, and closed_loop stops as sampling_loop does
+    def test_hold_angle_overflow_stops_nonfinite(self, case, monkeypatch):
+        # a finite hold whose half-angle u2*T/2 or heading x3 + u2*T/2 is inf
         if case == "half-angle":
             # u2 = -2e307 on the first hold, so u2*T/2 = -2e308
             args = simulator._loop_args(sim_config({
@@ -456,6 +498,19 @@ class TestSamplingWindows:
         rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 11 * logged
+        # closed_loop stops on the ValueError that math.sin or math.cos raise
+        # in the hold after the last logged row
+        last = rows[-11:]
+        with pytest.raises(ValueError, match="math domain error"):
+            hold_step(*last[1:6], args["control_period"])
+        # the C loop's sin and cos return nan there, so x1 is nan after that
+        # hold, and the row rule stops the run at the next update, on V = nan,
+        # before it logs or counts anything: the same rows and counters
+        calls = recorded_c_calls(monkeypatch)
+        _kernels.c_loop(**args)
+        (_, k, c_status, state), = calls
+        assert (k, c_status) == (logged, _kernels.STATUS_NONFINITE)
+        assert math.isnan(state[0])
 
     @pytest.mark.parametrize("mode", ["continuous", "sampling"])
     @pytest.mark.parametrize("x0", [[1e152, 0, 0], [0, 0, 1e152]], ids=["a1", "a2"])
@@ -470,12 +525,12 @@ class TestSamplingWindows:
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 0
 
-    @pytest.mark.parametrize("block", [3, 25, 1024])
+    @pytest.mark.parametrize("grow", [3, 25, 1024])
     @pytest.mark.parametrize("refresh_every", [1, 3, 100])
-    def test_partial_last_window(self, refresh_every, block, monkeypatch):
+    def test_partial_last_window(self, refresh_every, grow, monkeypatch):
         # 550 updates: the last window is cut, and update 550 is logged though
-        # 550 % 7 != 0; a block of 25 ends on every window edge
-        monkeypatch.setattr(_kernels, "WINDOW_BLOCK", block)
+        # 550 % 7 != 0
+        monkeypatch.setattr(_kernels, "GROW_ROWS", grow)
         controller = ControllerParams(epsilon=refresh_every * 1e-3, u1_max=0.22, u2_max=2.84,
                                       loop_mode="sampling")
         cfg = SimConfig(potential=make_v_alpha(4.0), controller=controller,
@@ -486,25 +541,45 @@ class TestSamplingWindows:
         rows = same_run(**args)[0]
         assert rows[-11] == 0.55 and len(rows) == 11 * (550 // 7 + 2)
 
-    @pytest.mark.parametrize("offset, kernel", [(0, "sampling_loop"), (-1, "closed_loop")])
-    def test_simulate_switches_at_the_crossover(self, offset, kernel, monkeypatch):
-        refresh_every = _kernels.SAMPLING_MIN_WINDOW + offset
-        controller = ControllerParams(epsilon=refresh_every * 1e-3, u1_max=0.22, u2_max=2.84,
-                                      loop_mode="sampling")
-        cfg = SimConfig(potential=make_v_alpha(1.0), controller=controller,
-                        x0=(-0.5, -0.5, 0.0), goal_tol=0.0,
-                        t_max=(3 * refresh_every + 5) * 1e-3, control_period=1e-3)
-        rows = same_run(**simulator._loop_args(cfg))[0]
-        loop = getattr(_kernels, kernel)
-        calls = []
+    def test_counts_past_the_64_bit_range(self):
+        # n_updates, refresh_every and log_every that no k reaches are capped
+        # for the C loop's 64-bit k, with the same run
+        args = dict(simulator._loop_args(short_config(loop_mode="sampling", t_max=0.05)),
+                    refresh_every=10 ** 30, log_every=2 ** 64 + 3)
+        rows, status = same_run(**args)[:2]
+        assert status == _kernels.STATUS_HORIZON and len(rows) == 2 * 11
 
-        def counted(**args):
-            calls.append(args["refresh_every"])
-            return loop(**args)
 
-        monkeypatch.setattr(_kernels, kernel, counted)
-        assert simulate(cfg).data.tobytes() == rows.tobytes()
-        assert calls == [refresh_every]
+class TestCompiledLoopBuild:
+    def test_build_leaves_only_the_library(self, tmp_path):
+        import ctypes
+
+        path = tmp_path / "loop.so"
+        _kernels._build(str(path))
+        assert os.listdir(tmp_path) == ["loop.so"]
+        assert ctypes.CDLL(str(path)).closed_loop
+
+    def test_failed_build_runs_the_python_loop(self, tmp_path, monkeypatch, capfd):
+        # a source that does not compile: the loader reports why on stderr,
+        # leaves no file behind, and simulate runs closed_loop with the same bytes
+        bad = tmp_path / "_closed_loop.c"
+        bad.write_text("this is not C\n")
+        cfg = short_config(t_max=0.5, goal_tol=0.0)
+        expected = simulate(cfg).data.tobytes()  # builds the real library if it is not yet
+        cache = os.path.join(os.path.dirname(_kernels.__file__), "__pycache__")
+        before = sorted(os.listdir(cache))
+        monkeypatch.setattr(_kernels, "_C_SOURCE", str(bad))
+        _kernels.compiled_loop.cache_clear()
+        try:
+            assert _kernels.compiled_loop() is None
+            assert _kernels.kernel() == "python"
+            assert simulate(cfg).data.tobytes() == expected
+        finally:
+            _kernels.compiled_loop.cache_clear()
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert "gradflow: running the Python closed loop: cc exited with status" in captured.err
+        assert sorted(os.listdir(cache)) == before
 
 
 class TestRK4Order:
@@ -694,6 +769,53 @@ class TestAveragedFieldTracking:
         reference = integrate_gradient_flow(make_v_alpha(1.0).scaled(0.05), (-0.5, -0.5, 0.0),
                                             t_max=2.0, h=1e-3)
         deviations = [tracking_deviation(run, reference) for run in runs]
+        assert convergence_order(self.EPS, deviations) < 0.4
+
+
+class TestContinuousAveragedFieldTracking:
+    """Continuous mode tracks `continuous_averaged_field` to O(sqrt(eps)), and
+    not sampling's `averaged_field`: the gate of the continuous loop's field.
+
+    Each run logs its 2 s window on the references' 1e-3 s grid. Over eps
+    0.1 to 0.004 alone, alpha = 2 fits 0.396 against the continuous field,
+    so the fit runs over the three eps of the sampling gate. A run must have
+    its 2,000 updates per eps: with fewer, the hold error pollutes the fit.
+    """
+
+    EPS = (0.02, 0.004, 0.0008)
+
+    @pytest.fixture(scope="class", params=[1.0, 2.0], ids=["alpha-1", "alpha-2"])
+    def case(self, request):
+        potential = make_v_alpha(request.param)
+        runs = []
+        for eps in self.EPS:
+            controller = ControllerParams(epsilon=eps, gamma=0.05)
+            assert controller.loop_mode == "continuous"
+            runs.append(simulate(SimConfig(
+                potential=potential, controller=controller, x0=(-0.5, -0.5, 0.0),
+                goal_tol=0.0, t_max=2.0, control_period=eps / 2000,
+                log_every=round(2.0 / eps))))
+        return potential, runs
+
+    def deviations(self, case, field):
+        potential, runs = case
+        rows = rk4_flow(lambda x: field(potential, 0.05, x), (-0.5, -0.5, 0.0), 2000, 1e-3)
+        data = np.zeros((rows.shape[0], len(TRAJECTORY_COLUMNS)))
+        data[:, :4] = rows
+        return [tracking_deviation(run, logged(data)) for run in runs]
+
+    def test_a12_keeps_one_sign(self, case):
+        # the continuous field is singular where a12 = 0
+        for run in case[1]:
+            assert run.data.shape[0] == 2001
+            assert abs(np.sign(run.data[:, 8]).sum()) == run.data.shape[0]
+
+    def test_order_against_the_continuous_field(self, case):
+        deviations = self.deviations(case, continuous_averaged_field)
+        assert 0.4 <= convergence_order(self.EPS, deviations) <= 0.6
+
+    def test_sampling_field_is_not_tracked(self, case):
+        deviations = self.deviations(case, averaged_field)
         assert convergence_order(self.EPS, deviations) < 0.4
 
 
