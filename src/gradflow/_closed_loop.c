@@ -13,11 +13,12 @@
    makes x1 NaN, so V is NaN at the next update, before it counts anything.
 
    p holds c1, c2, c3, gamma, k1, k2, omega, control_period, u1_max, u2_max
-   and goal_tol. n holds n_updates, refresh_every and log_every, then the
-   resumable k, saturated-update count and status. s holds the resumable
-   x1, x2, x3, a1, a2, a12, max |u1| and max |u2|. The run starts with k = 0
-   and s = (x0, 0, 0, 0, 0, 0). It logs rows of 11 doubles into `rows` and
-   returns how many it logged. When `capacity` rows are logged before the
+   and goal_tol. n holds n_updates, refresh_every, log_every and the most
+   updates one call runs, then the resumable k, saturated-update count and
+   status. s holds the resumable x1, x2, x3, a1, a2, a12, max |u1| and
+   max |u2|. The run starts with k = 0 and s = (x0, 0, 0, 0, 0, 0). It logs
+   rows of 11 doubles into `rows` and returns how many it logged. When
+   `capacity` rows are logged, or the call has run its updates, before the
    run ends, it returns with status -1 and n and s hold the update to resume
    from; otherwise the status is 0 (horizon), 1 (goal) or 2 (non-finite). */
 
@@ -31,13 +32,14 @@ int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
                  k2 = p[5], omega = p[6], control_period = p[7],
                  u1_max = p[8], u2_max = p[9], goal_tol = p[10];
     const int64_t n_updates = n[0], refresh_every = n[1], log_every = n[2];
-    int64_t k = n[3], n_sat = n[4], status = -1, logged = 0;
+    int64_t k = n[4], n_sat = n[5], status = -1, logged = 0;
+    const int64_t k_stop = k + n[3];
     double x1 = s[0], x2 = s[1], x3 = s[2], a1 = s[3], a2 = s[4], a12 = s[5],
            max_u1 = s[6], max_u2 = s[7];
     /* grad V = (d1*x1, d2*x2, d3*x3) */
     const double d1 = 2.0 * c1, d2 = 2.0 * c2, d3 = 2.0 * c3;
 
-    for (; logged < capacity; k++) {
+    for (; logged < capacity && k < k_stop; k++) {
         double t = (double)k * control_period;
         double v_val = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3;
         if (k % refresh_every == 0) {
@@ -116,9 +118,9 @@ int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
         x2 += chord * sin(heading);
         x3 += u2 * control_period;
     }
-    n[3] = k;
-    n[4] = n_sat;
-    n[5] = status;
+    n[4] = k;
+    n[5] = n_sat;
+    n[6] = status;
     s[0] = x1;
     s[1] = x2;
     s[2] = x3;

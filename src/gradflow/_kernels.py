@@ -169,6 +169,9 @@ GROW_ROWS = 16
 # n_updates, refresh_every and log_every above this never meet k: no run
 # reaches 2^62 updates, and the C loop's k is a 64-bit integer
 _MAX_COUNT = 2 ** 62
+# updates per call of the C loop at most. Python handles Ctrl-C only between
+# calls; 2^20 updates of P1 take about 0.06 s (x86-64, gcc 12, -O2)
+UPDATES_PER_CALL = 2 ** 20
 
 
 @functools.cache
@@ -230,24 +233,26 @@ def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
 
     The rows go straight into the array('d') that is returned. Before each
     call it grows by max(GROW_ROWS, rows so far // 64) rows of zeros, and
-    the call resumes where the last one ran out of room; after it the unused
-    rows are deleted. So the memory follows the rows logged, as in
-    closed_loop.
+    the call resumes where the last one ran out of room or out of its
+    UPDATES_PER_CALL updates; after it the unused rows are deleted. So the
+    memory follows the rows logged, as in closed_loop, and Ctrl-C stops a
+    long run within one call.
     """
     fn = compiled_loop()
     p = (ctypes.c_double * 11)(c1, c2, c3, gamma, k1, k2, omega, control_period,
                                u1_max, u2_max, goal_tol)
-    n = (ctypes.c_int64 * 6)(*(min(i, _MAX_COUNT) for i in (n_updates, refresh_every,
-                                                              log_every)), 0, 0, -1)
+    n = (ctypes.c_int64 * 7)(*(min(i, _MAX_COUNT) for i in (n_updates, refresh_every,
+                                                              log_every)),
+                             UPDATES_PER_CALL, 0, 0, -1)
     s = (ctypes.c_double * 8)(*x0, 0.0, 0.0, 0.0, 0.0, 0.0)
     width = 11
     zeros = array("d", bytes(8 * width * GROW_ROWS))
     rows = array("d")
-    while n[5] < 0:
+    while n[6] < 0:
         used = len(rows)
         for _ in range(max(1, used // (64 * width * GROW_ROWS))):
             rows.extend(zeros)
         room = (len(rows) - used) // width
         logged = fn(p, n, s, rows.buffer_info()[0] + 8 * used, room)
         del rows[used + width * logged:]
-    return rows, n[5], n[4], s[6], s[7]
+    return rows, n[6], n[5], s[6], s[7]

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -375,7 +376,7 @@ def recorded_c_calls(monkeypatch):
 
     def recorded(p, n, s, rows, room):
         logged = fn(p, n, s, rows, room)
-        calls.append((logged, n[3], n[5], list(s)))
+        calls.append((logged, n[4], n[6], list(s)))
         return logged
 
     monkeypatch.setattr(_kernels, "compiled_loop", lambda: recorded)
@@ -463,6 +464,48 @@ class TestSamplingWindows:
         assert _kernels.c_loop(**args)[0].tobytes() == rows.tobytes()
         assert [logged for logged, *_ in calls[:64]] == [1] * 64
         assert [c_status for *_, c_status, _ in calls] == [-1] * (len(calls) - 1) + [status]
+
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    def test_resume_at_every_update(self, mode, monkeypatch):
+        # seven updates per call: each call ends mid-row-interval, with room to
+        # spare, and the next resumes from k, the state, the amplitudes and the
+        # counters; the goal is reached mid-run
+        monkeypatch.setattr(_kernels, "UPDATES_PER_CALL", 7)
+        cfg = short_config(loop_mode=mode, bounds=TB3, x0=(0.3, -0.2, 0.1), goal_tol=0.2,
+                           t_max=20.0, cp=1e-3, log_every=5)
+        args = simulator._loop_args(cfg)
+        rows, status = same_run(**args)[:2]
+        assert status == _kernels.STATUS_GOAL
+        calls = recorded_c_calls(monkeypatch)
+        _kernels.c_loop(**args)
+        ks = [k for _, k, *_ in calls]
+        assert ks[:-1] == list(range(7, 7 * len(ks), 7)) and 0 <= ks[-1] - ks[-2] < 7
+
+    def test_a_signal_stops_a_long_run(self):
+        # a run of 2^27 updates that logs two rows: one call of the C loop
+        # would run it all, seconds in which Python handles no signal, Ctrl-C
+        # included. UPDATES_PER_CALL hands control back within a fraction of
+        # a second, and the handler's exception ends the run
+        class Alarm(Exception):
+            pass
+
+        def alarm(signum, frame):
+            raise Alarm
+
+        args = dict(c1=1.0, c2=1.0, c3=1.0, x0=(1.0, 0.0, 0.0), gamma=0.0, k1=1.0, k2=1.0,
+                    omega=1.0, control_period=1e-3, n_updates=2 ** 27, refresh_every=1,
+                    u1_max=math.inf, u2_max=math.inf, goal_tol=0.0, log_every=2 ** 62)
+        assert _kernels.compiled_loop() is not None
+        previous = signal.signal(signal.SIGALRM, alarm)
+        start = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(Alarm):
+                _kernels.c_loop(**args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("refresh_every, grow", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
                              ids=["window-edge", "mid-window", "block-edge", "mid-block"])
