@@ -1,7 +1,10 @@
-/* The closed loop of gradflow._kernels.closed_loop, in C.
+/* gradflow's compiled library: two functions, loaded by gradflow._kernels.
 
-   The body is closed_loop's, statement for statement and in the same
-   operation order, so with IEEE doubles, no contraction into FMAs
+   closed_loop is the closed loop of gradflow._kernels.closed_loop, in C.
+   parse_rows parses the rows of a trajectory CSV in the writer's format.
+
+   closed_loop's body is _kernels.closed_loop's, statement for statement and
+   in the same operation order, so with IEEE doubles, no contraction into FMAs
    (-ffp-contract=off), no fast-math and the libm that Python's math module
    calls, it gives the same bits. sin and cos are called one at a time, as
    math.sin and math.cos are, and not fused into sincos.
@@ -24,6 +27,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
                     int64_t capacity)
@@ -130,4 +134,94 @@ int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
     s[6] = max_u1;
     s[7] = max_u2;
     return logged;
+}
+
+
+/* parse_rows reads the whole lines of buf[0:len], each `width` fields of
+   the writer's grammar -?D+(.D+)?(e[+-]D+)? split by ',' and ended by '\n',
+   into `out`, row after row, at most `capacity` rows. It returns how many
+   it parsed and sets *used to the bytes they took, or returns -1 at the
+   first line outside that grammar or with a non-finite value, for the
+   caller to parse the file with np.loadtxt instead. A partial last line is
+   left for the next call.
+
+   Each value is correctly rounded, as np.loadtxt's are. A significand of at
+   most 19 digits and below 2^53 times a power of ten of at most 22 in
+   absolute value is one IEEE multiply or divide of two exact doubles
+   (Clinger's fast path, PLDI 1990); strtod reads every other value. */
+
+/* the powers of ten that a double holds exactly */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+#define IS_DIGIT(c) ((unsigned)((c) - '0') < 10u)
+
+/* One field at p, which must end at `stop`; returns the byte after the
+   field's end, or NULL. The line's '\n' stops every scan, so none reads
+   past it. */
+static const char *parse_field(const char *p, char stop, double *value)
+{
+    const char *start = p, *digits;
+    int negative = *p == '-';
+    uint64_t m = 0;
+    int n_digits = 0, exp10 = 0;
+
+    p += negative;
+    for (digits = p; IS_DIGIT(*p); p++, n_digits++)
+        m = 10 * m + (uint64_t)(*p - '0');
+    if (p == digits)
+        return NULL;
+    if (*p == '.') {
+        for (digits = ++p; IS_DIGIT(*p); p++, n_digits++, exp10--)
+            m = 10 * m + (uint64_t)(*p - '0');
+        if (p == digits)
+            return NULL;
+    }
+    if (*p == 'e') {
+        int sign = p[1] == '-' ? -1 : 1, e = 0;
+        if (p[1] != '+' && p[1] != '-')
+            return NULL;
+        for (digits = p += 2; IS_DIGIT(*p); p++)
+            if (e < 100000)
+                e = 10 * e + (*p - '0');
+        if (p == digits)
+            return NULL;
+        exp10 += sign * e;
+    }
+    if (*p != stop)
+        return NULL;
+    /* m wraps past 19 digits, and is then not used */
+    if (n_digits <= 19 && m <= (UINT64_C(1) << 53) && exp10 >= -22 && exp10 <= 22) {
+        double v = (double)m;
+        v = exp10 < 0 ? v / POW10[-exp10] : v * POW10[exp10];
+        *value = negative ? -v : v;
+    } else {
+        char *end;
+        *value = strtod(start, &end);
+        if (end != p || !isfinite(*value))
+            return NULL;
+    }
+    return p + 1;
+}
+
+int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
+                   int64_t capacity, int64_t *used)
+{
+    const char *p = buf;
+    int64_t rows = 0;
+
+    /* whole lines only: the last '\n' ends the last of them */
+    while (len > 0 && buf[len - 1] != '\n')
+        len--;
+    for (; rows < capacity && p < buf + len; rows++) {
+        double *row = out + width * rows;
+        for (int64_t j = 0; j < width; j++) {
+            p = parse_field(p, j + 1 < width ? ',' : '\n', row + j);
+            if (p == NULL)
+                return -1;
+        }
+    }
+    *used = p - buf;
+    return rows;
 }

@@ -1,16 +1,20 @@
-"""The closed-loop simulation: one loop, compiled in C, and its Python twin.
+"""The closed-loop simulation, and the package's one compiled library.
 
 `closed_loop` is plain scalar Python, one control update at a time. The
 potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
-(2*c1*x1, 2*c2*x2, 2*c3*x3) inline. `_closed_loop.c` holds the same loop in
-C, in the same operation order, and `c_loop` runs it with closed_loop's
-arguments and value, bit for bit. `simulator.simulate` runs every run, in
-both loop modes, in the C loop, which `compiled_loop` builds with `cc` on
-first use; where it cannot be built or loaded, it runs `closed_loop`, which
-is also the C loop's bitwise oracle. `kernel` names the one that runs.
+(2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
 
-Both return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
+`_kernels.c` is one library with two functions, which `compiled_loop` builds
+with `cc` on first use and loads. Its `closed_loop` holds the same loop in C,
+in the same operation order, and `c_loop` runs it with closed_loop's
+arguments and value, bit for bit. `simulator.simulate` runs every run, in
+both loop modes, in the C loop; where the library cannot be built or loaded,
+it runs `closed_loop`, which is also the C loop's bitwise oracle. `kernel`
+names the one that runs. Its `parse_rows` parses the trajectory CSV's rows
+for `simulator.load_trajectory_csv`, which uses np.loadtxt without it.
+
+Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
 in simulator.TRAJECTORY_COLUMNS order, so a run's memory follows the rows
 it logs and not its horizon. status is STATUS_HORIZON, STATUS_GOAL or
@@ -156,10 +160,10 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
 
 
 # ---------------------------------------------------------------------------
-# the compiled loop
+# the compiled library
 # ---------------------------------------------------------------------------
 
-_C_SOURCE = os.path.join(os.path.dirname(__file__), "_closed_loop.c")
+_C_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 # no fast-math, no FMA contraction, and sin and cos called as math calls them
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
             "-fPIC", "-shared")
@@ -176,12 +180,14 @@ UPDATES_PER_CALL = 2 ** 20
 
 @functools.cache
 def compiled_loop():
-    """The C loop of `_closed_loop.c` as a ctypes function, or None.
+    """The library of `_kernels.c` as a ctypes CDLL, or None.
 
-    Built on the first call with `cc` into the package's __pycache__, under a
-    name that carries a hash of the source and the flags, and then loaded
-    from there. If it cannot be built or loaded, the reason goes to stderr
-    and None comes back, and `simulate` runs `closed_loop`.
+    It holds `closed_loop`, for `c_loop`, and `parse_rows`, for
+    `simulator.load_trajectory_csv`. Built on the first call with `cc` into
+    the package's __pycache__, under a name that carries a hash of the source
+    and the flags, and then loaded from there. If it cannot be built or
+    loaded, the reason goes to stderr and None comes back: `simulate` runs
+    `closed_loop` and `load_trajectory_csv` np.loadtxt.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -190,25 +196,35 @@ def compiled_loop():
         # 3.5 MB of resident memory
         key = zlib.crc32(source + " ".join((*_C_FLAGS, platform.machine())).encode())
         cache = os.path.join(os.path.dirname(__file__), "__pycache__")
-        path = os.path.join(cache, f"_closed_loop.{key:08x}.so")
+        path = os.path.join(cache, f"_kernels.{key:08x}.so")
         if not os.path.exists(path):
             _build(path)
-        fn = ctypes.CDLL(path).closed_loop
+        lib = ctypes.CDLL(path)
     except OSError as exc:
-        print(f"gradflow: running the Python closed loop: {exc}", file=sys.stderr)
+        print(f"gradflow: running the Python closed loop and np.loadtxt: {exc}",
+              file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = (c_double_p, ctypes.POINTER(ctypes.c_int64), c_double_p, ctypes.c_void_p,
-                   ctypes.c_int64)
-    fn.restype = ctypes.c_int64
-    return fn
+    c_int64_p = ctypes.POINTER(ctypes.c_int64)
+    lib.closed_loop.argtypes = (c_double_p, c_int64_p, c_double_p, ctypes.c_void_p,
+                                ctypes.c_int64)
+    lib.closed_loop.restype = ctypes.c_int64
+    lib.parse_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_int64, c_int64_p)
+    lib.parse_rows.restype = ctypes.c_int64
+    return lib
 
 
 def _build(path):
-    """Compile _closed_loop.c to `path`, written under a temporary name and renamed."""
+    """Compile _kernels.c to `path`, written under a temporary name and renamed.
+
+    Then every other library in path's directory is deleted: the cache holds
+    one library per source and flags, and only the current one is loaded.
+    """
     import subprocess
 
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         done = subprocess.run(["cc", *_C_FLAGS, "-o", tmp, _C_SOURCE, "-lm"],
@@ -220,6 +236,13 @@ def _build(path):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for name in os.listdir(directory):
+        stale = os.path.join(directory, name)
+        if name.endswith(".so") and stale != path:
+            try:
+                os.unlink(stale)
+            except OSError:  # best effort: an old library left behind is never loaded
+                pass
 
 
 def kernel() -> str:
@@ -238,7 +261,7 @@ def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     memory follows the rows logged, as in closed_loop, and Ctrl-C stops a
     long run within one call.
     """
-    fn = compiled_loop()
+    fn = compiled_loop().closed_loop
     p = (ctypes.c_double * 11)(c1, c2, c3, gamma, k1, k2, omega, control_period,
                                u1_max, u2_max, goal_tol)
     n = (ctypes.c_int64 * 7)(*(min(i, _MAX_COUNT) for i in (n_updates, refresh_every,

@@ -12,7 +12,7 @@ import mmap
 import os
 import sys
 
-from gradflow import _kernels
+from gradflow import _kernels, simulator
 from gradflow.admissibility import (
     AdmissibilityConfig,
     admissibility_measure,
@@ -272,7 +272,7 @@ def cmd_plot(args) -> int:
     data = load_trajectory_csv(args.csv_path)
     out = args.out if args.out is not None else os.path.splitext(args.csv_path)[0] + ".svg"
     render_trajectory_svg(data, out)
-    _emit({"rows": int(data.shape[0]), "out": out})
+    _emit({"rows": int(data.shape[0]), "out": out, "parser": simulator.last_csv_parser})
     return 0
 
 

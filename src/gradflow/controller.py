@@ -25,7 +25,7 @@ with no f1 component: the a1 f1 drift cancels.
 
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its
-clamp, in the one closed loop: compiled from `_closed_loop.c`, or
+clamp, in the one closed loop: compiled from `_kernels.c`, or
 `_kernels.closed_loop` where that cannot be built.
 """
 

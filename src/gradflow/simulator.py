@@ -21,6 +21,8 @@ into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
 that closed form on its logged grid instead of integrating.
 """
 
+import ctypes
+import itertools
 import math
 import os
 import shutil
@@ -44,6 +46,14 @@ CSV_CHUNK_ROWS = 1024  # rows per %-format call in save_csv
 CSV_MIN_SHARE_BLOCKS = 12
 _CSV_WORKER_COMMAND = [sys.executable, "-I", "-S",
                        os.path.join(os.path.dirname(__file__), "_csv_worker.py")]
+
+# bytes per read of the compiled CSV parser; a row of the writer's format
+# takes at least two bytes a field, as in "0,"
+CSV_READ_BYTES = 1 << 20
+_MIN_ROW_BYTES = 2 * len(TRAJECTORY_COLUMNS)
+# the parser that read the last trajectory CSV: "c", the compiled library's
+# parse_rows, or "numpy", np.loadtxt; plot's summary names it
+last_csv_parser = None
 
 TERMINATED_GOAL = "goal_reached"
 TERMINATED_HORIZON = "horizon_exhausted"
@@ -191,7 +201,73 @@ def _start_csv_worker(share: np.ndarray, directory: str):
 
 
 def load_trajectory_csv(path) -> np.ndarray:
-    """Parse a trajectory CSV back into its data array, validating the header and values."""
+    """Parse a trajectory CSV back into its data array, validating the header and values.
+
+    The compiled parser (`_parse_compiled`) reads a file in the writer's
+    format; any other file, or every file where the library cannot be built
+    or loaded, goes to np.loadtxt (`_loadtxt`). Both give the same array, bit
+    for bit, and the same errors. `last_csv_parser` names the one that ran.
+    """
+    global last_csv_parser
+    lib = _kernels.compiled_loop()
+    data = _parse_compiled(lib, path) if lib else None
+    if data is not None:
+        last_csv_parser = "c"
+        return data
+    last_csv_parser = "numpy"
+    return _loadtxt(path)
+
+
+def _parse_compiled(lib, path) -> np.ndarray | None:
+    """The rows of `path` parsed by the library's parse_rows, or None.
+
+    None stands for a file outside the writer's format: another header, a
+    line that is not 11 fields of -?D+(.D+)?(e[+-]D+)? ended by LF (so also a
+    blank line, CRLF or a missing final newline), a non-finite value, or no
+    rows. The file is read CSV_READ_BYTES at a time into one reused buffer,
+    a partial last line moved to its front, and the rows go straight into
+    one array sized for the shortest possible rows, then cut to those parsed;
+    the pages it never writes are never touched. None also stands for a
+    host that will not map that array at all.
+    """
+    header = (CSV_HEADER + "\n").encode()
+    width = len(TRAJECTORY_COLUMNS)
+    buf = bytearray(max(CSV_READ_BYTES, len(header)))
+    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    used = ctypes.c_int64()
+    with open(path, "rb", buffering=0) as f:
+        capacity = os.fstat(f.fileno()).st_size // _MIN_ROW_BYTES + 1
+        try:
+            data = np.empty((capacity, width))
+        except MemoryError:
+            # 4 bytes per file byte, mostly never touched; where the host will
+            # not map that much (a tight address-space limit), np.loadtxt fits
+            return None
+        filled = f.readinto(buf)
+        if buf[:len(header)] != header:
+            return None
+        start, rows = len(header), 0
+        while True:
+            n = lib.parse_rows(addr + start, filled - start, width,
+                               data.ctypes.data + 8 * width * rows, capacity - rows,
+                               ctypes.byref(used))
+            if n < 0:
+                return None
+            rows += n
+            rest = filled - start - used.value
+            ctypes.memmove(addr, addr + start + used.value, rest)
+            got = f.readinto(memoryview(buf)[rest:])
+            if not got:
+                break
+            filled, start = rest + got, 0
+    if rest or rows == 0:  # a partial last line, or no rows
+        return None
+    data.resize((rows, width), refcheck=False)  # shrinks in place: no view exists
+    return data
+
+
+def _loadtxt(path) -> np.ndarray:
+    """load_trajectory_csv's parse with np.loadtxt, for any file."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").rstrip("\r")
         if header != CSV_HEADER:
@@ -210,9 +286,21 @@ def load_trajectory_csv(path) -> np.ndarray:
         raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, got {data.shape[1]}")
     # the writer logs no non-finite value (the _kernels row rule), so one is malformed
     if not np.isfinite(data).all():
-        line = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0]) + 2  # the header is line 1
-        raise ValueError(f"malformed trajectory CSV: non-finite value on line {line}")
+        row = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
+        raise ValueError(f"malformed trajectory CSV: non-finite value on line "
+                         f"{_file_line(path, row)}")
     return data
+
+
+def _file_line(path, row: int) -> int:
+    """The file's line number of data row `row`, counted from 0.
+
+    np.loadtxt skips blank lines, so they count here but not in `row`; the
+    header is line 1.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = (number for number, line in enumerate(f, start=1) if line != "\n")
+        return next(itertools.islice(lines, row + 1, None))
 
 
 def _multiple_of(value: float, base: float) -> int | None:

@@ -6,7 +6,7 @@ state at a time, as the paper states them: the potential and its
 gradient, the frame algebra of the unicycle, the feedback and its clamp,
 the amplitude vector and the exact flow of one hold. The package computes
 the same quantities only inside its closed loop, `_kernels.closed_loop`
-and its C build `_closed_loop.c` (the Python loop is in turn the bitwise
+and its C build in `_kernels.c` (the Python loop is in turn the bitwise
 oracle of the C one), and in
 `admissibility._integrand`; `integrand` calls the latter with buffers of
 its own, and `integrand_rho` reads it in the units of the residual, so a

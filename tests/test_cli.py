@@ -479,6 +479,10 @@ class TestGradientFlowCommand:
 
 
 class TestPlotCommand:
+    """plot with the compiled parser; a subclass runs it without the library."""
+
+    PARSER = "c"
+
     def make_csv(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
         code, summary = run(capsys, "simulate", "--preset", "P1", "--t-max", "1",
@@ -493,6 +497,7 @@ class TestPlotCommand:
         code, plot_summary = run(capsys, "plot", str(csv_path), "--out", str(svg))
         assert code == 0
         assert plot_summary["rows"] == summary["rows"]  # parsed without loss
+        assert plot_summary["parser"] == self.PARSER
         text = svg.read_text()
         assert text.count('class="panel"') == 3
         for label in ("x1 (m)", "x2 (m)", "x3 (rad)", "u1 (m/s)", "u2 (rad/s)", "t (s)"):
@@ -538,6 +543,27 @@ class TestPlotCommand:
         assert captured.out == ""
         assert "malformed trajectory CSV: non-finite value on line 3" in captured.err
         assert not (tmp_path / "bad.svg").exists()
+
+    def test_non_finite_value_after_blank_lines_names_its_file_line(self, capsys, tmp_path):
+        # np.loadtxt skips the blank lines 3 and 4; the message still names line 5
+        bad = tmp_path / "blank.csv"
+        row = ",".join(["0"] * 11)
+        bad.write_text(f"{CSV_HEADER}\n{row}\n\n\n0.1,nan,0,0,0,0,0,0,0,0,0\n{row}\n")
+        code = main(["plot", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.strip().endswith(
+            "malformed trajectory CSV: non-finite value on line 5")
+
+
+class TestPlotCommandWithoutLibrary(TestPlotCommand):
+    """The same commands where the library cannot be built: np.loadtxt parses."""
+
+    PARSER = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def _no_library(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "compiled_loop", lambda: None)
 
 
 class TestExitCodeContract:

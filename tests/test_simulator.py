@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ def same_run(**args):
 
 def recorded_c_calls(monkeypatch):
     """Record each call of the C loop: its rows logged, then k, status and state after it."""
-    fn = _kernels.compiled_loop()
+    fn = _kernels.compiled_loop().closed_loop
     calls = []
 
     def recorded(p, n, s, rows, room):
@@ -379,7 +380,7 @@ def recorded_c_calls(monkeypatch):
         calls.append((logged, n[4], n[6], list(s)))
         return logged
 
-    monkeypatch.setattr(_kernels, "compiled_loop", lambda: recorded)
+    monkeypatch.setattr(_kernels, "compiled_loop", lambda: SimpleNamespace(closed_loop=recorded))
     return calls
 
 
@@ -600,12 +601,24 @@ class TestCompiledLoopBuild:
         path = tmp_path / "loop.so"
         _kernels._build(str(path))
         assert os.listdir(tmp_path) == ["loop.so"]
-        assert ctypes.CDLL(str(path)).closed_loop
+        lib = ctypes.CDLL(str(path))
+        assert lib.closed_loop and lib.parse_rows
+
+    def test_build_removes_the_older_libraries(self, tmp_path):
+        # a library of another source or flags is never loaded again; a
+        # bytecode file and an unrelated file stay
+        for name in ("_kernels.0badc0de.so", "_closed_loop.026d9aaf.so", "simulator.pyc",
+                     "notes.txt"):
+            (tmp_path / name).write_bytes(b"old")
+        path = tmp_path / "_kernels.12345678.so"
+        _kernels._build(str(path))
+        assert sorted(os.listdir(tmp_path)) == ["_kernels.12345678.so", "notes.txt",
+                                                "simulator.pyc"]
 
     def test_failed_build_runs_the_python_loop(self, tmp_path, monkeypatch, capfd):
         # a source that does not compile: the loader reports why on stderr,
         # leaves no file behind, and simulate runs closed_loop with the same bytes
-        bad = tmp_path / "_closed_loop.c"
+        bad = tmp_path / "_kernels.c"
         bad.write_text("this is not C\n")
         cfg = short_config(t_max=0.5, goal_tol=0.0)
         expected = simulate(cfg).data.tobytes()  # builds the real library if it is not yet
@@ -621,7 +634,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert "gradflow: running the Python closed loop: cc exited with status" in captured.err
+        assert ("gradflow: running the Python closed loop and np.loadtxt: cc exited with status"
+                in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -939,7 +953,202 @@ class TestCsvOneCore(CsvBytesEqual):
     test_bytes_equal_savetxt = savetxt_property()
 
 
-class TestCsv(CsvBytesEqual):
+class LoaderRejects:
+    """load_trajectory_csv on files outside the writer's format: today's errors,
+    or np.loadtxt's array for syntax that only np.loadtxt reads.
+
+    `parser` says what load_trajectory_csv may use: "c" runs it with the
+    compiled library, which declines each of these files, and "numpy" with
+    the library forced to None.
+    """
+
+    parser = "c"
+    ROW = ",".join(["0"] * len(TRAJECTORY_COLUMNS))
+
+    def load(self, path):
+        with pytest.MonkeyPatch.context() as mp:
+            if self.parser == "numpy":
+                mp.setattr(_kernels, "compiled_loop", lambda: None)
+            else:
+                assert _kernels.compiled_loop() is not None
+            return load_trajectory_csv(path)
+
+    def test_loader_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1,x2,x3,u1,a1,a2,a12,V,saturated\n0,0,0,0,0,0,0,0,0,0\n")
+        with pytest.raises(ValueError, match="header"):
+            self.load(path)
+
+    def test_loader_rejects_empty_body(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with pytest.raises(ValueError, match="^trajectory CSV has no data rows$"):
+            self.load(path)
+
+    # the writer never emits "#": a line holding one is malformed, not a comment
+    def test_loader_rejects_a_comment_line(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n# note\n{self.ROW}\n")
+        with pytest.raises(ValueError, match="malformed trajectory CSV"):
+            self.load(path)
+
+    def test_loader_rejects_a_trailing_comment(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW} # note\n")
+        with pytest.raises(ValueError, match="malformed trajectory CSV"):
+            self.load(path)
+
+    @pytest.mark.parametrize("value", ["1e+999", "-1e+400"])
+    def test_loader_rejects_a_value_that_overflows(self, tmp_path, value):
+        # in the writer's grammar, but no double: strtod's inf is np.loadtxt's
+        path = tmp_path / "overflow.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{value}{self.ROW[1:]}\n")
+        with pytest.raises(ValueError, match="non-finite value on line 3$"):
+            self.load(path)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("{row}\r\n{row}\r\n", id="crlf"),
+        pytest.param("{row}\n1E5{tail}\n", id="upper-case-exponent"),
+        pytest.param("{row}\n+1{tail}\n", id="plus-sign"),
+        pytest.param("{row}\n.5{tail}\n", id="no-integer-digits"),
+        pytest.param("{row}\n5.{tail}\n", id="no-fraction-digits"),
+        pytest.param("{row}\n1e5{tail}\n", id="unsigned-exponent"),
+        pytest.param("{row}\n 1{tail}\n", id="space"),
+        pytest.param("{row}\n{row}", id="no-final-newline"),
+        pytest.param("{row}\n\n{row}\n\n", id="blank-lines"),
+    ])
+    def test_syntax_only_loadtxt_reads_loads_as_before(self, tmp_path, body):
+        path = tmp_path / "loose.csv"
+        path.write_text(CSV_HEADER + "\n" + body.format(row=self.ROW, tail=self.ROW[1:]),
+                        newline="")
+        data = self.load(path)
+        assert simulator.last_csv_parser == "numpy"
+        expected = simulator._loadtxt(path)
+        assert data.shape == expected.shape == (2, len(TRAJECTORY_COLUMNS))
+        assert data.tobytes() == expected.tobytes()
+
+
+class TestCsvWithoutLibrary(LoaderRejects):
+    parser = "numpy"
+
+
+def assert_parses_as_loadtxt(path):
+    """The compiled parser reads `path`, into np.loadtxt's array bit for bit."""
+    data = load_trajectory_csv(path)
+    assert simulator.last_csv_parser == "c"
+    expected = simulator._loadtxt(path)
+    assert data.shape == expected.shape and data.dtype == expected.dtype
+    assert data.flags.c_contiguous and data.flags.writeable
+    assert data.tobytes() == expected.tobytes()
+    return data
+
+
+def write_rows(path, fields):
+    """A trajectory CSV of the header and rows of 11 field strings each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(CSV_HEADER + "\n")
+        f.writelines(",".join(row) + "\n" for row in fields)
+
+
+@st.composite
+def long_decimals(draw):
+    """Values in the writer's grammar with 20 to 40 significant digits: strtod's."""
+    digits = draw(st.text("0123456789", min_size=20, max_size=40))
+    point = draw(st.integers(1, len(digits)))
+    text = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+    # at most 1e300: finite, or rounded down to a subnormal or zero
+    exponent = draw(st.one_of(st.none(), st.integers(-380, 300 - point)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + text + ("" if exponent is None else f"e{exponent:+d}")
+
+
+# the fast path's edges: 2^53 and 2^53 + 1, 10^+-22 and 10^+-23, and the
+# subnormal, normal and largest extremes, each one way or the other
+PARSE_EDGE_VALUES = [
+    "9007199254740992", "9007199254740993", "9007199254740992e+22", "9007199254740993e-22",
+    "1e+22", "1e-22", "1e+23", "1e-23", "123456789e-22", "1.23456789e+22",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+    "1.7976931348623157e+308", "-0", "0", "0.000", "-0.0e+0", "00012.500", "9999999999999999999",
+    "18446744073709551616", "0.30000000000000004", "-1.5e-07",
+]
+
+
+class TestCompiledParser:
+    """The compiled parser reads the writer's format into np.loadtxt's array, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                            allow_subnormal=True),
+                                  min_size=len(TRAJECTORY_COLUMNS),
+                                  max_size=len(TRAJECTORY_COLUMNS)),
+                         min_size=1, max_size=6),
+           fmt=st.sampled_from(["%.9g", "%.17g", "repr"]))
+    def test_formatted_doubles(self, tmp_path_factory, rows, fmt):
+        text = repr if fmt == "repr" else fmt.__mod__
+        path = tmp_path_factory.mktemp("parse") / "rows.csv"
+        write_rows(path, [[text(v) for v in row] for row in rows])
+        data = assert_parses_as_loadtxt(path)
+        if fmt != "%.9g":  # round-trip formats: the parse is the value
+            assert data.tobytes() == np.array(rows).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(long_decimals(), st.sampled_from(PARSE_EDGE_VALUES)),
+                           min_size=len(TRAJECTORY_COLUMNS),
+                           max_size=3 * len(TRAJECTORY_COLUMNS)))
+    def test_long_significands_and_edges(self, tmp_path_factory, values):
+        width = len(TRAJECTORY_COLUMNS)
+        rows = [values[i:i + width] for i in range(0, len(values) - width + 1, width)]
+        path = tmp_path_factory.mktemp("parse") / "rows.csv"
+        write_rows(path, rows)
+        assert_parses_as_loadtxt(path)
+
+    def test_every_edge_value(self, tmp_path):
+        width = len(TRAJECTORY_COLUMNS)
+        values = PARSE_EDGE_VALUES + ["1"] * (-len(PARSE_EDGE_VALUES) % width)
+        write_rows(tmp_path / "edges.csv", [values[i:i + width]
+                                            for i in range(0, len(values), width)])
+        data = assert_parses_as_loadtxt(tmp_path / "edges.csv")
+        assert [float(v) for v in PARSE_EDGE_VALUES] == data.ravel()[:len(PARSE_EDGE_VALUES)].tolist()
+
+    def test_p1_csv(self, tmp_path):
+        path = tmp_path / "p1.csv"
+        traj = simulate(preset_sim_config("P1"))
+        traj.save_csv(path)
+        data = assert_parses_as_loadtxt(path)
+        assert data.shape == traj.data.shape
+
+    @pytest.mark.parametrize("chunk", [150, 257, 1000, 4096])
+    def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch, chunk):
+        path = tmp_path / "run.csv"
+        simulate(short_config(t_max=0.5, goal_tol=0.0)).save_csv(path)
+        lines = path.read_bytes().split(b"\n")
+        assert max(map(len, lines)) < 150 and sum(map(len, lines)) > 10 * chunk
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        assert_parses_as_loadtxt(path)
+
+    def test_an_array_the_host_will_not_map_goes_to_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
+        expected = simulator._loadtxt(path)
+
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(f"cannot map {shape}")
+
+        monkeypatch.setattr(simulator.np, "empty", refuse)
+        data = load_trajectory_csv(path)
+        assert simulator.last_csv_parser == "numpy"
+        assert data.tobytes() == expected.tobytes()
+
+    def test_a_line_longer_than_a_chunk_goes_to_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 60)
+        data = load_trajectory_csv(path)
+        assert simulator.last_csv_parser == "numpy"
+        assert data.tobytes() == simulator._loadtxt(path).tobytes()
+
+
+class TestCsv(CsvBytesEqual, LoaderRejects):
     test_bytes_equal_savetxt = savetxt_property()
 
     def test_shares_are_whole_blocks_one_per_core_at_most(self, monkeypatch):
@@ -983,32 +1192,6 @@ class TestCsv(CsvBytesEqual):
         assert sat_values <= {"0", "1"}
         assert "1" in sat_values
 
-    def test_loader_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,x1,x2,x3,u1,a1,a2,a12,V,saturated\n0,0,0,0,0,0,0,0,0,0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_trajectory_csv(path)
-
-    def test_loader_rejects_empty_body(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text(CSV_HEADER + "\n")
-        with pytest.raises(ValueError):
-            load_trajectory_csv(path)
-
-    # the writer never emits "#": a line holding one is malformed, not a comment
-    ROW = ",".join(["0"] * len(TRAJECTORY_COLUMNS))
-
-    def test_loader_rejects_a_comment_line(self, tmp_path):
-        path = tmp_path / "comment.csv"
-        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n# note\n{self.ROW}\n")
-        with pytest.raises(ValueError, match="malformed trajectory CSV"):
-            load_trajectory_csv(path)
-
-    def test_loader_rejects_a_trailing_comment(self, tmp_path):
-        path = tmp_path / "trailing.csv"
-        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW} # note\n")
-        with pytest.raises(ValueError, match="malformed trajectory CSV"):
-            load_trajectory_csv(path)
 
 
 class TestCsvWorkerProcess:
