@@ -1,7 +1,8 @@
-/* gradflow's compiled library: two functions, loaded by gradflow._kernels.
+/* gradflow's compiled library: three functions, loaded by gradflow._kernels.
 
    closed_loop is the closed loop of gradflow._kernels.closed_loop, in C.
    parse_rows parses the rows of a trajectory CSV in the writer's format.
+   format_rows writes those rows, in the bytes of Python's '%.9g' %.
 
    closed_loop's body is _kernels.closed_loop's, statement for statement and
    in the same operation order, so with IEEE doubles, no contraction into FMAs
@@ -27,7 +28,9 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
                     int64_t capacity)
@@ -224,4 +227,120 @@ int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
     }
     *used = p - buf;
     return rows;
+}
+
+
+/* format_rows writes `n_rows` rows of `width` doubles from `values`, row
+   after row, into `out` as lines of a trajectory CSV: each value as Python's
+   '%.9g' % value writes it, split by ',' and ended by '\n'. It returns the
+   bytes written, at most 24 per value.
+
+   A finite nonzero |x| with decimal exponent k is scaled to
+   y = |x| * 10^(8-k), one IEEE multiply or divide of two exact doubles, so y
+   is within half an ulp of y's exact value, below 1.2e-7 for y < 2^30. Where
+   y's fraction is more than 1e-6 away from 0.5, y rounds to the same 9 digits
+   as the exact value, and they are written in %g's layout here. snprintf
+   writes every other value: a possible tie, or a power 10^(8-k) that no
+   double holds exactly (Grisu's fast path with a bail-out, Loitsch, PLDI
+   2010). */
+
+/* |x| * 10^(8-k) in *y, or 0 where 10^|8-k| is not exact */
+static int scale(double x, int k, double *y)
+{
+    int p = 8 - k;
+    if (p > 22 || p < -22)
+        return 0;
+    *y = p >= 0 ? x * POW10[p] : x / POW10[-p];
+    return 1;
+}
+
+static char *format_value(char *p, double x)
+{
+    char d[9];
+    double y, whole, frac;
+    uint32_t digits;
+    int e, k, len;
+
+    /* Python writes every NaN as "nan", with no sign */
+    if (isnan(x)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (signbit(x)) {
+        *p++ = '-';
+        x = -x;
+    }
+    if (isinf(x)) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (x == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+    frexp(x, &e);
+    /* 10^k <= 2^(e-1) <= x < 2^e <= 10^(k+2): x's decimal exponent is k or
+       k + 1, so y >= 1e8 here and y >= 1e9 means k + 1 */
+    k = (int)floor((e - 1) * 0.30102999566398119521);
+    if (!scale(x, k, &y) || (y >= 1e9 && !scale(x, ++k, &y)))
+        goto slow;
+    whole = floor(y);
+    frac = y - whole;
+    if (fabs(frac - 0.5) < 1e-6)
+        goto slow;
+    digits = (uint32_t)whole + (frac > 0.5);
+    if (digits == 1000000000u) { /* rounded up to the next power of ten */
+        digits = 100000000u;
+        k++;
+    }
+    for (int i = 8; i >= 0; i--, digits /= 10)
+        d[i] = (char)('0' + digits % 10);
+    for (len = 9; d[len - 1] == '0'; len--)
+        ;
+    if (k >= 9 || k < -4) { /* %g's exponent notation: |k| <= 30 here */
+        *p++ = d[0];
+        if (len > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, len - 1);
+            p += len - 1;
+        }
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        k = abs(k);
+        *p++ = (char)('0' + k / 10);
+        *p++ = (char)('0' + k % 10);
+    } else if (k >= 0) {
+        memcpy(p, d, k + 1);
+        p += k + 1;
+        if (len > k + 1) {
+            *p++ = '.';
+            memcpy(p, d + k + 1, len - k - 1);
+            p += len - k - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > k; i--)
+            *p++ = '0';
+        memcpy(p, d, len);
+        p += len;
+    }
+    return p;
+slow:
+    /* x >= 0 here: the sign is written already */
+    return p + snprintf(p, 24, "%.9g", x);
+}
+
+int64_t format_rows(const double *values, int64_t n_rows, int64_t width, char *out)
+{
+    char *p = out;
+
+    for (int64_t i = 0; i < n_rows; i++) {
+        for (int64_t j = 0; j < width; j++) {
+            p = format_value(p, *values++);
+            *p++ = ',';
+        }
+        p[-1] = '\n';
+    }
+    return p - out;
 }

@@ -5,14 +5,16 @@ potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
 (2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
 
-`_kernels.c` is one library with two functions, which `compiled_loop` builds
-with `cc` on first use and loads. Its `closed_loop` holds the same loop in C,
-in the same operation order, and `c_loop` runs it with closed_loop's
+`_kernels.c` is one library with three functions, which `compiled_loop`
+builds with `cc` on first use and loads. Its `closed_loop` holds the same loop
+in C, in the same operation order, and `c_loop` runs it with closed_loop's
 arguments and value, bit for bit. `simulator.simulate` runs every run, in
 both loop modes, in the C loop; where the library cannot be built or loaded,
 it runs `closed_loop`, which is also the C loop's bitwise oracle. `kernel`
 names the one that runs. Its `parse_rows` parses the trajectory CSV's rows
-for `simulator.load_trajectory_csv`, which uses np.loadtxt without it.
+for `simulator.load_trajectory_csv`, which uses np.loadtxt without it, and
+its `format_rows` writes them for `simulator.Trajectory.save_csv`, which uses
+`simulator.write_rows`, Python's % on the same template, without it.
 
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
@@ -182,12 +184,14 @@ UPDATES_PER_CALL = 2 ** 20
 def compiled_loop():
     """The library of `_kernels.c` as a ctypes CDLL, or None.
 
-    It holds `closed_loop`, for `c_loop`, and `parse_rows`, for
-    `simulator.load_trajectory_csv`. Built on the first call with `cc` into
+    It holds `closed_loop`, for `c_loop`, `parse_rows`, for
+    `simulator.load_trajectory_csv`, and `format_rows`, for
+    `simulator.Trajectory.save_csv`. Built on the first call with `cc` into
     the package's __pycache__, under a name that carries a hash of the source
     and the flags, and then loaded from there. If it cannot be built or
     loaded, the reason goes to stderr and None comes back: `simulate` runs
-    `closed_loop` and `load_trajectory_csv` np.loadtxt.
+    `closed_loop`, `load_trajectory_csv` np.loadtxt and `save_csv`
+    `simulator.write_rows`.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -201,8 +205,8 @@ def compiled_loop():
             _build(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        print(f"gradflow: running the Python closed loop and np.loadtxt: {exc}",
-              file=sys.stderr)
+        print("gradflow: running the Python closed loop, np.loadtxt and the Python "
+              f"CSV writer: {exc}", file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
     c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -212,6 +216,9 @@ def compiled_loop():
     lib.parse_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                ctypes.c_void_p, ctypes.c_int64, c_int64_p)
     lib.parse_rows.restype = ctypes.c_int64
+    lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                ctypes.c_void_p)
+    lib.format_rows.restype = ctypes.c_int64
     return lib
 
 

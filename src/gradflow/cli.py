@@ -111,7 +111,7 @@ def cmd_simulate(args) -> int:
     settings = _settings_for_simulate(args)
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
-    csv_processes = traj.save_csv(args.out)
+    csv_writer = traj.save_csv(args.out)
     _emit({
         "preset": args.preset,
         "loop_mode": settings["loop_mode"],
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
         "V_end": float(traj.potential_values[-1]),
         "rows": int(traj.data.shape[0]),
         "csv": args.out,
-        "csv_processes": csv_processes,
+        "csv_writer": csv_writer,
         "kernel": _kernels.kernel(),
     })
     return 0
@@ -253,13 +253,13 @@ def cmd_refine(args) -> int:
 def cmd_gradient_flow(args) -> int:
     potential = _potential_from_flags(args)
     traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h)
-    csv_processes = traj.save_csv(args.out)
+    csv_writer = traj.save_csv(args.out)
     _emit({
         "final_state": [float(v) for v in traj.final_state],
         "V_end": float(traj.potential_values[-1]),
         "rows": int(traj.data.shape[0]),
         "csv": args.out,
-        "csv_processes": csv_processes,
+        "csv_writer": csv_writer,
     })
     return 0
 

@@ -25,14 +25,12 @@ import ctypes
 import itertools
 import math
 import os
-import shutil
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradflow import _csv_worker, _kernels
+from gradflow import _kernels
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import as_state, check_scalar
 from gradflow.potential import Potential
@@ -40,12 +38,7 @@ from gradflow.potential import Potential
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
 CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
 CSV_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS)) + "\n"  # %-template of one row
-CSV_CHUNK_ROWS = 1024  # rows per %-format call in save_csv
-# blocks a worker interpreter must format to repay its ~15 ms start: on 2 vCPUs
-# two shares of 8 blocks broke even against one process, two of 12 saved 20 %
-CSV_MIN_SHARE_BLOCKS = 12
-_CSV_WORKER_COMMAND = [sys.executable, "-I", "-S",
-                       os.path.join(os.path.dirname(__file__), "_csv_worker.py")]
+CSV_CHUNK_ROWS = 1024  # rows per format_rows call or %-operation in save_csv
 
 # bytes per read of the compiled CSV parser; a row of the writer's format
 # takes at least two bytes a field, as in "0,"
@@ -121,83 +114,56 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def save_csv(self, path) -> int:
+    def save_csv(self, path) -> str:
         """Write the exact trajectory CSV: 9 significant digits, LF endings.
 
-        The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n"),
-        formatted CSV_CHUNK_ROWS rows per %-operation instead of one. The rows
-        are split by whole blocks into one share per usable core, each
-        formatted by _csv_worker.write_rows: the first in this process, each
-        later one by a worker interpreter that reads it raw from an anonymous
-        file and writes into another next to `path`, appended here in order.
-        The file is written under a temporary name in the same directory and
+        The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n").
+        The compiled library's format_rows writes them, CSV_CHUNK_ROWS rows per
+        call into one reused buffer, each block written out before the next;
+        where the library cannot be built or loaded, `write_rows` does. The
+        file is written under a temporary name in the same directory and
         renamed onto `path` only once it is complete; on failure it is
-        removed and an existing `path` is left as it was. Returns how many
-        processes formatted the file.
+        removed and an existing `path` is left as it was. Returns the writer
+        that ran: "c" or "python".
         """
-        bounds = _csv_shares(len(self.data))
+        lib = _kernels.compiled_loop()
         directory = os.path.dirname(os.path.abspath(path))
         tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
         f = open(tmp, "xb")
-        workers = []
         try:
             with f:
-                for lo, hi in zip(bounds[1:], bounds[2:]):
-                    workers.append(_start_csv_worker(self.data[lo:hi], directory))
                 f.write(CSV_HEADER.encode() + b"\n")
-                _csv_worker.write_rows(f, self.data[:bounds[1]].ravel(), CSV_ROW,
-                                       len(TRAJECTORY_COLUMNS), CSV_CHUNK_ROWS)
-                for proc, out in workers:
-                    status = proc.wait()
-                    if status != 0:
-                        raise OSError(f"CSV worker exited with status {status}")
-                    out.seek(0)
-                    shutil.copyfileobj(out, f)
+                if lib:
+                    _format_rows(lib, f, self.data)
+                else:
+                    write_rows(f, self.data)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-        finally:
-            for proc, out in workers:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-                out.close()
-        return len(bounds) - 1
+        return "c" if lib else "python"
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _format_rows(lib, f, data: np.ndarray) -> None:
+    """Write `data`'s rows to the binary file f with the library's format_rows."""
+    width = data.shape[1]
+    # 24 bytes a value: "%.9g" writes at most 16, as in "-1.23456789e-308",
+    # and one more for the "," or "\n"
+    buf = bytearray(24 * width * CSV_CHUNK_ROWS)
+    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    view = memoryview(buf)
+    for i in range(0, len(data), CSV_CHUNK_ROWS):
+        block = np.ascontiguousarray(data[i:i + CSV_CHUNK_ROWS], dtype=np.float64)
+        f.write(view[:lib.format_rows(block.ctypes.data, len(block), width, addr)])
 
 
-def _csv_shares(n_rows: int) -> list:
-    """Row offsets that split n_rows into one share per process, by whole blocks."""
-    n_blocks = -(-n_rows // CSV_CHUNK_ROWS)
-    n_procs = max(1, min(_usable_cores(), n_blocks // CSV_MIN_SHARE_BLOCKS))
-    return [min(n_rows, k * n_blocks // n_procs * CSV_CHUNK_ROWS) for k in range(n_procs + 1)]
-
-
-def _start_csv_worker(share: np.ndarray, directory: str):
-    """Start a worker interpreter formatting `share`; returns it and its output file."""
-    import subprocess
-    import tempfile
-
-    out = tempfile.TemporaryFile(dir=directory)
-    try:
-        with tempfile.TemporaryFile(dir=directory) as raw:
-            raw.write(np.ascontiguousarray(share, dtype=np.float64))
-            raw.seek(0)
-            proc = subprocess.Popen(
-                [*_CSV_WORKER_COMMAND, CSV_ROW, str(share.shape[1]), str(share.shape[0]),
-                 str(CSV_CHUNK_ROWS)],
-                stdin=raw, stdout=out,
-            )
-    except BaseException:
-        out.close()
-        raise
-    return proc, out
+def write_rows(f, data: np.ndarray) -> None:
+    """Write `data`'s rows to the binary file f with CSV_ROW, CSV_CHUNK_ROWS rows
+    per %-operation: save_csv's writer where the library is missing, and
+    format_rows' bitwise oracle."""
+    for i in range(0, len(data), CSV_CHUNK_ROWS):
+        block = data[i:i + CSV_CHUNK_ROWS]
+        f.write((CSV_ROW * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 def load_trajectory_csv(path) -> np.ndarray:
@@ -279,7 +245,8 @@ def _loadtxt(path) -> np.ndarray:
                 # the writer never emits "#", so a "#" is malformed, not a comment
                 data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            raise ValueError(f"malformed trajectory CSV: {exc}") from exc
+            # np.loadtxt counts rows its own way; name the file's line instead
+            raise ValueError(f"malformed trajectory CSV: {_bad_line(path) or exc}") from exc
     if data.size == 0:
         raise ValueError("trajectory CSV has no data rows")
     if data.shape[1] != len(TRAJECTORY_COLUMNS):
@@ -290,6 +257,30 @@ def _loadtxt(path) -> np.ndarray:
         raise ValueError(f"malformed trajectory CSV: non-finite value on line "
                          f"{_file_line(path, row)}")
     return data
+
+
+def _bad_line(path) -> str | None:
+    """What is wrong with the first malformed data line of `path`, and its number.
+
+    A line is malformed if it does not hold 11 fields, or holds one that
+    float() does not read or that has an underscore, which float() reads and
+    np.loadtxt does not. Blank lines are skipped, as np.loadtxt skips them;
+    the header is line 1. None if no line is malformed so.
+    """
+    width = len(TRAJECTORY_COLUMNS)
+    with open(path, "r", encoding="utf-8") as f:
+        for number, line in enumerate(itertools.islice(f, 1, None), start=2):
+            if line == "\n":
+                continue
+            fields = line.removesuffix("\n").split(",")
+            if len(fields) != width:
+                return f"expected {width} fields, got {len(fields)} on line {number}"
+            for column, field in enumerate(fields, start=1):
+                try:
+                    float(field.replace("_", "x"))
+                except ValueError:
+                    return f"could not convert {field!r} in column {column} on line {number}"
+    return None
 
 
 def _file_line(path, row: int) -> int:

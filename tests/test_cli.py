@@ -36,7 +36,7 @@ class TestSimulateCommand:
         assert summary["max_abs_u2"] <= 2.84
         data = load_trajectory_csv(out)
         assert data.shape[0] == summary["rows"]
-        assert summary["csv_processes"] == 1  # 2001 rows: too few to repay a worker
+        assert summary["csv_writer"] == "c"
 
     def test_preset_flags_equal_library_preset(self, capsys, tmp_path):
         # one preset -> SimConfig path: the command line and the library agree to the byte
@@ -59,26 +59,14 @@ class TestSimulateCommand:
         assert huge["rows"] == len(default.data)
         assert huge["convergence_time"] == default.convergence_time
 
-    def test_reports_csv_processes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
-        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+    def test_reports_the_csv_writer(self, capsys, tmp_path, monkeypatch):
         argv = ["simulate", "--preset", "P1", "--t-max", "2", "--control-period", "0.001"]
-        code, split = run(capsys, *argv, "--out", str(tmp_path / "two.csv"))
-        assert code == 0 and split["csv_processes"] == 2
-        monkeypatch.setattr(simulator, "_usable_cores", lambda: 1)
-        code, single = run(capsys, *argv, "--out", str(tmp_path / "one.csv"))
-        assert code == 0 and single["csv_processes"] == 1
-        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-
-    def test_failed_csv_worker_exit_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
-        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND",
-                            [sys.executable, "-I", "-S", "-c", "import sys; sys.exit(4)"])
-        code = main(["simulate", "--preset", "P1", "--t-max", "2",
-                     "--control-period", "0.001", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "CSV worker exited with status 4" in capsys.readouterr().err
+        code, compiled = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
+        assert code == 0 and compiled["csv_writer"] == "c"
+        monkeypatch.setattr(_kernels, "compiled_loop", lambda: None)
+        code, fallback = run(capsys, *argv, "--out", str(tmp_path / "python.csv"))
+        assert code == 0 and fallback["csv_writer"] == "python"
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
     def test_unknown_preset_exit_2(self, capsys):
         code = main(["simulate", "--preset", "P9"])
@@ -269,6 +257,8 @@ class TestKernelReport:
         fallback, fallback_csv = self.outputs(capsys, tmp_path, command)
         assert fallback.pop("kernel") == "python"
         summary.pop("kernel")
+        assert fallback.pop("csv_writer", "python") == "python"
+        assert summary.pop("csv_writer", "c") == "c"
         assert fallback == summary and fallback_csv == csv
 
 
@@ -439,7 +429,7 @@ class TestGradientFlowCommand:
         assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-15)
         data = load_trajectory_csv(out)
         assert np.all(data[:, 4:9] == 0.0)
-        assert summary["csv_processes"] == 1
+        assert summary["csv_writer"] == "c"
 
     # 2**47 rows, or refine's 4e12 closed-loop rows of 88 bytes, need more than
     # the 128 TiB user address space of x86_64 for one array, so the allocation

@@ -1,9 +1,10 @@
+import errno
+import io
 import math
 import os
 import signal
 import stat
 import subprocess
-import sys
 import threading
 import time
 import tracemalloc
@@ -31,7 +32,7 @@ from gradflow import (
     simulate,
     tracking_deviation,
 )
-from gradflow import _csv_worker, _kernels, simulator
+from gradflow import _kernels, simulator
 from gradflow.simulator import (
     CSV_HEADER,
     TERMINATED_GOAL,
@@ -634,8 +635,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert ("gradflow: running the Python closed loop and np.loadtxt: cc exited with status"
-                in captured.err)
+        assert ("gradflow: running the Python closed loop, np.loadtxt and the Python CSV "
+                "writer: cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -779,24 +780,35 @@ def savetxt_reference(data, path):
         np.savetxt(f, data, fmt="%.9g", delimiter=",", newline="\n")
 
 
-def assert_csv_matches_savetxt(data, directory) -> int:
-    """save_csv writes the bytes of savetxt_reference for `data`.
+def assert_csv_matches_savetxt(data, directory) -> str:
+    """save_csv writes the bytes of savetxt_reference for `data`, which are
+    those of CSV_ROW's % on each row.
 
-    Returns how many processes formatted the file.
+    Returns the writer that ran.
     """
     ours, ref = directory / "ours.csv", directory / "ref.csv"
     savetxt_reference(data, ref)
-    n_procs = logged(data).save_csv(ours)
-    assert ours.read_bytes() == ref.read_bytes()
+    writer = logged(data).save_csv(ours)
+    expected = ref.read_bytes()
+    assert ours.read_bytes() == expected
+    rows = "".join(simulator.CSV_ROW % tuple(row) for row in np.asarray(data).tolist())
+    assert expected == (CSV_HEADER + "\n" + rows).encode()
     assert sorted(p.name for p in directory.iterdir()) == ["ours.csv", "ref.csv"]
-    return n_procs
+    return writer
 
 
-# -0.0, subnormals, non-finite values, extremes, and values whose 10th
-# significant digit is a 5, so %.9g rounds them (9.9999999995 -> "10")
+# -0.0, subnormals, non-finite values (a NaN with its sign bit set too),
+# extremes, and values whose 10th significant digit is a 5, so %.9g rounds
+# them (9.9999999995 -> "10")
 CSV_EDGE_VALUES = (
-    -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e300, -1e300,
+    -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300,
     1.0000000005, 0.1234567895, -9.9999999995, 999999999.5, 1e-5, 123456789.0,
+)
+# where %g turns from fixed to exponent notation, before and after rounding
+# to 9 digits, and where 9 digits round up to the next power of ten
+CSV_NOTATION_EDGES = (
+    9.99999999e-5, 9.9999999950e-5, 9.9999999949e-5, 1e-4, 99999999.95, 999999999.5,
+    999999999.4, 1e8, 1e9, 1e-14, 1e-15, 9.999999995e30, 1e31, 1e22, 1e23,
 )
 CSV_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                        st.sampled_from(CSV_EDGE_VALUES))
@@ -877,29 +889,25 @@ class TestContinuousAveragedFieldTracking:
 
 
 class CsvBytesEqual:
-    """save_csv writes np.savetxt's bytes; subclasses set how many processes may format.
+    """save_csv writes np.savetxt's bytes; `writer` is the one that must run.
 
-    `cores` is the core count save_csv sees (None: the machine's), and
-    `min_share` its CSV_MIN_SHARE_BLOCKS (None: the default).
+    "c" runs save_csv with the compiled library, whose format_rows writes the
+    rows, and "python" with the library forced to None, so write_rows does.
     """
 
-    cores = None
-    min_share = None
+    writer = "c"
 
     @pytest.fixture(autouse=True, scope="class")
-    def _processes(self):
+    def _writer(self):
         with pytest.MonkeyPatch.context() as mp:
-            if self.cores is not None:
-                mp.setattr(simulator, "_usable_cores", lambda: self.cores)
-            if self.min_share is not None:
-                mp.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", self.min_share)
+            if self.writer == "python":
+                mp.setattr(_kernels, "compiled_loop", lambda: None)
+            else:
+                assert _kernels.compiled_loop() is not None
             yield
 
     def check(self, data, directory):
-        n_procs = assert_csv_matches_savetxt(data, directory)
-        n_blocks = -(-len(data) // simulator.CSV_CHUNK_ROWS)
-        expected = min(simulator._usable_cores(), n_blocks // simulator.CSV_MIN_SHARE_BLOCKS)
-        assert n_procs == max(1, expected)
+        assert assert_csv_matches_savetxt(data, directory) == self.writer
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 5])
     def test_bytes_equal_savetxt_around_chunk_size(self, tmp_path, monkeypatch, n_rows):
@@ -922,6 +930,51 @@ class CsvBytesEqual:
         assert traj.data.shape[0] > simulator.CSV_CHUNK_ROWS
         self.check(traj.data, tmp_path)
 
+    def test_ten_digit_ties_round_half_to_even(self, tmp_path):
+        # (10^8..10^9)*10 + 5 are exact ties at 9 digits; halved they stay ties,
+        # and divided by 1024 they have more digits than a double's 17
+        ties = np.arange(10**8, 10**9, 99991, dtype=np.float64) * 10 + 5
+        values = np.concatenate([ties, -ties / 2, ties / 1024, ties * 1e-13])
+        values = values[:len(values) // len(TRAJECTORY_COLUMNS) * len(TRAJECTORY_COLUMNS)]
+        self.check(values.reshape(-1, len(TRAJECTORY_COLUMNS)), tmp_path)
+
+    def test_notation_edges(self, tmp_path):
+        width = len(TRAJECTORY_COLUMNS)
+        values = [*CSV_NOTATION_EDGES, *(-v for v in CSV_NOTATION_EDGES), *CSV_EDGE_VALUES]
+        values += [0.0] * (-len(values) % width)
+        self.check(np.array(values).reshape(-1, width), tmp_path)
+        assert (tmp_path / "ours.csv").read_text().split("\n")[1].split(",")[:5] == [
+            "9.99999999e-05", "0.0001", "9.99999999e-05", "0.0001", "100000000"]
+
+    def test_three_digit_exponents(self, tmp_path):
+        rng = np.random.default_rng(3)
+        exponents = rng.integers(100, 309, size=40 * len(TRAJECTORY_COLUMNS))
+        values = rng.uniform(1, 10, size=exponents.size) * 10.0 ** -exponents.astype(float)
+        values[::2] = 1 / values[::2]  # 10^100 to 10^308
+        values[1::3] *= -1
+        self.check(values.reshape(-1, len(TRAJECTORY_COLUMNS)), tmp_path)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # the disk fills after the header: the partial file is removed, and an
+        # existing path keeps its bytes
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(simulator, "open", FullDisk, raising=False)
+        data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
+        with pytest.raises(OSError, match="No space"):
+            logged(data).save_csv(tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+        old = tmp_path / "out.csv"
+        old.write_bytes(b"an earlier run\n")
+        with pytest.raises(OSError, match="No space"):
+            logged(data).save_csv(old)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert old.read_bytes() == b"an earlier run\n"
+
 
 def savetxt_property():
     """The hypothesis byte-equality test, a separate function for each class."""
@@ -936,20 +989,36 @@ def savetxt_property():
     return test_bytes_equal_savetxt
 
 
-class TestCsvWorkers(CsvBytesEqual):
-    """Every block-aligned share big enough: one worker per further core."""
+class InOneProcess(CsvBytesEqual):
+    """save_csv formats every row in this process, whatever the cores the
+    process may use: `cores` is the count it is shown, and starting a process
+    or a thread fails the test."""
 
-    # on one core, one worker: never more workers than cores
-    cores = max(2, simulator._usable_cores())
-    min_share = 1
+    cores = 1
+
+    @pytest.fixture(autouse=True)
+    def _no_process_or_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("save_csv started a process or a thread")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: self.cores)
+        monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+class TestCsvWorkers(InOneProcess):
+    """Many usable cores: still no worker process."""
+
+    cores = 8
     test_bytes_equal_savetxt = savetxt_property()
 
 
-class TestCsvOneCore(CsvBytesEqual):
-    """Shares small enough for workers, but a single core: all in-process."""
+class TestCsvOneCore(InOneProcess):
+    """One usable core: the same bytes, in this process."""
 
     cores = 1
-    min_share = 1
     test_bytes_equal_savetxt = savetxt_property()
 
 
@@ -998,6 +1067,22 @@ class LoaderRejects:
         with pytest.raises(ValueError, match="malformed trajectory CSV"):
             self.load(path)
 
+    def test_loader_names_the_line_of_a_short_row(self, tmp_path):
+        # np.loadtxt says "at row 3" here
+        path = tmp_path / "short.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n0,1\n{self.ROW}\n")
+        with pytest.raises(ValueError, match="^malformed trajectory CSV: expected 11 fields, "
+                                             "got 2 on line 4$"):
+            self.load(path)
+
+    def test_loader_names_the_line_of_a_bad_number_after_blank_lines(self, tmp_path):
+        # np.loadtxt skips the blank lines 4 and 5 and says "at row 2, column 2"
+        path = tmp_path / "zero.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n\n\n0,zero{self.ROW[3:]}\n")
+        with pytest.raises(ValueError, match="^malformed trajectory CSV: could not convert "
+                                             "'zero' in column 2 on line 6$"):
+            self.load(path)
+
     @pytest.mark.parametrize("value", ["1e+999", "-1e+400"])
     def test_loader_rejects_a_value_that_overflows(self, tmp_path, value):
         # in the writer's grammar, but no double: strtod's inf is np.loadtxt's
@@ -1028,8 +1113,13 @@ class LoaderRejects:
         assert data.tobytes() == expected.tobytes()
 
 
-class TestCsvWithoutLibrary(LoaderRejects):
+class TestCsvWithoutLibrary(CsvBytesEqual, LoaderRejects):
+    """The writer and the parser where the library cannot be built: write_rows
+    and np.loadtxt."""
+
+    writer = "python"
     parser = "numpy"
+    test_bytes_equal_savetxt = savetxt_property()
 
 
 def assert_parses_as_loadtxt(path):
@@ -1151,14 +1241,13 @@ class TestCompiledParser:
 class TestCsv(CsvBytesEqual, LoaderRejects):
     test_bytes_equal_savetxt = savetxt_property()
 
-    def test_shares_are_whole_blocks_one_per_core_at_most(self, monkeypatch):
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
-        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 3)
-        monkeypatch.setattr(simulator, "_usable_cores", lambda: 4)
-        assert simulator._csv_shares(11) == [0, 11]  # 3 blocks: too few for a worker
-        assert simulator._csv_shares(23) == [0, 12, 23]  # 6 blocks: two shares of 3
-        assert simulator._csv_shares(49) == [0, 12, 24, 36, 49]  # 13 blocks, 4 cores
-        assert simulator._csv_shares(4000) == [0, 1000, 2000, 3000, 4000]
+    def test_p1_bytes_equal_the_percent_loop(self, tmp_path):
+        traj = simulate(preset_sim_config("P1"))
+        assert traj.save_csv(tmp_path / "p1.csv") == "c"
+        with open(tmp_path / "loop.csv", "wb") as f:
+            f.write(CSV_HEADER.encode() + b"\n")
+            simulator.write_rows(f, traj.data)
+        assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_round_trip(self, tmp_path):
         traj = simulate(short_config(t_max=0.2, goal_tol=0.0))
@@ -1192,92 +1281,6 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         assert sat_values <= {"0", "1"}
         assert "1" in sat_values
 
-
-
-class TestCsvWorkerProcess:
-    """The worker interpreter that formats later shares of a trajectory CSV."""
-
-    @pytest.fixture
-    def one_worker(self, monkeypatch):
-        """save_csv splits 40 rows into two shares: one in-process, one worker."""
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
-        monkeypatch.setattr(simulator, "CSV_MIN_SHARE_BLOCKS", 1)
-        monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
-        started = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
-        return started
-
-    def assert_reaped(self, procs):
-        assert procs
-        for proc in procs:
-            assert proc.returncode is not None
-            with pytest.raises(ChildProcessError):
-                os.waitpid(proc.pid, os.WNOHANG)
-
-    def test_worker_imports_no_numpy(self):
-        data = np.random.default_rng(3).normal(size=(5, len(TRAJECTORY_COLUMNS)))
-        command = simulator._CSV_WORKER_COMMAND
-        assert command[1:3] == ["-I", "-S"]
-        proc = subprocess.run(
-            [command[0], "-X", "importtime", *command[1:], simulator.CSV_ROW,
-             str(data.shape[1]), str(data.shape[0]), "2"],
-            input=data.tobytes(), capture_output=True, check=True,
-        )
-        imported = [line.rsplit("|", 1)[-1].strip() for line in
-                    proc.stderr.decode().splitlines() if line.startswith("import time:")]
-        assert "encodings" in imported
-        assert not [m for m in imported if m.split(".")[0] == "numpy"]
-        assert proc.stdout.decode() == simulator.CSV_ROW * 5 % tuple(data.ravel().tolist())
-
-    def test_failed_worker_raises_and_leaves_no_temporary_file(self, tmp_path, monkeypatch,
-                                                               one_worker):
-        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND",
-                            [sys.executable, "-I", "-S", "-c", "import sys; sys.exit(3)"])
-        data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
-        with pytest.raises(OSError, match="status 3"):
-            logged(data).save_csv(tmp_path / "out.csv")
-        assert list(tmp_path.iterdir()) == []  # neither a partial CSV nor a temporary file
-        self.assert_reaped(one_worker)
-        one_worker.clear()
-        old = tmp_path / "out.csv"
-        old.write_bytes(b"an earlier run\n")
-        with pytest.raises(OSError, match="status 3"):
-            logged(data).save_csv(old)
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-        assert old.read_bytes() == b"an earlier run\n"
-        self.assert_reaped(one_worker)
-
-    def test_workers_need_no_thread(self, tmp_path, monkeypatch, one_worker):
-        # each worker reads its share from a file: nothing feeds it while it runs
-        def no_threads(self):
-            raise RuntimeError("save_csv started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", no_threads)
-        data = np.random.default_rng(5).normal(size=(40, len(TRAJECTORY_COLUMNS)))
-        assert assert_csv_matches_savetxt(data, tmp_path) == 2
-        self.assert_reaped(one_worker)
-
-    def test_writer_failure_stops_the_workers(self, tmp_path, monkeypatch, one_worker):
-        monkeypatch.setattr(simulator, "_CSV_WORKER_COMMAND", [
-            sys.executable, "-I", "-S", "-c",
-            "import sys, time; sys.stdin.buffer.read(); time.sleep(60)"])
-
-        def full_disk(out, values, row, n_cols, chunk):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(_csv_worker, "write_rows", full_disk)
-        data = np.zeros((40, len(TRAJECTORY_COLUMNS)))
-        with pytest.raises(OSError, match="no space"):
-            logged(data).save_csv(tmp_path / "out.csv")
-        assert list(tmp_path.iterdir()) == []
-        self.assert_reaped(one_worker)
-        assert one_worker[0].returncode == -signal.SIGKILL
 
 
 class TestValueTypes:
