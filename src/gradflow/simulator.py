@@ -253,9 +253,7 @@ def _loadtxt(path) -> np.ndarray:
         raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, got {data.shape[1]}")
     # the writer logs no non-finite value (the _kernels row rule), so one is malformed
     if not np.isfinite(data).all():
-        row = int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
-        raise ValueError(f"malformed trajectory CSV: non-finite value on line "
-                         f"{_file_line(path, row)}")
+        raise ValueError(f"malformed trajectory CSV: {_bad_line(path)}")
     return data
 
 
@@ -263,9 +261,9 @@ def _bad_line(path) -> str | None:
     """What is wrong with the first malformed data line of `path`, and its number.
 
     A line is malformed if it does not hold 11 fields, or holds one that
-    float() does not read or that has an underscore, which float() reads and
-    np.loadtxt does not. Blank lines are skipped, as np.loadtxt skips them;
-    the header is line 1. None if no line is malformed so.
+    float() does not read, that has an underscore, which float() reads and
+    np.loadtxt does not, or that is not finite. Blank lines are skipped, as
+    np.loadtxt skips them; the header is line 1. None if no line is malformed.
     """
     width = len(TRAJECTORY_COLUMNS)
     with open(path, "r", encoding="utf-8") as f:
@@ -277,21 +275,12 @@ def _bad_line(path) -> str | None:
                 return f"expected {width} fields, got {len(fields)} on line {number}"
             for column, field in enumerate(fields, start=1):
                 try:
-                    float(field.replace("_", "x"))
+                    value = float(field.replace("_", "x"))
                 except ValueError:
                     return f"could not convert {field!r} in column {column} on line {number}"
+                if not math.isfinite(value):
+                    return f"non-finite value on line {number}"
     return None
-
-
-def _file_line(path, row: int) -> int:
-    """The file's line number of data row `row`, counted from 0.
-
-    np.loadtxt skips blank lines, so they count here but not in `row`; the
-    header is line 1.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = (number for number, line in enumerate(f, start=1) if line != "\n")
-        return next(itertools.islice(lines, row + 1, None))
 
 
 def _multiple_of(value: float, base: float) -> int | None:
