@@ -10,7 +10,7 @@ import pytest
 import gradflow
 from gradflow import _kernels
 from gradflow import (ControllerParams, SimConfig, cli, integrate_gradient_flow, make_v_alpha,
-                      simulate, simulator, tracking_deviation)
+                      simulate, tracking_deviation)
 from gradflow.cli import main
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 from helpers import preset_sim_config
