@@ -30,9 +30,15 @@ with STATUS_NONFINITE. V stands for the state: with every c_i > 0, c*x*x is
 inf or nan wherever x is. a1 and a2 are tested in their own right, since a
 clamp turns an infinite amplitude into a finite control.
 
-The gradient flow of such a V has a closed form, which
-`simulator.integrate_gradient_flow` evaluates in numpy; the admissibility
-quadrature is numpy too and lives in `gradflow.admissibility`.
+Neither loop, nor the library, nor this module needs numpy, and no module
+of the package imports it at import time. The functions that compute in
+numpy import it when they run: `simulator.integrate_gradient_flow`, which
+evaluates the gradient flow's closed form, `tracking_deviation`,
+`convergence_order`, the parse of `load_trajectory_csv` (into an ndarray),
+`Trajectory.data`, the admissibility quadrature in `gradflow.admissibility`
+and `plotting.render_trajectory_svg`. So a `simulate` process never loads
+numpy, and `admissibility`, `refine`, `gradient-flow` and `plot` load it when
+their command runs.
 """
 
 import ctypes
@@ -196,7 +202,7 @@ def compiled_loop():
     try:
         with open(_C_SOURCE, "rb") as f:
             source = f.read()
-        # CRC-32, as numpy has loaded zlib already: hashlib would load OpenSSL,
+        # CRC-32: zlib is a small C module, and hashlib would load OpenSSL,
         # 3.5 MB of resident memory
         key = zlib.crc32(source + " ".join((*_C_FLAGS, platform.machine())).encode())
         cache = os.path.join(os.path.dirname(__file__), "__pycache__")

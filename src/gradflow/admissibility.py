@@ -29,13 +29,14 @@ of two chosen from the largest coefficient and w, which rounds nothing and
 brings every gradient component on the cube below 2, so |grad V|^2 cannot
 overflow and a tiny V is not lost to underflow. Multiplying V by a power of
 two leaves every bit of J unchanged.
+
+The quadrature imports numpy when it runs, not when this module is
+imported: the configs and the sweep CSV need none.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
@@ -100,13 +101,15 @@ class AdmissibilityResult:
     excluded: int
 
 
-def _grid_centers(w: float, n: int) -> np.ndarray:
+def _grid_centers(w: float, n: int):
     """The centers of n cells on [-w, w], n even, exactly antisymmetric: xs[n-1-i] == -xs[i]."""
+    import numpy as np
+
     pos = (np.arange(n // 2) + 0.5) * (2.0 * w / n)
     return np.concatenate((-pos[::-1], pos))
 
 
-def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
+def _gradient_coeffs(potential: Potential, w: float):
     """2*c times 2^-(e_c + e_w), with e_c, e_w the binary exponents of max c and w.
 
     grad V = (2*c) * x, so every component of this scaled gradient on the
@@ -114,6 +117,8 @@ def _gradient_coeffs(potential: Potential, w: float) -> np.ndarray:
     multiplied, so nothing overflows on the way; a power of two rounds
     nothing, so the integrand's ratio is the one of the unscaled gradient.
     """
+    import numpy as np
+
     k = np.frexp(max(potential.coeffs))[1] + np.frexp(w)[1]
     return np.ldexp(potential.coeffs, 1 - k)
 
@@ -128,6 +133,8 @@ def _integrand(g1, g2, g3, s, c, q: float, plane, gn, r) -> None:
     2*m_c*m_w/n, with mantissas m_c, m_w in [0.5, 1) (w is normal), so
     |grad V| >= 0.5/n.
     """
+    import numpy as np
+
     np.add(plane, g3 * g3, out=gn)  # the order of g1*g1 + g2*g2 + g3*g3
     np.sqrt(gn, out=gn)
     np.subtract(g1 * s, g2 * c, out=r)
@@ -150,6 +157,8 @@ def admissibility_measure(potential: Potential,
     blocks of rows, each block on every x3 slab, so memory is bounded by
     BLOCK_POINTS points whatever grid_n is.
     """
+    import numpy as np
+
     cfg = AdmissibilityConfig() if cfg is None else cfg
     n, w, q = cfg.grid_n, cfg.half_width, cfg.q
     h = n // 2

@@ -112,6 +112,8 @@ def cmd_simulate(args) -> int:
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
     csv_writer = traj.save_csv(args.out)
+    # the summary reads the last row from the rows buffer: no numpy view
+    last = traj.rows[-len(TRAJECTORY_COLUMNS):]
     _emit({
         "preset": args.preset,
         "loop_mode": settings["loop_mode"],
@@ -121,10 +123,10 @@ def cmd_simulate(args) -> int:
         "max_abs_u1": traj.max_abs_u1,
         "max_abs_u2": traj.max_abs_u2,
         "saturation_count": traj.saturation_count,
-        "final_state": [float(v) for v in traj.final_state],
-        "x3_end_wrapped": wrap_angle(float(traj.final_state[2])),
-        "V_end": float(traj.potential_values[-1]),
-        "rows": int(traj.data.shape[0]),
+        "final_state": last[1:4].tolist(),
+        "x3_end_wrapped": wrap_angle(last[3]),
+        "V_end": last[9],
+        "rows": len(traj.rows) // len(TRAJECTORY_COLUMNS),
         "csv": args.out,
         "csv_writer": csv_writer,
         "kernel": _kernels.kernel(),
@@ -254,10 +256,11 @@ def cmd_gradient_flow(args) -> int:
     potential = _potential_from_flags(args)
     traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h)
     csv_writer = traj.save_csv(args.out)
+    last = traj.rows[-len(TRAJECTORY_COLUMNS):]
     _emit({
-        "final_state": [float(v) for v in traj.final_state],
-        "V_end": float(traj.potential_values[-1]),
-        "rows": int(traj.data.shape[0]),
+        "final_state": last[1:4].tolist(),
+        "V_end": last[9],
+        "rows": len(traj.rows) // len(TRAJECTORY_COLUMNS),
         "csv": args.out,
         "csv_writer": csv_writer,
     })

@@ -13,34 +13,35 @@ inputs: states and scalar parameters.
 import math
 import numbers
 
-import numpy as np
 
+def as_state(x) -> tuple[float, float, float]:
+    """`x` as a float triple: three finite real numbers, none of them a bool.
 
-def _real_vector(x, n: int, what: str) -> np.ndarray:
-    """`x` as a finite float64 vector of shape (n,); str and bool components raise."""
-    if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
-        raise ValueError(f"{what} components must be numbers, not strings or bools: {x!r}")
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} components must be finite")
-    return arr
-
-
-def as_state(x) -> np.ndarray:
-    """`x` as a finite float64 vector of shape (3,); str and bool components raise."""
-    return _real_vector(x, 3, "state")
+    A str, a bool (numpy's too, which is no numbers.Real) or any other
+    non-number raises ValueError, as does a row of a 2-D array.
+    """
+    try:
+        values = tuple(x)
+    except TypeError:
+        raise ValueError(f"state must be a sequence of three numbers, got {x!r}") from None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"state components must be numbers, not strings or bools: {x!r}")
+    if len(values) != 3:
+        raise ValueError(f"state must have 3 components, got {len(values)}")
+    state = tuple(map(float, values))
+    if not all(map(math.isfinite, state)):
+        raise ValueError("state components must be finite")
+    return state
 
 
 def check_scalar(value, what: str, integer: bool = False) -> None:
     """Raise ValueError unless `value` is a real number (an integer if `integer`).
 
     bool is an int subclass, so True would otherwise pass as 1: it raises,
-    as do str and every other non-number.
+    as do str, numpy's bool and every other non-number.
     """
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
                          f"got {value!r}")
 

@@ -4,9 +4,9 @@ Hand-rolled on purpose: the output bytes are a pure function of the input
 data (no timestamps, ids, or library version strings), so plots can be
 diffed and golden-tested. Three panels: planar path, states against time,
 controls against time.
-"""
 
-import numpy as np
+numpy is imported by the functions that use it, when they run.
+"""
 
 PANEL_W = 420.0
 PANEL_H = 420.0
@@ -24,7 +24,7 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _limits(arr: np.ndarray) -> tuple[float, float]:
+def _limits(arr) -> tuple[float, float]:
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo -= 1.0
@@ -33,7 +33,9 @@ def _limits(arr: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _decimate(n: int) -> np.ndarray:
+def _decimate(n: int):
+    import numpy as np
+
     if n <= MAX_POLYLINE_POINTS:
         return np.arange(n)
     idx = np.arange(0, n, int(np.ceil(n / MAX_POLYLINE_POINTS)))
@@ -89,6 +91,8 @@ class _Panel:
         return px, py
 
     def polyline(self, xs, ys, color: str):
+        import numpy as np
+
         px, py = self._map(np.asarray(xs), np.asarray(ys))
         pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         self.parts.append(
@@ -113,8 +117,10 @@ class _Panel:
         return "\n".join(self.parts)
 
 
-def render_trajectory_svg(data: np.ndarray, path) -> None:
-    """Render a trajectory data array (simulator column layout) to an SVG file."""
+def render_trajectory_svg(data, path) -> None:
+    """Render a trajectory data ndarray (simulator column layout) to an SVG file."""
+    import numpy as np
+
     if data.ndim != 2 or data.shape[1] < 6 or data.shape[0] < 1:
         raise ValueError("trajectory data must have rows and at least 6 columns")
     idx = _decimate(data.shape[0])

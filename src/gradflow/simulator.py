@@ -19,16 +19,19 @@ full-state Euclidean distance to it.
 The reference dynamics xdot = -grad V of a diagonal quadratic V decouple
 into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
 that closed form on its logged grid instead of integrating.
+
+Nothing here imports numpy until a function that computes in it runs: a
+simulate and its CSV need none, so a `simulate` process never loads it.
 """
 
 import ctypes
+import functools
 import itertools
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from gradflow import _kernels
 from gradflow.controller import ControllerParams
@@ -67,51 +70,65 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Time-indexed log of a run.
 
-    data has one row per logged instant with columns TRAJECTORY_COLUMNS:
-    time, state, applied control, amplitude vector in effect, potential
-    value, and whether the control was saturated. Rows are strictly
-    increasing in t, and the first row is the initial state at t = 0.
+    rows is an array('d') of the logged rows, one after the other, each
+    with the columns TRAJECTORY_COLUMNS: time, state, applied control,
+    amplitude vector in effect, potential value, and whether the control
+    was saturated. It is the array the loop logged into, not a copy. Rows
+    are strictly increasing in t, and the first row is the initial state at
+    t = 0. data is the same rows as a read-only (rows, 11) numpy view, made
+    on first use; t, states, potential_values and final_state are views of
+    it.
 
     convergence_time is the time of the update that reached the goal, or
     None when the run used its whole horizon; `terminated` names which.
     saturation_count, max_abs_u1 and max_abs_u2 cover every control update
-    of the run, logged or not. Equality and hashing are by identity: data is
+    of the run, logged or not. Equality and hashing are by identity: rows is
     an array.
     """
 
-    data: np.ndarray
+    rows: array
     convergence_time: float | None
     saturation_count: int
     max_abs_u1: float
     max_abs_u2: float
 
     def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[1] != len(TRAJECTORY_COLUMNS):
-            raise ValueError(f"trajectory data must have {len(TRAJECTORY_COLUMNS)} columns")
-        if self.data.shape[0] < 1:
+        width = len(TRAJECTORY_COLUMNS)
+        if not (isinstance(self.rows, array) and self.rows.typecode == "d"):
+            raise ValueError("trajectory rows must be an array('d')")
+        if len(self.rows) % width:
+            raise ValueError(f"trajectory rows must have {width} columns: {len(self.rows)} "
+                             f"values are no whole number of rows")
+        if not self.rows:
             raise ValueError("trajectory must contain at least one row")
-        # freeze a private view: the caller's array stays writable
-        object.__setattr__(self, "data", self.data.view())
-        self.data.flags.writeable = False
+
+    @functools.cached_property
+    def data(self):
+        """The rows as a read-only (rows, 11) float64 ndarray that shares rows' memory."""
+        import numpy as np
+
+        data = np.frombuffer(self.rows).reshape(-1, len(TRAJECTORY_COLUMNS))
+        data.flags.writeable = False
+        return data
 
     @property
     def terminated(self) -> str:
         return TERMINATED_HORIZON if self.convergence_time is None else TERMINATED_GOAL
 
     @property
-    def t(self) -> np.ndarray:
+    def t(self):
         return self.data[:, 0]
 
     @property
-    def states(self) -> np.ndarray:
+    def states(self):
         return self.data[:, 1:4]
 
     @property
-    def potential_values(self) -> np.ndarray:
+    def potential_values(self):
         return self.data[:, 9]
 
     @property
-    def final_state(self) -> np.ndarray:
+    def final_state(self):
         return self.states[-1]
 
     def save_csv(self, path) -> str:
@@ -134,9 +151,9 @@ class Trajectory:
             with f:
                 f.write(CSV_HEADER.encode() + b"\n")
                 if lib:
-                    _format_rows(lib, f, self.data)
+                    _format_rows(lib, f, self.rows)
                 else:
-                    write_rows(f, self.data)
+                    write_rows(f, self.rows)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -144,30 +161,32 @@ class Trajectory:
         return "c" if lib else "python"
 
 
-def _format_rows(lib, f, data: np.ndarray) -> None:
-    """Write `data`'s rows to the binary file f with the library's format_rows."""
-    width = data.shape[1]
+def _format_rows(lib, f, rows: array) -> None:
+    """Write the array('d') `rows` to the binary file f with the library's format_rows."""
+    width = len(TRAJECTORY_COLUMNS)
     # 24 bytes a value: "%.9g" writes at most 16, as in "-1.23456789e-308",
     # and one more for the "," or "\n"
     buf = bytearray(24 * width * CSV_CHUNK_ROWS)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     view = memoryview(buf)
-    for i in range(0, len(data), CSV_CHUNK_ROWS):
-        block = np.ascontiguousarray(data[i:i + CSV_CHUNK_ROWS], dtype=np.float64)
-        f.write(view[:lib.format_rows(block.ctypes.data, len(block), width, addr)])
+    start, n = rows.buffer_info()[0], len(rows) // width
+    for i in range(0, n, CSV_CHUNK_ROWS):
+        block = min(CSV_CHUNK_ROWS, n - i)
+        f.write(view[:lib.format_rows(start + 8 * width * i, block, width, addr)])
 
 
-def write_rows(f, data: np.ndarray) -> None:
-    """Write `data`'s rows to the binary file f with CSV_ROW, CSV_CHUNK_ROWS rows
-    per %-operation: save_csv's writer where the library is missing, and
-    format_rows' bitwise oracle."""
-    for i in range(0, len(data), CSV_CHUNK_ROWS):
-        block = data[i:i + CSV_CHUNK_ROWS]
-        f.write((CSV_ROW * len(block) % tuple(block.ravel().tolist())).encode())
+def write_rows(f, rows: array) -> None:
+    """Write the array('d') `rows` to the binary file f with CSV_ROW,
+    CSV_CHUNK_ROWS rows per %-operation: save_csv's writer where the library
+    is missing, and format_rows' bitwise oracle."""
+    step = len(TRAJECTORY_COLUMNS) * CSV_CHUNK_ROWS
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step].tolist()
+        f.write((CSV_ROW * (len(block) // len(TRAJECTORY_COLUMNS)) % tuple(block)).encode())
 
 
-def load_trajectory_csv(path) -> np.ndarray:
-    """Parse a trajectory CSV back into its data array, validating the header and values.
+def load_trajectory_csv(path):
+    """Parse a trajectory CSV into a (rows, 11) ndarray, validating the header and values.
 
     The compiled parser (`_parse_compiled`) reads a file in the writer's
     format; any other file, or every file where the library cannot be built
@@ -184,7 +203,7 @@ def load_trajectory_csv(path) -> np.ndarray:
     return _loadtxt(path)
 
 
-def _parse_compiled(lib, path) -> np.ndarray | None:
+def _parse_compiled(lib, path):
     """The rows of `path` parsed by the library's parse_rows, or None.
 
     None stands for a file outside the writer's format: another header, a
@@ -196,6 +215,8 @@ def _parse_compiled(lib, path) -> np.ndarray | None:
     the pages it never writes are never touched. None also stands for a
     host that will not map that array at all.
     """
+    import numpy as np
+
     header = (CSV_HEADER + "\n").encode()
     width = len(TRAJECTORY_COLUMNS)
     buf = bytearray(max(CSV_READ_BYTES, len(header)))
@@ -232,8 +253,10 @@ def _parse_compiled(lib, path) -> np.ndarray | None:
     return data
 
 
-def _loadtxt(path) -> np.ndarray:
+def _loadtxt(path):
     """load_trajectory_csv's parse with np.loadtxt, for any file."""
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").rstrip("\r")
         if header != CSV_HEADER:
@@ -319,7 +342,7 @@ class SimConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(as_state(self.x0).tolist()))
+        object.__setattr__(self, "x0", as_state(self.x0))
         for name in ("goal_tol", "t_max", "control_period"):
             check_scalar(getattr(self, name), name)
         if not self.goal_tol >= 0:
@@ -377,12 +400,11 @@ def simulate(cfg: SimConfig) -> Trajectory:
     if len(rows) == 0:
         # the row rule broken before anything could be logged: degenerate inputs
         raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")
-    data = np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
-    conv_time = float(data[-1, 0]) if status == _kernels.STATUS_GOAL else None
-    traj = Trajectory(data, conv_time, *counts)
+    t_last = rows[-len(TRAJECTORY_COLUMNS)]
+    traj = Trajectory(rows, t_last if status == _kernels.STATUS_GOAL else None, *counts)
     if status == _kernels.STATUS_NONFINITE:
         raise IntegrationError(
-            f"V, a control or an amplitude became non-finite after t={data[-1, 0]:g}", traj
+            f"V, a control or an amplitude became non-finite after t={t_last:g}", traj
         )
     return traj
 
@@ -408,18 +430,22 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
         raise ValueError(f"step h={h} must divide t_max={t_max}")
     x0 = as_state(x0)
     c1, c2, c3 = potential.coeffs
-    x1, x2, x3 = x0.tolist()
+    x1, x2, x3 = x0
     # on Python floats, so an overflow cannot warn; no later V exceeds this one
     if not math.isfinite(c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3):
         raise ValueError("potential produces non-finite values at the initial state")
+    import numpy as np
+
     t = np.arange(n_steps + 1) * h
-    data = np.zeros((t.size, len(TRAJECTORY_COLUMNS)))
+    # zeroed rows, filled through a writable view of their memory
+    rows = array("d", [0.0]) * (t.size * len(TRAJECTORY_COLUMNS))
+    data = np.frombuffer(rows).reshape(t.size, len(TRAJECTORY_COLUMNS))
     data[:, 0] = t
     with np.errstate(over="ignore"):  # c*t past the float range decays to exp(-inf) = 0
-        data[:, 1:4] = x0 * np.exp(-2.0 * np.outer(t, potential.coeffs))
+        data[:, 1:4] = np.array(x0) * np.exp(-2.0 * np.outer(t, potential.coeffs))
     x1, x2, x3 = data[:, 1:4].T
     data[:, 9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
-    return Trajectory(data, None, 0, 0.0, 0.0)
+    return Trajectory(rows, None, 0, 0.0, 0.0)
 
 
 def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
@@ -429,6 +455,8 @@ def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
     onto the union of the two time grids restricted to the overlap, and the
     maximum Euclidean distance over that grid is returned.
     """
+    import numpy as np
+
     ta, tb = closed_loop.t, reference.t
     if ta[0] != 0.0 or tb[0] != 0.0:
         raise ValueError("both trajectories must start at t = 0")
@@ -450,6 +478,8 @@ def convergence_order(eps, deviations) -> float:
     Lie-bracket approximations track their averaged system to O(sqrt(eps)),
     so a refinement study should fit a slope near 0.5.
     """
+    import numpy as np
+
     eps = np.asarray(eps, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if eps.size < 2 or eps.shape != deviations.shape:

@@ -25,8 +25,20 @@ import numpy as np
 
 from gradflow import admissibility
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import _real_vector, as_state
+from gradflow.kinematics import as_state
 from gradflow.potential import Potential
+
+
+def _real_vector(x, n: int, what: str) -> np.ndarray:
+    """`x` as a finite float64 vector of shape (n,); str and bool components raise."""
+    if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+        raise ValueError(f"{what} components must be numbers, not strings or bools: {x!r}")
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} components must be finite")
+    return arr
 
 
 def as_control(u) -> np.ndarray:

@@ -164,34 +164,62 @@ def test_criterion_5_scale_invariance():
            f"|J[3V] - J[V]| = {diff:.2e} (tol 0.001)")
 
 
+def v_falls_every_period(traj, cfg) -> bool:
+    """Whether V at t = 0, eps, 2 eps, ... is strictly below the value before, until
+    the goal: the sampling loop's decrease, where the amplitudes are refreshed.
+
+    Every update is logged (log_every = 1), so row k*eps/control_period is at k*eps.
+    """
+    assert cfg.log_every == 1
+    v = traj.potential_values[::round(cfg.controller.epsilon / cfg.control_period)]
+    return len(v) > 1 and bool(np.all(np.diff(v) < 0))
+
+
 def test_criterion_6_preset_convergence():
     details = []
     ok = True
     for name in ("P1", "P2", "P3", "P4"):
         for mode in ("continuous", "sampling"):
             t0 = time.perf_counter()
-            traj = simulate(preset_sim_config(name, loop_mode=mode, bounds_mode="ideal"))
+            cfg = preset_sim_config(name, loop_mode=mode, bounds_mode="ideal")
+            traj = simulate(cfg)
             elapsed = time.perf_counter() - t0
             v_drop = traj.potential_values[-1] < traj.potential_values[0]
             run_ok = (traj.terminated == TERMINATED_GOAL
                       and traj.convergence_time < 600.0
                       and v_drop and elapsed <= 120.0)
+            if mode == "sampling":
+                run_ok = run_ok and v_falls_every_period(traj, cfg)
             ok = ok and run_ok
             details.append(f"{name}/{mode}/ideal t={traj.convergence_time:.1f}s")
 
             t0 = time.perf_counter()
-            clamped = simulate(preset_sim_config(name, loop_mode=mode, bounds_mode="clamp"))
+            cfg = preset_sim_config(name, loop_mode=mode, bounds_mode="clamp")
+            clamped = simulate(cfg)
             elapsed = time.perf_counter() - t0
             planar = float(np.hypot(clamped.final_state[0], clamped.final_state[1]))
             max_u1 = float(np.abs(clamped.data[:, 4]).max())
             max_u2 = float(np.abs(clamped.data[:, 5]).max())
             run_ok = (planar < 0.1 and max_u1 <= 0.22 and max_u2 <= 2.84
                       and elapsed <= 120.0)
+            if mode == "sampling":
+                run_ok = run_ok and v_falls_every_period(clamped, cfg)
             ok = ok and run_ok
             details.append(
                 f"{name}/{mode}/clamp planar={planar:.3f} sat={clamped.saturation_count}"
             )
     report("criterion 6 (preset convergence at desk scale)", ok, "; ".join(details))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_criterion_6_sampling_decrease_at_smaller_eps(eps):
+    # 2,000 updates per eps, as refine runs; P1 ideal converges in about 26 s
+    cfg = preset_sim_config("P1", loop_mode="sampling", bounds_mode="ideal", epsilon=eps,
+                            control_period=eps / 2000)
+    traj = simulate(cfg)
+    ok = traj.terminated == TERMINATED_GOAL and v_falls_every_period(traj, cfg)
+    report(f"criterion 6 (sampling decreases V every period, eps {eps})", ok,
+           f"t={traj.convergence_time}s")
 
 
 REFINE_EPS = (0.5, 0.1, 0.02)

@@ -262,6 +262,73 @@ class TestKernelReport:
         assert fallback == summary and fallback_csv == csv
 
 
+def child(code: str, cwd) -> list:
+    """The JSON lines that `code` prints in a fresh interpreter with the package on its path."""
+    package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=package_root),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+class TestNumpyFree:
+    """No module imports numpy at import time, and simulate, with or without
+    the library, never imports it; the other commands import it when they run."""
+
+    @pytest.mark.parametrize("module", ["gradflow", "gradflow.cli"])
+    def test_import(self, tmp_path, module):
+        assert child(f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))",
+                     tmp_path) == [False]
+
+    def test_simulate(self, tmp_path):
+        runs = {}
+        for loop in ("c", "python"):
+            code = (
+                "import json, sys\n"
+                "from gradflow import _kernels\n"
+                "from gradflow.cli import main\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if loop == "python" else "")
+                + "code = main(['simulate', '--preset', 'P1', '--t-max', '10', '--out', "
+                f"'{loop}.csv'])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            )
+            summary, result = child(code, tmp_path)
+            assert result == [0, False]
+            assert summary["kernel"] == summary["csv_writer"] == loop
+            runs[loop] = (tmp_path / f"{loop}.csv").read_bytes()
+        assert runs["c"] == runs["python"]
+
+    def test_other_commands_print_their_summaries(self, tmp_path):
+        commands = [
+            ["simulate", "--preset", "P1", "--t-max", "1", "--out", "s.csv"],
+            ["plot", "s.csv"],
+            ["gradient-flow", "--v-alpha", "1", "--t-max", "1", "--out", "gf.csv"],
+            ["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "0.5"],
+            ["admissibility", "--quadratic", "1,1,1", "--grid-n", "10"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from gradflow.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    print(json.dumps([main(argv), 'numpy' in sys.modules]))\n"
+        )
+        lines = child(code, tmp_path)
+        summaries, results = lines[::2], lines[1::2]
+        assert results == [[0, False], [0, True], [0, True], [0, True], [0, True]]
+        assert [sorted(s) for s in summaries[1:]] == [
+            ["out", "parser", "rows"],
+            ["V_end", "csv", "csv_writer", "final_state", "rows"],
+            ["csv", "deviations", "eps", "kernel", "loop_mode", "non_increasing", "slope",
+             "window"],
+            ["cells", "csv", "q"],
+        ]
+        assert summaries[1]["rows"] == summaries[0]["rows"] == 2001
+        assert summaries[2]["rows"] == 1001
+        assert summaries[3]["non_increasing"] is True
+        assert summaries[4]["cells"][0]["points"] == 1000
+
+
 class TestAdmissibilityCommand:
     def test_quadratic_cell(self, capsys, tmp_path):
         out = tmp_path / "cell.csv"

@@ -143,9 +143,9 @@ class TestNoCoercion:
             as_control(u)
 
     def test_numbers_accepted(self):
-        assert as_state([1, np.int32(2), np.float64(3.0)]).tolist() == [1.0, 2.0, 3.0]
-        x = np.array([0.5, -0.5, 0.25])
-        assert as_state(x) is x
+        state = as_state([1, np.int32(2), np.float64(3.0)])
+        assert state == (1.0, 2.0, 3.0) and all(type(v) is float for v in state)
+        assert as_state(np.array([0.5, -0.5, 0.25])) == (0.5, -0.5, 0.25)
         assert as_control((0.1, 2)).tolist() == [0.1, 2.0]
 
     def test_sim_config_string_x0(self):

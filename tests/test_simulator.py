@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from array import array
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -67,9 +68,15 @@ def short_config(loop_mode="continuous", bounds=IDEAL, potential=None, t_max=2.0
     )
 
 
+def as_rows(data) -> array:
+    """The rows of the 2-D array `data` as the array('d') a Trajectory holds."""
+    return array("d", np.ascontiguousarray(data, dtype=np.float64).tobytes())
+
+
 def logged(data):
-    """A horizon-terminated Trajectory of `data` with zero run counts."""
-    return Trajectory(data, None, 0, 0.0, 0.0)
+    """A horizon-terminated Trajectory of the rows of the 2-D array `data`,
+    with zero run counts."""
+    return Trajectory(as_rows(data), None, 0, 0.0, 0.0)
 
 
 class TestSimConfigValidation:
@@ -1224,7 +1231,7 @@ class TestCompiledParser:
         def refuse(shape, *args, **kwargs):
             raise MemoryError(f"cannot map {shape}")
 
-        monkeypatch.setattr(simulator.np, "empty", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
         data = load_trajectory_csv(path)
         assert simulator.last_csv_parser == "numpy"
         assert data.tobytes() == expected.tobytes()
@@ -1246,7 +1253,7 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         assert traj.save_csv(tmp_path / "p1.csv") == "c"
         with open(tmp_path / "loop.csv", "wb") as f:
             f.write(CSV_HEADER.encode() + b"\n")
-            simulator.write_rows(f, traj.data)
+            simulator.write_rows(f, traj.rows)
         assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_round_trip(self, tmp_path):
@@ -1304,17 +1311,33 @@ class TestValueTypes:
 
 class TestTrajectory:
     def test_freezes_a_view_not_the_callers_array(self):
-        a = np.zeros((3, len(TRAJECTORY_COLUMNS)))
-        traj = logged(a)
-        a[0, 0] = 1.0
-        assert traj.data[0, 0] == 1.0  # a view of the caller's rows, not a copy
+        rows = as_rows(np.random.default_rng(5).normal(size=(3, len(TRAJECTORY_COLUMNS))))
+        traj = Trajectory(rows, None, 0, 0.0, 0.0)
+        assert traj.rows is rows
+        assert traj.data.shape == (3, len(TRAJECTORY_COLUMNS))
+        assert traj.data.tobytes() == rows.tobytes()
+        assert traj.data is traj.data  # made once
         with pytest.raises(ValueError, match="read-only"):
             traj.data[0, 0] = 2.0
+        rows[0] = 1.0
+        assert traj.data[0, 0] == 1.0  # a view of the rows, not a copy
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param(np.zeros((2, len(TRAJECTORY_COLUMNS))), id="ndarray"),
+        pytest.param([0.0] * len(TRAJECTORY_COLUMNS), id="list"),
+        pytest.param(array("f", [0.0] * len(TRAJECTORY_COLUMNS)), id="typecode-f"),
+        pytest.param(array("d", [0.0] * (len(TRAJECTORY_COLUMNS) + 1)), id="12-values"),
+        pytest.param(array("d", [0.0] * (len(TRAJECTORY_COLUMNS) - 1)), id="10-values"),
+        pytest.param(array("d"), id="no-rows"),
+    ])
+    def test_rejects_rows_that_are_not_whole_float_rows(self, rows):
+        with pytest.raises(ValueError, match="array|columns|row"):
+            Trajectory(rows, None, 0, 0.0, 0.0)
 
     def test_terminated_follows_convergence_time(self):
-        data = np.zeros((2, len(TRAJECTORY_COLUMNS)))
-        assert Trajectory(data, None, 0, 0.0, 0.0).terminated == TERMINATED_HORIZON
-        assert Trajectory(data, 0.5, 0, 0.0, 0.0).terminated == TERMINATED_GOAL
+        rows = array("d", [0.0] * 2 * len(TRAJECTORY_COLUMNS))
+        assert Trajectory(rows, None, 0, 0.0, 0.0).terminated == TERMINATED_HORIZON
+        assert Trajectory(rows, 0.5, 0, 0.0, 0.0).terminated == TERMINATED_GOAL
         # the status is derived, so it cannot be passed to disagree with the time
         with pytest.raises(TypeError):
-            Trajectory(data, TERMINATED_GOAL, None, 0, 0.0, 0.0)
+            Trajectory(rows, TERMINATED_GOAL, None, 0, 0.0, 0.0)
