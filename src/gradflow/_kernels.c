@@ -143,9 +143,10 @@ int64_t closed_loop(const double *p, int64_t *n, double *s, double *rows,
 /* parse_rows reads the whole lines of buf[0:len], each `width` fields of
    the writer's grammar -?D+(.D+)?(e[+-]D+)? split by ',' and ended by '\n',
    into `out`, row after row, at most `capacity` rows. It returns how many
-   it parsed and sets *used to the bytes they took, or returns -1 at the
-   first line outside that grammar or with a non-finite value, for the
-   caller to parse the file with np.loadtxt instead. A partial last line is
+   it parsed and sets *used to the bytes they took. At the first line
+   outside that grammar or with a non-finite value it returns -1 - n
+   instead, n the rows parsed before that line, and sets *used to the
+   line's start, so that the caller can name it. A partial last line is
    left for the next call.
 
    Each value is correctly rounded, as np.loadtxt's are. A significand of at
@@ -218,11 +219,14 @@ int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
     while (len > 0 && buf[len - 1] != '\n')
         len--;
     for (; rows < capacity && p < buf + len; rows++) {
+        const char *line = p;
         double *row = out + width * rows;
         for (int64_t j = 0; j < width; j++) {
             p = parse_field(p, j + 1 < width ? ',' : '\n', row + j);
-            if (p == NULL)
-                return -1;
+            if (p == NULL) {
+                *used = line - buf;
+                return -1 - rows;
+            }
         }
     }
     *used = p - buf;

@@ -12,8 +12,9 @@ arguments and value, bit for bit. `simulator.simulate` runs every run, in
 both loop modes, in the C loop; where the library cannot be built or loaded,
 it runs `closed_loop`, which is also the C loop's bitwise oracle. `kernel`
 names the one that runs. Its `parse_rows` parses the trajectory CSV's rows
-for `simulator.load_trajectory_csv`, which uses np.loadtxt without it, and
-its `format_rows` writes them for `simulator.Trajectory.save_csv`, which uses
+for `simulator.load_trajectory_csv`, which uses `simulator._parse_python`, a
+line-by-line reader of the same grammar, without it, and its `format_rows`
+writes them for `simulator.Trajectory.save_csv`, which uses
 `simulator.write_rows`, Python's % on the same template, without it.
 
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
@@ -196,8 +197,8 @@ def compiled_loop():
     the package's __pycache__, under a name that carries a hash of the source
     and the flags, and then loaded from there. If it cannot be built or
     loaded, the reason goes to stderr and None comes back: `simulate` runs
-    `closed_loop`, `load_trajectory_csv` np.loadtxt and `save_csv`
-    `simulator.write_rows`.
+    `closed_loop`, `load_trajectory_csv` `simulator._parse_python` and
+    `save_csv` `simulator.write_rows`.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -211,8 +212,8 @@ def compiled_loop():
             _build(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        print("gradflow: running the Python closed loop, np.loadtxt and the Python "
-              f"CSV writer: {exc}", file=sys.stderr)
+        print("gradflow: running the Python closed loop, CSV reader and CSV writer: "
+              f"{exc}", file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
     c_int64_p = ctypes.POINTER(ctypes.c_int64)

@@ -23,6 +23,15 @@ sqrt(|a12|), and where a12 != 0 the field is
 
 with no f1 component: the a1 f1 drift cancels.
 
+On the x1 axis (x2 = x3 = 0) with c1 = c2, the sampling field is
+-gamma grad V, along which V falls at -gamma |grad V|^2, and the continuous
+field is 0. Measured for P1 with ideal bounds: at epsilon 0.5 and 2,000
+updates per epsilon, sampling mode reaches the goal at 26.23 s, and
+continuous mode drifts out along the x1 axis to x1 = -0.609 and reaches
+none in 400 s. At epsilon 1, continuous mode reaches it at 141.66 s with
+2,000 updates per epsilon and at 88.53 s with 8,000; sampling mode's time
+moves by under 0.01 s.
+
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its
 clamp, in the one closed loop: compiled from `_kernels.c`, or

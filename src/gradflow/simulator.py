@@ -26,10 +26,9 @@ simulate and its CSV need none, so a `simulate` process never loads it.
 
 import ctypes
 import functools
-import itertools
 import math
 import os
-import warnings
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -43,12 +42,15 @@ CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
 CSV_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS)) + "\n"  # %-template of one row
 CSV_CHUNK_ROWS = 1024  # rows per format_rows call or %-operation in save_csv
 
-# bytes per read of the compiled CSV parser; a row of the writer's format
-# takes at least two bytes a field, as in "0,"
+# one field of the trajectory CSV's grammar, which the writer's "%.9g" keeps to
+_FIELD = rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
+# bytes per read of the compiled CSV parser, and so the longest line that
+# either parser reads; a row of the writer's format takes at least two bytes
+# a field, as in "0,"
 CSV_READ_BYTES = 1 << 20
 _MIN_ROW_BYTES = 2 * len(TRAJECTORY_COLUMNS)
 # the parser that read the last trajectory CSV: "c", the compiled library's
-# parse_rows, or "numpy", np.loadtxt; plot's summary names it
+# parse_rows, or "python", _parse_python; plot's summary names it
 last_csv_parser = None
 
 TERMINATED_GOAL = "goal_reached"
@@ -186,124 +188,119 @@ def write_rows(f, rows: array) -> None:
 
 
 def load_trajectory_csv(path):
-    """Parse a trajectory CSV into a (rows, 11) ndarray, validating the header and values.
+    """Parse a trajectory CSV in the writer's grammar into a writable (rows, 11) ndarray.
 
-    The compiled parser (`_parse_compiled`) reads a file in the writer's
-    format; any other file, or every file where the library cannot be built
-    or loaded, goes to np.loadtxt (`_loadtxt`). Both give the same array, bit
-    for bit, and the same errors. `last_csv_parser` names the one that ran.
+    The grammar: the line CSV_HEADER, then at least one line of 11 finite
+    fields _FIELD split by "," and ended by LF, of at most CSV_READ_BYTES.
+    The header is checked here, and `_parse_compiled` reads the rest, or
+    `_parse_python` where it cannot run. Both give the same bits, and refuse
+    the first line outside the grammar with `_check_line`'s ValueError.
+    `last_csv_parser` names the one that ran.
     """
     global last_csv_parser
+    header = (CSV_HEADER + "\n").encode()
     lib = _kernels.compiled_loop()
-    data = _parse_compiled(lib, path) if lib else None
-    if data is not None:
-        last_csv_parser = "c"
-        return data
-    last_csv_parser = "numpy"
-    return _loadtxt(path)
+    with open(path, "rb") as f:
+        first = f.readline(CSV_READ_BYTES)
+        if first != header:
+            first = first.decode(errors="replace")
+            raise ValueError(f"unexpected trajectory header: {first!r}")
+        data = _parse_compiled(lib, f) if lib else None
+        last_csv_parser = "c" if data is not None else "python"
+        if data is None:
+            data = _parse_python(f)
+    if data.shape[0] == 0:
+        raise ValueError("trajectory CSV has no data rows")
+    return data
 
 
-def _parse_compiled(lib, path):
-    """The rows of `path` parsed by the library's parse_rows, or None.
+def _parse_compiled(lib, f):
+    """The rows of the binary file f past its header, parsed by the library's
+    parse_rows; None where the host will not map their array.
 
-    None stands for a file outside the writer's format: another header, a
-    line that is not 11 fields of -?D+(.D+)?(e[+-]D+)? ended by LF (so also a
-    blank line, CRLF or a missing final newline), a non-finite value, or no
-    rows. The file is read CSV_READ_BYTES at a time into one reused buffer,
-    a partial last line moved to its front, and the rows go straight into
-    one array sized for the shortest possible rows, then cut to those parsed;
-    the pages it never writes are never touched. None also stands for a
-    host that will not map that array at all.
+    The file is read CSV_READ_BYTES at a time into one reused buffer, a
+    partial last line moved to its front, and the rows go straight into one
+    array sized for the shortest possible rows, then cut to those parsed;
+    the pages it never writes are never touched. A refused line, a partial
+    last line or one longer than the buffer is read back for `_check_line`:
+    it is line rows + 2, as every line before it is a row.
     """
     import numpy as np
 
-    header = (CSV_HEADER + "\n").encode()
     width = len(TRAJECTORY_COLUMNS)
-    buf = bytearray(max(CSV_READ_BYTES, len(header)))
+    capacity = os.fstat(f.fileno()).st_size // _MIN_ROW_BYTES + 1
+    try:
+        data = np.empty((capacity, width))
+    except MemoryError:
+        # 4 bytes per file byte, mostly never touched; where the host will
+        # not map that much (a tight address-space limit), _parse_python's
+        # growing array fits
+        return None
+    buf = bytearray(CSV_READ_BYTES)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     used = ctypes.c_int64()
-    with open(path, "rb", buffering=0) as f:
-        capacity = os.fstat(f.fileno()).st_size // _MIN_ROW_BYTES + 1
-        try:
-            data = np.empty((capacity, width))
-        except MemoryError:
-            # 4 bytes per file byte, mostly never touched; where the host will
-            # not map that much (a tight address-space limit), np.loadtxt fits
-            return None
-        filled = f.readinto(buf)
-        if buf[:len(header)] != header:
-            return None
-        start, rows = len(header), 0
-        while True:
-            n = lib.parse_rows(addr + start, filled - start, width,
-                               data.ctypes.data + 8 * width * rows, capacity - rows,
-                               ctypes.byref(used))
-            if n < 0:
-                return None
-            rows += n
-            rest = filled - start - used.value
-            ctypes.memmove(addr, addr + start + used.value, rest)
-            got = f.readinto(memoryview(buf)[rest:])
-            if not got:
-                break
-            filled, start = rest + got, 0
-    if rest or rows == 0:  # a partial last line, or no rows
-        return None
-    data.resize((rows, width), refcheck=False)  # shrinks in place: no view exists
-    return data
+    offset, rows, rest = f.tell(), 0, 0  # offset: the file offset of buf[0]
+    while got := f.readinto(memoryview(buf)[rest:]):
+        n = lib.parse_rows(addr, rest + got, width, data.ctypes.data + 8 * width * rows,
+                           capacity - rows, ctypes.byref(used))
+        offset += used.value
+        if n < 0:  # -1 - the rows before the refused line, which starts at *used
+            rows += -1 - n
+            break
+        rows += n
+        rest += got - used.value
+        ctypes.memmove(addr, addr + used.value, rest)
+    else:
+        if not rest:  # every line whole and parsed
+            data.resize((rows, width), refcheck=False)  # shrinks in place: no view exists
+            return data
+    f.seek(offset)
+    _check_line(f.readline(CSV_READ_BYTES + 1), rows + 2)  # raises
 
 
-def _loadtxt(path):
-    """load_trajectory_csv's parse with np.loadtxt, for any file."""
+def _parse_python(f):
+    """`_parse_compiled`'s twin, line by line: a line that matches the grammar
+    goes through float(), correctly rounded as parse_rows is, into a growing
+    array('d'); the first that does not, or holds an overflow, goes to
+    `_check_line`."""
     import numpy as np
 
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").rstrip("\r")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected trajectory header: {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported as a ValueError below, not a warning
-                warnings.simplefilter("ignore", UserWarning)
-                # the writer never emits "#", so a "#" is malformed, not a comment
-                data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            # np.loadtxt counts rows its own way; name the file's line instead
-            raise ValueError(f"malformed trajectory CSV: {_bad_line(path) or exc}") from exc
-    if data.size == 0:
-        raise ValueError("trajectory CSV has no data rows")
-    if data.shape[1] != len(TRAJECTORY_COLUMNS):
-        raise ValueError(f"expected {len(TRAJECTORY_COLUMNS)} columns, got {data.shape[1]}")
-    # the writer logs no non-finite value (the _kernels row rule), so one is malformed
-    if not np.isfinite(data).all():
-        raise ValueError(f"malformed trajectory CSV: {_bad_line(path)}")
-    return data
+    match = re.compile(b",".join([_FIELD] * len(TRAJECTORY_COLUMNS)) + b"\n").fullmatch
+    rows = array("d")
+    # at most CSV_READ_BYTES + 1 bytes a line: a longer line is never held whole
+    lines = iter(functools.partial(f.readline, CSV_READ_BYTES + 1), b"")
+    for number, line in enumerate(lines, start=2):
+        values = (len(line) <= CSV_READ_BYTES and match(line)
+                  and tuple(map(float, line.split(b","))))
+        if not values or math.inf in values or -math.inf in values:
+            _check_line(line, number)
+        rows.extend(values)
+    return np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
 
 
-def _bad_line(path) -> str | None:
-    """What is wrong with the first malformed data line of `path`, and its number.
+def _check_line(line: bytes, number: int) -> None:
+    """Raise the ValueError that names line `number` (the header is 1) of a
+    trajectory CSV, the bytes `line`, and the first reason it is outside the
+    grammar: its length, field count, a field's syntax or value, its LF."""
+    def refuse(reason):
+        raise ValueError(f"malformed trajectory CSV: {reason} on line {number}")
 
-    A line is malformed if it does not hold 11 fields, or holds one that
-    float() does not read, that has an underscore, which float() reads and
-    np.loadtxt does not, or that is not finite. Blank lines are skipped, as
-    np.loadtxt skips them; the header is line 1. None if no line is malformed.
-    """
     width = len(TRAJECTORY_COLUMNS)
-    with open(path, "r", encoding="utf-8") as f:
-        for number, line in enumerate(itertools.islice(f, 1, None), start=2):
-            if line == "\n":
-                continue
-            fields = line.removesuffix("\n").split(",")
-            if len(fields) != width:
-                return f"expected {width} fields, got {len(fields)} on line {number}"
-            for column, field in enumerate(fields, start=1):
-                try:
-                    value = float(field.replace("_", "x"))
-                except ValueError:
-                    return f"could not convert {field!r} in column {column} on line {number}"
-                if not math.isfinite(value):
-                    return f"non-finite value on line {number}"
-    return None
+    if len(line) > CSV_READ_BYTES:
+        refuse(f"more than {CSV_READ_BYTES} bytes")
+    fields = line.removesuffix(b"\n").split(b",")
+    if len(fields) != width:
+        refuse(f"expected {width} fields, got {len(fields)}")
+    for column, field in enumerate(fields, start=1):
+        try:  # nan, inf or an overflow, in the grammar or not
+            finite = math.isfinite(float(field))
+        except ValueError:
+            finite = True
+        if not finite:
+            refuse("non-finite value")
+        if not re.fullmatch(_FIELD, field):
+            refuse(f"could not convert {field.decode(errors='replace')!r} in column {column}")
+    refuse("no final newline")
 
 
 def _multiple_of(value: float, base: float) -> int | None:

@@ -25,14 +25,17 @@ from gradflow import (
     tracking_deviation,
 )
 from gradflow.presets import PRESETS
-from gradflow.simulator import SimConfig, TERMINATED_GOAL
+from gradflow.simulator import SimConfig, TERMINATED_GOAL, TERMINATED_HORIZON
 from helpers import preset_sim_config
 from oracles import (
+    averaged_field,
+    continuous_averaged_field,
     control_value,
     frame_inverse,
     frame_matrix,
     integrand_rho,
     lie_bracket,
+    potential_gradient,
     rho_bruteforce,
     semi_analytic_j,
     vector_fields,
@@ -220,6 +223,54 @@ def test_criterion_6_sampling_decrease_at_smaller_eps(eps):
     ok = traj.terminated == TERMINATED_GOAL and v_falls_every_period(traj, cfg)
     report(f"criterion 6 (sampling decreases V every period, eps {eps})", ok,
            f"t={traj.convergence_time}s")
+
+
+def test_criterion_6_continuous_field_on_the_x1_axis():
+    # for c1 = c2 the continuous field vanishes on the x1 axis, a continuum of
+    # equilibria; the sampling field decreases V there at -gamma |grad V|^2
+    potential, gamma, x = make_v_alpha(1.0), 0.05, (0.3, 0.0, 0.0)
+    g = potential_gradient(potential, x)
+    continuous = continuous_averaged_field(potential, gamma, x)
+    dv_sampling = float(averaged_field(potential, gamma, x) @ g)
+    ok = (np.array_equal(continuous, np.zeros(3))
+          and dv_sampling == pytest.approx(-gamma * float(g @ g), rel=1e-15))
+    report("criterion 6 (the two averaged fields on the x1 axis)", ok,
+           f"continuous field {continuous.tolist()}, sampling dV/dt {dv_sampling:.4g}")
+
+
+def test_criterion_6_continuous_mode_stalls_at_eps_half():
+    # P1 ideal, eps 0.5 at 2,000 updates per eps: sampling reaches the goal at
+    # 26.23 s; continuous drifts out along the x1 axis to x1 = -0.609 and
+    # reaches no goal in 400 s
+    settings = dict(bounds_mode="ideal", epsilon=0.5, control_period=0.5 / 2000, t_max=400.0,
+                    log_every=2000)
+    continuous = simulate(preset_sim_config("P1", loop_mode="continuous", **settings))
+    sampling = simulate(preset_sim_config("P1", loop_mode="sampling", **settings))
+    x1, x2, _ = continuous.final_state.tolist()
+    ok = (continuous.terminated == TERMINATED_HORIZON and -0.615 < x1 < -0.6 and abs(x2) < 1e-4
+          and sampling.terminated == TERMINATED_GOAL
+          and abs(sampling.convergence_time - 26.23) < 0.05)
+    report("criterion 6 (continuous mode stalls at eps 0.5)", ok,
+           f"continuous {continuous.terminated} at x1={x1:.4f}, x2={x2:.1e}; "
+           f"sampling t={sampling.convergence_time}s")
+
+
+def test_criterion_6_continuous_convergence_time_moves_with_the_hold():
+    # P1 ideal, eps 1: continuous mode reaches the goal at 141.66 s with 2,000
+    # updates per eps and at 88.53 s with 8,000; sampling mode at 27.005 and
+    # 27.00475 s
+    def goal_time(mode, n):
+        cfg = preset_sim_config("P1", loop_mode=mode, bounds_mode="ideal",
+                                control_period=1.0 / n, log_every=n)
+        return simulate(cfg).convergence_time
+
+    continuous = [goal_time("continuous", n) for n in (2000, 8000)]
+    sampling = [goal_time("sampling", n) for n in (2000, 8000)]
+    ok = (None not in continuous + sampling and abs(continuous[0] - 141.66) < 0.05
+          and abs(continuous[1] - 88.53) < 0.05 and abs(sampling[0] - sampling[1]) < 0.01)
+    report("criterion 6 (the continuous convergence time moves with the hold)", ok,
+           f"continuous t={continuous[0]}s at 2,000 updates per eps, {continuous[1]}s at "
+           f"8,000; sampling t={sampling[0]}s and {sampling[1]}s")
 
 
 REFINE_EPS = (0.5, 0.1, 0.02)

@@ -602,7 +602,7 @@ class TestPlotCommand:
         assert not (tmp_path / "bad.svg").exists()
 
     def test_non_finite_value_after_blank_lines_names_its_file_line(self, capsys, tmp_path):
-        # np.loadtxt skips the blank lines 3 and 4; the message still names line 5
+        # the blank line 3 comes first, and is refused
         bad = tmp_path / "blank.csv"
         row = ",".join(["0"] * 11)
         bad.write_text(f"{CSV_HEADER}\n{row}\n\n\n0.1,nan,0,0,0,0,0,0,0,0,0\n{row}\n")
@@ -610,13 +610,25 @@ class TestPlotCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.strip().endswith(
-            "malformed trajectory CSV: non-finite value on line 5")
+            "malformed trajectory CSV: expected 11 fields, got 1 on line 3")
+
+    def test_crlf_copy_exit_2(self, capsys, tmp_path):
+        # CRLF is outside the writer's grammar: the header, line 1, is refused
+        csv_path, _ = self.make_csv(capsys, tmp_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+        code = main(["plot", str(crlf)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unexpected trajectory header" in captured.err
+        assert not (tmp_path / "crlf.svg").exists()
 
 
 class TestPlotCommandWithoutLibrary(TestPlotCommand):
-    """The same commands where the library cannot be built: np.loadtxt parses."""
+    """The same commands where the library cannot be built: _parse_python parses."""
 
-    PARSER = "numpy"
+    PARSER = "python"
 
     @pytest.fixture(autouse=True)
     def _no_library(self, monkeypatch):

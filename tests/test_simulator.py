@@ -642,8 +642,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert ("gradflow: running the Python closed loop, np.loadtxt and the Python CSV "
-                "writer: cc exited with status" in captured.err)
+        assert ("gradflow: running the Python closed loop, CSV reader and CSV writer: "
+                "cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -1030,12 +1030,12 @@ class TestCsvOneCore(InOneProcess):
 
 
 class LoaderRejects:
-    """load_trajectory_csv on files outside the writer's format: today's errors,
-    or np.loadtxt's array for syntax that only np.loadtxt reads.
+    """load_trajectory_csv on files outside the writer's grammar: a ValueError
+    that names the file line and what is wrong with it.
 
     `parser` says what load_trajectory_csv may use: "c" runs it with the
-    compiled library, which declines each of these files, and "numpy" with
-    the library forced to None.
+    compiled library, and "python" with the library forced to None, so
+    `_parse_python` reads the file.
     """
 
     parser = "c"
@@ -1043,7 +1043,7 @@ class LoaderRejects:
 
     def load(self, path):
         with pytest.MonkeyPatch.context() as mp:
-            if self.parser == "numpy":
+            if self.parser == "python":
                 mp.setattr(_kernels, "compiled_loop", lambda: None)
             else:
                 assert _kernels.compiled_loop() is not None
@@ -1075,7 +1075,6 @@ class LoaderRejects:
             self.load(path)
 
     def test_loader_names_the_line_of_a_short_row(self, tmp_path):
-        # np.loadtxt says "at row 3" here
         path = tmp_path / "short.csv"
         path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n0,1\n{self.ROW}\n")
         with pytest.raises(ValueError, match="^malformed trajectory CSV: expected 11 fields, "
@@ -1083,60 +1082,110 @@ class LoaderRejects:
             self.load(path)
 
     def test_loader_names_the_line_of_a_bad_number_after_blank_lines(self, tmp_path):
-        # np.loadtxt skips the blank lines 4 and 5 and says "at row 2, column 2"
+        # a blank line is a line of one empty field: the first one is refused
         path = tmp_path / "zero.csv"
         path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n\n\n0,zero{self.ROW[3:]}\n")
-        with pytest.raises(ValueError, match="^malformed trajectory CSV: could not convert "
-                                             "'zero' in column 2 on line 6$"):
+        with pytest.raises(ValueError, match="^malformed trajectory CSV: expected 11 fields, "
+                                             "got 1 on line 4$"):
             self.load(path)
 
     @pytest.mark.parametrize("value", ["1e+999", "-1e+400"])
     def test_loader_rejects_a_value_that_overflows(self, tmp_path, value):
-        # in the writer's grammar, but no double: strtod's inf is np.loadtxt's
+        # in the writer's grammar, but no double: it reads as an infinity
         path = tmp_path / "overflow.csv"
         path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{value}{self.ROW[1:]}\n")
         with pytest.raises(ValueError, match="non-finite value on line 3$"):
             self.load(path)
 
-    @pytest.mark.parametrize("body", [
-        pytest.param("{row}\r\n{row}\r\n", id="crlf"),
-        pytest.param("{row}\n1E5{tail}\n", id="upper-case-exponent"),
-        pytest.param("{row}\n+1{tail}\n", id="plus-sign"),
-        pytest.param("{row}\n.5{tail}\n", id="no-integer-digits"),
-        pytest.param("{row}\n5.{tail}\n", id="no-fraction-digits"),
-        pytest.param("{row}\n1e5{tail}\n", id="unsigned-exponent"),
-        pytest.param("{row}\n 1{tail}\n", id="space"),
-        pytest.param("{row}\n{row}", id="no-final-newline"),
-        pytest.param("{row}\n\n{row}\n\n", id="blank-lines"),
+    # syntax that np.loadtxt reads and the writer never writes: each is refused,
+    # with its line and the reason
+    @pytest.mark.parametrize("body, reason", [
+        pytest.param("{row}\r\n{row}\r\n", r"could not convert '0\\r' in column 11 on line 2",
+                     id="crlf"),
+        pytest.param("{row}\n1E5{tail}\n", "could not convert '1E5' in column 1 on line 3",
+                     id="upper-case-exponent"),
+        pytest.param("{row}\n+1{tail}\n", r"could not convert '\+1' in column 1 on line 3",
+                     id="plus-sign"),
+        pytest.param("{row}\n.5{tail}\n", r"could not convert '\.5' in column 1 on line 3",
+                     id="no-integer-digits"),
+        pytest.param("{row}\n5.{tail}\n", r"could not convert '5\.' in column 1 on line 3",
+                     id="no-fraction-digits"),
+        pytest.param("{row}\n1e5{tail}\n", "could not convert '1e5' in column 1 on line 3",
+                     id="unsigned-exponent"),
+        pytest.param("{row}\n 1{tail}\n", "could not convert ' 1' in column 1 on line 3",
+                     id="space"),
+        pytest.param("{row}\n{row}", "no final newline on line 3", id="no-final-newline"),
+        pytest.param("{row}\n\n{row}\n\n", "expected 11 fields, got 1 on line 3",
+                     id="blank-lines"),
     ])
-    def test_syntax_only_loadtxt_reads_loads_as_before(self, tmp_path, body):
+    def test_syntax_only_loadtxt_reads_loads_as_before(self, tmp_path, body, reason):
         path = tmp_path / "loose.csv"
         path.write_text(CSV_HEADER + "\n" + body.format(row=self.ROW, tail=self.ROW[1:]),
                         newline="")
-        data = self.load(path)
-        assert simulator.last_csv_parser == "numpy"
-        expected = simulator._loadtxt(path)
-        assert data.shape == expected.shape == (2, len(TRAJECTORY_COLUMNS))
-        assert data.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match=f"^malformed trajectory CSV: {reason}$"):
+            self.load(path)
+
+    def test_loader_names_a_line_longer_than_a_read(self, tmp_path, monkeypatch):
+        # every line but line 4 fits in CSV_READ_BYTES, and the refused line is
+        # named by its number whichever read it starts in
+        long_row = ",".join(["0.000000001"] * len(TRAJECTORY_COLUMNS))
+        path = tmp_path / "long.csv"
+        path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n{long_row}\n{self.ROW}\n")
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", len(long_row))
+        with pytest.raises(ValueError, match=f"^malformed trajectory CSV: more than "
+                                             f"{len(long_row)} bytes on line 4$"):
+            self.load(path)
+
+    @pytest.mark.parametrize("tail, reason", [
+        ("0,1\n", "expected 11 fields, got 2"),
+        ("{row}", "no final newline"),
+        ("nan{tail}\n", "non-finite value"),
+    ])
+    def test_loader_counts_the_lines_of_every_read(self, tmp_path, monkeypatch, tail, reason):
+        # 300 rows over many reads of 100 bytes, then the refused line 302
+        row = "0.5,-1.25e-07,3,0,0,0,0,0,0,0,1"
+        path = tmp_path / "many.csv"
+        path.write_text(f"{CSV_HEADER}\n" + f"{row}\n" * 300
+                        + tail.format(row=self.ROW, tail=self.ROW[1:]))
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 100)
+        with pytest.raises(ValueError, match=f"^malformed trajectory CSV: {reason} on line 302$"):
+            self.load(path)
 
 
 class TestCsvWithoutLibrary(CsvBytesEqual, LoaderRejects):
     """The writer and the parser where the library cannot be built: write_rows
-    and np.loadtxt."""
+    and _parse_python."""
 
     writer = "python"
-    parser = "numpy"
+    parser = "python"
     test_bytes_equal_savetxt = savetxt_property()
 
 
-def assert_parses_as_loadtxt(path):
-    """The compiled parser reads `path`, into np.loadtxt's array bit for bit."""
+def loadtxt(path):
+    """np.loadtxt's array of the rows of the trajectory CSV `path`: the bits
+    that both parsers must give."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+
+
+def load_without_library(path):
+    """load_trajectory_csv of `path` with the library forced to None: `_parse_python`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "compiled_loop", lambda: None)
+        data = load_trajectory_csv(path)
+    assert simulator.last_csv_parser == "python"
+    return data
+
+
+def assert_parses_as_loadtxt(path, twin=True):
+    """The compiled parser reads `path` into np.loadtxt's array bit for bit, and
+    so does its twin `_parse_python`, unless `twin` is False (a long file)."""
     data = load_trajectory_csv(path)
     assert simulator.last_csv_parser == "c"
-    expected = simulator._loadtxt(path)
-    assert data.shape == expected.shape and data.dtype == expected.dtype
-    assert data.flags.c_contiguous and data.flags.writeable
-    assert data.tobytes() == expected.tobytes()
+    expected = loadtxt(path)
+    for parsed in (data, load_without_library(path)) if twin else (data,):
+        assert parsed.shape == expected.shape and parsed.dtype == expected.dtype
+        assert parsed.flags.c_contiguous and parsed.flags.writeable
+        assert parsed.tobytes() == expected.tobytes()
     return data
 
 
@@ -1171,7 +1220,8 @@ PARSE_EDGE_VALUES = [
 
 
 class TestCompiledParser:
-    """The compiled parser reads the writer's format into np.loadtxt's array, bit for bit."""
+    """The compiled parser and its twin read the writer's format into np.loadtxt's
+    array, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False,
@@ -1211,7 +1261,7 @@ class TestCompiledParser:
         path = tmp_path / "p1.csv"
         traj = simulate(preset_sim_config("P1"))
         traj.save_csv(path)
-        data = assert_parses_as_loadtxt(path)
+        data = assert_parses_as_loadtxt(path, twin=False)
         assert data.shape == traj.data.shape
 
     @pytest.mark.parametrize("chunk", [150, 257, 1000, 4096])
@@ -1223,26 +1273,59 @@ class TestCompiledParser:
         monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
         assert_parses_as_loadtxt(path)
 
-    def test_an_array_the_host_will_not_map_goes_to_loadtxt(self, tmp_path, monkeypatch):
+    def test_an_array_the_host_will_not_map_goes_to_the_python_parser(self, tmp_path,
+                                                                     monkeypatch):
         path = tmp_path / "run.csv"
         simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
-        expected = simulator._loadtxt(path)
+        expected = loadtxt(path)
 
         def refuse(shape, *args, **kwargs):
             raise MemoryError(f"cannot map {shape}")
 
         monkeypatch.setattr(np, "empty", refuse)
         data = load_trajectory_csv(path)
-        assert simulator.last_csv_parser == "numpy"
-        assert data.tobytes() == expected.tobytes()
+        assert simulator.last_csv_parser == "python"
+        assert data.flags.writeable and data.tobytes() == expected.tobytes()
 
-    def test_a_line_longer_than_a_chunk_goes_to_loadtxt(self, tmp_path, monkeypatch):
+    def test_a_line_longer_than_a_chunk_is_refused_in_both_builds(self, tmp_path,
+                                                                 monkeypatch):
         path = tmp_path / "run.csv"
         simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
         monkeypatch.setattr(simulator, "CSV_READ_BYTES", 60)
-        data = load_trajectory_csv(path)
-        assert simulator.last_csv_parser == "numpy"
-        assert data.tobytes() == simulator._loadtxt(path).tobytes()
+        # the row at t = 0 fits in 60 bytes, the next does not
+        message = "^malformed trajectory CSV: more than 60 bytes on line 3$"
+        with pytest.raises(ValueError, match=message):
+            load_trajectory_csv(path)
+        with pytest.raises(ValueError, match=message):
+            load_without_library(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.sampled_from(PARSE_EDGE_VALUES),
+                                  min_size=len(TRAJECTORY_COLUMNS),
+                                  max_size=len(TRAJECTORY_COLUMNS)),
+                         min_size=1, max_size=4),
+           junk=st.sampled_from(["\r", "\n", ",", " ", "E", "+", ".", "e", "e+", "-", "_",
+                                 "#", "nan", "inf", "1e+999", "\xe9", ""]),
+           at=st.integers(0, 10 ** 6), cut=st.booleans(),
+           chunk=st.sampled_from([60, 150, 1 << 20]))
+    def test_both_builds_refuse_alike(self, tmp_path_factory, rows, junk, at, cut, chunk):
+        # a file of the grammar with junk put in, maybe without its last byte:
+        # both builds give the same array, or the same error
+        path = tmp_path_factory.mktemp("parse") / "rows.csv"
+        body = "".join(",".join(row) + "\n" for row in rows)
+        at %= len(body) + 1
+        body = body[:at] + junk + body[at:]
+        path.write_text(CSV_HEADER + "\n" + (body[:-1] if cut else body), newline="")
+
+        def outcome(load):
+            try:
+                return load(path).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CSV_READ_BYTES", chunk)
+            assert outcome(load_trajectory_csv) == outcome(load_without_library)
 
 
 class TestCsv(CsvBytesEqual, LoaderRejects):
