@@ -35,11 +35,11 @@ Neither loop, nor the library, nor this module needs numpy, and no module
 of the package imports it at import time. The functions that compute in
 numpy import it when they run: `simulator.integrate_gradient_flow`, which
 evaluates the gradient flow's closed form, `tracking_deviation`,
-`convergence_order`, the parse of `load_trajectory_csv` (into an ndarray),
-`Trajectory.data`, the admissibility quadrature in `gradflow.admissibility`
-and `plotting.render_trajectory_svg`. So a `simulate` process never loads
-numpy, and `admissibility`, `refine`, `gradient-flow` and `plot` load it when
-their command runs.
+`convergence_order`, `Trajectory.data` and the admissibility quadrature in
+`gradflow.admissibility`. `load_trajectory_csv` parses into a memoryview and
+`plotting.render_trajectory_svg` draws from plain floats. So a `simulate` or
+`plot` process never loads numpy, and `admissibility`, `refine` and
+`gradient-flow` load it when their command runs.
 """
 
 import ctypes

@@ -5,8 +5,13 @@ data (no timestamps, ids, or library version strings), so plots can be
 diffed and golden-tested. Three panels: planar path, states against time,
 controls against time.
 
-numpy is imported by the functions that use it, when they run.
+It computes on plain floats, point by point, so it imports no numpy: a
+`plot` process never loads it.
 """
+
+import math
+
+from gradflow.simulator import replacing
 
 PANEL_W = 420.0
 PANEL_H = 420.0
@@ -24,23 +29,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _limits(arr) -> tuple[float, float]:
-    lo, hi = float(arr.min()), float(arr.max())
+def _limits(values) -> tuple[float, float]:
+    lo, hi = float(min(values)), float(max(values))
     if lo == hi:
-        lo -= 1.0
-        hi += 1.0
+        # 1 either side; past 2^53, where 1 rounds away, one ulp, so that
+        # the panel still has a width to divide by
+        lo -= max(1.0, math.ulp(lo))
+        hi += max(1.0, math.ulp(hi))
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
 
-def _decimate(n: int):
-    import numpy as np
-
-    if n <= MAX_POLYLINE_POINTS:
-        return np.arange(n)
-    idx = np.arange(0, n, int(np.ceil(n / MAX_POLYLINE_POINTS)))
+def _decimate(n: int) -> list[int]:
+    """Every ceil(n / MAX_POLYLINE_POINTS)-th row index, and the last."""
+    idx = list(range(0, n, -(-n // MAX_POLYLINE_POINTS)))
     if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
+        idx.append(n - 1)
     return idx
 
 
@@ -83,18 +87,20 @@ class _Panel:
                 f'font-size="11" font-family="sans-serif">{_fmt(val)}</text>'
             )
 
-    def _map(self, xs, ys):
+    def _map(self, xs, ys) -> list[float]:
+        """The points (xs[i], ys[i]) in SVG coordinates, x and y interleaved."""
         x0, x1 = self.xlim
         y0, y1 = self.ylim
-        px = self.x0 + MARGIN + (xs - x0) / (x1 - x0) * (PANEL_W - 2 * MARGIN)
-        py = PANEL_H - MARGIN - (ys - y0) / (y1 - y0) * (PANEL_H - 2 * MARGIN)
-        return px, py
+        points = []
+        for x, y in zip(xs, ys):
+            points.append(self.x0 + MARGIN + (x - x0) / (x1 - x0) * (PANEL_W - 2 * MARGIN))
+            points.append(PANEL_H - MARGIN - (y - y0) / (y1 - y0) * (PANEL_H - 2 * MARGIN))
+        return points
 
     def polyline(self, xs, ys, color: str):
-        import numpy as np
-
-        px, py = self._map(np.asarray(xs), np.asarray(ys))
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        points = self._map(xs, ys)
+        # "%.6g" writes what _fmt does, in one operation for the whole line
+        pts = " ".join(["%.6g,%.6g"] * (len(points) // 2)) % tuple(points)
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
@@ -118,15 +124,17 @@ class _Panel:
 
 
 def render_trajectory_svg(data, path) -> None:
-    """Render a trajectory data ndarray (simulator column layout) to an SVG file."""
-    import numpy as np
+    """Render trajectory data (simulator column layout) to an SVG file.
 
+    data is a 2-D float64 memoryview, as `load_trajectory_csv` returns, or an
+    ndarray; either is read element by element. The file is written through
+    `simulator.replacing`, so a failed render leaves an existing `path` as
+    it was.
+    """
     if data.ndim != 2 or data.shape[1] < 6 or data.shape[0] < 1:
         raise ValueError("trajectory data must have rows and at least 6 columns")
     idx = _decimate(data.shape[0])
-    t = data[idx, 0]
-    x1, x2, x3 = data[idx, 1], data[idx, 2], data[idx, 3]
-    u1, u2 = data[idx, 4], data[idx, 5]
+    t, x1, x2, x3, u1, u2 = ([data[i, j] for i in idx] for j in range(6))
 
     width = 3 * PANEL_W + 2 * GAP
     parts = [
@@ -141,20 +149,18 @@ def render_trajectory_svg(data, path) -> None:
     parts.append(p1.close())
 
     tlim = _limits(t)
-    states = np.concatenate([x1, x2, x3])
-    p2 = _Panel(PANEL_W + GAP, tlim, _limits(states), "states", "t (s)", "state")
+    p2 = _Panel(PANEL_W + GAP, tlim, _limits(x1 + x2 + x3), "states", "t (s)", "state")
     for (_, color), ys in zip(STATE_STYLES, (x1, x2, x3)):
         p2.polyline(t, ys, color)
     p2.legend(STATE_STYLES)
     parts.append(p2.close())
 
-    controls = np.concatenate([u1, u2])
-    p3 = _Panel(2 * (PANEL_W + GAP), tlim, _limits(controls), "controls", "t (s)", "control")
+    p3 = _Panel(2 * (PANEL_W + GAP), tlim, _limits(u1 + u2), "controls", "t (s)", "control")
     for (_, color), ys in zip(CONTROL_STYLES, (u1, u2)):
         p3.polyline(t, ys, color)
     p3.legend(CONTROL_STYLES)
     parts.append(p3.close())
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(parts) + "\n")
+    with replacing(path) as f:
+        f.write(("\n".join(parts) + "\n").encode())

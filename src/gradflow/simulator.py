@@ -24,9 +24,12 @@ Nothing here imports numpy until a function that computes in it runs: a
 simulate and its CSV need none, so a `simulate` process never loads it.
 """
 
+import contextlib
 import ctypes
+import errno
 import functools
 import math
+import mmap
 import os
 import re
 from array import array
@@ -140,27 +143,38 @@ class Trajectory:
         The compiled library's format_rows writes them, CSV_CHUNK_ROWS rows per
         call into one reused buffer, each block written out before the next;
         where the library cannot be built or loaded, `write_rows` does. The
-        file is written under a temporary name in the same directory and
-        renamed onto `path` only once it is complete; on failure it is
-        removed and an existing `path` is left as it was. Returns the writer
-        that ran: "c" or "python".
+        file is written through `replacing`, so a failed write leaves an
+        existing `path` as it was. Returns the writer that ran: "c" or
+        "python".
         """
         lib = _kernels.compiled_loop()
-        directory = os.path.dirname(os.path.abspath(path))
-        tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-        f = open(tmp, "xb")
-        try:
-            with f:
-                f.write(CSV_HEADER.encode() + b"\n")
-                if lib:
-                    _format_rows(lib, f, self.rows)
-                else:
-                    write_rows(f, self.rows)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with replacing(path) as f:
+            f.write(CSV_HEADER.encode() + b"\n")
+            if lib:
+                _format_rows(lib, f, self.rows)
+            else:
+                write_rows(f, self.rows)
         return "c" if lib else "python"
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new binary file that replaces `path` once the block completes.
+
+    It is written under a temporary name in `path`'s directory and renamed
+    onto `path` only when the block exits without error; on failure it is
+    removed and an existing `path` is left as it was.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _format_rows(lib, f, rows: array) -> None:
@@ -188,7 +202,8 @@ def write_rows(f, rows: array) -> None:
 
 
 def load_trajectory_csv(path):
-    """Parse a trajectory CSV in the writer's grammar into a writable (rows, 11) ndarray.
+    """Parse a trajectory CSV in the writer's grammar into a writable (rows, 11)
+    float64 memoryview; `np.asarray` of it is the ndarray, with no copy.
 
     The grammar: the line CSV_HEADER, then at least one line of 11 finite
     fields _FIELD split by "," and ended by LF, of at most CSV_READ_BYTES.
@@ -207,41 +222,47 @@ def load_trajectory_csv(path):
             raise ValueError(f"unexpected trajectory header: {first!r}")
         data = _parse_compiled(lib, f) if lib else None
         last_csv_parser = "c" if data is not None else "python"
-        if data is None:
-            data = _parse_python(f)
-    if data.shape[0] == 0:
+        return data if data is not None else _parse_python(f)
+
+
+def _rows_view(buffer, rows: int) -> memoryview:
+    """The first `rows` rows of `buffer` as a (rows, 11) float64 memoryview."""
+    if rows == 0:  # a memoryview cannot take a zero in its shape
         raise ValueError("trajectory CSV has no data rows")
-    return data
+    width = len(TRAJECTORY_COLUMNS)
+    return memoryview(buffer).cast("B")[:8 * width * rows].cast("d", (rows, width))
 
 
 def _parse_compiled(lib, f):
     """The rows of the binary file f past its header, parsed by the library's
-    parse_rows; None where the host will not map their array.
+    parse_rows; None where the host will not map their memory.
 
     The file is read CSV_READ_BYTES at a time into one reused buffer, a
     partial last line moved to its front, and the rows go straight into one
-    array sized for the shortest possible rows, then cut to those parsed;
-    the pages it never writes are never touched. A refused line, a partial
-    last line or one longer than the buffer is read back for `_check_line`:
-    it is line rows + 2, as every line before it is a row.
+    private anonymous map sized for the shortest possible rows, of which the
+    view covers those parsed; the pages it never writes are never touched. A
+    refused line, a partial last line or one longer than the buffer is read
+    back for `_check_line`: it is line rows + 2, as every line before it is
+    a row.
     """
-    import numpy as np
-
     width = len(TRAJECTORY_COLUMNS)
     capacity = os.fstat(f.fileno()).st_size // _MIN_ROW_BYTES + 1
     try:
-        data = np.empty((capacity, width))
-    except MemoryError:
+        data = mmap.mmap(-1, 8 * width * capacity, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
         # 4 bytes per file byte, mostly never touched; where the host will
         # not map that much (a tight address-space limit), _parse_python's
         # growing array fits
+        if exc.errno != errno.ENOMEM:
+            raise
         return None
+    start = ctypes.addressof(ctypes.c_char.from_buffer(data))
     buf = bytearray(CSV_READ_BYTES)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     used = ctypes.c_int64()
     offset, rows, rest = f.tell(), 0, 0  # offset: the file offset of buf[0]
     while got := f.readinto(memoryview(buf)[rest:]):
-        n = lib.parse_rows(addr, rest + got, width, data.ctypes.data + 8 * width * rows,
+        n = lib.parse_rows(addr, rest + got, width, start + 8 * width * rows,
                            capacity - rows, ctypes.byref(used))
         offset += used.value
         if n < 0:  # -1 - the rows before the refused line, which starts at *used
@@ -252,8 +273,7 @@ def _parse_compiled(lib, f):
         ctypes.memmove(addr, addr + used.value, rest)
     else:
         if not rest:  # every line whole and parsed
-            data.resize((rows, width), refcheck=False)  # shrinks in place: no view exists
-            return data
+            return _rows_view(data, rows)
     f.seek(offset)
     _check_line(f.readline(CSV_READ_BYTES + 1), rows + 2)  # raises
 
@@ -263,8 +283,6 @@ def _parse_python(f):
     goes through float(), correctly rounded as parse_rows is, into a growing
     array('d'); the first that does not, or holds an overflow, goes to
     `_check_line`."""
-    import numpy as np
-
     match = re.compile(b",".join([_FIELD] * len(TRAJECTORY_COLUMNS)) + b"\n").fullmatch
     rows = array("d")
     # at most CSV_READ_BYTES + 1 bytes a line: a longer line is never held whole
@@ -275,7 +293,7 @@ def _parse_python(f):
         if not values or math.inf in values or -math.inf in values:
             _check_line(line, number)
         rows.extend(values)
-    return np.frombuffer(rows).reshape(-1, len(TRAJECTORY_COLUMNS))
+    return _rows_view(rows, len(rows) // len(TRAJECTORY_COLUMNS))
 
 
 def _check_line(line: bytes, number: int) -> None:

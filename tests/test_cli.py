@@ -1,3 +1,6 @@
+import errno
+import hashlib
+import io
 import json
 import math
 import os
@@ -8,10 +11,11 @@ import numpy as np
 import pytest
 
 import gradflow
-from gradflow import _kernels
+from gradflow import _kernels, simulator
 from gradflow import (ControllerParams, SimConfig, cli, integrate_gradient_flow, make_v_alpha,
                       simulate, tracking_deviation)
 from gradflow.cli import main
+from gradflow.plotting import render_trajectory_svg
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
 from helpers import preset_sim_config
 
@@ -83,7 +87,7 @@ class TestSimulateCommand:
                       "--t-max", "3", "--control-period", "0.001",
                       "--goal-tol", "0", "--out", str(out))
         assert code == 0
-        data = load_trajectory_csv(out)
+        data = np.asarray(load_trajectory_csv(out))
         t, amps = data[:, 0], data[:, 6:9]
         block = np.floor(t + 1e-9).astype(int)
         for j in np.unique(block):
@@ -273,8 +277,9 @@ def child(code: str, cwd) -> list:
 
 
 class TestNumpyFree:
-    """No module imports numpy at import time, and simulate, with or without
-    the library, never imports it; the other commands import it when they run."""
+    """No module imports numpy at import time, and simulate and plot, with or
+    without the library, never import it; the other commands import it when
+    they run."""
 
     @pytest.mark.parametrize("module", ["gradflow", "gradflow.cli"])
     def test_import(self, tmp_path, module):
@@ -299,6 +304,26 @@ class TestNumpyFree:
             runs[loop] = (tmp_path / f"{loop}.csv").read_bytes()
         assert runs["c"] == runs["python"]
 
+    def test_plot(self, tmp_path):
+        child("from gradflow.cli import main\n"
+              "main(['simulate', '--preset', 'P1', '--t-max', '10', '--out', 's.csv'])\n",
+              tmp_path)
+        svgs = {}
+        for parser in ("c", "python"):
+            code = (
+                "import json, sys\n"
+                "from gradflow import _kernels\n"
+                "from gradflow.cli import main\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if parser == "python" else "")
+                + f"code = main(['plot', 's.csv', '--out', '{parser}.svg'])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            )
+            summary, result = child(code, tmp_path)
+            assert result == [0, False]
+            assert summary == {"rows": 20001, "out": f"{parser}.svg", "parser": parser}
+            svgs[parser] = (tmp_path / f"{parser}.svg").read_bytes()
+        assert svgs["c"] == svgs["python"]
+
     def test_other_commands_print_their_summaries(self, tmp_path):
         commands = [
             ["simulate", "--preset", "P1", "--t-max", "1", "--out", "s.csv"],
@@ -315,7 +340,7 @@ class TestNumpyFree:
         )
         lines = child(code, tmp_path)
         summaries, results = lines[::2], lines[1::2]
-        assert results == [[0, False], [0, True], [0, True], [0, True], [0, True]]
+        assert results == [[0, False], [0, False], [0, True], [0, True], [0, True]]
         assert [sorted(s) for s in summaries[1:]] == [
             ["out", "parser", "rows"],
             ["V_end", "csv", "csv_writer", "final_state", "rows"],
@@ -494,7 +519,7 @@ class TestGradientFlowCommand:
                             "--h", "0.001", "--out", str(out))
         assert code == 0
         assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-15)
-        data = load_trajectory_csv(out)
+        data = np.asarray(load_trajectory_csv(out))
         assert np.all(data[:, 4:9] == 0.0)
         assert summary["csv_writer"] == "c"
 
@@ -566,6 +591,54 @@ class TestPlotCommand:
         assert run(capsys, "plot", str(csv_path), "--out", str(a))[0] == 0
         assert run(capsys, "plot", str(csv_path), "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_decimated_bytes_are_pinned(self, capsys, tmp_path):
+        # 20,001 rows, more than MAX_POLYLINE_POINTS: every 6th row is drawn,
+        # and the last; the hash holds the decimation, the operation order of
+        # the mapping and the number format
+        csv_path = tmp_path / "p1.csv"
+        assert run(capsys, "simulate", "--preset", "P1", "--t-max", "10",
+                   "--out", str(csv_path))[1]["rows"] == 20001
+        svg = tmp_path / "p1.svg"
+        code, summary = run(capsys, "plot", str(csv_path))
+        assert code == 0 and summary["out"] == str(svg)
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "19cf5ed6f1f07234af3b4c6b386ce440b5fb15ebb2a4ae7916aa12819e9988ac")
+        # an ndarray renders the bytes the memoryview does
+        array_svg = tmp_path / "array.svg"
+        render_trajectory_svg(np.asarray(load_trajectory_csv(csv_path)), array_svg)
+        assert array_svg.read_bytes() == svg.read_bytes()
+
+    def test_failed_write_leaves_the_old_svg(self, capsys, tmp_path, monkeypatch):
+        # the disk fills during the write: the partial SVG is removed, and the
+        # earlier one keeps its bytes
+        csv_path, _ = self.make_csv(capsys, tmp_path)
+        svg = tmp_path / "traj.svg"
+        svg.write_bytes(b"an earlier plot\n")
+
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                if self.mode == "xb":
+                    super().write(bytes(b)[:100])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(simulator, "open", FullDisk, raising=False)
+        code = main(["plot", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "No space left on device" in captured.err
+        assert svg.read_bytes() == b"an earlier plot\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv", "traj.svg"]
+
+    def test_one_row_past_2_53_has_panels_of_nonzero_width(self, capsys, tmp_path):
+        # one row: every axis is flat, and 1e17 +- 1 rounds back to 1e17
+        path = tmp_path / "one.csv"
+        path.write_text(f"{CSV_HEADER}\n0,1e+17,-1e+17,3,1e+17,0,0,0,0,0,0\n")
+        code, summary = run(capsys, "plot", str(path))
+        assert code == 0 and summary["rows"] == 1
+        text = (tmp_path / "one.svg").read_text()
+        assert "nan" not in text and "inf" not in text
 
     def test_missing_column_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 import errno
 import io
 import math
+import mmap
 import os
 import signal
 import stat
@@ -1177,15 +1178,17 @@ def load_without_library(path):
 
 
 def assert_parses_as_loadtxt(path, twin=True):
-    """The compiled parser reads `path` into np.loadtxt's array bit for bit, and
-    so does its twin `_parse_python`, unless `twin` is False (a long file)."""
+    """The compiled parser reads `path` into a writable float64 memoryview of
+    np.loadtxt's array bit for bit, and so does its twin `_parse_python`,
+    unless `twin` is False (a long file)."""
     data = load_trajectory_csv(path)
     assert simulator.last_csv_parser == "c"
     expected = loadtxt(path)
     for parsed in (data, load_without_library(path)) if twin else (data,):
-        assert parsed.shape == expected.shape and parsed.dtype == expected.dtype
-        assert parsed.flags.c_contiguous and parsed.flags.writeable
-        assert parsed.tobytes() == expected.tobytes()
+        assert isinstance(parsed, memoryview) and parsed.format == "d"
+        assert parsed.shape == expected.shape
+        assert parsed.c_contiguous and not parsed.readonly
+        assert np.asarray(parsed).tobytes() == expected.tobytes()
     return data
 
 
@@ -1255,7 +1258,8 @@ class TestCompiledParser:
         write_rows(tmp_path / "edges.csv", [values[i:i + width]
                                             for i in range(0, len(values), width)])
         data = assert_parses_as_loadtxt(tmp_path / "edges.csv")
-        assert [float(v) for v in PARSE_EDGE_VALUES] == data.ravel()[:len(PARSE_EDGE_VALUES)].tolist()
+        assert [float(v) for v in PARSE_EDGE_VALUES] == (
+            np.asarray(data).ravel()[:len(PARSE_EDGE_VALUES)].tolist())
 
     def test_p1_csv(self, tmp_path):
         path = tmp_path / "p1.csv"
@@ -1279,13 +1283,14 @@ class TestCompiledParser:
         simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
         expected = loadtxt(path)
 
-        def refuse(shape, *args, **kwargs):
-            raise MemoryError(f"cannot map {shape}")
+        def refuse(fileno, length, *args, **kwargs):
+            raise OSError(errno.ENOMEM, f"cannot map {length} bytes")
 
-        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(mmap, "mmap", refuse)
         data = load_trajectory_csv(path)
         assert simulator.last_csv_parser == "python"
-        assert data.flags.writeable and data.tobytes() == expected.tobytes()
+        assert data.format == "d" and data.shape == expected.shape and not data.readonly
+        assert np.asarray(data).tobytes() == expected.tobytes()
 
     def test_a_line_longer_than_a_chunk_is_refused_in_both_builds(self, tmp_path,
                                                                  monkeypatch):
