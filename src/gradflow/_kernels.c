@@ -1,8 +1,10 @@
-/* gradflow's compiled library: three functions, loaded by gradflow._kernels.
+/* gradflow's compiled library: five functions, loaded by gradflow._kernels.
 
    closed_loop is the closed loop of gradflow._kernels.closed_loop, in C.
    parse_rows parses the rows of a trajectory CSV in the writer's format.
    format_rows writes those rows, in the bytes of Python's '%.9g' %.
+   flow_rows evaluates the reference gradient flow's closed form on its grid.
+   deviation_sq measures the squared distance between two logged runs.
 
    closed_loop's body is _kernels.closed_loop's, statement for statement and
    in the same operation order, so with IEEE doubles, no contraction into FMAs
@@ -347,4 +349,91 @@ int64_t format_rows(const double *values, int64_t n_rows, int64_t width, char *o
         p[-1] = '\n';
     }
     return p - out;
+}
+
+
+/* flow_rows fills the `n_rows` rows of `rows`, 11 doubles each and zeroed by
+   the caller, with the gradient flow x_i(t) = x0_i * exp(-2*c_i*t) of
+   V = c1*x1^2 + c2*x2^2 + c3*x3^2 at t = k*h, k = 0..n_rows-1: t, the state
+   and V, in gradflow._kernels.flow_rows' operation order. exp is libm's, the
+   one math.exp calls, so the two give the same bits. p holds c1, c2, c3,
+   x0_1, x0_2, x0_3 and h. A c*t past the float range is inf, and exp(-inf)
+   is 0. */
+void flow_rows(const double *p, int64_t n_rows, double *rows)
+{
+    const double c1 = p[0], c2 = p[1], c3 = p[2], x01 = p[3], x02 = p[4], x03 = p[5],
+                 h = p[6];
+
+    for (int64_t k = 0; k < n_rows; k++) {
+        double *row = rows + 11 * k;
+        double t = (double)k * h;
+        double x1 = x01 * exp(-2.0 * (t * c1));
+        double x2 = x02 * exp(-2.0 * (t * c2));
+        double x3 = x03 * exp(-2.0 * (t * c3));
+        row[0] = t;
+        row[1] = x1;
+        row[2] = x2;
+        row[3] = x3;
+        row[9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3;
+    }
+}
+
+
+/* deviation_sq takes two runs of na and nb rows of 11 doubles, (t, x1, x2,
+   x3, ...), each with its times in ascending order, as every logged run's
+   are. On each time of either run up to t_end, the smaller of their last
+   times, it interpolates both runs' states and sums their squared
+   differences; it returns the largest sum, a NaN sum if there is one, or -1
+   where no time is at most t_end. gradflow._kernels.deviation_sq is the same
+   walk in Python.
+
+   The times are merged as np.union1d merges them, and each coordinate is
+   interpolated as np.interp does it: at the last knot i with t_i <= x, which
+   the walk keeps, the value is fp_i where i is the last knot or t_i == x, and
+   otherwise the line through knots i and i+1, evaluated from knot i and,
+   where that is NaN, from knot i+1. */
+static double interp(const double *rows, int64_t n, int64_t i, double x, int column)
+{
+    const double *lo = rows + 11 * i, *hi = lo + 11;
+    double slope, y;
+
+    if (i == n - 1 || lo[0] == x)
+        return lo[column];
+    slope = (hi[column] - lo[column]) / (hi[0] - lo[0]);
+    y = slope * (x - lo[0]) + lo[column];
+    if (isnan(y)) {
+        y = slope * (x - hi[0]) + hi[column];
+        if (isnan(y) && lo[column] == hi[column])
+            y = lo[column];
+    }
+    return y;
+}
+
+double deviation_sq(const double *a, int64_t na, const double *b, int64_t nb)
+{
+    const double ta_end = a[11 * (na - 1)], tb_end = b[11 * (nb - 1)];
+    /* Python's min(ta_end, tb_end) */
+    const double t_end = tb_end < ta_end ? tb_end : ta_end;
+    double worst = -1.0;
+    int64_t i = 0, j = 0; /* the knots of a and of b at or before the last time */
+
+    for (;;) {
+        int more_a = i < na && a[11 * i] <= t_end;
+        int more_b = j < nb && b[11 * j] <= t_end;
+        double x, sum = 0.0;
+
+        if (!more_a && !more_b)
+            return worst;
+        x = more_a && !(more_b && b[11 * j] < a[11 * i]) ? a[11 * i] : b[11 * j];
+        while (i < na && a[11 * i] == x)
+            i++;
+        while (j < nb && b[11 * j] == x)
+            j++;
+        for (int column = 1; column <= 3; column++) {
+            double d = interp(a, na, i - 1, x, column) - interp(b, nb, j - 1, x, column);
+            sum += d * d;
+        }
+        if (sum > worst || isnan(sum))
+            worst = sum;
+    }
 }

@@ -5,7 +5,7 @@ potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
 (2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
 
-`_kernels.c` is one library with three functions, which `compiled_loop`
+`_kernels.c` is one library with five functions, which `compiled_loop`
 builds with `cc` on first use and loads. Its `closed_loop` holds the same loop
 in C, in the same operation order, and `c_loop` runs it with closed_loop's
 arguments and value, bit for bit. `simulator.simulate` runs every run, in
@@ -15,7 +15,11 @@ names the one that runs. Its `parse_rows` parses the trajectory CSV's rows
 for `simulator.load_trajectory_csv`, which uses `simulator._parse_python`, a
 line-by-line reader of the same grammar, without it, and its `format_rows`
 writes them for `simulator.Trajectory.save_csv`, which uses
-`simulator.write_rows`, Python's % on the same template, without it.
+`simulator.write_rows`, Python's % on the same template, without it. Its
+`flow_rows` evaluates the reference gradient flow for
+`simulator.integrate_gradient_flow`, and its `deviation_sq` measures
+`simulator.tracking_deviation`; `flow_rows` and `deviation_sq` here are their
+twins, the same arithmetic in the same order, which run without it.
 
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
@@ -33,13 +37,13 @@ clamp turns an infinite amplitude into a finite control.
 
 Neither loop, nor the library, nor this module needs numpy, and no module
 of the package imports it at import time. The functions that compute in
-numpy import it when they run: `simulator.integrate_gradient_flow`, which
-evaluates the gradient flow's closed form, `tracking_deviation`,
-`convergence_order`, `Trajectory.data` and the admissibility quadrature in
-`gradflow.admissibility`. `load_trajectory_csv` parses into a memoryview and
-`plotting.render_trajectory_svg` draws from plain floats. So a `simulate` or
-`plot` process never loads numpy, and `admissibility`, `refine` and
-`gradient-flow` load it when their command runs.
+numpy import it when they run: `Trajectory.data` and the admissibility
+quadrature in `gradflow.admissibility`. `load_trajectory_csv` parses into a
+memoryview, `plotting.render_trajectory_svg` draws from plain floats, and the
+reference flow, the tracking deviation and the convergence order compute on
+plain floats or in the library. So a `simulate`, `plot`, `refine` or
+`gradient-flow` process never loads numpy, and `admissibility` loads it when
+its command runs.
 """
 
 import ctypes
@@ -49,7 +53,7 @@ import platform
 import sys
 import zlib
 from array import array
-from math import copysign, cos, isfinite, sin, sqrt
+from math import copysign, cos, exp, isfinite, isnan, sin, sqrt
 
 # status codes returned by closed_loop and c_loop; the C function also
 # sets -1, for rows full before the run ended
@@ -169,6 +173,80 @@ def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
 
 
 # ---------------------------------------------------------------------------
+# the reference flow and the tracking deviation
+# ---------------------------------------------------------------------------
+
+def flow_rows(rows, c1, c2, c3, x0, h):
+    """Fill the zeroed array('d') `rows`, 11 values a row, with the gradient
+    flow x_i(t) = x0_i * exp(-2*c_i*t) of V = c1*x1^2 + c2*x2^2 + c3*x3^2 at
+    t = k*h for each row k: its t, state and V.
+
+    `_kernels.c`'s flow_rows does the same, bit for bit: both call libm's exp.
+    A c*t past the float range is inf, and exp(-inf) is 0.
+    """
+    x01, x02, x03 = x0
+    for k in range(len(rows) // 11):
+        t = k * h
+        x1 = x01 * exp(-2.0 * (t * c1))
+        x2 = x02 * exp(-2.0 * (t * c2))
+        x3 = x03 * exp(-2.0 * (t * c3))
+        i = 11 * k
+        rows[i] = t
+        rows[i + 1] = x1
+        rows[i + 2] = x2
+        rows[i + 3] = x3
+        rows[i + 9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+
+
+def _interp(rows, n, i, x, column):
+    """np.interp's value of `column` of the n rows at x, from the last knot i
+    with t_i <= x: fp_i at the last knot or where t_i == x, else the line
+    through knots i and i+1 from knot i, and from knot i+1 where that is NaN."""
+    lo, hi = 11 * i, 11 * i + 11
+    if i == n - 1 or rows[lo] == x:
+        return rows[lo + column]
+    f_lo, f_hi = rows[lo + column], rows[hi + column]
+    slope = (f_hi - f_lo) / (rows[hi] - rows[lo])
+    y = slope * (x - rows[lo]) + f_lo
+    if isnan(y):
+        y = slope * (x - rows[hi]) + f_hi
+        if isnan(y) and f_lo == f_hi:
+            y = f_lo
+    return y
+
+
+def deviation_sq(a, b):
+    """The largest squared state distance between the runs a and b, each an
+    array('d') of rows of 11 values (t, x1, x2, x3, ...), over every time of
+    either up to the smaller last time; -1.0 where no time is that small.
+
+    Both runs start at t = 0, with their times in ascending order. It is
+    `_kernels.c`'s deviation_sq, whose header states the walk, in Python,
+    with the same bits.
+    """
+    na, nb = len(a) // 11, len(b) // 11
+    t_end = min(a[11 * (na - 1)], b[11 * (nb - 1)])
+    worst = -1.0
+    i = j = 0  # the knots of a and of b at or before the last time
+    while True:
+        more_a = i < na and a[11 * i] <= t_end
+        more_b = j < nb and b[11 * j] <= t_end
+        if not (more_a or more_b):
+            return worst
+        x = a[11 * i] if more_a and not (more_b and b[11 * j] < a[11 * i]) else b[11 * j]
+        while i < na and a[11 * i] == x:
+            i += 1
+        while j < nb and b[11 * j] == x:
+            j += 1
+        total = 0.0
+        for column in (1, 2, 3):
+            d = _interp(a, na, i - 1, x, column) - _interp(b, nb, j - 1, x, column)
+            total += d * d
+        if total > worst or isnan(total):
+            worst = total
+
+
+# ---------------------------------------------------------------------------
 # the compiled library
 # ---------------------------------------------------------------------------
 
@@ -192,13 +270,15 @@ def compiled_loop():
     """The library of `_kernels.c` as a ctypes CDLL, or None.
 
     It holds `closed_loop`, for `c_loop`, `parse_rows`, for
-    `simulator.load_trajectory_csv`, and `format_rows`, for
-    `simulator.Trajectory.save_csv`. Built on the first call with `cc` into
-    the package's __pycache__, under a name that carries a hash of the source
-    and the flags, and then loaded from there. If it cannot be built or
-    loaded, the reason goes to stderr and None comes back: `simulate` runs
-    `closed_loop`, `load_trajectory_csv` `simulator._parse_python` and
-    `save_csv` `simulator.write_rows`.
+    `simulator.load_trajectory_csv`, `format_rows`, for
+    `simulator.Trajectory.save_csv`, and `flow_rows` and `deviation_sq`, for
+    `simulator.integrate_gradient_flow` and `simulator.tracking_deviation`.
+    Built on the first call with `cc` into the package's __pycache__, under a
+    name that carries a hash of the source and the flags, and then loaded
+    from there. If it cannot be built or loaded, the reason goes to stderr and
+    None comes back: `simulate` runs `closed_loop`, `load_trajectory_csv`
+    `simulator._parse_python`, `save_csv` `simulator.write_rows`, and the flow
+    and the deviation this module's `flow_rows` and `deviation_sq`.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -212,8 +292,8 @@ def compiled_loop():
             _build(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        print("gradflow: running the Python closed loop, CSV reader and CSV writer: "
-              f"{exc}", file=sys.stderr)
+        print("gradflow: running the Python closed loop, CSV reader, CSV writer, "
+              f"reference flow and deviation: {exc}", file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
     c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -226,6 +306,11 @@ def compiled_loop():
     lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                 ctypes.c_void_p)
     lib.format_rows.restype = ctypes.c_int64
+    lib.flow_rows.argtypes = (c_double_p, ctypes.c_int64, ctypes.c_void_p)
+    lib.flow_rows.restype = None
+    lib.deviation_sq.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                 ctypes.c_int64)
+    lib.deviation_sq.restype = ctypes.c_double
     return lib
 
 

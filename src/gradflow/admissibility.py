@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
+from gradflow.simulator import replacing
 
 # midpoint evaluates its grid in row blocks of at most this many points per slab
 BLOCK_POINTS = 1 << 18
@@ -200,13 +201,15 @@ def table1(cfg: AdmissibilityConfig | None = None
 def write_sweep_csv(rows, path) -> None:
     """Write sweep results as CSV rows (c1,c2,c3,q,method,points,J,stderr,excluded).
 
-    `rows` is an iterable of (coeffs, q, result) triples.
+    `rows` is an iterable of (coeffs, q, result) triples. The file is written
+    through `simulator.replacing`, so a failed write leaves an existing
+    `path` as it was.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(SWEEP_CSV_HEADER + "\n")
+    with replacing(path) as f:
+        f.write(SWEEP_CSV_HEADER.encode() + b"\n")
         for coeffs, q, res in rows:
             # the nine published columns, which clibench checks byte for byte; stderr is empty
-            f.write(
+            f.write((
                 f"{coeffs[0]:.9g},{coeffs[1]:.9g},{coeffs[2]:.9g},{q:.9g},"
                 f"midpoint,{res.points},{res.value:.9g},,{res.excluded}\n"
-            )
+            ).encode())

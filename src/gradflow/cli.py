@@ -231,10 +231,10 @@ def cmd_refine(args) -> int:
     # a zero deviation (a run that stays at the equilibrium) has no log to fit
     fit = len(deviations) > 1 and all(d > 0 for d in deviations)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write("epsilon,deviation\n")
+        with simulator.replacing(args.out) as f:
+            f.write(b"epsilon,deviation\n")
             for eps, dev in zip(args.eps, deviations):
-                f.write(f"{eps:.9g},{dev:.9g}\n")
+                f.write(f"{eps:.9g},{dev:.9g}\n".encode())
     _emit({
         "eps": args.eps,
         "deviations": deviations,

@@ -20,8 +20,9 @@ The reference dynamics xdot = -grad V of a diagonal quadratic V decouple
 into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
 that closed form on its logged grid instead of integrating.
 
-Nothing here imports numpy until a function that computes in it runs: a
-simulate and its CSV need none, so a `simulate` process never loads it.
+Nothing here imports numpy, except `Trajectory.data` on first use: the runs,
+the CSV, the reference flow and the tracking deviation compute on plain
+floats or in the compiled library.
 """
 
 import contextlib
@@ -432,7 +433,9 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
     columns are logged as zeros, and the result always terminates with the
     horizon (there is no goal test here). Every c_i is positive, so no
     component grows and this never raises IntegrationError; a V that
-    overflows at x0 raises ValueError.
+    overflows at x0 raises ValueError, and rows that cannot be allocated
+    MemoryError. The compiled library's flow_rows fills the rows, or
+    `_kernels.flow_rows` where the library is missing, with the same bits.
     """
     check_scalar(t_max, "t_max")
     check_scalar(h, "h")
@@ -449,17 +452,17 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
     # on Python floats, so an overflow cannot warn; no later V exceeds this one
     if not math.isfinite(c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3):
         raise ValueError("potential produces non-finite values at the initial state")
-    import numpy as np
-
-    t = np.arange(n_steps + 1) * h
-    # zeroed rows, filled through a writable view of their memory
-    rows = array("d", [0.0]) * (t.size * len(TRAJECTORY_COLUMNS))
-    data = np.frombuffer(rows).reshape(t.size, len(TRAJECTORY_COLUMNS))
-    data[:, 0] = t
-    with np.errstate(over="ignore"):  # c*t past the float range decays to exp(-inf) = 0
-        data[:, 1:4] = np.array(x0) * np.exp(-2.0 * np.outer(t, potential.coeffs))
-    x1, x2, x3 = data[:, 1:4].T
-    data[:, 9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+    # zeroed rows, so a horizon whose rows cannot be allocated fails before any work
+    try:
+        rows = array("d", [0.0]) * ((n_steps + 1) * len(TRAJECTORY_COLUMNS))
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"cannot allocate the {n_steps + 1} rows of the gradient flow") from None
+    lib = _kernels.compiled_loop()
+    if lib:
+        p = (ctypes.c_double * 7)(c1, c2, c3, x1, x2, x3, h)
+        lib.flow_rows(p, n_steps + 1, rows.buffer_info()[0])
+    else:
+        _kernels.flow_rows(rows, c1, c2, c3, x0, h)
     return Trajectory(rows, None, 0, 0.0, 0.0)
 
 
@@ -468,37 +471,40 @@ def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
 
     Both trajectories must start at t = 0. States are linearly interpolated
     onto the union of the two time grids restricted to the overlap, and the
-    maximum Euclidean distance over that grid is returned.
+    maximum Euclidean distance over that grid is returned. The compiled
+    library's deviation_sq walks that grid, or `_kernels.deviation_sq` where
+    the library is missing, with np.interp's arithmetic and the same bits.
     """
-    import numpy as np
-
-    ta, tb = closed_loop.t, reference.t
-    if ta[0] != 0.0 or tb[0] != 0.0:
+    a, b = closed_loop.rows, reference.rows
+    if a[0] != 0.0 or b[0] != 0.0:
         raise ValueError("both trajectories must start at t = 0")
-    t_end = min(ta[-1], tb[-1])
-    grid = np.union1d(ta[ta <= t_end], tb[tb <= t_end])
-    if grid.size == 0:
+    lib = _kernels.compiled_loop()
+    if lib:
+        width = len(TRAJECTORY_COLUMNS)
+        worst = lib.deviation_sq(a.buffer_info()[0], len(a) // width,
+                                 b.buffer_info()[0], len(b) // width)
+    else:
+        worst = _kernels.deviation_sq(a, b)
+    if worst < 0.0:
         raise ValueError("trajectories do not overlap in time")
-    diff_sq = np.zeros(grid.size)
-    for j in range(3):
-        xa = np.interp(grid, ta, closed_loop.states[:, j])
-        xb = np.interp(grid, tb, reference.states[:, j])
-        diff_sq += (xa - xb) ** 2
-    return float(np.sqrt(diff_sq.max()))
+    return math.sqrt(worst)
 
 
 def convergence_order(eps, deviations) -> float:
     """Least-squares slope of log(deviation) against log(epsilon).
 
     Lie-bracket approximations track their averaged system to O(sqrt(eps)),
-    so a refinement study should fit a slope near 0.5.
+    so a refinement study should fit a slope near 0.5. The slope is the
+    closed form cov(x, y) / var(x), each sum correctly rounded by math.fsum.
     """
-    import numpy as np
-
-    eps = np.asarray(eps, dtype=float)
-    deviations = np.asarray(deviations, dtype=float)
-    if eps.size < 2 or eps.shape != deviations.shape:
+    eps = [float(e) for e in eps]
+    deviations = [float(d) for d in deviations]
+    if len(eps) < 2 or len(eps) != len(deviations):
         raise ValueError("need at least two (epsilon, deviation) pairs")
-    if not (np.all(eps > 0) and np.all(deviations > 0)):
+    if not (all(e > 0 for e in eps) and all(d > 0 for d in deviations)):
         raise ValueError("epsilons and deviations must be positive")
-    return float(np.polyfit(np.log(eps), np.log(deviations), 1)[0])
+    xs = [math.log(e) for e in eps]
+    ys = [math.log(d) for d in deviations]
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / math.fsum((x - mx) ** 2 for x in xs))

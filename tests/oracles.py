@@ -15,11 +15,17 @@ test can hold it against `rho_bruteforce`.
 flow that `simulator.integrate_gradient_flow` evaluates in closed form,
 `averaged_field` is the flow that the sampling loop tracks, and
 `continuous_averaged_field` the one that the continuous loop tracks.
+`gradient_flow_rows` is that closed form as numpy evaluates it, with its own
+exp, and `deviation_sq` the squared tracking deviation by np.union1d and
+np.interp: the former bodies of `integrate_gradient_flow` and
+`tracking_deviation`. `least_squares_slope` is the exact slope that
+`convergence_order` rounds.
 `semi_analytic_j` computes the admissibility cost that
 `admissibility_measure` sums by midpoint quadrature.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -183,6 +189,48 @@ def rk4_gradient_flow(potential: Potential, x0, n_steps: int, h: float) -> np.nd
     """rk4_flow on xdot = -grad V: the grid integrate_gradient_flow logs."""
     n = -2.0 * np.asarray(potential.coeffs)
     return rk4_flow(lambda x: n * x, x0, n_steps, h)
+
+
+def gradient_flow_rows(potential: Potential, x0, n_steps: int, h: float) -> np.ndarray:
+    """The rows (t, x, 0, 0, 0, 0, 0, V, 0) of x_i(t) = x0_i * exp(-2*c_i*t) at
+    t = k*h for k = 0..n_steps, in integrate_gradient_flow's operation order
+    with numpy's exp, which may differ from libm's by an ulp."""
+    t = np.arange(n_steps + 1) * h
+    data = np.zeros((t.size, 11))
+    data[:, 0] = t
+    with np.errstate(over="ignore"):  # c*t past the float range decays to exp(-inf) = 0
+        data[:, 1:4] = np.array(as_state(x0)) * np.exp(-2.0 * np.outer(t, potential.coeffs))
+    c1, c2, c3 = potential.coeffs
+    x1, x2, x3 = data[:, 1:4].T
+    data[:, 9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3
+    return data
+
+
+def deviation_sq(closed_loop, reference) -> float:
+    """The largest squared state distance between two Trajectories on the
+    union of their time grids up to the earlier end, each state interpolated
+    by np.interp; ValueError where that union is empty."""
+    ta, tb = closed_loop.t, reference.t
+    t_end = min(ta[-1], tb[-1])
+    grid = np.union1d(ta[ta <= t_end], tb[tb <= t_end])
+    if grid.size == 0:
+        raise ValueError("trajectories do not overlap in time")
+    diff_sq = np.zeros(grid.size)
+    with np.errstate(all="ignore"):  # inf and NaN states go through, as on plain floats
+        for j in range(3):
+            xa = np.interp(grid, ta, closed_loop.states[:, j])
+            xb = np.interp(grid, tb, reference.states[:, j])
+            diff_sq += (xa - xb) ** 2
+    return float(diff_sq.max())
+
+
+def least_squares_slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs, in exact rational arithmetic
+    on the floats given, rounded once."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / sum((x - mx) ** 2 for x in xs))
 
 
 def averaged_field(potential: Potential, gamma: float, x) -> np.ndarray:

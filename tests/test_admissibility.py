@@ -15,6 +15,7 @@ from gradflow import (
     write_sweep_csv,
 )
 from gradflow import admissibility
+from helpers import fill_the_disk
 from oracles import integrand, integrand_rho, potential_gradient, rho_bruteforce, vector_fields
 
 
@@ -273,6 +274,18 @@ class TestTable1:
 
 
 class TestSweepCsv:
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the disk fills during the write: the partial CSV is removed, and the
+        # earlier one keeps its bytes
+        res = admissibility_measure(make_quadratic(1, 1, 1), cfg=AdmissibilityConfig(grid_n=10))
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"an earlier sweep\n")
+        fill_the_disk(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            write_sweep_csv([((1, 1, 1), 2.0, res)] * 5, path)
+        assert path.read_bytes() == b"an earlier sweep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
     def test_format(self, tmp_path):
         cfg = AdmissibilityConfig(grid_n=10)
         res = admissibility_measure(make_quadratic(1, 1, 1), cfg=cfg)

@@ -1,6 +1,4 @@
-import errno
 import hashlib
-import io
 import json
 import math
 import os
@@ -17,7 +15,7 @@ from gradflow import (ControllerParams, SimConfig, cli, integrate_gradient_flow,
 from gradflow.cli import main
 from gradflow.plotting import render_trajectory_svg
 from gradflow.simulator import CSV_HEADER, load_trajectory_csv
-from helpers import preset_sim_config
+from helpers import fill_the_disk, preset_sim_config
 
 
 def run(capsys, *argv):
@@ -277,9 +275,9 @@ def child(code: str, cwd) -> list:
 
 
 class TestNumpyFree:
-    """No module imports numpy at import time, and simulate and plot, with or
-    without the library, never import it; the other commands import it when
-    they run."""
+    """No module imports numpy at import time, and simulate, plot, refine and
+    gradient-flow, with or without the library, never import it;
+    admissibility imports it when it runs."""
 
     @pytest.mark.parametrize("module", ["gradflow", "gradflow.cli"])
     def test_import(self, tmp_path, module):
@@ -324,6 +322,45 @@ class TestNumpyFree:
             svgs[parser] = (tmp_path / f"{parser}.svg").read_bytes()
         assert svgs["c"] == svgs["python"]
 
+    def test_refine(self, tmp_path):
+        runs = {}
+        for loop in ("c", "python"):
+            code = (
+                "import json, sys\n"
+                "from gradflow import _kernels\n"
+                "from gradflow.cli import main\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if loop == "python" else "")
+                + "code = main(['refine', '--v-alpha', '1', '--eps', '0.5,0.1', '--window', "
+                f"'0.5', '--out', '{loop}.csv'])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            )
+            summary, result = child(code, tmp_path)
+            assert result == [0, False]
+            assert summary.pop("kernel") == loop
+            assert summary.pop("csv") == f"{loop}.csv"
+            runs[loop] = summary, (tmp_path / f"{loop}.csv").read_bytes()
+        assert runs["c"] == runs["python"]
+
+    def test_gradient_flow(self, tmp_path):
+        runs = {}
+        for loop in ("c", "python"):
+            code = (
+                "import json, sys\n"
+                "from gradflow import _kernels\n"
+                "from gradflow.cli import main\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if loop == "python" else "")
+                + "code = main(['gradient-flow', '--v-alpha', '2', '--x0', '-0.5', '0.3', "
+                f"'0.2', '--t-max', '3', '--out', '{loop}.csv'])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            )
+            summary, result = child(code, tmp_path)
+            assert result == [0, False]
+            assert summary.pop("csv_writer") == loop
+            assert summary.pop("csv") == f"{loop}.csv"
+            runs[loop] = summary, (tmp_path / f"{loop}.csv").read_bytes()
+        assert runs["c"] == runs["python"]
+        assert runs["c"][0]["rows"] == 3001
+
     def test_other_commands_print_their_summaries(self, tmp_path):
         commands = [
             ["simulate", "--preset", "P1", "--t-max", "1", "--out", "s.csv"],
@@ -340,7 +377,7 @@ class TestNumpyFree:
         )
         lines = child(code, tmp_path)
         summaries, results = lines[::2], lines[1::2]
-        assert results == [[0, False], [0, False], [0, True], [0, True], [0, True]]
+        assert results == [[0, False], [0, False], [0, False], [0, False], [0, True]]
         assert [sorted(s) for s in summaries[1:]] == [
             ["out", "parser", "rows"],
             ["V_end", "csv", "csv_writer", "final_state", "rows"],
@@ -451,6 +488,20 @@ class TestRefineCommand:
         assert len(lines) == 3
         d0, d1 = summary["deviations"]
         assert summary["slope"] == pytest.approx(math.log(d0 / d1) / math.log(2.0), rel=1e-9)
+
+    def test_failed_write_leaves_the_old_csv(self, capsys, tmp_path, monkeypatch):
+        # the disk fills during the write: the partial CSV is removed, and the
+        # earlier one keeps its bytes
+        out = tmp_path / "refine.csv"
+        out.write_bytes(b"an earlier study\n")
+        fill_the_disk(monkeypatch)
+        code = main(["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "0.5",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "No space left on device" in captured.err
+        assert out.read_bytes() == b"an earlier study\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["refine.csv"]
 
     def test_single_eps(self, capsys):
         code, summary = run(capsys, "refine", "--v-alpha", "1",
@@ -615,15 +666,7 @@ class TestPlotCommand:
         csv_path, _ = self.make_csv(capsys, tmp_path)
         svg = tmp_path / "traj.svg"
         svg.write_bytes(b"an earlier plot\n")
-
-        class FullDisk(io.FileIO):
-            def write(self, b):
-                if self.mode == "xb":
-                    super().write(bytes(b)[:100])
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(b)
-
-        monkeypatch.setattr(simulator, "open", FullDisk, raising=False)
+        fill_the_disk(monkeypatch)
         code = main(["plot", str(csv_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -42,6 +42,7 @@ from gradflow.simulator import (
     TRAJECTORY_COLUMNS,
 )
 from helpers import preset_sim_config
+import oracles
 from oracles import (
     amplitude_vector,
     averaged_field,
@@ -643,8 +644,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert ("gradflow: running the Python closed loop, CSV reader and CSV writer: "
-                "cc exited with status" in captured.err)
+        assert ("gradflow: running the Python closed loop, CSV reader, CSV writer, "
+                "reference flow and deviation: cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -658,6 +659,16 @@ class TestRK4Order:
         err_h = np.linalg.norm(run(0.25) - ref)
         err_h2 = np.linalg.norm(run(0.125) - ref)
         assert err_h / err_h2 >= 12.0
+
+
+def in_build(build, fn, *args):
+    """fn(*args) with the compiled library ("c") or with it forced to None ("python")."""
+    with pytest.MonkeyPatch.context() as mp:
+        if build == "python":
+            mp.setattr(_kernels, "compiled_loop", lambda: None)
+        else:
+            assert _kernels.compiled_loop() is not None
+        return fn(*args)
 
 
 class TestGradientFlow:
@@ -721,11 +732,15 @@ class TestGradientFlow:
                 integrate_gradient_flow(make_v_alpha(1.0), [1e200, 0.0, 0.0], t_max=1.0, h=0.1)
 
     def test_decay_past_the_float_range(self):
-        # c*t overflows to inf at t = 1e9, where the state has long been 0
-        traj = integrate_gradient_flow(make_quadratic(1e300, 1.0, 1.0), [1.0, 1.0, 0.0],
-                                       t_max=2e9, h=1e9)
-        assert traj.t.tolist() == [0.0, 1e9, 2e9]
-        assert np.array_equal(traj.states[1:, 0], [0.0, 0.0])
+        # c*t overflows to inf at t = 1e9, where the state has long been 0;
+        # neither build warns
+        for build in ("c", "python"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj = in_build(build, integrate_gradient_flow, make_quadratic(1e300, 1.0, 1.0),
+                                [1.0, 1.0, 0.0], 2e9, 1e9)
+            assert traj.t.tolist() == [0.0, 1e9, 2e9]
+            assert np.array_equal(traj.states[1:, 0], [0.0, 0.0])
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -740,7 +755,110 @@ class TestGradientFlow:
         assert traj.t[-1] == pytest.approx(1.001, abs=1e-12)
 
 
+class TestFlowRows:
+    """The compiled flow_rows and its twin give the same bits, each state within
+    an ulp of numpy's closed form: both builds call libm's exp, numpy its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
+           exponents=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+           signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
+           h=st.floats(1e-4, 0.1), n_steps=st.integers(0, 500))
+    def test_builds_agree_within_an_ulp_of_numpy(self, coeffs, exponents, signs, h, n_steps):
+        # x0 is a power of two in each component, so each state is its exp
+        # factor scaled exactly, and the ulp is exp's own
+        x0 = [sign * 2.0 ** e for sign, e in zip(signs, exponents)]
+        potential = make_quadratic(*coeffs)
+        flows = [in_build(build, integrate_gradient_flow, potential, x0, (n_steps + 1) * h, h)
+                 for build in ("c", "python")]
+        assert flows[0].rows == flows[1].rows
+        ours = flows[0].data
+        ref = oracles.gradient_flow_rows(potential, x0, n_steps + 1, h)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours[:, 0], ref[:, 0])
+        states, ref_states = ours[:, 1:4], ref[:, 1:4]
+        assert np.all((states == ref_states) | (states == np.nextafter(ref_states, np.inf))
+                      | (states == np.nextafter(ref_states, -np.inf)))
+        x1, x2, x3 = states.T
+        assert np.array_equal(ours[:, 9], coeffs[0] * x1 * x1 + coeffs[1] * x2 * x2
+                              + coeffs[2] * x3 * x3)
+        assert not ours[:, 4:9].any() and not ours[:, 10].any()
+
+
+def same(x: float, y: float) -> bool:
+    """x == y, where a NaN equals a NaN."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+# states that take np.interp's NaN retry and its flat-segment fallback
+EXTREME_STATES = (math.inf, -math.inf, math.nan, 1e308, -1e308, -0.0, 5e-324)
+
+
+@st.composite
+def run_pairs(draw):
+    """Two Trajectories that start at t = 0 with ascending times, some of them
+    shared and the rest interleaved; either may end first, or both at once,
+    and either may be one row."""
+    times = st.lists(st.floats(0.0, 10.0, exclude_min=True), max_size=10)
+    ta = sorted({0.0, *draw(times)})
+    shared = draw(st.lists(st.sampled_from(ta), max_size=len(ta)))
+    tb = sorted({0.0, *shared, *draw(times)})
+    if draw(st.booleans()):  # both end at ta's last time
+        tb = sorted({t for t in tb if t < ta[-1]} | {ta[-1]})
+    values = st.floats(-10.0, 10.0)
+    if draw(st.booleans()):
+        values = st.one_of(values, st.sampled_from(EXTREME_STATES))
+    runs = []
+    for t in (ta, tb):
+        rows = np.zeros((len(t), len(TRAJECTORY_COLUMNS)))
+        rows[:, 0] = t
+        rows[:, 1:4] = draw(hnp.arrays(np.float64, (len(t), 3), elements=values))
+        runs.append(logged(rows))
+    return runs
+
+
 class TestTrackingDeviation:
+    @settings(max_examples=200, deadline=None)
+    @given(runs=run_pairs())
+    def test_both_builds_give_the_interp_oracles_bits(self, runs):
+        a, b = runs
+        expected = oracles.deviation_sq(a, b)
+        lib = _kernels.compiled_loop()
+        width = len(TRAJECTORY_COLUMNS)
+        compiled = lib.deviation_sq(a.rows.buffer_info()[0], len(a.rows) // width,
+                                    b.rows.buffer_info()[0], len(b.rows) // width)
+        assert same(compiled, expected)
+        assert same(_kernels.deviation_sq(a.rows, b.rows), expected)
+        for build in ("c", "python"):
+            assert same(in_build(build, tracking_deviation, a, b), math.sqrt(expected))
+
+    @pytest.mark.parametrize("build", ["c", "python"])
+    @pytest.mark.parametrize("x1", [
+        pytest.param([math.inf, math.inf], id="flat-infinite-segment"),
+        pytest.param([-math.inf, 1.0], id="nan-from-the-left-knot"),
+    ])
+    def test_interp_edges_between_infinite_knots(self, build, x1):
+        # at t = 0.5 the line from the left knot is NaN: np.interp takes the
+        # right knot's line (-inf) or, on a flat segment, the knot value (inf)
+        rows = np.zeros((2, len(TRAJECTORY_COLUMNS)))
+        rows[:, 0] = [0.0, 1.0]
+        rows[:, 1] = x1
+        a = logged(rows)
+        b = self.constant_trajectory([0.0, 0.0, 0.0], n=3)
+        assert oracles.deviation_sq(a, b) == math.inf
+        assert in_build(build, tracking_deviation, a, b) == math.inf
+
+    @pytest.mark.parametrize("build", ["c", "python"])
+    def test_no_shared_time_is_refused(self, build):
+        # a last time of NaN leaves no time at or before the earlier end
+        rows = np.zeros((2, len(TRAJECTORY_COLUMNS)))
+        rows[1, 0] = math.nan
+        a, b = logged(rows), logged(np.zeros((1, len(TRAJECTORY_COLUMNS))))
+        with pytest.raises(ValueError, match="do not overlap"):
+            oracles.deviation_sq(a, b)
+        with pytest.raises(ValueError, match="do not overlap"):
+            in_build(build, tracking_deviation, a, b)
+
     def constant_trajectory(self, state, n=5):
         rows = np.zeros((n, 11))
         rows[:, 0] = np.linspace(0.0, 1.0, n)
@@ -779,6 +897,48 @@ class TestTrackingDeviation:
                             control_period=cp)
             devs.append(tracking_deviation(simulate(cfg), reference))
         assert devs[1] < devs[0]
+
+
+class TestConvergenceOrder:
+    # refine --v-alpha 1 --eps 0.5,0.1,0.02
+    REFINE = ((0.5, 0.1, 0.02), (1.0094516634015833, 0.4513622676859343, 0.20185120167060866))
+
+    @pytest.mark.parametrize("eps, deviations", [
+        REFINE,
+        ((0.2, 0.1), (0.3, 0.2)),
+        ((1.0, 0.5, 0.25, 0.125), (0.9, 0.7, 0.45, 0.33)),
+    ])
+    def test_agrees_with_polyfit(self, eps, deviations):
+        slope = convergence_order(eps, deviations)
+        fitted = float(np.polyfit(np.log(eps), np.log(deviations), 1)[0])
+        assert abs(slope - fitted) <= 4 * math.ulp(fitted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=st.floats(0.1, 1.0),
+           ratios=st.lists(st.floats(2.0, 10.0), min_size=1, max_size=5),
+           order=st.floats(0.25, 1.0), noise=st.lists(st.floats(0.95, 1.05), min_size=6,
+                                                      max_size=6))
+    def test_within_4_ulp_of_the_exact_slope(self, first, ratios, order, noise):
+        # np.polyfit itself strays up to about 16 ulp from the exact slope here
+        eps = [first]
+        for ratio in ratios:
+            eps.append(eps[-1] / ratio)
+        deviations = [0.7 * e ** order * n for e, n in zip(eps, noise)]
+        exact = oracles.least_squares_slope([math.log(e) for e in eps],
+                                            [math.log(d) for d in deviations])
+        assert abs(convergence_order(eps, deviations) - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("eps, deviations, message", [
+        ([0.5], [0.1], "at least two"),
+        ([0.5, 0.1], [0.1], "at least two"),
+        ([0.5, 0.1], [0.1, 0.2, 0.3], "at least two"),
+        ([0.5, 0.0], [0.1, 0.05], "positive"),
+        ([0.5, 0.1], [0.1, -0.05], "positive"),
+        ([0.5, math.nan], [0.1, 0.05], "positive"),
+    ])
+    def test_rejects(self, eps, deviations, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_order(eps, deviations)
 
 
 def savetxt_reference(data, path):
