@@ -1,9 +1,8 @@
-/* gradflow's compiled library: five functions, loaded by gradflow._kernels.
+/* gradflow's compiled library: four functions, loaded by gradflow._kernels.
 
    closed_loop is the closed loop of gradflow._kernels.closed_loop, in C.
    parse_rows parses the rows of a trajectory CSV in the writer's format.
    format_rows writes those rows, in the bytes of Python's '%.9g' %.
-   flow_rows evaluates the reference gradient flow's closed form on its grid.
    deviation_sq measures the squared distance between two logged runs.
 
    closed_loop's body is _kernels.closed_loop's, statement for statement and
@@ -349,33 +348,6 @@ int64_t format_rows(const double *values, int64_t n_rows, int64_t width, char *o
         p[-1] = '\n';
     }
     return p - out;
-}
-
-
-/* flow_rows fills the `n_rows` rows of `rows`, 11 doubles each and zeroed by
-   the caller, with the gradient flow x_i(t) = x0_i * exp(-2*c_i*t) of
-   V = c1*x1^2 + c2*x2^2 + c3*x3^2 at t = k*h, k = 0..n_rows-1: t, the state
-   and V, in gradflow._kernels.flow_rows' operation order. exp is libm's, the
-   one math.exp calls, so the two give the same bits. p holds c1, c2, c3,
-   x0_1, x0_2, x0_3 and h. A c*t past the float range is inf, and exp(-inf)
-   is 0. */
-void flow_rows(const double *p, int64_t n_rows, double *rows)
-{
-    const double c1 = p[0], c2 = p[1], c3 = p[2], x01 = p[3], x02 = p[4], x03 = p[5],
-                 h = p[6];
-
-    for (int64_t k = 0; k < n_rows; k++) {
-        double *row = rows + 11 * k;
-        double t = (double)k * h;
-        double x1 = x01 * exp(-2.0 * (t * c1));
-        double x2 = x02 * exp(-2.0 * (t * c2));
-        double x3 = x03 * exp(-2.0 * (t * c3));
-        row[0] = t;
-        row[1] = x1;
-        row[2] = x2;
-        row[3] = x3;
-        row[9] = c1 * x1 * x1 + c2 * x2 * x2 + c3 * x3 * x3;
-    }
 }
 
 

@@ -5,7 +5,7 @@ potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
 (2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
 
-`_kernels.c` is one library with five functions, which `compiled_loop`
+`_kernels.c` is one library with four functions, which `compiled_loop`
 builds with `cc` on first use and loads. Its `closed_loop` holds the same loop
 in C, in the same operation order, and `c_loop` runs it with closed_loop's
 arguments and value, bit for bit. `simulator.simulate` runs every run, in
@@ -16,10 +16,10 @@ for `simulator.load_trajectory_csv`, which uses `simulator._parse_python`, a
 line-by-line reader of the same grammar, without it, and its `format_rows`
 writes them for `simulator.Trajectory.save_csv`, which uses
 `simulator.write_rows`, Python's % on the same template, without it. Its
-`flow_rows` evaluates the reference gradient flow for
-`simulator.integrate_gradient_flow`, and its `deviation_sq` measures
-`simulator.tracking_deviation`; `flow_rows` and `deviation_sq` here are their
-twins, the same arithmetic in the same order, which run without it.
+`deviation_sq` measures `simulator.tracking_deviation`, and `deviation_sq`
+here, the same arithmetic in the same order, runs without it. `flow_rows`
+here evaluates the reference gradient flow for
+`simulator.integrate_gradient_flow` in every build.
 
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
@@ -181,8 +181,8 @@ def flow_rows(rows, c1, c2, c3, x0, h):
     flow x_i(t) = x0_i * exp(-2*c_i*t) of V = c1*x1^2 + c2*x2^2 + c3*x3^2 at
     t = k*h for each row k: its t, state and V.
 
-    `_kernels.c`'s flow_rows does the same, bit for bit: both call libm's exp.
-    A c*t past the float range is inf, and exp(-inf) is 0.
+    math.exp is libm's exp. A c*t past the float range is inf, and exp(-inf)
+    is 0.
     """
     x01, x02, x03 = x0
     for k in range(len(rows) // 11):
@@ -271,14 +271,14 @@ def compiled_loop():
 
     It holds `closed_loop`, for `c_loop`, `parse_rows`, for
     `simulator.load_trajectory_csv`, `format_rows`, for
-    `simulator.Trajectory.save_csv`, and `flow_rows` and `deviation_sq`, for
-    `simulator.integrate_gradient_flow` and `simulator.tracking_deviation`.
+    `simulator.Trajectory.save_csv`, and `deviation_sq`, for
+    `simulator.tracking_deviation`.
     Built on the first call with `cc` into the package's __pycache__, under a
     name that carries a hash of the source and the flags, and then loaded
     from there. If it cannot be built or loaded, the reason goes to stderr and
     None comes back: `simulate` runs `closed_loop`, `load_trajectory_csv`
-    `simulator._parse_python`, `save_csv` `simulator.write_rows`, and the flow
-    and the deviation this module's `flow_rows` and `deviation_sq`.
+    `simulator._parse_python`, `save_csv` `simulator.write_rows`, and
+    `tracking_deviation` this module's `deviation_sq`.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -292,8 +292,8 @@ def compiled_loop():
             _build(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        print("gradflow: running the Python closed loop, CSV reader, CSV writer, "
-              f"reference flow and deviation: {exc}", file=sys.stderr)
+        print("gradflow: running the Python closed loop, CSV reader, CSV writer "
+              f"and deviation: {exc}", file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
     c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -306,8 +306,6 @@ def compiled_loop():
     lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                 ctypes.c_void_p)
     lib.format_rows.restype = ctypes.c_int64
-    lib.flow_rows.argtypes = (c_double_p, ctypes.c_int64, ctypes.c_void_p)
-    lib.flow_rows.restype = None
     lib.deviation_sq.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                                  ctypes.c_int64)
     lib.deviation_sq.restype = ctypes.c_double

@@ -434,8 +434,7 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
     horizon (there is no goal test here). Every c_i is positive, so no
     component grows and this never raises IntegrationError; a V that
     overflows at x0 raises ValueError, and rows that cannot be allocated
-    MemoryError. The compiled library's flow_rows fills the rows, or
-    `_kernels.flow_rows` where the library is missing, with the same bits.
+    MemoryError. `_kernels.flow_rows` fills the rows on libm's exp.
     """
     check_scalar(t_max, "t_max")
     check_scalar(h, "h")
@@ -457,12 +456,7 @@ def integrate_gradient_flow(potential: Potential, x0, t_max: float, h: float) ->
         rows = array("d", [0.0]) * ((n_steps + 1) * len(TRAJECTORY_COLUMNS))
     except (MemoryError, OverflowError):
         raise MemoryError(f"cannot allocate the {n_steps + 1} rows of the gradient flow") from None
-    lib = _kernels.compiled_loop()
-    if lib:
-        p = (ctypes.c_double * 7)(c1, c2, c3, x1, x2, x3, h)
-        lib.flow_rows(p, n_steps + 1, rows.buffer_info()[0])
-    else:
-        _kernels.flow_rows(rows, c1, c2, c3, x0, h)
+    _kernels.flow_rows(rows, c1, c2, c3, x0, h)
     return Trajectory(rows, None, 0, 0.0, 0.0)
 
 
@@ -496,15 +490,23 @@ def convergence_order(eps, deviations) -> float:
     Lie-bracket approximations track their averaged system to O(sqrt(eps)),
     so a refinement study should fit a slope near 0.5. The slope is the
     closed form cov(x, y) / var(x), each sum correctly rounded by math.fsum.
+    Every malformed input raises ValueError.
     """
-    eps = [float(e) for e in eps]
-    deviations = [float(d) for d in deviations]
+    try:
+        if getattr(eps, "ndim", 1) != 1 or getattr(deviations, "ndim", 1) != 1:
+            raise TypeError
+        eps = [float(e) for e in eps]
+        deviations = [float(d) for d in deviations]
+    except TypeError:
+        raise ValueError("epsilons and deviations must be sequences of numbers") from None
     if len(eps) < 2 or len(eps) != len(deviations):
         raise ValueError("need at least two (epsilon, deviation) pairs")
-    if not (all(e > 0 for e in eps) and all(d > 0 for d in deviations)):
-        raise ValueError("epsilons and deviations must be positive")
+    if not all(0 < v < math.inf for v in eps + deviations):
+        raise ValueError("epsilons and deviations must be positive and finite")
     xs = [math.log(e) for e in eps]
     ys = [math.log(d) for d in deviations]
     mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-    return (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-            / math.fsum((x - mx) ** 2 for x in xs))
+    spread = math.fsum((x - mx) ** 2 for x in xs)
+    if spread == 0.0:
+        raise ValueError("epsilons must not all be equal")
+    return math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / spread

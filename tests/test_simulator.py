@@ -644,8 +644,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert ("gradflow: running the Python closed loop, CSV reader, CSV writer, "
-                "reference flow and deviation: cc exited with status" in captured.err)
+        assert ("gradflow: running the Python closed loop, CSV reader, CSV writer "
+                "and deviation: cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -756,8 +756,8 @@ class TestGradientFlow:
 
 
 class TestFlowRows:
-    """The compiled flow_rows and its twin give the same bits, each state within
-    an ulp of numpy's closed form: both builds call libm's exp, numpy its own."""
+    """Both builds give the same bits, each state within an ulp of numpy's
+    closed form: flow_rows calls libm's exp, numpy its own."""
 
     @settings(max_examples=100, deadline=None)
     @given(coeffs=st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
@@ -935,6 +935,14 @@ class TestConvergenceOrder:
         ([0.5, 0.0], [0.1, 0.05], "positive"),
         ([0.5, 0.1], [0.1, -0.05], "positive"),
         ([0.5, math.nan], [0.1, 0.05], "positive"),
+        ([0.5, math.inf], [0.1, 0.05], "finite"),
+        ([0.5, 0.5], [0.1, 0.2], "all be equal"),
+        ([0.5, 0.5, 0.5], [0.1, 0.2, 0.3], "all be equal"),
+        (0.5, [0.1, 0.2], "sequences of numbers"),
+        ([0.5, 0.1], 0.1, "sequences of numbers"),
+        ([[0.5, 0.1]], [[0.1, 0.2]], "sequences of numbers"),
+        (np.array([[0.5], [0.1]]), np.array([[0.1], [0.2]]), "sequences of numbers"),
+        (np.float64(0.5), [0.1, 0.2], "sequences of numbers"),
     ])
     def test_rejects(self, eps, deviations, message):
         with pytest.raises(ValueError, match=message):
