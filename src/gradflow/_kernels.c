@@ -1,9 +1,10 @@
-/* gradflow's compiled library: four functions, loaded by gradflow._kernels.
+/* gradflow's compiled library: five functions, loaded by gradflow._kernels.
 
    closed_loop is the closed loop of gradflow._kernels.closed_loop, in C.
    parse_rows parses the rows of a trajectory CSV in the writer's format.
    format_rows writes those rows, in the bytes of Python's '%.9g' %.
    deviation_sq measures the squared distance between two logged runs.
+   slab_sum sums one slab of the admissibility quadrature.
 
    closed_loop's body is _kernels.closed_loop's, statement for statement and
    in the same operation order, so with IEEE doubles, no contraction into FMAs
@@ -408,4 +409,38 @@ double deviation_sq(const double *a, int64_t na, const double *b, int64_t nb)
         if (sum > worst || isnan(sum))
             worst = sum;
     }
+}
+
+
+/* slab_sum sums the integrand (|g1 s - g2 c| / |g|)^q of the admissibility
+   quadrature over one x3 > 0 slab of its tensor grid: g = (d1*x1, d2*x2,
+   d3*x3) is the scaled gradient, with d = (d1, d2, d3), and s, c = sin x3,
+   cos x3. x1 runs over the m nodes, x2 over the 2m mirrored nodes -nodes[m-1],
+   ..., -nodes[0], nodes[0], ..., nodes[m-1]. Each value goes into its row
+   times weights[j], and each row into the slab times weights[i];
+   gradflow._kernels.slab_sum is the same sum in Python, in the same order. */
+static double integrand(double g1s, double g1sq, double g2, double c, double g3sq, double q)
+{
+    double r = (g1s - g2 * c) / sqrt((g1sq + g2 * g2) + g3sq);
+
+    return q == 2.0 ? r * r : pow(fabs(r), q);
+}
+
+double slab_sum(const double *d, const double *nodes, const double *weights, int64_t m,
+                double x3, double q)
+{
+    const double s = sin(x3), c = cos(x3), g3 = d[2] * x3, g3sq = g3 * g3;
+    double slab = 0.0;
+
+    for (int64_t i = 0; i < m; i++) {
+        const double g1 = d[0] * nodes[i], g1s = g1 * s, g1sq = g1 * g1;
+        double row = 0.0;
+
+        for (int64_t j = m - 1; j >= 0; j--)
+            row += weights[j] * integrand(g1s, g1sq, -(d[1] * nodes[j]), c, g3sq, q);
+        for (int64_t j = 0; j < m; j++)
+            row += weights[j] * integrand(g1s, g1sq, d[1] * nodes[j], c, g3sq, q);
+        slab += weights[i] * row;
+    }
+    return slab;
 }

@@ -5,7 +5,7 @@ potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
 passed as its three coefficients, and the loop evaluates V and grad V =
 (2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
 
-`_kernels.c` is one library with four functions, which `compiled_loop`
+`_kernels.c` is one library with five functions, which `compiled_loop`
 builds with `cc` on first use and loads. Its `closed_loop` holds the same loop
 in C, in the same operation order, and `c_loop` runs it with closed_loop's
 arguments and value, bit for bit. `simulator.simulate` runs every run, in
@@ -16,9 +16,10 @@ for `simulator.load_trajectory_csv`, which uses `simulator._parse_python`, a
 line-by-line reader of the same grammar, without it, and its `format_rows`
 writes them for `simulator.Trajectory.save_csv`, which uses
 `simulator.write_rows`, Python's % on the same template, without it. Its
-`deviation_sq` measures `simulator.tracking_deviation`, and `deviation_sq`
-here, the same arithmetic in the same order, runs without it. `flow_rows`
-here evaluates the reference gradient flow for
+`deviation_sq` measures `simulator.tracking_deviation`, and its `slab_sum`
+sums the slabs of `admissibility.admissibility_measure`; `deviation_sq` and
+`slab_sum` here, the same arithmetic in the same order, run without it.
+`flow_rows` here evaluates the reference gradient flow for
 `simulator.integrate_gradient_flow` in every build.
 
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
@@ -36,14 +37,13 @@ inf or nan wherever x is. a1 and a2 are tested in their own right, since a
 clamp turns an infinite amplitude into a finite control.
 
 Neither loop, nor the library, nor this module needs numpy, and no module
-of the package imports it at import time. The functions that compute in
-numpy import it when they run: `Trajectory.data` and the admissibility
-quadrature in `gradflow.admissibility`. `load_trajectory_csv` parses into a
-memoryview, `plotting.render_trajectory_svg` draws from plain floats, and the
-reference flow, the tracking deviation and the convergence order compute on
-plain floats or in the library. So a `simulate`, `plot`, `refine` or
-`gradient-flow` process never loads numpy, and `admissibility` loads it when
-its command runs.
+of the package imports it at import time. The one function that computes in
+numpy imports it when it runs: `Trajectory.data`. `load_trajectory_csv`
+parses into a memoryview, `plotting.render_trajectory_svg` draws from plain
+floats, and the reference flow, the tracking deviation, the convergence
+order and the admissibility quadrature compute on plain floats or in the
+library. So no command, `simulate`, `plot`, `refine`, `gradient-flow` or
+`admissibility`, ever loads numpy.
 """
 
 import ctypes
@@ -247,6 +247,48 @@ def deviation_sq(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the admissibility quadrature
+# ---------------------------------------------------------------------------
+
+def slab_sum(d, nodes, weights, m, x3, q):
+    """The sum of (|g1 s - g2 c| / |g|)^q over one x3 > 0 slab of the
+    admissibility quadrature's grid, g = (d1*x1, d2*x2, d3*x3) and s, c =
+    sin x3, cos x3: x1 over the m nodes, x2 over the 2m mirrored nodes, each
+    value times weights[j] into its row and each row times weights[i] into
+    the slab.
+
+    It is `_kernels.c`'s slab_sum, whose header states the order, in Python,
+    with the same bits. The products of x2 alone are computed once a slab,
+    to the same values.
+    """
+    d1, d2, d3 = d
+    s = sin(x3)
+    c = cos(x3)
+    g3 = d3 * x3
+    g3sq = g3 * g3
+    # x2 ascending: the negated nodes from the last, then the nodes
+    order = [*range(m - 1, -1, -1), *range(m)]
+    g2 = [-(d2 * nodes[j]) for j in order[:m]] + [d2 * nodes[j] for j in order[m:]]
+    columns = [(weights[j], g * c, g * g) for j, g in zip(order, g2)]
+    slab = 0.0
+    for i in range(m):
+        g1 = d1 * nodes[i]
+        g1s = g1 * s
+        g1sq = g1 * g1
+        row = 0.0
+        if q == 2.0:
+            for wj, g2c, g2sq in columns:
+                r = (g1s - g2c) / sqrt((g1sq + g2sq) + g3sq)
+                row += wj * (r * r)
+        else:
+            for wj, g2c, g2sq in columns:
+                r = (g1s - g2c) / sqrt((g1sq + g2sq) + g3sq)
+                row += wj * abs(r) ** q
+        slab += weights[i] * row
+    return slab
+
+
+# ---------------------------------------------------------------------------
 # the compiled library
 # ---------------------------------------------------------------------------
 
@@ -271,14 +313,16 @@ def compiled_loop():
 
     It holds `closed_loop`, for `c_loop`, `parse_rows`, for
     `simulator.load_trajectory_csv`, `format_rows`, for
-    `simulator.Trajectory.save_csv`, and `deviation_sq`, for
-    `simulator.tracking_deviation`.
+    `simulator.Trajectory.save_csv`, `deviation_sq`, for
+    `simulator.tracking_deviation`, and `slab_sum`, for
+    `admissibility.admissibility_measure`.
     Built on the first call with `cc` into the package's __pycache__, under a
     name that carries a hash of the source and the flags, and then loaded
     from there. If it cannot be built or loaded, the reason goes to stderr and
     None comes back: `simulate` runs `closed_loop`, `load_trajectory_csv`
-    `simulator._parse_python`, `save_csv` `simulator.write_rows`, and
-    `tracking_deviation` this module's `deviation_sq`.
+    `simulator._parse_python`, `save_csv` `simulator.write_rows`,
+    `tracking_deviation` this module's `deviation_sq`, and
+    `admissibility_measure` this module's `slab_sum`.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -292,8 +336,8 @@ def compiled_loop():
             _build(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        print("gradflow: running the Python closed loop, CSV reader, CSV writer "
-              f"and deviation: {exc}", file=sys.stderr)
+        print("gradflow: running the Python closed loop, CSV reader, CSV writer, "
+              f"deviation and quadrature: {exc}", file=sys.stderr)
         return None
     c_double_p = ctypes.POINTER(ctypes.c_double)
     c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -309,6 +353,9 @@ def compiled_loop():
     lib.deviation_sq.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                                  ctypes.c_int64)
     lib.deviation_sq.restype = ctypes.c_double
+    lib.slab_sum.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                             ctypes.c_int64, ctypes.c_double, ctypes.c_double)
+    lib.slab_sum.restype = ctypes.c_double
     return lib
 
 
@@ -343,7 +390,8 @@ def _build(path):
 
 
 def kernel() -> str:
-    """The loop that `simulate` runs in this process: "c" or "python"."""
+    """The build that runs in this process, the library's or the Python twins':
+    "c" or "python"."""
     return "c" if compiled_loop() else "python"
 
 

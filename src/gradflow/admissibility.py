@@ -7,19 +7,18 @@ For a potential V on a box X the cost is the normalized integral
 where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
-closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. `_integrand` evaluates
-it, and the test suite checks it against a brute-force minimizer over u.
-The integral is one deterministic rule: the midpoint rule on a tensor grid
-of grid_n cells per axis.
+closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. The compiled library's
+`slab_sum` evaluates it, or its Python twin `_kernels.slab_sum`, with the
+same bits, and the test suite checks it against a brute-force minimizer
+over u. The integral is one deterministic rule: the midpoint rule on a
+tensor grid of grid_n cells per axis.
 
 The grid's centers are built exactly antisymmetric, so negating a center
 rounds nothing. With grad V = 2*c*x, the integrand |g1 sin x3 - g2 cos x3|
 / |g| then keeps every bit under (x1, x2, x3) -> (-x1, -x2, x3), which
 negates the numerator, and under (-x1, x2, -x3), which leaves it as it is.
-The quadrature sums the quarter x1 > 0, x3 > 0 of the grid and counts it
-four times. The grid is evaluated in blocks of rows, each block on every
-slab, into three buffers that every block reuses: g1^2 + g2^2, computed
-once per block, |grad V| and the values.
+The quadrature sums the quarter x1 > 0, x3 > 0 of the grid, one x3 slab
+per call, and counts it four times.
 
 X is the centred cube [-w, w]^3. J is zero iff the gradient flow is
 realizable everywhere; for q = 2 the integrand lies in [0, 1], hence J in
@@ -30,20 +29,19 @@ brings every gradient component on the cube below 2, so |grad V|^2 cannot
 overflow and a tiny V is not lost to underflow. Multiplying V by a power of
 two leaves every bit of J unchanged.
 
-The quadrature imports numpy when it runs, not when this module is
-imported: the configs and the sweep CSV need none.
+Nothing here imports numpy: the grid, the scaled gradient and the slab
+sums are plain floats, array('d') buffers or the library's.
 """
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
+from gradflow import _kernels
 from gradflow.kinematics import check_scalar
 from gradflow.potential import Potential, make_quadratic
 from gradflow.simulator import replacing
-
-# midpoint evaluates its grid in row blocks of at most this many points per slab
-BLOCK_POINTS = 1 << 18
 
 # Coefficient triples (c1, c2, c3) of the published quadratic-form sweep,
 # in presentation order.
@@ -93,8 +91,8 @@ class AdmissibilityResult:
     """Midpoint estimate of J plus audit counters.
 
     excluded is 0 by construction: grad V vanishes at no cell center (see
-    `_integrand`). It stays because the sweep CSV has a column for it and
-    the benchmark's replay and run checks read it.
+    `admissibility_measure`). It stays because the sweep CSV has a column
+    for it and the benchmark's replay and run checks read it.
     """
 
     value: float
@@ -102,15 +100,15 @@ class AdmissibilityResult:
     excluded: int
 
 
-def _grid_centers(w: float, n: int):
-    """The centers of n cells on [-w, w], n even, exactly antisymmetric: xs[n-1-i] == -xs[i]."""
-    import numpy as np
+def _grid_centers(w: float, n: int) -> array:
+    """The n // 2 positive centers (i + 0.5) * 2w/n of n cells on [-w, w], n even.
 
-    pos = (np.arange(n // 2) + 0.5) * (2.0 * w / n)
-    return np.concatenate((-pos[::-1], pos))
+    The negative half is their negation, so the grid is exactly antisymmetric."""
+    step = 2.0 * w / n
+    return array("d", [(i + 0.5) * step for i in range(n // 2)])
 
 
-def _gradient_coeffs(potential: Potential, w: float):
+def _gradient_coeffs(potential: Potential, w: float) -> array:
     """2*c times 2^-(e_c + e_w), with e_c, e_w the binary exponents of max c and w.
 
     grad V = (2*c) * x, so every component of this scaled gradient on the
@@ -118,33 +116,8 @@ def _gradient_coeffs(potential: Potential, w: float):
     multiplied, so nothing overflows on the way; a power of two rounds
     nothing, so the integrand's ratio is the one of the unscaled gradient.
     """
-    import numpy as np
-
-    k = np.frexp(max(potential.coeffs))[1] + np.frexp(w)[1]
-    return np.ldexp(potential.coeffs, 1 - k)
-
-
-def _integrand(g1, g2, g3, s, c, q: float, plane, gn, r) -> None:
-    """rho(x, grad V)^q / |grad V|^q on one x3 slab, written into r.
-
-    grad V = (g1, g2, g3), with g3 a scalar, s, c = sin, cos x3 and plane =
-    g1*g1 + g2*g2. g1 and g2 broadcast to the shape of plane, gn and r; gn
-    is scratch. grad V does not vanish at a center: on the axis of the
-    largest coefficient the scaled gradient at the first center w/n is
-    2*m_c*m_w/n, with mantissas m_c, m_w in [0.5, 1) (w is normal), so
-    |grad V| >= 0.5/n.
-    """
-    import numpy as np
-
-    np.add(plane, g3 * g3, out=gn)  # the order of g1*g1 + g2*g2 + g3*g3
-    np.sqrt(gn, out=gn)
-    np.subtract(g1 * s, g2 * c, out=r)
-    r /= gn
-    if q == 2.0:
-        r *= r  # the square ignores the sign
-    else:
-        np.abs(r, out=r)
-        r **= q
+    k = math.frexp(max(potential.coeffs))[1] + math.frexp(w)[1]
+    return array("d", [math.ldexp(c, 1 - k) for c in potential.coeffs])
 
 
 def admissibility_measure(potential: Potential,
@@ -154,35 +127,32 @@ def admissibility_measure(potential: Potential,
     The grid has the cell centers of grid_n cells per axis. The integrand
     is bitwise unchanged by the reflections (x1, x2, x3) -> (-x1, -x2, x3)
     and (-x1, x2, -x3) of the antisymmetric centers, so the quarter x1 > 0,
-    x3 > 0 of the grid is summed and counted four times. It is evaluated in
-    blocks of rows, each block on every x3 slab, so memory is bounded by
-    BLOCK_POINTS points whatever grid_n is.
-    """
-    import numpy as np
+    x3 > 0 of the grid is summed and counted four times. Each x3 slab is one
+    call of the library's slab_sum, or of its twin `_kernels.slab_sum`, on
+    the grid_n / 2 positive centers and unit weights, and the slab sums go
+    into one running total in slab order. So memory follows grid_n, not
+    grid_n^3, and Ctrl-C stops a large grid between two slabs.
 
+    grad V does not vanish at a center: on the axis of the largest
+    coefficient the scaled gradient at the first center w/n is 2*m_c*m_w/n,
+    with mantissas m_c, m_w in [0.5, 1) (w is normal), so |grad V| >= 0.5/n.
+    """
     cfg = AdmissibilityConfig() if cfg is None else cfg
     n, w, q = cfg.grid_n, cfg.half_width, cfg.q
-    h = n // 2
-    xs = _grid_centers(w, n)  # the cell centers of every axis
-    pos = xs[h:]  # the x1 > 0 rows and the x3 > 0 slabs
-    # the scaled grad V is separable: g1 varies along x1 (rows) only, g2
-    # along x2 (columns) only, and g3 is constant on an x3 slab
-    d1, d2, d3 = _gradient_coeffs(potential, w)
-    g1 = (d1 * pos)[:, None]
-    g2 = (d2 * xs)[None, :]
-    g1sq, g2sq = g1 * g1, g2 * g2
-    rows = min(h, max(1, BLOCK_POINTS // n))  # up to grid_n 724 the rows are one block
-    # g1*g1 + g2*g2, |grad V| and the values of one block, reused by every block
-    plane, gn, r = np.empty((3, rows, n))
-    slabs = [(g3, math.sin(x3), math.cos(x3)) for x3, g3 in zip(pos, d3 * pos)]
-    total = 0.0  # one running sum, in block and slab order
-    for lo in range(0, h, rows):
-        hi = min(lo + rows, h)
-        m = hi - lo
-        np.add(g1sq[lo:hi], g2sq, out=plane[:m])
-        for g3, s, c in slabs:
-            _integrand(g1[lo:hi], g2, g3, s, c, q, plane[:m], gn[:m], r[:m])
-            total += float(r[:m].sum())
+    m = n // 2
+    d = _gradient_coeffs(potential, w)
+    nodes = _grid_centers(w, n)
+    weights = array("d", [1.0]) * m
+    lib = _kernels.compiled_loop()
+    if lib:
+        args = (d.buffer_info()[0], nodes.buffer_info()[0], weights.buffer_info()[0], m)
+        slab_sum = lib.slab_sum
+    else:
+        args = (d, nodes, weights, m)
+        slab_sum = _kernels.slab_sum
+    total = 0.0
+    for k in range(m):
+        total += weights[k] * slab_sum(*args, nodes[k], q)
     points = n ** 3
     return AdmissibilityResult(value=4.0 * total / points, points=points, excluded=0)
 

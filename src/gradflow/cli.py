@@ -171,6 +171,7 @@ def cmd_admissibility(args) -> int:
             for cell in cells
         ],
         "csv": args.out,
+        "kernel": _kernels.kernel(),
     })
     return 0
 

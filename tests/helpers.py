@@ -3,13 +3,25 @@
 import errno
 import io
 
-from gradflow import PRESETS, sim_config, simulator
+import pytest
+
+from gradflow import PRESETS, _kernels, sim_config, simulator
 from gradflow.simulator import SimConfig
 
 
 def preset_sim_config(name: str, **settings) -> SimConfig:
     """The SimConfig of a named preset, with `settings` layered on top of it."""
     return sim_config({**PRESETS[name], **settings})
+
+
+def in_build(build, fn, *args):
+    """fn(*args) with the compiled library ("c") or with it forced to None ("python")."""
+    with pytest.MonkeyPatch.context() as mp:
+        if build == "python":
+            mp.setattr(_kernels, "compiled_loop", lambda: None)
+        else:
+            assert _kernels.compiled_loop() is not None
+        return fn(*args)
 
 
 class FullDisk(io.FileIO):

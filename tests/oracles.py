@@ -7,10 +7,10 @@ gradient, the frame algebra of the unicycle, the feedback and its clamp,
 the amplitude vector and the exact flow of one hold. The package computes
 the same quantities only inside its closed loop, `_kernels.closed_loop`
 and its C build in `_kernels.c` (the Python loop is in turn the bitwise
-oracle of the C one), and in
-`admissibility._integrand`; `integrand` calls the latter with buffers of
-its own, and `integrand_rho` reads it in the units of the residual, so a
-test can hold it against `rho_bruteforce`.
+oracle of the C one), and in the admissibility quadrature's slab sums.
+`integrand` is that quadrature's integrand in numpy, `integrand_rho`
+reads it in the units of the residual, so a test can hold it against
+`rho_bruteforce`, and `midpoint_j` is the former numpy quadrature.
 `rk4_flow` integrates any field: `rk4_gradient_flow` is the reference
 flow that `simulator.integrate_gradient_flow` evaluates in closed form,
 `averaged_field` is the flow that the sampling loop tracks, and
@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from gradflow import admissibility
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import as_state
 from gradflow.potential import Potential
@@ -295,17 +294,17 @@ def amplitude_vector(potential: Potential, gamma: float, x) -> np.ndarray:
 
 
 def integrand(g1, g2, g3, s, c, q):
-    """`admissibility._integrand` with its buffers allocated: the values.
+    """rho(x, grad V)^q / |grad V|^q in numpy, the former vectorised integrand.
 
-    g1 and g2 broadcast against each other, and g3 is a scalar."""
+    grad V = (g1, g2, g3), with g1 and g2 broadcasting against each other,
+    g3 a scalar and s, c = sin, cos x3."""
     plane = g1 * g1 + g2 * g2
-    gn, r = np.empty((2, *plane.shape))
-    admissibility._integrand(g1, g2, g3, s, c, q, plane, gn, r)
-    return r
+    r = (g1 * s - g2 * c) / np.sqrt(plane + g3 * g3)  # the order of g1*g1 + g2*g2 + g3*g3
+    return r * r if q == 2.0 else np.abs(r) ** q
 
 
 def integrand_rho(x, p) -> float:
-    """rho(x, p) as the quadrature computes it: `_integrand` at q = 1, times |p|.
+    """rho(x, p) as the quadrature's integrand computes it: `integrand` at q = 1, times |p|.
 
     rho(x, 0) = 0. The integrand is 0/0 there, a point the quadrature's grid
     never reaches, so a zero p is answered here."""
@@ -316,6 +315,36 @@ def integrand_rho(x, p) -> float:
     g1, g2 = np.array([float(p[0])]), np.array([float(p[1])])
     vals = integrand(g1, g2, float(p[2]), math.sin(x[2]), math.cos(x[2]), 1.0)
     return float(vals[0]) * p_norm
+
+
+def midpoint_slab(potential: Potential, q: float, grid_n: int, half_width: float,
+                  k: int) -> float:
+    """The integrand's sum over the x1 > 0 rows of the k-th x3 > 0 slab, in numpy.
+
+    The centers (i + 0.5) * 2w/n and their negations, and the gradient
+    scaled by 2^(1 - e_c - e_w), are the package's; the slab is one array of
+    grid_n / 2 rows, summed by numpy's pairwise sum."""
+    n, w = grid_n, half_width
+    pos = (np.arange(n // 2) + 0.5) * (2.0 * w / n)
+    xs = np.concatenate((-pos[::-1], pos))
+    e = np.frexp(max(potential.coeffs))[1] + np.frexp(w)[1]
+    d1, d2, d3 = np.ldexp(potential.coeffs, 1 - e)
+    x3 = pos[k]
+    vals = integrand((d1 * pos)[:, None], (d2 * xs)[None, :], d3 * x3, math.sin(x3),
+                     math.cos(x3), q)
+    return float(vals.sum())
+
+
+def midpoint_j(potential: Potential, q: float, grid_n: int, half_width: float) -> float:
+    """J by the former numpy midpoint quadrature: the slab sums of
+    `midpoint_slab` in slab order, times 4 / grid_n^3 for the quarter grid.
+
+    Up to grid_n 724, where the former quadrature's rows were one block,
+    this is its J bit for bit."""
+    total = 0.0
+    for k in range(grid_n // 2):
+        total += midpoint_slab(potential, q, grid_n, half_width, k)
+    return 4.0 * total / grid_n ** 3
 
 
 def rho_bruteforce(x, p, coarse_range: float | None = None,

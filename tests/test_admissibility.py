@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -12,11 +13,20 @@ from gradflow import (
     admissibility_measure,
     make_quadratic,
     make_v_alpha,
+    table1,
     write_sweep_csv,
 )
-from gradflow import admissibility
-from helpers import fill_the_disk
-from oracles import integrand, integrand_rho, potential_gradient, rho_bruteforce, vector_fields
+from gradflow import _kernels, admissibility
+from helpers import fill_the_disk, in_build
+from oracles import (
+    integrand,
+    integrand_rho,
+    midpoint_j,
+    midpoint_slab,
+    potential_gradient,
+    rho_bruteforce,
+    vector_fields,
+)
 
 
 def random_pairs(n, seed, p_max=10.0):
@@ -164,18 +174,38 @@ class TestMeasure:
            n=st.integers(1, 20).map(lambda k: 2 * k), q=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     def test_every_scale_gives_a_finite_j(self, mc, ec, mw, ew, n, q):
         # coefficients anywhere in the float range and any normal w: the scaled
-        # gradient neither overflows nor vanishes at a cell center
+        # gradient neither overflows nor vanishes at a cell center, in either
+        # build; the twin would raise on a zero |grad V|
         coeffs = [math.ldexp(m, e) for m, e in zip(mc, ec)]
         cfg = AdmissibilityConfig(q=q, grid_n=n, half_width=math.ldexp(mw, ew))
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            res = admissibility_measure(make_quadratic(*coeffs), cfg)
+        res = in_build("c", admissibility_measure, make_quadratic(*coeffs), cfg)
         assert math.isfinite(res.value)
         assert res.excluded == 0
+        assert in_build("python", admissibility_measure, make_quadratic(*coeffs), cfg) == res
 
 
 grid_sizes = st.integers(1, 8).map(lambda k: 2 * k)
 coefficients = st.tuples(*[st.floats(0.1, 10.0)] * 3)
 half_widths = st.floats(0.1, 3.0)
+
+
+def full_grid(w, n):
+    """The n cell centers of [-w, w]: the package's positive half and its negation."""
+    pos = admissibility._grid_centers(w, n).tolist()
+    return [-x for x in reversed(pos)] + pos
+
+
+def slab_sums(build, pot, q, n, w, slabs):
+    """The package's sums of the x3 > 0 slabs `slabs`, by the library ("c") or the twin."""
+    d = admissibility._gradient_coeffs(pot, w)
+    nodes = admissibility._grid_centers(w, n)
+    weights = array("d", [1.0]) * (n // 2)
+    if build == "c":
+        fn = _kernels.compiled_loop().slab_sum
+        args = (d.buffer_info()[0], nodes.buffer_info()[0], weights.buffer_info()[0])
+    else:
+        fn, args = _kernels.slab_sum, (d, nodes, weights)
+    return [fn(*args, n // 2, nodes[k], q) for k in slabs]
 
 
 class TestOneIntegrand:
@@ -187,7 +217,7 @@ class TestOneIntegrand:
     def test_slab_gradients_equal_full_grid(self, coeffs, q, n, w):
         pot = make_quadratic(*coeffs)
         cfg = AdmissibilityConfig(q=q, grid_n=n, half_width=w)
-        xs = admissibility._grid_centers(w, n)
+        xs = np.array(full_grid(w, n))
         plane1, plane2 = np.meshgrid(xs, xs, indexing="ij")
         total = 0.0
         for x3 in xs:
@@ -207,8 +237,7 @@ class TestOneIntegrand:
     def test_reflections_leave_the_integrand_unchanged(self, coeffs, q, n, w, data):
         # (x1, x2, x3) -> (-x1, -x2, x3) and (-x1, x2, -x3) map the grid onto
         # itself and each value onto its own bits: the quarter grid relies on it
-        xs = admissibility._grid_centers(w, n)
-        assert xs.tolist() == (-xs[::-1]).tolist()
+        xs = full_grid(w, n)
         d = admissibility._gradient_coeffs(make_quadratic(*coeffs), w)
         i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
 
@@ -221,39 +250,39 @@ class TestOneIntegrand:
         assert value(n - 1 - i, n - 1 - j, k) == v
         assert value(n - 1 - i, j, n - 1 - k) == v
 
-    @pytest.mark.filterwarnings("error")
     def test_tiny_gradient_is_kept(self):
         # a nonzero gradient is kept however small, as long as its square is
-        # nonzero; the quadrature's scaling keeps |grad V| >= 0.5/grid_n
-        g1 = np.array([1e-150, 1e-30, 1.0])
-        assert integrand(g1, 0.0, 0.0, 1.0, 0.0, 2.0).tolist() == [1.0, 1.0, 1.0]
-        assert integrand(g1, 0.0, 0.0, 0.6, 0.8, 1.5) == pytest.approx([0.6 ** 1.5] * 3)
+        # nonzero, in both builds; the quadrature's scaling keeps |grad V| >=
+        # 0.5/grid_n. The slab at x3 = pi/2 holds the two points x2 = +-1 of
+        # the row x1 = 1
+        one = array("d", [1.0])
+        c_sum = _kernels.compiled_loop().slab_sum
+        for g1 in (1e-150, 1e-30, 1.0):
+            d = array("d", [g1, 0.0, 0.0])
+            for q in (2.0, 1.5):
+                assert _kernels.slab_sum(d, one, one, 1, math.pi / 2, q) == 2.0
+                assert c_sum(d.buffer_info()[0], one.buffer_info()[0], one.buffer_info()[0],
+                             1, math.pi / 2, q) == 2.0
 
 
-class TestMidpointBlocks:
-    """Midpoint evaluates each x3 > 0 slab's x1 > 0 rows in blocks of at most BLOCK_POINTS points."""
+class TestSlabSum:
+    """The library's slab_sum and its twin `_kernels.slab_sum`, one x3 slab a call."""
 
-    def test_blocks_agree_with_one_block_per_slab(self, monkeypatch):
-        cfg = AdmissibilityConfig(grid_n=256)
-        pot = make_quadratic(1, 2, 3)
-        one = admissibility_measure(pot, cfg)  # 128 x 256 <= 2^18: each slab is one block
-        blocks = []
+    @settings(max_examples=100, deadline=None)
+    @given(mc=st.tuples(*[st.floats(0.5, 1.0, exclude_max=True)] * 3),
+           ec=st.tuples(*[st.integers(-60, 60)] * 3),
+           q=st.sampled_from([2.0, 1.0, 3.0]) | st.floats(0.1, 4.0),
+           w=st.floats(1e-3, 1e3), n=st.integers(1, 20).map(lambda k: 2 * k))
+    def test_compiled_equals_the_twin(self, mc, ec, q, w, n):
+        pot = make_quadratic(*(math.ldexp(m, e) for m, e in zip(mc, ec)))
+        slabs = range(n // 2)
+        assert slab_sums("c", pot, q, n, w, slabs) == slab_sums("python", pot, q, n, w, slabs)
+        cfg = AdmissibilityConfig(q=q, grid_n=n, half_width=w)
+        assert (in_build("c", admissibility_measure, pot, cfg)
+                == in_build("python", admissibility_measure, pot, cfg))
 
-        def recording(g1, *args):
-            blocks.append(g1.shape)
-            return integrand(g1, *args)
-
-        integrand = admissibility._integrand
-        monkeypatch.setattr(admissibility, "_integrand", recording)
-        monkeypatch.setattr(admissibility, "BLOCK_POINTS", 4096)
-        split = admissibility_measure(pot, cfg)
-        # 4096 // 256 = 16 rows a block, 8 blocks for the 128 rows x1 > 0, 128 slabs x3 > 0
-        assert blocks == [(16, 1)] * (8 * 128)
-        assert abs(split.value - one.value) <= 1e-13 * one.value
-        assert (split.points, split.excluded) == (one.points, one.excluded)
-
-    def test_memory_is_bounded_by_the_block(self, monkeypatch):
-        monkeypatch.setattr(admissibility, "BLOCK_POINTS", 4096)
+    def test_memory_follows_grid_n(self):
+        # the grid_n / 2 nodes and weights, not a grid_n^3, or slab-sized, array
         cfg = AdmissibilityConfig(grid_n=256)
         pot = make_quadratic(1, 2, 3)
         admissibility_measure(pot, cfg)  # warm up caches outside the trace
@@ -263,8 +292,47 @@ class TestMidpointBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one 256 x 256 slab temporary is 512 KB; a few 16-row blocks stay under half of it
-        assert peak < 256 * 1024
+        # one 128 x 256 slab of doubles would be 256 KB
+        assert peak < 16 * 1024
+
+
+# the largest relative distance of the package's J, or slab sums, from the
+# former numpy quadrature's: measured 2.4e-16 on Table 1, 2.8e-16 on the
+# q = 1.5 sweep and 1.9e-16 at grid_n 800
+ORACLE_RTOL = 1e-15
+
+
+class TestNumpyQuadratureOracle:
+    """Both builds agree with the former numpy quadrature, `oracles.midpoint_j`."""
+
+    def test_table1(self):
+        cfg = AdmissibilityConfig()
+        values = [res.value for _, res in in_build("c", table1, cfg)]
+        for coeffs, value in zip(TABLE1_COEFFS, values):
+            expected = midpoint_j(make_quadratic(*coeffs), cfg.q, cfg.grid_n, cfg.half_width)
+            assert abs(value - expected) <= ORACLE_RTOL * expected
+        assert [res.value for _, res in in_build("python", table1, cfg)] == values
+
+    @pytest.mark.parametrize("build", ["c", "python"])
+    def test_q15_sweep(self, build):
+        # CI's q = 1.5 sweep, which runs the pow branch
+        cfg = AdmissibilityConfig(q=1.5, grid_n=60, half_width=2.5)
+        for alpha in (1, 2, 4, 10):
+            pot = make_v_alpha(alpha)
+            value = in_build(build, admissibility_measure, pot, cfg).value
+            expected = midpoint_j(pot, cfg.q, cfg.grid_n, cfg.half_width)
+            assert abs(value - expected) <= ORACLE_RTOL * expected
+
+    def test_grid_800_slabs(self):
+        # CI's grid_n 800 sweep, whose former quadrature ran two row blocks; its
+        # J is pinned in CI. Here eight slabs spread over x3, the numpy oracle's
+        # 320,000 points each, against both builds
+        pot, slabs = make_quadratic(1, 2, 3), [0, 1, 57, 150, 222, 301, 398, 399]
+        c = slab_sums("c", pot, 2.0, 800, 1.0, slabs)
+        assert slab_sums("python", pot, 2.0, 800, 1.0, slabs) == c
+        for k, value in zip(slabs, c):
+            expected = midpoint_slab(pot, 2.0, 800, 1.0, k)
+            assert abs(value - expected) <= ORACLE_RTOL * expected
 
 
 class TestTable1:

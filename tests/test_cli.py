@@ -275,9 +275,9 @@ def child(code: str, cwd) -> list:
 
 
 class TestNumpyFree:
-    """No module imports numpy at import time, and simulate, plot, refine and
-    gradient-flow, with or without the library, never import it;
-    admissibility imports it when it runs."""
+    """No module imports numpy at import time, and no command, simulate, plot,
+    refine, gradient-flow or admissibility, with or without the library,
+    ever imports it."""
 
     @pytest.mark.parametrize("module", ["gradflow", "gradflow.cli"])
     def test_import(self, tmp_path, module):
@@ -361,6 +361,26 @@ class TestNumpyFree:
         assert runs["c"] == runs["python"]
         assert runs["c"][0]["rows"] == 3001
 
+    def test_admissibility(self, tmp_path):
+        runs = {}
+        for kernel in ("c", "python"):
+            code = (
+                "import json, sys\n"
+                "from gradflow import _kernels\n"
+                "from gradflow.cli import main\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if kernel == "python" else "")
+                + "code = main(['admissibility', '--v-alpha', '1,4', '--q', '1.5', '--grid-n', "
+                f"'20', '--out', '{kernel}.csv'])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            )
+            summary, result = child(code, tmp_path)
+            assert result == [0, False]
+            assert summary.pop("kernel") == kernel
+            assert summary.pop("csv") == f"{kernel}.csv"
+            runs[kernel] = summary, (tmp_path / f"{kernel}.csv").read_bytes()
+        assert runs["c"] == runs["python"]
+        assert [cell["points"] for cell in runs["c"][0]["cells"]] == [8000, 8000]
+
     def test_other_commands_print_their_summaries(self, tmp_path):
         commands = [
             ["simulate", "--preset", "P1", "--t-max", "1", "--out", "s.csv"],
@@ -377,13 +397,13 @@ class TestNumpyFree:
         )
         lines = child(code, tmp_path)
         summaries, results = lines[::2], lines[1::2]
-        assert results == [[0, False], [0, False], [0, False], [0, False], [0, True]]
+        assert results == [[0, False]] * 5
         assert [sorted(s) for s in summaries[1:]] == [
             ["out", "parser", "rows"],
             ["V_end", "csv", "csv_writer", "final_state", "rows"],
             ["csv", "deviations", "eps", "kernel", "loop_mode", "non_increasing", "slope",
              "window"],
-            ["cells", "csv", "q"],
+            ["cells", "csv", "kernel", "q"],
         ]
         assert summaries[1]["rows"] == summaries[0]["rows"] == 2001
         assert summaries[2]["rows"] == 1001

@@ -41,7 +41,7 @@ from gradflow.simulator import (
     TERMINATED_HORIZON,
     TRAJECTORY_COLUMNS,
 )
-from helpers import preset_sim_config
+from helpers import in_build, preset_sim_config
 import oracles
 from oracles import (
     amplitude_vector,
@@ -644,8 +644,8 @@ class TestCompiledLoopBuild:
             _kernels.compiled_loop.cache_clear()
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert ("gradflow: running the Python closed loop, CSV reader, CSV writer "
-                "and deviation: cc exited with status" in captured.err)
+        assert ("gradflow: running the Python closed loop, CSV reader, CSV writer, "
+                "deviation and quadrature: cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
 
 
@@ -659,16 +659,6 @@ class TestRK4Order:
         err_h = np.linalg.norm(run(0.25) - ref)
         err_h2 = np.linalg.norm(run(0.125) - ref)
         assert err_h / err_h2 >= 12.0
-
-
-def in_build(build, fn, *args):
-    """fn(*args) with the compiled library ("c") or with it forced to None ("python")."""
-    with pytest.MonkeyPatch.context() as mp:
-        if build == "python":
-            mp.setattr(_kernels, "compiled_loop", lambda: None)
-        else:
-            assert _kernels.compiled_loop() is not None
-        return fn(*args)
 
 
 class TestGradientFlow:
