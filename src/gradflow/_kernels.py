@@ -36,14 +36,8 @@ with STATUS_NONFINITE. V stands for the state: with every c_i > 0, c*x*x is
 inf or nan wherever x is. a1 and a2 are tested in their own right, since a
 clamp turns an infinite amplitude into a finite control.
 
-Neither loop, nor the library, nor this module needs numpy, and no module
-of the package imports it at import time. The one function that computes in
-numpy imports it when it runs: `Trajectory.data`. `load_trajectory_csv`
-parses into a memoryview, `plotting.render_trajectory_svg` draws from plain
-floats, and the reference flow, the tracking deviation, the convergence
-order and the admissibility quadrature compute on plain floats or in the
-library. So no command, `simulate`, `plot`, `refine`, `gradient-flow` or
-`admissibility`, ever loads numpy.
+The package has no dependency: it computes on plain floats, on array('d')
+and memoryview, or in the library.
 """
 
 import ctypes
@@ -63,7 +57,10 @@ STATUS_NONFINITE = 2
 
 
 def backend() -> str:
-    """Name of the one numeric build, read by clibench's provenance probe."""
+    """A fixed label, not the build that runs (that is `kernel`): clibench's
+    provenance probe reads it, and its compare flags two results whose
+    labels differ, so it keeps its value until the benchmark revision of
+    ROADMAP item 2 replaces the probe."""
     return "numpy"
 
 

@@ -29,8 +29,8 @@ brings every gradient component on the cube below 2, so |grad V|^2 cannot
 overflow and a tiny V is not lost to underflow. Multiplying V by a power of
 two leaves every bit of J unchanged.
 
-Nothing here imports numpy: the grid, the scaled gradient and the slab
-sums are plain floats, array('d') buffers or the library's.
+The grid, the scaled gradient and the slab sums are plain floats,
+array('d') buffers or the library's.
 """
 
 import math

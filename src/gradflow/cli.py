@@ -111,8 +111,7 @@ def cmd_simulate(args) -> int:
     settings = _settings_for_simulate(args)
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
-    csv_writer = traj.save_csv(args.out)
-    # the summary reads the last row from the rows buffer: no numpy view
+    traj.save_csv(args.out)
     last = traj.rows[-len(TRAJECTORY_COLUMNS):]
     _emit({
         "preset": args.preset,
@@ -128,7 +127,6 @@ def cmd_simulate(args) -> int:
         "V_end": last[9],
         "rows": len(traj.rows) // len(TRAJECTORY_COLUMNS),
         "csv": args.out,
-        "csv_writer": csv_writer,
         "kernel": _kernels.kernel(),
     })
     return 0
@@ -256,14 +254,14 @@ def cmd_refine(args) -> int:
 def cmd_gradient_flow(args) -> int:
     potential = _potential_from_flags(args)
     traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h)
-    csv_writer = traj.save_csv(args.out)
+    traj.save_csv(args.out)
     last = traj.rows[-len(TRAJECTORY_COLUMNS):]
     _emit({
         "final_state": last[1:4].tolist(),
         "V_end": last[9],
         "rows": len(traj.rows) // len(TRAJECTORY_COLUMNS),
         "csv": args.out,
-        "csv_writer": csv_writer,
+        "kernel": _kernels.kernel(),
     })
     return 0
 

@@ -3,10 +3,7 @@
 Hand-rolled on purpose: the output bytes are a pure function of the input
 data (no timestamps, ids, or library version strings), so plots can be
 diffed and golden-tested. Three panels: planar path, states against time,
-controls against time.
-
-It computes on plain floats, point by point, so it imports no numpy: a
-`plot` process never loads it.
+controls against time. It computes on plain floats, point by point.
 """
 
 import math
@@ -126,10 +123,10 @@ class _Panel:
 def render_trajectory_svg(data, path) -> None:
     """Render trajectory data (simulator column layout) to an SVG file.
 
-    data is a 2-D float64 memoryview, as `load_trajectory_csv` returns, or an
-    ndarray; either is read element by element. The file is written through
-    `simulator.replacing`, so a failed render leaves an existing `path` as
-    it was.
+    data is a 2-D float64 memoryview, as `load_trajectory_csv` returns and
+    `Trajectory.data` is, or an ndarray; either is read element by element.
+    The file is written through `simulator.replacing`, so a failed render
+    leaves an existing `path` as it was.
     """
     if data.ndim != 2 or data.shape[1] < 6 or data.shape[0] < 1:
         raise ValueError("trajectory data must have rows and at least 6 columns")

@@ -20,9 +20,8 @@ The reference dynamics xdot = -grad V of a diagonal quadratic V decouple
 into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
 that closed form on its logged grid instead of integrating.
 
-Nothing here imports numpy, except `Trajectory.data` on first use: the runs,
-the CSV, the reference flow and the tracking deviation compute on plain
-floats or in the compiled library.
+The runs, the CSV, the reference flow and the tracking deviation compute
+on plain floats or in the compiled library.
 """
 
 import contextlib
@@ -33,6 +32,7 @@ import math
 import mmap
 import os
 import re
+import stat
 from array import array
 from dataclasses import dataclass
 
@@ -81,9 +81,7 @@ class Trajectory:
     amplitude vector in effect, potential value, and whether the control
     was saturated. It is the array the loop logged into, not a copy. Rows
     are strictly increasing in t, and the first row is the initial state at
-    t = 0. data is the same rows as a read-only (rows, 11) numpy view, made
-    on first use; t, states, potential_values and final_state are views of
-    it.
+    t = 0.
 
     convergence_time is the time of the update that reached the goal, or
     None when the run used its whole horizon; `terminated` names which.
@@ -109,35 +107,27 @@ class Trajectory:
             raise ValueError("trajectory must contain at least one row")
 
     @functools.cached_property
-    def data(self):
-        """The rows as a read-only (rows, 11) float64 ndarray that shares rows' memory."""
-        import numpy as np
+    def data(self) -> memoryview:
+        """rows as a read-only (rows, 11) float64 memoryview, made once: the
+        view that `load_trajectory_csv` returns, and `np.asarray` of it is an
+        ndarray with no copy.
 
-        data = np.frombuffer(self.rows).reshape(-1, len(TRAJECTORY_COLUMNS))
-        data.flags.writeable = False
-        return data
+        It stays, with `t`, because clibench's replay counts the rows of a run
+        as `data.shape[0]` right after `simulate` and `integrate_gradient_flow`.
+        """
+        return _rows_view(self.rows, len(self.rows) // len(TRAJECTORY_COLUMNS)).toreadonly()
 
     @property
     def terminated(self) -> str:
         return TERMINATED_HORIZON if self.convergence_time is None else TERMINATED_GOAL
 
     @property
-    def t(self):
-        return self.data[:, 0]
+    def t(self) -> array:
+        """The logged times, a new array('d'). It stays because clibench's
+        replay counts a run's updates as `t[-1]` over its control period."""
+        return self.rows[::len(TRAJECTORY_COLUMNS)]
 
-    @property
-    def states(self):
-        return self.data[:, 1:4]
-
-    @property
-    def potential_values(self):
-        return self.data[:, 9]
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-    def save_csv(self, path) -> str:
+    def save_csv(self, path) -> None:
         """Write the exact trajectory CSV: 9 significant digits, LF endings.
 
         The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n").
@@ -145,8 +135,7 @@ class Trajectory:
         call into one reused buffer, each block written out before the next;
         where the library cannot be built or loaded, `write_rows` does. The
         file is written through `replacing`, so a failed write leaves an
-        existing `path` as it was. Returns the writer that ran: "c" or
-        "python".
+        existing `path` as it was; `_kernels.kernel()` names the writer.
         """
         lib = _kernels.compiled_loop()
         with replacing(path) as f:
@@ -155,7 +144,6 @@ class Trajectory:
                 _format_rows(lib, f, self.rows)
             else:
                 write_rows(f, self.rows)
-        return "c" if lib else "python"
 
 
 @contextlib.contextmanager
@@ -236,7 +224,8 @@ def _rows_view(buffer, rows: int) -> memoryview:
 
 def _parse_compiled(lib, f):
     """The rows of the binary file f past its header, parsed by the library's
-    parse_rows; None where the host will not map their memory.
+    parse_rows; None where f is no regular file, or the host will not map
+    their memory.
 
     The file is read CSV_READ_BYTES at a time into one reused buffer, a
     partial last line moved to its front, and the rows go straight into one
@@ -247,7 +236,10 @@ def _parse_compiled(lib, f):
     a row.
     """
     width = len(TRAJECTORY_COLUMNS)
-    capacity = os.fstat(f.fileno()).st_size // _MIN_ROW_BYTES + 1
+    status = os.fstat(f.fileno())
+    if not stat.S_ISREG(status.st_mode):  # a pipe has no size to map by, nor a seek
+        return None
+    capacity = status.st_size // _MIN_ROW_BYTES + 1
     try:
         data = mmap.mmap(-1, 8 * width * capacity, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError as exc:

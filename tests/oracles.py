@@ -21,7 +21,8 @@ np.interp: the former bodies of `integrate_gradient_flow` and
 `tracking_deviation`. `least_squares_slope` is the exact slope that
 `convergence_order` rounds.
 `semi_analytic_j` computes the admissibility cost that
-`admissibility_measure` sums by midpoint quadrature.
+`admissibility_measure` sums by midpoint quadrature. `frame` is a
+Trajectory's rows as the ndarray that these oracles take.
 """
 
 import math
@@ -32,6 +33,11 @@ import numpy as np
 from gradflow.controller import ControllerParams
 from gradflow.kinematics import as_state
 from gradflow.potential import Potential
+
+
+def frame(traj) -> np.ndarray:
+    """The rows of the Trajectory `traj` as a read-only (rows, 11) ndarray, with no copy."""
+    return np.asarray(traj.data)
 
 
 def _real_vector(x, n: int, what: str) -> np.ndarray:
@@ -209,16 +215,17 @@ def deviation_sq(closed_loop, reference) -> float:
     """The largest squared state distance between two Trajectories on the
     union of their time grids up to the earlier end, each state interpolated
     by np.interp; ValueError where that union is empty."""
-    ta, tb = closed_loop.t, reference.t
+    a, b = frame(closed_loop), frame(reference)
+    ta, tb = a[:, 0], b[:, 0]
     t_end = min(ta[-1], tb[-1])
     grid = np.union1d(ta[ta <= t_end], tb[tb <= t_end])
     if grid.size == 0:
         raise ValueError("trajectories do not overlap in time")
     diff_sq = np.zeros(grid.size)
     with np.errstate(all="ignore"):  # inf and NaN states go through, as on plain floats
-        for j in range(3):
-            xa = np.interp(grid, ta, closed_loop.states[:, j])
-            xb = np.interp(grid, tb, reference.states[:, j])
+        for j in range(1, 4):
+            xa = np.interp(grid, ta, a[:, j])
+            xb = np.interp(grid, tb, b[:, j])
             diff_sq += (xa - xb) ** 2
     return float(diff_sq.max())
 

@@ -31,6 +31,7 @@ from oracles import (
     averaged_field,
     continuous_averaged_field,
     control_value,
+    frame,
     frame_inverse,
     frame_matrix,
     integrand_rho,
@@ -174,7 +175,7 @@ def v_falls_every_period(traj, cfg) -> bool:
     Every update is logged (log_every = 1), so row k*eps/control_period is at k*eps.
     """
     assert cfg.log_every == 1
-    v = traj.potential_values[::round(cfg.controller.epsilon / cfg.control_period)]
+    v = frame(traj)[::round(cfg.controller.epsilon / cfg.control_period), 9]
     return len(v) > 1 and bool(np.all(np.diff(v) < 0))
 
 
@@ -187,7 +188,7 @@ def test_criterion_6_preset_convergence():
             cfg = preset_sim_config(name, loop_mode=mode, bounds_mode="ideal")
             traj = simulate(cfg)
             elapsed = time.perf_counter() - t0
-            v_drop = traj.potential_values[-1] < traj.potential_values[0]
+            v_drop = frame(traj)[-1, 9] < frame(traj)[0, 9]
             run_ok = (traj.terminated == TERMINATED_GOAL
                       and traj.convergence_time < 600.0
                       and v_drop and elapsed <= 120.0)
@@ -200,9 +201,10 @@ def test_criterion_6_preset_convergence():
             cfg = preset_sim_config(name, loop_mode=mode, bounds_mode="clamp")
             clamped = simulate(cfg)
             elapsed = time.perf_counter() - t0
-            planar = float(np.hypot(clamped.final_state[0], clamped.final_state[1]))
-            max_u1 = float(np.abs(clamped.data[:, 4]).max())
-            max_u2 = float(np.abs(clamped.data[:, 5]).max())
+            data = frame(clamped)
+            planar = float(np.hypot(data[-1, 1], data[-1, 2]))
+            max_u1 = float(np.abs(data[:, 4]).max())
+            max_u2 = float(np.abs(data[:, 5]).max())
             run_ok = (planar < 0.1 and max_u1 <= 0.22 and max_u2 <= 2.84
                       and elapsed <= 120.0)
             if mode == "sampling":
@@ -246,7 +248,7 @@ def test_criterion_6_continuous_mode_stalls_at_eps_half():
                     log_every=2000)
     continuous = simulate(preset_sim_config("P1", loop_mode="continuous", **settings))
     sampling = simulate(preset_sim_config("P1", loop_mode="sampling", **settings))
-    x1, x2, _ = continuous.final_state.tolist()
+    x1, x2, _ = frame(continuous)[-1, 1:4].tolist()
     ok = (continuous.terminated == TERMINATED_HORIZON and -0.615 < x1 < -0.6 and abs(x2) < 1e-4
           and sampling.terminated == TERMINATED_GOAL
           and abs(sampling.convergence_time - 26.23) < 0.05)
@@ -312,7 +314,7 @@ def test_criterion_8_gradient_flow_exactness():
     traj = integrate_gradient_flow(make_v_alpha(1.0), [-0.5, -0.5, 0.0],
                                    t_max=1.0, h=1e-3)
     expected = math.exp(-2.0) * np.array([-0.5, -0.5, 0.0])
-    err = np.abs(traj.final_state - expected).max()
+    err = np.abs(frame(traj)[-1, 1:4] - expected).max()
     ok = err <= 1e-15
     report("criterion 8 (gradient-flow closed form)", ok,
            f"max |x(1) - exp(-2) x0| = {err:.2e} (tol 1e-15)")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -38,7 +39,7 @@ class TestSimulateCommand:
         assert summary["max_abs_u2"] <= 2.84
         data = load_trajectory_csv(out)
         assert data.shape[0] == summary["rows"]
-        assert summary["csv_writer"] == "c"
+        assert summary["kernel"] == "c"
 
     def test_preset_flags_equal_library_preset(self, capsys, tmp_path):
         # one preset -> SimConfig path: the command line and the library agree to the byte
@@ -60,15 +61,6 @@ class TestSimulateCommand:
         assert huge["terminated"] == "goal_reached"
         assert huge["rows"] == len(default.data)
         assert huge["convergence_time"] == default.convergence_time
-
-    def test_reports_the_csv_writer(self, capsys, tmp_path, monkeypatch):
-        argv = ["simulate", "--preset", "P1", "--t-max", "2", "--control-period", "0.001"]
-        code, compiled = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
-        assert code == 0 and compiled["csv_writer"] == "c"
-        monkeypatch.setattr(_kernels, "compiled_loop", lambda: None)
-        code, fallback = run(capsys, *argv, "--out", str(tmp_path / "python.csv"))
-        assert code == 0 and fallback["csv_writer"] == "python"
-        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
     def test_unknown_preset_exit_2(self, capsys):
         code = main(["simulate", "--preset", "P9"])
@@ -236,12 +228,13 @@ class TestSimulateCommand:
 
 
 class TestKernelReport:
-    """simulate and refine name the closed loop that ran; the Python fallback
-    writes the same bytes and says so."""
+    """simulate, refine and gradient-flow name the build that ran; the Python
+    fallback writes the same bytes and says so."""
 
     ARGV = {
         "simulate": ["simulate", "--preset", "P1", "--t-max", "10"],
         "refine": ["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "0.5"],
+        "gradient-flow": ["gradient-flow", "--v-alpha", "1", "--t-max", "1"],
     }
 
     def outputs(self, capsys, tmp_path, command):
@@ -250,7 +243,7 @@ class TestKernelReport:
         assert code == 0
         return summary, out.read_bytes()
 
-    @pytest.mark.parametrize("command", ["simulate", "refine"])
+    @pytest.mark.parametrize("command", ["simulate", "refine", "gradient-flow"])
     def test_python_fallback_writes_the_same_bytes(self, capsys, tmp_path, monkeypatch,
                                                    command):
         summary, csv = self.outputs(capsys, tmp_path, command)
@@ -259,19 +252,51 @@ class TestKernelReport:
         fallback, fallback_csv = self.outputs(capsys, tmp_path, command)
         assert fallback.pop("kernel") == "python"
         summary.pop("kernel")
-        assert fallback.pop("csv_writer", "python") == "python"
-        assert summary.pop("csv_writer", "c") == "c"
         assert fallback == summary and fallback_csv == csv
 
 
-def child(code: str, cwd) -> list:
-    """The JSON lines that `code` prints in a fresh interpreter with the package on its path."""
+def child_output(code: str, cwd, stdin: str | None = None) -> str:
+    """What `code` prints in a fresh interpreter with the package on its path;
+    `stdin`, if given, is written to it through a pipe."""
     package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=package_root),
-                          capture_output=True, text=True, timeout=60)
+                          input=stdin, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc.stdout
+
+
+def child(code: str, cwd, stdin: str | None = None) -> list:
+    """The JSON lines that `code` prints, as child_output runs it."""
+    return [json.loads(line) for line in child_output(code, cwd, stdin).splitlines()]
+
+
+# the first lines of a child that cannot import numpy: every import of it raises
+NUMPY_BLOCKED = "import sys\nsys.modules['numpy'] = None\n"
+
+# the library calls that a user makes, in the build BUILD; prints what they return
+LIBRARY_API = """
+import json
+import gradflow as gf
+from gradflow import _kernels
+from gradflow.plotting import render_trajectory_svg
+if BUILD == "python":
+    _kernels.compiled_loop = lambda: None
+pot = gf.make_v_alpha(1.0)
+traj = gf.simulate(gf.sim_config({**gf.PRESETS["P1"], "t_max": 1.0}))
+data = traj.data
+ref = gf.integrate_gradient_flow(pot.scaled(0.05), [-0.5, -0.5, 0.0], t_max=1.0, h=1e-3)
+traj.save_csv("run.csv")
+loaded = gf.load_trajectory_csv("run.csv")
+render_trajectory_svg(traj.data, "run.svg")
+print(json.dumps({
+    "kernel": _kernels.kernel(), "t_end": traj.t[-1], "shape": data.shape,
+    "loaded_shape": loaded.shape, "readonly": data.readonly, "view": data.obj is traj.rows,
+    "once": traj.data is data, "reference_rows": ref.data.shape[0],
+    "deviation": gf.tracking_deviation(traj, ref),
+    "J": gf.admissibility_measure(pot, gf.AdmissibilityConfig(grid_n=20)).value,
+}))
+"""
 
 
 class TestNumpyFree:
@@ -298,7 +323,7 @@ class TestNumpyFree:
             )
             summary, result = child(code, tmp_path)
             assert result == [0, False]
-            assert summary["kernel"] == summary["csv_writer"] == loop
+            assert summary["kernel"] == loop
             runs[loop] = (tmp_path / f"{loop}.csv").read_bytes()
         assert runs["c"] == runs["python"]
 
@@ -355,7 +380,7 @@ class TestNumpyFree:
             )
             summary, result = child(code, tmp_path)
             assert result == [0, False]
-            assert summary.pop("csv_writer") == loop
+            assert summary.pop("kernel") == loop
             assert summary.pop("csv") == f"{loop}.csv"
             runs[loop] = summary, (tmp_path / f"{loop}.csv").read_bytes()
         assert runs["c"] == runs["python"]
@@ -400,7 +425,7 @@ class TestNumpyFree:
         assert results == [[0, False]] * 5
         assert [sorted(s) for s in summaries[1:]] == [
             ["out", "parser", "rows"],
-            ["V_end", "csv", "csv_writer", "final_state", "rows"],
+            ["V_end", "csv", "final_state", "kernel", "rows"],
             ["csv", "deviations", "eps", "kernel", "loop_mode", "non_increasing", "slope",
              "window"],
             ["cells", "csv", "kernel", "q"],
@@ -409,6 +434,32 @@ class TestNumpyFree:
         assert summaries[2]["rows"] == 1001
         assert summaries[3]["non_increasing"] is True
         assert summaries[4]["cells"][0]["points"] == 1000
+
+    def test_library_api(self, tmp_path):
+        traj = simulate(preset_sim_config("P1", t_max=1.0))
+        reference = integrate_gradient_flow(make_v_alpha(1.0).scaled(0.05), [-0.5, -0.5, 0.0],
+                                            t_max=1.0, h=1e-3)
+        expected = {
+            "t_end": traj.t[-1], "shape": [2001, 11], "loaded_shape": [2001, 11],
+            "readonly": True, "view": True, "once": True, "reference_rows": 1001,
+            "deviation": tracking_deviation(traj, reference),
+            "J": gradflow.admissibility_measure(make_v_alpha(1.0),
+                                                gradflow.AdmissibilityConfig(grid_n=20)).value,
+        }
+        render_trajectory_svg(np.asarray(traj.data), tmp_path / "array.svg")
+        for build in ("c", "python"):
+            (result,) = child(NUMPY_BLOCKED + f"BUILD = {build!r}\n" + LIBRARY_API, tmp_path)
+            assert result.pop("kernel") == build
+            assert result == expected
+            assert (tmp_path / "run.svg").read_bytes() == (tmp_path / "array.svg").read_bytes()
+
+    def test_readme_library_block(self, tmp_path):
+        # the README's Library example runs as printed
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as f:
+            block = re.search(r"\n## Library\n+```python\n(.*?)```", f.read(), re.S).group(1)
+        lines = child_output(NUMPY_BLOCKED + block, tmp_path).splitlines()
+        assert len(lines) == 3 and lines[0].startswith("goal_reached ")
 
 
 class TestAdmissibilityCommand:
@@ -592,7 +643,7 @@ class TestGradientFlowCommand:
         assert summary["final_state"][0] == pytest.approx(-0.5 * math.exp(-2.0), abs=1e-15)
         data = np.asarray(load_trajectory_csv(out))
         assert np.all(data[:, 4:9] == 0.0)
-        assert summary["csv_writer"] == "c"
+        assert summary["kernel"] == "c"
 
     # 2**47 rows, or refine's 4e12 closed-loop rows of 88 bytes, need more than
     # the 128 TiB user address space of x86_64 for one array, so the allocation
@@ -679,6 +730,23 @@ class TestPlotCommand:
         array_svg = tmp_path / "array.svg"
         render_trajectory_svg(np.asarray(load_trajectory_csv(csv_path)), array_svg)
         assert array_svg.read_bytes() == svg.read_bytes()
+
+    def test_reads_a_pipe(self, capsys, tmp_path):
+        # a pipe has no size to map by, nor a seek: _parse_python reads it in either build
+        csv_path, _ = self.make_csv(capsys, tmp_path)
+        assert run(capsys, "plot", str(csv_path), "--out", str(tmp_path / "file.svg"))[0] == 0
+        program = (
+            "import json, sys\n"
+            "from gradflow import _kernels\n"
+            "from gradflow.cli import main\n"
+            + ("_kernels.compiled_loop = lambda: None\n" if self.PARSER == "python" else
+               "assert _kernels.compiled_loop()\n")
+            + "code = main(['plot', '/dev/stdin', '--out', 'pipe.svg'])\n"
+            "print(json.dumps(code))\n"
+        )
+        summary, code = child(program, tmp_path, stdin=csv_path.read_text())
+        assert code == 0 and summary["parser"] == "python"
+        assert (tmp_path / "pipe.svg").read_bytes() == (tmp_path / "file.svg").read_bytes()
 
     def test_failed_write_leaves_the_old_svg(self, capsys, tmp_path, monkeypatch):
         # the disk fills during the write: the partial SVG is removed, and the

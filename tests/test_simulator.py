@@ -48,6 +48,7 @@ from oracles import (
     averaged_field,
     continuous_averaged_field,
     control_value,
+    frame,
     hold_step,
     potential_value,
     rk4_flow,
@@ -179,7 +180,7 @@ class TestSimulate:
     def test_first_row_is_initial_state(self):
         traj = simulate(short_config(t_max=0.25, goal_tol=0.0))
         assert traj.t[0] == 0.0
-        assert np.array_equal(traj.states[0], [-0.5, -0.5, 0.0])
+        assert np.array_equal(frame(traj)[0, 1:4], [-0.5, -0.5, 0.0])
 
     def test_time_strictly_increasing(self):
         traj = simulate(short_config(t_max=0.5, goal_tol=0.0))
@@ -188,14 +189,15 @@ class TestSimulate:
     def test_potential_column_consistent(self):
         cfg = short_config(potential=make_v_alpha(4.0), t_max=0.5, goal_tol=0.0)
         traj = simulate(cfg)
-        expected = potential_value(cfg.potential, traj.states)
-        assert np.abs(traj.potential_values - expected).max() <= 1e-12
+        data = frame(traj)
+        expected = potential_value(cfg.potential, data[:, 1:4])
+        assert np.abs(data[:, 9] - expected).max() <= 1e-12
 
     def test_deterministic_bitwise(self):
         cfg = short_config(loop_mode="sampling", t_max=1.0, goal_tol=0.0)
         a = simulate(cfg)
         b = simulate(cfg)
-        assert np.array_equal(a.data, b.data)
+        assert a.rows == b.rows
         assert a.terminated == b.terminated
 
     def test_sampling_amplitudes_frozen_within_period(self):
@@ -203,18 +205,18 @@ class TestSimulate:
         cfg = SimConfig(potential=make_v_alpha(1.0), controller=controller,
                         x0=(-0.5, -0.5, 0.0), goal_tol=0.0, t_max=1.5,
                         control_period=0.01)
-        traj = simulate(cfg)
-        block = np.floor(traj.t / 0.5 + 1e-9).astype(int)
+        data = frame(simulate(cfg))
+        block = np.floor(data[:, 0] / 0.5 + 1e-9).astype(int)
         for j in np.unique(block):
-            amps = traj.data[block == j, 6:9]
+            amps = data[block == j, 6:9]
             assert np.array_equal(amps, np.tile(amps[0], (amps.shape[0], 1)))
-        firsts = [traj.data[block == j, 6:9][0] for j in np.unique(block)]
+        firsts = [data[block == j, 6:9][0] for j in np.unique(block)]
         assert not np.array_equal(firsts[0], firsts[1])
 
     def test_continuous_amplitudes_track_state(self):
         cfg = short_config(loop_mode="continuous", t_max=0.2, goal_tol=0.0)
-        traj = simulate(cfg)
-        assert not np.array_equal(traj.data[0, 6:9], traj.data[1, 6:9])
+        data = frame(simulate(cfg))
+        assert not np.array_equal(data[0, 6:9], data[1, 6:9])
 
     def test_log_every_keeps_endpoints(self):
         cfg = short_config(t_max=0.1, goal_tol=0.0, log_every=7)
@@ -223,14 +225,15 @@ class TestSimulate:
         assert traj.t[-1] == pytest.approx(0.1, abs=1e-12)
         full = simulate(short_config(t_max=0.1, goal_tol=0.0))
         assert traj.data.shape[0] < full.data.shape[0]
-        assert np.array_equal(traj.data[-1], full.data[-1])
+        assert np.array_equal(frame(traj)[-1], frame(full)[-1])
 
     @pytest.mark.parametrize("bounds", [IDEAL, TB3])
     def test_counts_cover_every_update(self, bounds):
         full = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0))
-        assert full.saturation_count == int(np.count_nonzero(full.data[:, 10]))
-        assert full.max_abs_u1 == np.abs(full.data[:, 4]).max()
-        assert full.max_abs_u2 == np.abs(full.data[:, 5]).max()
+        data = frame(full)
+        assert full.saturation_count == int(np.count_nonzero(data[:, 10]))
+        assert full.max_abs_u1 == np.abs(data[:, 4]).max()
+        assert full.max_abs_u2 == np.abs(data[:, 5]).max()
         sparse = simulate(short_config(bounds=bounds, t_max=1.0, goal_tol=0.0, log_every=7))
         assert sparse.data.shape[0] < full.data.shape[0]
         for name in ("saturation_count", "max_abs_u1", "max_abs_u2"):
@@ -243,7 +246,7 @@ class TestSimulate:
                                   x0=(-0.5, -0.5, 0.0), t_max=2.0))
         assert traj.saturation_count > 0
         assert traj.max_abs_u1 == 0.22 and traj.max_abs_u2 <= 2.84
-        assert np.array_equal(traj.data, simulate(preset_sim_config("P1", t_max=2.0)).data)
+        assert traj.rows == simulate(preset_sim_config("P1", t_max=2.0)).rows
 
     def test_peak_memory_is_one_trajectory(self):
         # the logged rows are returned in place, not copied out of the run's buffer,
@@ -272,7 +275,7 @@ class TestSimulate:
             simulate(cfg)
         traj = info.value.trajectory
         assert traj.data.shape[0] == 255
-        assert np.all(np.isfinite(traj.data[-1]))
+        assert np.all(np.isfinite(frame(traj)[-1]))
 
 
 hold_values = st.floats(-3.0, 3.0, allow_nan=False)
@@ -291,7 +294,7 @@ class TestLibraryFormulasAreTheOracle:
         assert traj.data.shape[0] == 5001
         refreshed = 0
         # log_every = 1 and no goal hit: row k is control update k
-        for k, row in enumerate(traj.data):
+        for k, row in enumerate(frame(traj)):
             t, state, a = row[0], row[1:4], row[6:9]
             u, sat = control_value(ctrl, a, t)
             assert u[0] == row[4] and u[1] == row[5] and float(sat) == row[10]
@@ -312,13 +315,14 @@ class TestExactHold:
                         x0=(0.7, -0.4, 0.6), goal_tol=0.0, t_max=0.8, control_period=0.8)
         traj = simulate(cfg)
         assert traj.data.shape[0] == 2
-        (x1, x2, x3), (u1, u2) = traj.states[0], traj.data[0, 4:6]
+        data = frame(traj)
+        (x1, x2, x3), (u1, u2) = data[0, 1:4], data[0, 4:6]
         assert abs(u2) > 0.1
         r = u1 / u2
         arc = [x1 + r * (math.sin(x3 + 0.8 * u2) - math.sin(x3)),
                x2 - r * (math.cos(x3 + 0.8 * u2) - math.cos(x3)),
                x3 + 0.8 * u2]
-        assert np.abs(traj.final_state - arc).max() <= 1e-14
+        assert np.abs(data[-1, 1:4] - arc).max() <= 1e-14
 
     def test_straight_hold(self):
         assert hold_step(0.5, -1.0, 0.3, 0.2, 0.0, 2.0) == (
@@ -665,9 +669,10 @@ class TestGradientFlow:
     def test_closed_form_sum_of_squares(self):
         traj = integrate_gradient_flow(make_v_alpha(1.0), [-0.5, -0.5, 0.0],
                                        t_max=1.0, h=1e-3)
-        assert traj.final_state[0] == pytest.approx(-0.06766764161830635, abs=1e-15)
-        assert traj.final_state[1] == pytest.approx(-0.06766764161830635, abs=1e-15)
-        assert traj.final_state[2] == 0.0
+        x1, x2, x3 = frame(traj)[-1, 1:4]
+        assert x1 == pytest.approx(-0.06766764161830635, abs=1e-15)
+        assert x2 == pytest.approx(-0.06766764161830635, abs=1e-15)
+        assert x3 == 0.0
         assert traj.terminated == TERMINATED_HORIZON
         assert traj.convergence_time is None
 
@@ -681,30 +686,32 @@ class TestGradientFlow:
         potential = make_quadratic(*coeffs)
         traj = integrate_gradient_flow(potential, x0, t_max=n_steps * h, h=h)
         ref = rk4_gradient_flow(potential, x0, n_steps, h)
-        assert np.array_equal(traj.t, ref[:, 0])
-        assert np.abs(traj.states - ref[:, 1:]).max() <= 1e-9
-        x = traj.states
-        assert np.array_equal(traj.potential_values, coeffs[0] * x[:, 0] * x[:, 0]
+        data = frame(traj)
+        assert np.array_equal(data[:, 0], ref[:, 0])
+        x = data[:, 1:4]
+        assert np.abs(x - ref[:, 1:]).max() <= 1e-9
+        assert np.array_equal(data[:, 9], coeffs[0] * x[:, 0] * x[:, 0]
                               + coeffs[1] * x[:, 1] * x[:, 1] + coeffs[2] * x[:, 2] * x[:, 2])
-        assert np.array_equal(traj.data[:, 4:9], np.zeros((len(ref), 5)))
-        assert np.array_equal(traj.data[:, 10], np.zeros(len(ref)))
+        assert np.array_equal(data[:, 4:9], np.zeros((len(ref), 5)))
+        assert np.array_equal(data[:, 10], np.zeros(len(ref)))
 
     def test_equilibrium(self):
         traj = integrate_gradient_flow(make_v_alpha(2.0), [0.0, 0.0, 0.0],
                                        t_max=0.5, h=1e-3)
-        assert np.array_equal(traj.final_state, np.zeros(3))
+        assert np.array_equal(frame(traj)[-1, 1:4], np.zeros(3))
 
     def test_anisotropic_decay_rates(self):
         # alpha=4: x1 ~ exp(-8t), x2 ~ exp(-t/2)
         traj = integrate_gradient_flow(make_v_alpha(4.0), [1.0, 1.0, 0.0],
                                        t_max=1.0, h=1e-3)
-        assert traj.final_state[0] == pytest.approx(3.3546262790251185e-4, rel=1e-7)
-        assert traj.final_state[1] == pytest.approx(0.6065306597126334, rel=1e-9)
+        x1, x2, _ = frame(traj)[-1, 1:4]
+        assert x1 == pytest.approx(3.3546262790251185e-4, rel=1e-7)
+        assert x2 == pytest.approx(0.6065306597126334, rel=1e-9)
 
     def test_controls_logged_zero(self):
         traj = integrate_gradient_flow(make_v_alpha(1.0), [1.0, 0.0, 0.0],
                                        t_max=0.1, h=1e-3)
-        assert np.array_equal(traj.data[:, 4:9], np.zeros((traj.data.shape[0], 5)))
+        assert np.array_equal(frame(traj)[:, 4:9], np.zeros((traj.data.shape[0], 5)))
 
     def test_stiff_flow_reaches_horizon(self):
         # 2 * 200 * h = 4 lies outside RK4's stability interval [-2.78, 0]; the
@@ -713,7 +720,7 @@ class TestGradientFlow:
                                        t_max=5.0, h=1e-2)
         assert traj.terminated == TERMINATED_HORIZON
         assert traj.t[-1] == 5.0
-        assert np.array_equal(traj.final_state, np.zeros(3))
+        assert np.array_equal(frame(traj)[-1, 1:4], np.zeros(3))
 
     def test_overflowing_initial_potential_rejected(self):
         with warnings.catch_warnings():
@@ -730,7 +737,7 @@ class TestGradientFlow:
                 traj = in_build(build, integrate_gradient_flow, make_quadratic(1e300, 1.0, 1.0),
                                 [1.0, 1.0, 0.0], 2e9, 1e9)
             assert traj.t.tolist() == [0.0, 1e9, 2e9]
-            assert np.array_equal(traj.states[1:, 0], [0.0, 0.0])
+            assert np.array_equal(frame(traj)[1:, 1], [0.0, 0.0])
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -762,7 +769,7 @@ class TestFlowRows:
         flows = [in_build(build, integrate_gradient_flow, potential, x0, (n_steps + 1) * h, h)
                  for build in ("c", "python")]
         assert flows[0].rows == flows[1].rows
-        ours = flows[0].data
+        ours = frame(flows[0])
         ref = oracles.gradient_flow_rows(potential, x0, n_steps + 1, h)
         assert ours.shape == ref.shape
         assert np.array_equal(ours[:, 0], ref[:, 0])
@@ -867,7 +874,7 @@ class TestTrackingDeviation:
 
     def test_requires_common_start(self):
         a = self.constant_trajectory([0.0, 0.0, 0.0])
-        rows = a.data.copy()
+        rows = frame(a).copy()
         rows[:, 0] += 2.0
         b = logged(rows)
         with pytest.raises(ValueError, match="t = 0"):
@@ -946,21 +953,17 @@ def savetxt_reference(data, path):
         np.savetxt(f, data, fmt="%.9g", delimiter=",", newline="\n")
 
 
-def assert_csv_matches_savetxt(data, directory) -> str:
+def assert_csv_matches_savetxt(data, directory) -> None:
     """save_csv writes the bytes of savetxt_reference for `data`, which are
-    those of CSV_ROW's % on each row.
-
-    Returns the writer that ran.
-    """
+    those of CSV_ROW's % on each row."""
     ours, ref = directory / "ours.csv", directory / "ref.csv"
     savetxt_reference(data, ref)
-    writer = logged(data).save_csv(ours)
+    logged(data).save_csv(ours)
     expected = ref.read_bytes()
     assert ours.read_bytes() == expected
     rows = "".join(simulator.CSV_ROW % tuple(row) for row in np.asarray(data).tolist())
     assert expected == (CSV_HEADER + "\n" + rows).encode()
     assert sorted(p.name for p in directory.iterdir()) == ["ours.csv", "ref.csv"]
-    return writer
 
 
 # -0.0, subnormals, non-finite values (a NaN with its sign bit set too),
@@ -1043,7 +1046,7 @@ class TestContinuousAveragedFieldTracking:
         # the continuous field is singular where a12 = 0
         for run in case[1]:
             assert run.data.shape[0] == 2001
-            assert abs(np.sign(run.data[:, 8]).sum()) == run.data.shape[0]
+            assert abs(np.sign(frame(run)[:, 8]).sum()) == run.data.shape[0]
 
     def test_order_against_the_continuous_field(self, case):
         deviations = self.deviations(case, continuous_averaged_field)
@@ -1073,7 +1076,8 @@ class CsvBytesEqual:
             yield
 
     def check(self, data, directory):
-        assert assert_csv_matches_savetxt(data, directory) == self.writer
+        assert _kernels.kernel() == self.writer  # the writer save_csv runs
+        assert_csv_matches_savetxt(data, directory)
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 5])
     def test_bytes_equal_savetxt_around_chunk_size(self, tmp_path, monkeypatch, n_rows):
@@ -1094,7 +1098,7 @@ class CsvBytesEqual:
     def test_run_bytes_equal_savetxt(self, tmp_path):
         traj = simulate(short_config(t_max=2.0, goal_tol=0.0))
         assert traj.data.shape[0] > simulator.CSV_CHUNK_ROWS
-        self.check(traj.data, tmp_path)
+        self.check(frame(traj), tmp_path)
 
     def test_ten_digit_ties_round_half_to_even(self, tmp_path):
         # (10^8..10^9)*10 + 5 are exact ties at 9 digits; halved they stay ties,
@@ -1496,7 +1500,8 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
 
     def test_p1_bytes_equal_the_percent_loop(self, tmp_path):
         traj = simulate(preset_sim_config("P1"))
-        assert traj.save_csv(tmp_path / "p1.csv") == "c"
+        assert _kernels.kernel() == "c"
+        traj.save_csv(tmp_path / "p1.csv")
         with open(tmp_path / "loop.csv", "wb") as f:
             f.write(CSV_HEADER.encode() + b"\n")
             simulator.write_rows(f, traj.rows)
@@ -1512,7 +1517,7 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         data = load_trajectory_csv(path)
         assert data.shape == traj.data.shape
         # 9 significant digits survive the round trip
-        assert np.allclose(data, traj.data, rtol=1e-8, atol=1e-12)
+        assert np.allclose(data, frame(traj), rtol=1e-8, atol=1e-12)
 
     def test_replaces_the_target_with_a_plain_files_mode(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -1561,12 +1566,14 @@ class TestTrajectory:
         traj = Trajectory(rows, None, 0, 0.0, 0.0)
         assert traj.rows is rows
         assert traj.data.shape == (3, len(TRAJECTORY_COLUMNS))
-        assert traj.data.tobytes() == rows.tobytes()
+        assert traj.data.obj is rows and traj.data.tobytes() == rows.tobytes()
         assert traj.data is traj.data  # made once
-        with pytest.raises(ValueError, match="read-only"):
+        assert traj.data.readonly
+        with pytest.raises(TypeError, match="read-only"):
             traj.data[0, 0] = 2.0
         rows[0] = 1.0
         assert traj.data[0, 0] == 1.0  # a view of the rows, not a copy
+        assert traj.t == rows[::len(TRAJECTORY_COLUMNS)] and traj.t[0] == 1.0
 
     @pytest.mark.parametrize("rows", [
         pytest.param(np.zeros((2, len(TRAJECTORY_COLUMNS))), id="ndarray"),
