@@ -239,7 +239,9 @@ int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
 /* format_rows writes `n_rows` rows of `width` doubles from `values`, row
    after row, into `out` as lines of a trajectory CSV: each value as Python's
    '%.9g' % value writes it, split by ',' and ended by '\n'. It returns the
-   bytes written, at most 24 per value.
+   bytes written, at most 17 per value with its separator. A value may write
+   scratch bytes up to 18 past its start, which the next value or separator
+   overwrites, so `out` needs 24 bytes a value.
 
    A finite nonzero |x| with decimal exponent k is scaled to
    y = |x| * 10^(8-k), one IEEE multiply or divide of two exact doubles, so y
@@ -248,7 +250,25 @@ int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
    as the exact value, and they are written in %g's layout here. snprintf
    writes every other value: a possible tie, or a power 10^(8-k) that no
    double holds exactly (Grisu's fast path with a bail-out, Loitsch, PLDI
-   2010). */
+   2010).
+
+   The fast path calls no libm function. The binary exponent e, with
+   2^(e-1) <= |x| < 2^e, is read from the bits as frexp would give it for a
+   normal x, and k starts at floor((e - 1) * log10 2), computed as
+   ((e - 1) * 78913) >> 18; the two are equal for every |e| < 1100, checked
+   exhaustively. A subnormal needs no branch: its exponent bits read
+   e = -1022, so k = -308, scale refuses 10^316, and snprintf writes it. The
+   9 digits are a lead digit and four pairs from PAIRS, and they are laid
+   out with copies of a fixed size from a padded buffer, after which p moves
+   by the real length. */
+
+/* "00" to "99" */
+static const char PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 /* |x| * 10^(8-k) in *y, or 0 where 10^|8-k| is not exact */
 static int scale(double x, int k, double *y)
@@ -262,8 +282,11 @@ static int scale(double x, int k, double *y)
 
 static char *format_value(char *p, double x)
 {
-    char d[9];
-    double y, whole, frac;
+    /* the 9 digits, and the 7 bytes past them that the copy of 8 from
+       d + k + 1 reads when k = 7 */
+    char d[16] = {0};
+    double y, frac;
+    uint64_t bits;
     uint32_t digits;
     int e, k, len;
 
@@ -284,51 +307,54 @@ static char *format_value(char *p, double x)
         *p++ = '0';
         return p;
     }
-    frexp(x, &e);
+    memcpy(&bits, &x, sizeof bits);
+    e = (int)(bits >> 52) - 1022; /* x > 0: the sign bit is clear */
     /* 10^k <= 2^(e-1) <= x < 2^e <= 10^(k+2): x's decimal exponent is k or
-       k + 1, so y >= 1e8 here and y >= 1e9 means k + 1 */
-    k = (int)floor((e - 1) * 0.30102999566398119521);
+       k + 1, so y >= 1e8 here and y >= 1e9 means k + 1. e - 1 < 0 relies on
+       the arithmetic right shift of a negative int, which GCC and Clang do */
+    k = ((e - 1) * 78913) >> 18;
     if (!scale(x, k, &y) || (y >= 1e9 && !scale(x, ++k, &y)))
         goto slow;
-    whole = floor(y);
-    frac = y - whole;
+    digits = (uint32_t)y;
+    frac = y - digits;
     if (fabs(frac - 0.5) < 1e-6)
         goto slow;
-    digits = (uint32_t)whole + (frac > 0.5);
+    digits += frac > 0.5;
     if (digits == 1000000000u) { /* rounded up to the next power of ten */
         digits = 100000000u;
         k++;
     }
-    for (int i = 8; i >= 0; i--, digits /= 10)
-        d[i] = (char)('0' + digits % 10);
+    d[0] = (char)('0' + digits / 100000000u);
+    digits %= 100000000u;
+    memcpy(d + 1, PAIRS + 2 * (digits / 1000000u), 2);
+    memcpy(d + 3, PAIRS + 2 * (digits / 10000u % 100u), 2);
+    memcpy(d + 5, PAIRS + 2 * (digits / 100u % 100u), 2);
+    memcpy(d + 7, PAIRS + 2 * (digits % 100u), 2);
     for (len = 9; d[len - 1] == '0'; len--)
         ;
     if (k >= 9 || k < -4) { /* %g's exponent notation: |k| <= 30 here */
         *p++ = d[0];
         if (len > 1) {
             *p++ = '.';
-            memcpy(p, d + 1, len - 1);
+            memcpy(p, d + 1, 8);
             p += len - 1;
         }
         *p++ = 'e';
         *p++ = k < 0 ? '-' : '+';
-        k = abs(k);
-        *p++ = (char)('0' + k / 10);
-        *p++ = (char)('0' + k % 10);
+        memcpy(p, PAIRS + 2 * abs(k), 2);
+        p += 2;
     } else if (k >= 0) {
-        memcpy(p, d, k + 1);
+        memcpy(p, d, 9);
         p += k + 1;
         if (len > k + 1) {
             *p++ = '.';
-            memcpy(p, d + k + 1, len - k - 1);
+            memcpy(p, d + k + 1, 8);
             p += len - k - 1;
         }
     } else {
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > k; i--)
-            *p++ = '0';
-        memcpy(p, d, len);
+        memcpy(p, "0.000", 5);
+        p += 1 - k;
+        memcpy(p, d, 9);
         p += len;
     }
     return p;

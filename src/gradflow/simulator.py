@@ -170,7 +170,9 @@ def _format_rows(lib, f, rows: array) -> None:
     """Write the array('d') `rows` to the binary file f with the library's format_rows."""
     width = len(TRAJECTORY_COLUMNS)
     # 24 bytes a value: "%.9g" writes at most 16, as in "-1.23456789e-308",
-    # and one more for the "," or "\n"
+    # and one more for the "," or "\n"; format_rows' fixed-size copies write
+    # scratch bytes up to 18 past a value's start, which the next value
+    # overwrites, so the chunk's last value stays inside its 24 too
     buf = bytearray(24 * width * CSV_CHUNK_ROWS)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     view = memoryview(buf)

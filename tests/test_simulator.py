@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import io
 import math
@@ -6,12 +7,14 @@ import os
 import signal
 import stat
 import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
 from array import array
 from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -1506,6 +1509,84 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
             f.write(CSV_HEADER.encode() + b"\n")
             simulator.write_rows(f, traj.rows)
         assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def check_values(self, values, directory):
+        """check() of `values`, padded with zeros to whole rows."""
+        values = [*values, *[0.0] * (-len(values) % len(TRAJECTORY_COLUMNS))]
+        self.check(np.array(values).reshape(-1, len(TRAJECTORY_COLUMNS)), directory)
+
+    def test_every_binary_exponent(self, tmp_path):
+        # the smallest and largest double of every normal binade, 2^e and
+        # nextafter(2^(e+1), 0) = (2 - 2^-52) * 2^e: format_value reads e from
+        # the bits and k from e, and a k one off writes other digits
+        values = [math.ldexp(m, e) for e in range(-1022, 1024) for m in (1.0, 2 - 2.0 ** -52)]
+        self.check_values([v for v in values for v in (v, -v)], tmp_path)
+
+    def test_subnormal_powers_of_two_and_the_extremes(self, tmp_path):
+        # a subnormal's exponent bits read e = -1022, as 2^-1022's do, so its
+        # 10^(8-k) is past 10^22 and snprintf writes it
+        values = [math.ldexp(1.0, e) for e in range(-1074, -1022)]
+        values += [sys.float_info.min, sys.float_info.max]
+        self.check_values([v for v in values for v in (v, -v)], tmp_path)
+
+    # 9-digit significands, the last below 2^27, so that y holds its
+    # fraction to 1.5e-8
+    TIE_DIGITS = (100000000, 100000001, 123456788, 123456789, 134217727)
+    # decimal exponents across the fast path's [-14, 30] and %g's notations
+    TIE_EXPONENTS = (-14, -6, -5, -4, -1, 0, 1, 7, 8, 9, 15, 22, 23, 30)
+
+    @staticmethod
+    def scaled_fraction(x, k):
+        """The fraction of y = |x| * 10^(8-k), computed as format_value does."""
+        p = 8 - k
+        y = abs(x) * float(10 ** p) if p >= 0 else abs(x) / float(10 ** -p)
+        return y - math.floor(y)
+
+    @pytest.mark.parametrize("offsets, inside", [
+        ((0.0, 0.5e-6, -0.5e-6, 0.95e-6, -0.95e-6), True),
+        ((1.05e-6, -1.05e-6, 2e-6, -2e-6), False),
+    ], ids=["snprintf", "fast_path"])
+    def test_scaled_fraction_at_the_tie_margin(self, tmp_path, offsets, inside):
+        # y's fraction within 1e-6 of 0.5 goes to snprintf, and beyond it the
+        # fast path rounds y to the nearest 9 digits
+        values = []
+        for k in self.TIE_EXPONENTS:
+            for digits in self.TIE_DIGITS:
+                for offset in offsets:
+                    y = Fraction(digits) + Fraction(1, 2) + Fraction(offset)
+                    x = float(y * Fraction(10) ** (k - 8))
+                    assert (abs(self.scaled_fraction(x, k) - 0.5) < 1e-6) is inside
+                    values += [x, -x]
+        self.check_values(values, tmp_path)
+
+    # the longest values of each notation: %g's exponent with three digits
+    # (snprintf's), fixed with k = 8 and with k = 7 and a fraction, whose
+    # copies reach furthest past the value's start, and 0.000 with 9 digits
+    LONGEST_VALUES = (-1.23456789e-100, -1.23456789e+30, -123456789.0, -12345678.9,
+                      -0.000123456789)
+
+    def test_format_rows_stays_in_its_buffer(self):
+        # save_csv's 24 bytes a value, and guard bytes after them
+        lib = _kernels.compiled_loop()
+        width, n_rows = len(TRAJECTORY_COLUMNS), 7
+        values = array("d", (self.LONGEST_VALUES * width * n_rows)[:width * n_rows])
+        size, guard = 24 * width * n_rows, b"\xa5" * 64
+        buf = ctypes.create_string_buffer(b"\0" * size + guard, size + len(guard))
+        used = lib.format_rows(values.buffer_info()[0], n_rows, width, ctypes.addressof(buf))
+        assert used <= size
+        assert buf.raw[size:] == guard
+        assert buf.raw[:used] == (simulator.CSV_ROW * n_rows % tuple(values)).encode()
+
+    @pytest.mark.parametrize("value", LONGEST_VALUES)
+    def test_a_value_writes_at_most_18_bytes_past_its_start(self, value):
+        # the fixed-size copies write past the value's end, up to 18 bytes
+        # past its start, as format_rows' comment says; the bytes after are
+        # left alone
+        lib = _kernels.compiled_loop()
+        values, buf = array("d", [value]), ctypes.create_string_buffer(b"\xa5" * 24, 24)
+        used = lib.format_rows(values.buffer_info()[0], 1, 1, ctypes.addressof(buf))
+        assert buf.raw[:used] == b"%.9g\n" % value
+        assert buf.raw[max(used, 18):] == b"\xa5" * (24 - max(used, 18))
 
     def test_round_trip(self, tmp_path):
         traj = simulate(short_config(t_max=0.2, goal_tol=0.0))
