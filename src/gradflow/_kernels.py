@@ -43,7 +43,6 @@ and memoryview, or in the library.
 import ctypes
 import functools
 import os
-import platform
 import sys
 import zlib
 from array import array
@@ -326,7 +325,7 @@ def compiled_loop():
             source = f.read()
         # CRC-32: zlib is a small C module, and hashlib would load OpenSSL,
         # 3.5 MB of resident memory
-        key = zlib.crc32(source + " ".join((*_C_FLAGS, platform.machine())).encode())
+        key = zlib.crc32(source + " ".join((*_C_FLAGS, os.uname().machine)).encode())
         cache = os.path.join(os.path.dirname(__file__), "__pycache__")
         path = os.path.join(cache, f"_kernels.{key:08x}.so")
         if not os.path.exists(path):

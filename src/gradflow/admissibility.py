@@ -36,10 +36,9 @@ array('d') buffers or the library's.
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 
 from gradflow import _kernels
-from gradflow.kinematics import check_scalar
+from gradflow.kinematics import Frozen, check_scalar
 from gradflow.potential import Potential, make_quadratic
 from gradflow.simulator import replacing
 
@@ -58,8 +57,7 @@ TABLE1_COEFFS = (
 SWEEP_CSV_HEADER = "c1,c2,c3,q,method,points,J,stderr,excluded"
 
 
-@dataclass(frozen=True)
-class AdmissibilityConfig:
+class AdmissibilityConfig(Frozen):
     """Quadrature settings for the admissibility integral over [-w, w]^3.
 
     half_width is w. grid_n is the midpoint cell count per axis and must be
@@ -86,8 +84,7 @@ class AdmissibilityConfig:
                              f"got {self.half_width}")
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(Frozen):
     """Midpoint estimate of J plus audit counters.
 
     excluded is 0 by construction: grad V vanishes at no cell center (see

@@ -39,15 +39,13 @@ clamp, in the one closed loop: compiled from `_kernels.c`, or
 """
 
 import math
-from dataclasses import dataclass
 
-from gradflow.kinematics import check_scalar
+from gradflow.kinematics import Frozen, check_scalar
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ControllerParams:
+class ControllerParams(Frozen):
     """Validated parameter set for the oscillatory feedback.
 
     epsilon is both the oscillation period and, in sampling mode, the

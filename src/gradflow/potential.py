@@ -13,13 +13,11 @@ closed loop computes the control amplitudes (a1, a2, a12) =
 """
 
 import math
-from dataclasses import dataclass
 
-from gradflow.kinematics import check_scalar
+from gradflow.kinematics import Frozen, check_scalar
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Frozen):
     """Diagonal quadratic form, the float triple coeffs = (c1, c2, c3)."""
 
     coeffs: tuple[float, float, float]

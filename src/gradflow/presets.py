@@ -12,7 +12,6 @@ goal.
 
 import math
 import reprlib
-from dataclasses import replace
 
 from gradflow.controller import ControllerParams
 from gradflow.potential import make_quadratic, make_v_alpha
@@ -95,13 +94,14 @@ def sim_config(settings: dict) -> SimConfig:
     s = {**SIM_DEFAULTS, **check_settings(settings)}
     if s["bounds_mode"] not in ("ideal", "clamp"):
         raise ValueError(f"bounds_mode must be 'ideal' or 'clamp', got {s['bounds_mode']!r}")
-    controller = ControllerParams(
+    params = dict(
         epsilon=float(s["epsilon"]), gamma=float(s["gamma"]), k1=float(s["k1"]),
         u1_max=float(s["u1_max"]), u2_max=float(s["u2_max"]), loop_mode=s["loop_mode"],
     )
+    controller = ControllerParams(**params)
     if s["bounds_mode"] == "ideal":
         # the limits are checked above in either mode; "ideal" runs without them
-        controller = replace(controller, u1_max=math.inf, u2_max=math.inf)
+        controller = ControllerParams(**{**params, "u1_max": math.inf, "u2_max": math.inf})
     return SimConfig(
         potential=_potential_from_spec(s["potential"]),
         controller=controller, x0=s["x0"],

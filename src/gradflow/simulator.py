@@ -34,11 +34,10 @@ import os
 import re
 import stat
 from array import array
-from dataclasses import dataclass
 
 from gradflow import _kernels
 from gradflow.controller import ControllerParams
-from gradflow.kinematics import as_state, check_scalar
+from gradflow.kinematics import Frozen, as_state, check_scalar
 from gradflow.potential import Potential
 
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
@@ -72,8 +71,7 @@ class IntegrationError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """Time-indexed log of a run.
 
     rows is an array('d') of the logged rows, one after the other, each
@@ -95,6 +93,9 @@ class Trajectory:
     saturation_count: int
     max_abs_u1: float
     max_abs_u2: float
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         width = len(TRAJECTORY_COLUMNS)
@@ -332,8 +333,7 @@ def _multiple_of(value: float, base: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
     """Full description of one closed-loop run.
 
     goal_tol is a full-state Euclidean radius around the origin; the run

@@ -462,6 +462,24 @@ class TestNumpyFree:
         assert len(lines) == 3 and lines[0].startswith("goal_reached ")
 
 
+class TestStartupImports:
+    """A command's start-up imports neither dataclasses, which loads inspect, ast,
+    dis and tokenize, nor platform: every short run would pay for them."""
+
+    def test_cli_imports_no_dataclasses_inspect_or_platform(self, tmp_path):
+        # -S: no site module, so whatever a host's site imports cannot show here
+        code = ("import json, sys, gradflow, gradflow.cli\n"
+                "print(json.dumps([sorted({'dataclasses', 'inspect', 'platform'}"
+                " & set(sys.modules)), [n for n in gradflow.__all__"
+                " if not hasattr(gradflow, n)]]))\n")
+        package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=package_root),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], []]
+
+
 class TestAdmissibilityCommand:
     def test_quadratic_cell(self, capsys, tmp_path):
         out = tmp_path / "cell.csv"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gradflow import PRESETS, SimConfig, make_v_alpha, sim_config
+from gradflow import PRESETS, ControllerParams, SimConfig, make_v_alpha, sim_config
 from gradflow.presets import SIM_DEFAULTS
 from helpers import preset_sim_config
 
@@ -63,3 +63,18 @@ class TestSettings:
             preset_sim_config("P1", **overrides)
         with pytest.raises(ValueError):
             sim_config(overrides)
+
+    @pytest.mark.parametrize("limit", ["u1_max", "u2_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_ideal_bounds_still_check_the_limits(self, limit, value):
+        with pytest.raises(ValueError, match="velocity bounds"):
+            sim_config({"bounds_mode": "ideal", limit: value})
+
+    def test_ideal_bounds_drop_the_limits_and_keep_the_rest(self):
+        settings = {"bounds_mode": "ideal", "epsilon": 0.5, "gamma": 0.1, "k1": 1.0,
+                    "u1_max": 0.3, "u2_max": 3.0, "loop_mode": "sampling"}
+        assert sim_config(settings).controller == ControllerParams(
+            epsilon=0.5, gamma=0.1, k1=1.0, u1_max=math.inf, u2_max=math.inf,
+            loop_mode="sampling")
+        clamped = sim_config({**settings, "bounds_mode": "clamp"}).controller
+        assert (clamped.u1_max, clamped.u2_max) == (0.3, 3.0)

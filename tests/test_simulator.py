@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradflow import (
+    AdmissibilityConfig,
+    AdmissibilityResult,
     ControllerParams,
     IntegrationError,
+    Potential,
     SimConfig,
     Trajectory,
     convergence_order,
@@ -631,6 +634,32 @@ class TestCompiledLoopBuild:
         _kernels._build(str(path))
         assert sorted(os.listdir(tmp_path)) == ["_kernels.12345678.so", "notes.txt",
                                                 "simulator.pyc"]
+
+    def test_library_key_is_the_platform_machine(self, monkeypatch):
+        # os.uname().machine names the machine as platform.machine() does, so
+        # the library keeps the name that key gave and an installed one is loaded,
+        # not built again
+        import platform
+        import zlib
+
+        assert os.uname().machine == platform.machine()
+        with open(_kernels._C_SOURCE, "rb") as f:
+            key = zlib.crc32(f.read() + " ".join((*_kernels._C_FLAGS,
+                                                   platform.machine())).encode())
+        path = os.path.join(os.path.dirname(_kernels.__file__), "__pycache__",
+                            f"_kernels.{key:08x}.so")
+        assert _kernels.compiled_loop() is not None  # builds it if it is not yet
+        assert os.path.exists(path)
+
+        def no_build(path):
+            raise AssertionError(f"rebuilt {path}")
+
+        monkeypatch.setattr(_kernels, "_build", no_build)
+        _kernels.compiled_loop.cache_clear()
+        try:
+            assert _kernels.compiled_loop()._name == path
+        finally:
+            _kernels.compiled_loop.cache_clear()
 
     def test_failed_build_runs_the_python_loop(self, tmp_path, monkeypatch, capfd):
         # a source that does not compile: the loader reports why on stderr,
@@ -1639,6 +1668,79 @@ class TestValueTypes:
         assert hash(a) == hash(a)
         assert (hash(a) == hash(b)) is by_value
         assert len({a, b}) == (1 if by_value else 2)
+
+    # each type's fields in order, with values that pass its checks; the
+    # required ones have no default
+    FIELDS = {
+        "Potential": (Potential, {"coeffs": (1.0, 2.0, 3.0)}, ["coeffs"]),
+        "ControllerParams": (ControllerParams, {
+            "epsilon": 0.5, "gamma": 0.1, "k1": 1.0, "u1_max": 0.22, "u2_max": 2.84,
+            "loop_mode": "sampling"}, []),
+        "SimConfig": (SimConfig, {
+            "potential": make_v_alpha(4.0), "controller": ControllerParams(epsilon=0.5),
+            "x0": (0.1, 0.2, 0.3), "goal_tol": 0.01, "t_max": 10.0, "control_period": 0.01,
+            "log_every": 3}, ["potential", "controller", "x0"]),
+        "Trajectory": (Trajectory, {
+            "rows": array("d", [0.0] * len(TRAJECTORY_COLUMNS)), "convergence_time": None,
+            "saturation_count": 2, "max_abs_u1": 0.25, "max_abs_u2": 3.0},
+            ["rows", "convergence_time", "saturation_count", "max_abs_u1", "max_abs_u2"]),
+        "AdmissibilityConfig": (AdmissibilityConfig, {
+            "q": 1.5, "grid_n": 10, "half_width": 2.5}, []),
+        "AdmissibilityResult": (AdmissibilityResult, {
+            "value": 0.3, "points": 1000, "excluded": 0}, ["value", "points", "excluded"]),
+    }
+
+    @pytest.fixture(params=sorted(FIELDS))
+    def value_type(self, request):
+        return self.FIELDS[request.param]
+
+    def test_fields_are_the_annotated_names_in_order(self, value_type):
+        cls, fields, _ = value_type
+        assert cls._fields == tuple(fields)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, value_type):
+        cls, fields, _ = value_type
+        value = cls(**fields)
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError, match="frozen"):
+                setattr(value, name, 1.0)
+            with pytest.raises(AttributeError, match="frozen"):
+                delattr(value, name)
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+        assert "other" not in vars(value)
+
+    def test_positional_and_keyword_construction_agree(self, value_type):
+        cls, fields, _ = value_type
+        by_position, by_keyword = cls(*fields.values()), cls(**fields)
+        assert [getattr(by_position, name) for name in fields] == \
+            [getattr(by_keyword, name) for name in fields]
+        if cls is not Trajectory:  # by identity
+            assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+
+    def test_defaults_are_the_class_values(self, value_type):
+        cls, fields, required = value_type
+        value = cls(**{name: fields[name] for name in required})
+        for name in fields.keys() - required:
+            assert getattr(value, name) == getattr(cls, name)
+
+    def test_missing_unknown_or_repeated_fields_raise(self, value_type):
+        cls, fields, required = value_type
+        for name in required:
+            with pytest.raises(TypeError, match=f"missing required arguments: '{name}'"):
+                cls(**{key: v for key, v in fields.items() if key != name})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'other'"):
+            cls(**fields, other=1.0)
+        first, value = next(iter(fields.items()))
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            cls(value, **fields)
+        with pytest.raises(TypeError, match="were given"):
+            cls(*fields.values(), 1.0)
+
+    def test_repr_names_every_field(self, value_type):
+        cls, fields, _ = value_type
+        text = repr(cls(**fields))
+        assert text.startswith(f"{cls.__name__}(")
+        assert ", ".join(f"{name}={value!r}" for name, value in fields.items()) in text
 
 
 class TestTrajectory:
