@@ -47,6 +47,7 @@ import sys
 import zlib
 from array import array
 from math import copysign, cos, exp, isfinite, isnan, sin, sqrt
+from operator import add
 
 # status codes returned by closed_loop and c_loop; the C function also
 # sets -1, for rows full before the run ended
@@ -246,12 +247,26 @@ def deviation_sq(a, b):
 # the admissibility quadrature
 # ---------------------------------------------------------------------------
 
+def _lane(values, k):
+    """Lane k of a row: values[k], values[k + 4], ... added to 0.0 in that order.
+
+    Not `sum`, which compensates a float sum from Python 3.12 on."""
+    return functools.reduce(add, values[k::4], 0.0)
+
+
 def slab_sum(d, nodes, weights, m, x3, q):
     """The sum of (|g1 s - g2 c| / |g|)^q over one x3 > 0 slab of the
     admissibility quadrature's grid, g = (d1*x1, d2*x2, d3*x3) and s, c =
-    sin x3, cos x3: x1 over the m nodes, x2 over the 2m mirrored nodes, each
-    value times weights[j] into its row and each row times weights[i] into
-    the slab.
+    sin x3, cos x3: x1 over the m nodes, x2 over the m pairs of mirrored
+    nodes +-nodes[j].
+
+    The two nodes of pair j share weights[j] and |g|^2 = (g1^2 + g2^2) +
+    g3^2. With a = (g1 s)^2 and b = g2 c, g2 = d2*nodes[j], the pair's
+    value is 2*(a + b^2)/|g|^2 for q = 2, one division and no sqrt, and
+    otherwise |(g1 s - b)/|g||^q + |(g1 s + b)/|g||^q, one sqrt and two
+    pows. Pair j, times weights[j] and without the factor 2, goes into lane
+    j mod 4 of four running sums; the row is (l0 + l1) + (l2 + l3), times 2
+    for q = 2, and it goes into the slab times weights[i].
 
     It is `_kernels.c`'s slab_sum, whose header states the order, in Python,
     with the same bits. The products of x2 alone are computed once a slab,
@@ -262,24 +277,27 @@ def slab_sum(d, nodes, weights, m, x3, q):
     c = cos(x3)
     g3 = d3 * x3
     g3sq = g3 * g3
-    # x2 ascending: the negated nodes from the last, then the nodes
-    order = [*range(m - 1, -1, -1), *range(m)]
-    g2 = [-(d2 * nodes[j]) for j in order[:m]] + [d2 * nodes[j] for j in order[m:]]
-    columns = [(weights[j], g * c, g * g) for j, g in zip(order, g2)]
+    pairs = []
+    for j in range(m):
+        g2 = d2 * nodes[j]
+        b = g2 * c
+        pairs.append((weights[j], b, b * b, g2 * g2))
     slab = 0.0
     for i in range(m):
         g1 = d1 * nodes[i]
         g1s = g1 * s
+        a = g1s * g1s
         g1sq = g1 * g1
-        row = 0.0
         if q == 2.0:
-            for wj, g2c, g2sq in columns:
-                r = (g1s - g2c) / sqrt((g1sq + g2sq) + g3sq)
-                row += wj * (r * r)
+            values = [wj * ((a + bsq) / ((g1sq + g2sq) + g3sq)) for wj, _, bsq, g2sq in pairs]
         else:
-            for wj, g2c, g2sq in columns:
-                r = (g1s - g2c) / sqrt((g1sq + g2sq) + g3sq)
-                row += wj * abs(r) ** q
+            values = []
+            for wj, b, _, g2sq in pairs:
+                norm = sqrt((g1sq + g2sq) + g3sq)
+                values.append(wj * (abs((g1s - b) / norm) ** q + abs((g1s + b) / norm) ** q))
+        row = (_lane(values, 0) + _lane(values, 1)) + (_lane(values, 2) + _lane(values, 3))
+        if q == 2.0:
+            row = 2.0 * row
         slab += weights[i] * row
     return slab
 

@@ -130,6 +130,13 @@ def admissibility_measure(potential: Potential,
     into one running total in slab order. So memory follows grid_n, not
     grid_n^3, and Ctrl-C stops a large grid between two slabs.
 
+    Within a row, slab_sum takes the x2 centers as the pairs +-x2, which
+    share their weight and |grad V|^2. With a = (g1 sin x3)^2 and b = g2
+    cos x3, a pair's two values for q = 2 sum to 2*(a + b^2)/|grad V|^2, one
+    division and no square root; for other q it takes one square root and
+    two powers. Pair j goes into lane j mod 4 of four running sums, and the
+    row is (l0 + l1) + (l2 + l3), times 2 for q = 2.
+
     grad V does not vanish at a center: on the axis of the largest
     coefficient the scaled gradient at the first center w/n is 2*m_c*m_w/n,
     with mantissas m_c, m_w in [0.5, 1) (w is normal), so |grad V| >= 0.5/n.

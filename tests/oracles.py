@@ -342,6 +342,23 @@ def midpoint_slab(potential: Potential, q: float, grid_n: int, half_width: float
     return float(vals.sum())
 
 
+def slab_sum_unfolded(d, nodes, weights, x3: float, q: float) -> float:
+    """One x3 slab of `slab_sum`, unfolded and point by point, in numpy.
+
+    x1 runs over the m nodes and x2 over all 2m mirrored nodes, -nodes[m-1],
+    ..., nodes[m-1], each with its own weight. Each point's w_i * w_j * f,
+    f the former `integrand` of the gradient (d1*x1, d2*x2, d3*x3), is
+    computed on its own, with no pairs and no lanes, and math.fsum adds
+    them, correctly rounded."""
+    x1 = np.asarray(nodes, dtype=float)
+    w1 = np.asarray(weights, dtype=float)
+    x2 = np.concatenate((-x1[::-1], x1))
+    w2 = np.concatenate((w1[::-1], w1))
+    vals = integrand((d[0] * x1)[:, None], (d[1] * x2)[None, :], d[2] * x3, math.sin(x3),
+                     math.cos(x3), q)
+    return math.fsum((w1[:, None] * w2[None, :] * vals).ravel().tolist())
+
+
 def midpoint_j(potential: Potential, q: float, grid_n: int, half_width: float) -> float:
     """J by the former numpy midpoint quadrature: the slab sums of
     `midpoint_slab` in slab order, times 4 / grid_n^3 for the quarter grid.
