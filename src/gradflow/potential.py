@@ -30,7 +30,8 @@ class Potential(Frozen):
         check_scalar(c, "scale factor")
         if not c > 0:
             raise ValueError(f"scale factor must be positive, got {c}")
-        # on Python floats, so an overflow is inf without a numpy warning
+        # a Python float product past the float range is inf, and make_quadratic
+        # refuses it
         return make_quadratic(*(float(c) * ci for ci in self.coeffs))
 
 

@@ -26,13 +26,10 @@ on plain floats or in the compiled library.
 
 import contextlib
 import ctypes
-import errno
 import functools
 import math
-import mmap
 import os
 import re
-import stat
 from array import array
 
 from gradflow import _kernels
@@ -43,18 +40,13 @@ from gradflow.potential import Potential
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
 CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
 CSV_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS)) + "\n"  # %-template of one row
-CSV_CHUNK_ROWS = 1024  # rows per format_rows call or %-operation in save_csv
+CSV_CHUNK_ROWS = 1024  # rows per format_rows or parse_rows call, or %-operation
 
 # one field of the trajectory CSV's grammar, which the writer's "%.9g" keeps to
 _FIELD = rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
 # bytes per read of the compiled CSV parser, and so the longest line that
-# either parser reads; a row of the writer's format takes at least two bytes
-# a field, as in "0,"
+# either parser reads
 CSV_READ_BYTES = 1 << 20
-_MIN_ROW_BYTES = 2 * len(TRAJECTORY_COLUMNS)
-# the parser that read the last trajectory CSV: "c", the compiled library's
-# parse_rows, or "python", _parse_python; plot's summary names it
-last_csv_parser = None
 
 TERMINATED_GOAL = "goal_reached"
 TERMINATED_HORIZON = "horizon_exhausted"
@@ -199,12 +191,12 @@ def load_trajectory_csv(path):
 
     The grammar: the line CSV_HEADER, then at least one line of 11 finite
     fields _FIELD split by "," and ended by LF, of at most CSV_READ_BYTES.
+    `path` may be a regular file or a pipe: it is read once, front to back.
     The header is checked here, and `_parse_compiled` reads the rest, or
-    `_parse_python` where it cannot run. Both give the same bits, and refuse
-    the first line outside the grammar with `_check_line`'s ValueError.
-    `last_csv_parser` names the one that ran.
+    `_parse_python` where the library is missing; `_kernels.kernel()` names
+    the one that runs. Both give the same bits, and refuse the first line
+    outside the grammar with `_check_line`'s ValueError.
     """
-    global last_csv_parser
     header = (CSV_HEADER + "\n").encode()
     lib = _kernels.compiled_loop()
     with open(path, "rb") as f:
@@ -212,9 +204,7 @@ def load_trajectory_csv(path):
         if first != header:
             first = first.decode(errors="replace")
             raise ValueError(f"unexpected trajectory header: {first!r}")
-        data = _parse_compiled(lib, f) if lib else None
-        last_csv_parser = "c" if data is not None else "python"
-        return data if data is not None else _parse_python(f)
+        return _parse_compiled(lib, f) if lib else _parse_python(f)
 
 
 def _rows_view(buffer, rows: int) -> memoryview:
@@ -226,52 +216,40 @@ def _rows_view(buffer, rows: int) -> memoryview:
 
 
 def _parse_compiled(lib, f):
-    """The rows of the binary file f past its header, parsed by the library's
-    parse_rows; None where f is no regular file, or the host will not map
-    their memory.
+    """The rows of the binary stream f past its header, a file or a pipe,
+    parsed by the library's parse_rows.
 
-    The file is read CSV_READ_BYTES at a time into one reused buffer, a
-    partial last line moved to its front, and the rows go straight into one
-    private anonymous map sized for the shortest possible rows, of which the
-    view covers those parsed; the pages it never writes are never touched. A
-    refused line, a partial last line or one longer than the buffer is read
-    back for `_check_line`: it is line rows + 2, as every line before it is
-    a row.
+    f is read CSV_READ_BYTES at a time into one reused buffer, a partial last
+    line moved to its front. parse_rows parses the buffer's whole lines into
+    one reused chunk of CSV_CHUNK_ROWS rows at a time, which is appended to
+    an array('d'); the view is of that array. A refused line goes to
+    `_check_line` from the buffer, up to its LF, and a partial last line or
+    one longer than the buffer with the byte after it, so f is read once and
+    never sought: the line is rows + 2, as every line before it is a row.
     """
     width = len(TRAJECTORY_COLUMNS)
-    status = os.fstat(f.fileno())
-    if not stat.S_ISREG(status.st_mode):  # a pipe has no size to map by, nor a seek
-        return None
-    capacity = status.st_size // _MIN_ROW_BYTES + 1
-    try:
-        data = mmap.mmap(-1, 8 * width * capacity, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    except OSError as exc:
-        # 4 bytes per file byte, mostly never touched; where the host will
-        # not map that much (a tight address-space limit), _parse_python's
-        # growing array fits
-        if exc.errno != errno.ENOMEM:
-            raise
-        return None
-    start = ctypes.addressof(ctypes.c_char.from_buffer(data))
+    chunk = bytearray(8 * width * CSV_CHUNK_ROWS)
+    out = ctypes.addressof(ctypes.c_char.from_buffer(chunk))
+    parsed = memoryview(chunk)
     buf = bytearray(CSV_READ_BYTES)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     used = ctypes.c_int64()
-    offset, rows, rest = f.tell(), 0, 0  # offset: the file offset of buf[0]
+    rows, rest = array("d"), 0
     while got := f.readinto(memoryview(buf)[rest:]):
-        n = lib.parse_rows(addr, rest + got, width, start + 8 * width * rows,
-                           capacity - rows, ctypes.byref(used))
-        offset += used.value
+        start, end, n = 0, rest + got, CSV_CHUNK_ROWS  # buf[start:end] is left to parse
+        while n == CSV_CHUNK_ROWS:  # a full chunk: more whole lines may follow
+            n = lib.parse_rows(addr + start, end - start, width, out, CSV_CHUNK_ROWS,
+                               ctypes.byref(used))
+            rows.frombytes(parsed[:8 * width * (n if n >= 0 else -1 - n)])
+            start += used.value
         if n < 0:  # -1 - the rows before the refused line, which starts at *used
-            rows += -1 - n
-            break
-        rows += n
-        rest += got - used.value
-        ctypes.memmove(addr, addr + used.value, rest)
-    else:
-        if not rest:  # every line whole and parsed
-            return _rows_view(data, rows)
-    f.seek(offset)
-    _check_line(f.readline(CSV_READ_BYTES + 1), rows + 2)  # raises
+            line = bytes(buf[start:buf.index(b"\n", start) + 1])
+            _check_line(line, len(rows) // width + 2)  # raises
+        rest = end - start
+        ctypes.memmove(addr, addr + start, rest)
+    if rest:  # a last line without its LF, or one that fills the buffer
+        _check_line(bytes(buf[:rest]) + f.read(1), len(rows) // width + 2)  # raises
+    return _rows_view(rows, len(rows) // width)
 
 
 def _parse_python(f):

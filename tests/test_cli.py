@@ -332,19 +332,19 @@ class TestNumpyFree:
               "main(['simulate', '--preset', 'P1', '--t-max', '10', '--out', 's.csv'])\n",
               tmp_path)
         svgs = {}
-        for parser in ("c", "python"):
+        for kernel in ("c", "python"):
             code = (
                 "import json, sys\n"
                 "from gradflow import _kernels\n"
                 "from gradflow.cli import main\n"
-                + ("_kernels.compiled_loop = lambda: None\n" if parser == "python" else "")
-                + f"code = main(['plot', 's.csv', '--out', '{parser}.svg'])\n"
+                + ("_kernels.compiled_loop = lambda: None\n" if kernel == "python" else "")
+                + f"code = main(['plot', 's.csv', '--out', '{kernel}.svg'])\n"
                 "print(json.dumps([code, 'numpy' in sys.modules]))\n"
             )
             summary, result = child(code, tmp_path)
             assert result == [0, False]
-            assert summary == {"rows": 20001, "out": f"{parser}.svg", "parser": parser}
-            svgs[parser] = (tmp_path / f"{parser}.svg").read_bytes()
+            assert summary == {"rows": 20001, "out": f"{kernel}.svg", "kernel": kernel}
+            svgs[kernel] = (tmp_path / f"{kernel}.svg").read_bytes()
         assert svgs["c"] == svgs["python"]
 
     def test_refine(self, tmp_path):
@@ -424,7 +424,7 @@ class TestNumpyFree:
         summaries, results = lines[::2], lines[1::2]
         assert results == [[0, False]] * 5
         assert [sorted(s) for s in summaries[1:]] == [
-            ["out", "parser", "rows"],
+            ["kernel", "out", "rows"],
             ["V_end", "csv", "final_state", "kernel", "rows"],
             ["csv", "deviations", "eps", "kernel", "loop_mode", "non_increasing", "slope",
              "window"],
@@ -719,7 +719,7 @@ class TestPlotCommand:
         code, plot_summary = run(capsys, "plot", str(csv_path), "--out", str(svg))
         assert code == 0
         assert plot_summary["rows"] == summary["rows"]  # parsed without loss
-        assert plot_summary["parser"] == self.PARSER
+        assert plot_summary["kernel"] == self.PARSER
         text = svg.read_text()
         assert text.count('class="panel"') == 3
         for label in ("x1 (m)", "x2 (m)", "x3 (rad)", "u1 (m/s)", "u2 (rad/s)", "t (s)"):
@@ -750,7 +750,7 @@ class TestPlotCommand:
         assert array_svg.read_bytes() == svg.read_bytes()
 
     def test_reads_a_pipe(self, capsys, tmp_path):
-        # a pipe has no size to map by, nor a seek: _parse_python reads it in either build
+        # a pipe has no size and no seek: the build's own parser reads it, once
         csv_path, _ = self.make_csv(capsys, tmp_path)
         assert run(capsys, "plot", str(csv_path), "--out", str(tmp_path / "file.svg"))[0] == 0
         program = (
@@ -763,7 +763,7 @@ class TestPlotCommand:
             "print(json.dumps(code))\n"
         )
         summary, code = child(program, tmp_path, stdin=csv_path.read_text())
-        assert code == 0 and summary["parser"] == "python"
+        assert code == 0 and summary["kernel"] == self.PARSER
         assert (tmp_path / "pipe.svg").read_bytes() == (tmp_path / "file.svg").read_bytes()
 
     def test_failed_write_leaves_the_old_svg(self, capsys, tmp_path, monkeypatch):
@@ -855,6 +855,32 @@ class TestPlotCommandWithoutLibrary(TestPlotCommand):
     @pytest.fixture(autouse=True)
     def _no_library(self, monkeypatch):
         monkeypatch.setattr(_kernels, "compiled_loop", lambda: None)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_plot_parses_in_c_under_an_address_space_limit(capsys, tmp_path):
+    # a child limits its own address space to what it has mapped plus twice the
+    # CSV's size: the rows fit, 4 bytes per file byte would not, and the
+    # compiled parser still reads the file, to the unlimited run's SVG bytes
+    csv_path = tmp_path / "p1.csv"
+    assert run(capsys, "simulate", "--preset", "P1", "--out", str(csv_path))[0] == 0
+    assert run(capsys, "plot", str(csv_path), "--out", str(tmp_path / "free.svg"))[0] == 0
+    program = (
+        "import json, resource\n"
+        "from gradflow import _kernels\n"
+        "from gradflow.cli import main\n"
+        "assert _kernels.compiled_loop()\n"
+        "with open('/proc/self/status') as f:\n"
+        "    mapped = next(int(line.split()[1]) for line in f if line.startswith('VmSize:'))\n"
+        f"limit = 1024 * mapped + 2 * {csv_path.stat().st_size}\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+        "code = main(['plot', 'p1.csv', '--out', 'limited.svg'])\n"
+        "print(json.dumps(code))\n"
+    )
+    summary, code = child(program, tmp_path)
+    assert code == 0 and summary["rows"] > 280_000 and summary["kernel"] == "c"
+    assert (tmp_path / "limited.svg").read_bytes() == (tmp_path / "free.svg").read_bytes()
 
 
 class TestExitCodeContract:

@@ -2,7 +2,6 @@ import ctypes
 import errno
 import io
 import math
-import mmap
 import os
 import signal
 import stat
@@ -1366,17 +1365,46 @@ def load_without_library(path):
     """load_trajectory_csv of `path` with the library forced to None: `_parse_python`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "compiled_loop", lambda: None)
-        data = load_trajectory_csv(path)
-    assert simulator.last_csv_parser == "python"
-    return data
+        assert _kernels.kernel() == "python"
+        return load_trajectory_csv(path)
+
+
+def load_through_a_pipe(data: bytes):
+    """load_trajectory_csv of the bytes `data`, which a thread writes into an
+    os.pipe: a stream with no size and no seek, read in this process's build."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the parser refused a line and stopped reading
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_trajectory_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def outcome(load, source):
+    """The bytes of the rows that load(source) parses, or its ValueError's text."""
+    try:
+        return load(source).tobytes()
+    except ValueError as exc:
+        return str(exc)
 
 
 def assert_parses_as_loadtxt(path, twin=True):
     """The compiled parser reads `path` into a writable float64 memoryview of
     np.loadtxt's array bit for bit, and so does its twin `_parse_python`,
     unless `twin` is False (a long file)."""
+    assert _kernels.kernel() == "c"
     data = load_trajectory_csv(path)
-    assert simulator.last_csv_parser == "c"
     expected = loadtxt(path)
     for parsed in (data, load_without_library(path)) if twin else (data,):
         assert isinstance(parsed, memoryview) and parsed.format == "d"
@@ -1471,20 +1499,41 @@ class TestCompiledParser:
         monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
         assert_parses_as_loadtxt(path)
 
-    def test_an_array_the_host_will_not_map_goes_to_the_python_parser(self, tmp_path,
-                                                                     monkeypatch):
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [150, 257, 1000, 4096])
+    def test_rows_across_reads_and_row_chunks(self, tmp_path, monkeypatch, chunk,
+                                              rows_per_chunk):
+        # a read holds more whole lines than a chunk of rows, so parse_rows
+        # runs several times a read, and every call's rows are kept;
+        # test_rows_across_chunk_boundaries runs the default CSV_CHUNK_ROWS
         path = tmp_path / "run.csv"
-        simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
-        expected = loadtxt(path)
+        simulate(short_config(t_max=0.5, goal_tol=0.0)).save_csv(path)
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+        assert_parses_as_loadtxt(path)
 
-        def refuse(fileno, length, *args, **kwargs):
-            raise OSError(errno.ENOMEM, f"cannot map {length} bytes")
-
-        monkeypatch.setattr(mmap, "mmap", refuse)
-        data = load_trajectory_csv(path)
-        assert simulator.last_csv_parser == "python"
-        assert data.format == "d" and data.shape == expected.shape and not data.readonly
-        assert np.asarray(data).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, simulator.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [100, 1 << 20])
+    @pytest.mark.parametrize("bad, reason", [
+        ("0,1", "expected 11 fields, got 2"),
+        ("0,zero,0,0,0,0,0,0,0,0,0", "could not convert 'zero' in column 2"),
+        ("0,0,0,0,0,0,0,0,0,0,1e+999", "non-finite value"),
+    ])
+    def test_a_refused_line_in_a_later_chunk_is_named(self, tmp_path, monkeypatch, chunk,
+                                                      rows_per_chunk, bad, reason):
+        # 30 rows, then the refused line 32: in a read's fifth chunk of 7 rows,
+        # its thirty-first of 1, or its first of 1,024, and with 100-byte
+        # reads in a later read
+        row = "0.5,-1.25e-07,3,0,0,0,0,0,0,0,1"
+        path = tmp_path / "late.csv"
+        path.write_text(f"{CSV_HEADER}\n" + f"{row}\n" * 30 + f"{bad}\n" + f"{row}\n" * 9)
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+        message = f"^malformed trajectory CSV: {reason} on line 32$"
+        with pytest.raises(ValueError, match=message):
+            in_build("c", load_trajectory_csv, path)
+        with pytest.raises(ValueError, match=message):
+            load_without_library(path)
 
     def test_a_line_longer_than_a_chunk_is_refused_in_both_builds(self, tmp_path,
                                                                  monkeypatch):
@@ -1502,29 +1551,50 @@ class TestCompiledParser:
     @given(rows=st.lists(st.lists(st.sampled_from(PARSE_EDGE_VALUES),
                                   min_size=len(TRAJECTORY_COLUMNS),
                                   max_size=len(TRAJECTORY_COLUMNS)),
-                         min_size=1, max_size=4),
+                         min_size=1, max_size=12),
            junk=st.sampled_from(["\r", "\n", ",", " ", "E", "+", ".", "e", "e+", "-", "_",
                                  "#", "nan", "inf", "1e+999", "\xe9", ""]),
            at=st.integers(0, 10 ** 6), cut=st.booleans(),
-           chunk=st.sampled_from([60, 150, 1 << 20]))
-    def test_both_builds_refuse_alike(self, tmp_path_factory, rows, junk, at, cut, chunk):
-        # a file of the grammar with junk put in, maybe without its last byte:
-        # both builds give the same array, or the same error
+           chunk=st.sampled_from([60, 150, 1 << 20]),
+           rows_per_chunk=st.sampled_from([1, 7, simulator.CSV_CHUNK_ROWS]))
+    def test_both_builds_refuse_alike(self, tmp_path_factory, rows, junk, at, cut, chunk,
+                                      rows_per_chunk):
+        # a file of the grammar with junk put in, maybe without its last byte,
+        # read as a regular file and through an os.pipe: both builds give the
+        # same array, or the same error
         path = tmp_path_factory.mktemp("parse") / "rows.csv"
         body = "".join(",".join(row) + "\n" for row in rows)
         at %= len(body) + 1
         body = body[:at] + junk + body[at:]
         path.write_text(CSV_HEADER + "\n" + (body[:-1] if cut else body), newline="")
-
-        def outcome(load):
-            try:
-                return load(path).tobytes()
-            except ValueError as exc:
-                return str(exc)
-
+        data = path.read_bytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "CSV_READ_BYTES", chunk)
-            assert outcome(load_trajectory_csv) == outcome(load_without_library)
+            mp.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+            expected = outcome(load_without_library, path)
+            assert outcome(load_trajectory_csv, path) == expected
+            assert outcome(load_through_a_pipe, data) == expected
+            assert outcome(lambda d: in_build("python", load_through_a_pipe, d), data) == expected
+
+    @pytest.mark.parametrize("build", ["c", "python"])
+    @pytest.mark.parametrize("tail, reason", [
+        # 60 bytes and its LF: the buffer is full, and the byte after it is the LF
+        pytest.param("{exact}\n", "more than 60 bytes", id="one-byte-too-long"),
+        pytest.param("{long}\n", "more than 60 bytes", id="long"),
+        pytest.param("{row}", "no final newline", id="partial-last-line"),
+        pytest.param("0,zero{tail}\n", "could not convert 'zero' in column 2", id="bad-field"),
+    ])
+    def test_refusals_through_a_pipe(self, monkeypatch, build, tail, reason):
+        # 30 rows over many 60-byte reads, a row of 59 bytes, then the refused line 33
+        row = ",".join(["0"] * len(TRAJECTORY_COLUMNS))
+        fits = ",".join(["0"] * (len(TRAJECTORY_COLUMNS) - 1)) + "," + "1" * 39
+        lines = {"row": row, "tail": row[3:], "exact": fits + "1",
+                 "long": ",".join(["0.12345"] * len(TRAJECTORY_COLUMNS))}
+        data = (f"{CSV_HEADER}\n" + f"{row}\n" * 30 + f"{fits}\n"
+                + tail.format(**lines)).encode()
+        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 60)
+        with pytest.raises(ValueError, match=f"^malformed trajectory CSV: {reason} on line 33$"):
+            in_build(build, load_through_a_pipe, data)
 
 
 class TestCsv(CsvBytesEqual, LoaderRejects):
