@@ -25,10 +25,10 @@ sums the slabs of `admissibility.admissibility_measure`; `deviation_sq` and
 Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
 rows is an array('d') of their own holding the logged rows, row after row,
 in simulator.TRAJECTORY_COLUMNS order, so a run's memory follows the rows
-it logs and not its horizon. status is STATUS_HORIZON, STATUS_GOAL or
-STATUS_NONFINITE; a goal row is always logged and always last, so its t is
-the convergence time. The three counters cover every update that met the row
-rule, logged or not.
+it logs, and one chunk of them in c_loop, not its horizon. status is
+STATUS_HORIZON, STATUS_GOAL or STATUS_NONFINITE; a goal row is always
+logged and always last, so its t is the convergence time. The three
+counters cover every update that met the row rule, logged or not.
 
 The row rule: an update's row is logged, or counted, only if V, u1, u2, a1,
 a2 and a12 are all finite, and the first update that breaks it ends the run
@@ -310,9 +310,9 @@ _C_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 # no fast-math, no FMA contraction, and sin and cos called as math calls them
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
             "-fPIC", "-shared")
-# rows per zero extend of c_loop's row buffer; a call's room is at least one
-# extend and at least 1/64 of the rows logged so far
-GROW_ROWS = 16
+# rows per call into the library at most, in c_loop's chunk and simulator's
+# format_rows and parse_rows blocks, and per %-operation of write_rows
+CHUNK_ROWS = 1024
 # n_updates, refresh_every and log_every above this never meet k: no run
 # reaches 2^62 updates, and the C loop's k is a 64-bit integer
 _MAX_COUNT = 2 ** 62
@@ -413,12 +413,12 @@ def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
            n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
     """closed_loop's run in the C loop: its arguments, and its value bit for bit.
 
-    The rows go straight into the array('d') that is returned. Before each
-    call it grows by max(GROW_ROWS, rows so far // 64) rows of zeros, and
-    the call resumes where the last one ran out of room or out of its
-    UPDATES_PER_CALL updates; after it the unused rows are deleted. So the
-    memory follows the rows logged, as in closed_loop, and Ctrl-C stops a
-    long run within one call.
+    Each call resumes where the last one ran out of room or out of its
+    UPDATES_PER_CALL updates and logs into one reused chunk, whose rows are
+    appended to the array('d') that is returned. The chunk holds 1/64 of the
+    most rows the horizon can log, at least 16 and at most CHUNK_ROWS. So the
+    memory follows the rows logged, as in closed_loop, plus one chunk, and
+    Ctrl-C stops a long run within one call.
     """
     fn = compiled_loop().closed_loop
     p = (ctypes.c_double * 11)(c1, c2, c3, gamma, k1, k2, omega, control_period,
@@ -427,14 +427,10 @@ def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
                                                               log_every)),
                              UPDATES_PER_CALL, 0, 0, -1)
     s = (ctypes.c_double * 8)(*x0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    width = 11
-    zeros = array("d", bytes(8 * width * GROW_ROWS))
+    room = min(CHUNK_ROWS, max(16, (n_updates // log_every + 2) // 64))
+    chunk = (ctypes.c_double * (11 * room))()
+    view = memoryview(chunk).cast("B")
     rows = array("d")
     while n[6] < 0:
-        used = len(rows)
-        for _ in range(max(1, used // (64 * width * GROW_ROWS))):
-            rows.extend(zeros)
-        room = (len(rows) - used) // width
-        logged = fn(p, n, s, rows.buffer_info()[0] + 8 * used, room)
-        del rows[used + width * logged:]
+        rows.frombytes(view[:88 * fn(p, n, s, chunk, room)])
     return rows, n[6], n[5], s[6], s[7]

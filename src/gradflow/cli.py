@@ -10,6 +10,7 @@ import argparse
 import json
 import mmap
 import os
+import stat
 import sys
 
 from gradflow import _kernels, simulator
@@ -274,6 +275,9 @@ def cmd_gradient_flow(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plot(args) -> int:
+    if args.out is None and not stat.S_ISREG(os.stat(args.csv_path).st_mode):
+        # the SVG beside a pipe or a device, as /dev/stdin.svg, would go in /dev
+        raise ValueError(f"{args.csv_path} is not a regular file: name the SVG with --out")
     data = load_trajectory_csv(args.csv_path)
     out = args.out if args.out is not None else os.path.splitext(args.csv_path)[0] + ".svg"
     render_trajectory_svg(data, out)

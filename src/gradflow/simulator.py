@@ -40,7 +40,6 @@ from gradflow.potential import Potential
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
 CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
 CSV_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS)) + "\n"  # %-template of one row
-CSV_CHUNK_ROWS = 1024  # rows per format_rows or parse_rows call, or %-operation
 
 # one field of the trajectory CSV's grammar, which the writer's "%.9g" keeps to
 _FIELD = rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
@@ -69,9 +68,9 @@ class Trajectory(Frozen):
     rows is an array('d') of the logged rows, one after the other, each
     with the columns TRAJECTORY_COLUMNS: time, state, applied control,
     amplitude vector in effect, potential value, and whether the control
-    was saturated. It is the array the loop logged into, not a copy. Rows
-    are strictly increasing in t, and the first row is the initial state at
-    t = 0.
+    was saturated. It is the array the loop returns, not a copy of it.
+    Rows are strictly increasing in t, and the first row is the initial
+    state at t = 0.
 
     convergence_time is the time of the update that reached the goal, or
     None when the run used its whole horizon; `terminated` names which.
@@ -124,7 +123,7 @@ class Trajectory(Frozen):
         """Write the exact trajectory CSV: 9 significant digits, LF endings.
 
         The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n").
-        The compiled library's format_rows writes them, CSV_CHUNK_ROWS rows per
+        The library's format_rows writes them, _kernels.CHUNK_ROWS rows per
         call into one reused buffer, each block written out before the next;
         where the library cannot be built or loaded, `write_rows` does. The
         file is written through `replacing`, so a failed write leaves an
@@ -166,20 +165,20 @@ def _format_rows(lib, f, rows: array) -> None:
     # and one more for the "," or "\n"; format_rows' fixed-size copies write
     # scratch bytes up to 18 past a value's start, which the next value
     # overwrites, so the chunk's last value stays inside its 24 too
-    buf = bytearray(24 * width * CSV_CHUNK_ROWS)
+    buf = bytearray(24 * width * _kernels.CHUNK_ROWS)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     view = memoryview(buf)
     start, n = rows.buffer_info()[0], len(rows) // width
-    for i in range(0, n, CSV_CHUNK_ROWS):
-        block = min(CSV_CHUNK_ROWS, n - i)
+    for i in range(0, n, _kernels.CHUNK_ROWS):
+        block = min(_kernels.CHUNK_ROWS, n - i)
         f.write(view[:lib.format_rows(start + 8 * width * i, block, width, addr)])
 
 
 def write_rows(f, rows: array) -> None:
     """Write the array('d') `rows` to the binary file f with CSV_ROW,
-    CSV_CHUNK_ROWS rows per %-operation: save_csv's writer where the library
-    is missing, and format_rows' bitwise oracle."""
-    step = len(TRAJECTORY_COLUMNS) * CSV_CHUNK_ROWS
+    _kernels.CHUNK_ROWS rows per %-operation: save_csv's writer where the
+    library is missing, and format_rows' bitwise oracle."""
+    step = len(TRAJECTORY_COLUMNS) * _kernels.CHUNK_ROWS
     for i in range(0, len(rows), step):
         block = rows[i:i + step].tolist()
         f.write((CSV_ROW * (len(block) // len(TRAJECTORY_COLUMNS)) % tuple(block)).encode())
@@ -221,14 +220,14 @@ def _parse_compiled(lib, f):
 
     f is read CSV_READ_BYTES at a time into one reused buffer, a partial last
     line moved to its front. parse_rows parses the buffer's whole lines into
-    one reused chunk of CSV_CHUNK_ROWS rows at a time, which is appended to
-    an array('d'); the view is of that array. A refused line goes to
+    one reused chunk of _kernels.CHUNK_ROWS rows at a time, which is appended
+    to an array('d'); the view is of that array. A refused line goes to
     `_check_line` from the buffer, up to its LF, and a partial last line or
     one longer than the buffer with the byte after it, so f is read once and
     never sought: the line is rows + 2, as every line before it is a row.
     """
     width = len(TRAJECTORY_COLUMNS)
-    chunk = bytearray(8 * width * CSV_CHUNK_ROWS)
+    chunk = bytearray(8 * width * _kernels.CHUNK_ROWS)
     out = ctypes.addressof(ctypes.c_char.from_buffer(chunk))
     parsed = memoryview(chunk)
     buf = bytearray(CSV_READ_BYTES)
@@ -236,9 +235,9 @@ def _parse_compiled(lib, f):
     used = ctypes.c_int64()
     rows, rest = array("d"), 0
     while got := f.readinto(memoryview(buf)[rest:]):
-        start, end, n = 0, rest + got, CSV_CHUNK_ROWS  # buf[start:end] is left to parse
-        while n == CSV_CHUNK_ROWS:  # a full chunk: more whole lines may follow
-            n = lib.parse_rows(addr + start, end - start, width, out, CSV_CHUNK_ROWS,
+        start, end, n = 0, rest + got, _kernels.CHUNK_ROWS  # buf[start:end] is left to parse
+        while n == _kernels.CHUNK_ROWS:  # a full chunk: more whole lines may follow
+            n = lib.parse_rows(addr + start, end - start, width, out, _kernels.CHUNK_ROWS,
                                ctypes.byref(used))
             rows.frombytes(parsed[:8 * width * (n if n >= 0 else -1 - n)])
             start += used.value

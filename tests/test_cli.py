@@ -883,6 +883,26 @@ def test_plot_parses_in_c_under_an_address_space_limit(capsys, tmp_path):
     assert (tmp_path / "limited.svg").read_bytes() == (tmp_path / "free.svg").read_bytes()
 
 
+def test_plot_of_a_pipe_needs_out(tmp_path):
+    # the SVG's default path is the CSV's with .svg, and beside /dev/fd/0 or
+    # /dev/stdin it would go in /dev: a path that is no regular file is refused
+    # with exit 2 unless --out names the SVG, before a byte of it is read
+    stdin = f"{CSV_HEADER}\n0,0,0,0,0,0,0,0,0,0,0\n"
+    program = (
+        "import contextlib, io, json, sys\n"
+        "from gradflow.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = main(['plot', '/dev/fd/0'])\n"
+        "print(json.dumps([code, err.getvalue(), sys.stdin.read()]))\n"
+    )
+    [[code, err, unread]] = child(program, tmp_path, stdin=stdin)
+    assert code == 2
+    assert err == "gradflow: error: /dev/fd/0 is not a regular file: name the SVG with --out\n"
+    assert unread == stdin
+    assert os.listdir(tmp_path) == []
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--preset", "P1", "--t-max", "inf"], id="simulate-t_max"),

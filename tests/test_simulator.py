@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import errno
 import io
@@ -254,13 +255,18 @@ class TestSimulate:
         assert traj.rows == simulate(preset_sim_config("P1", t_max=2.0)).rows
 
     def test_peak_memory_is_one_trajectory(self):
-        # the logged rows are returned in place, not copied out of the run's buffer,
-        # and a run that stops at the goal holds the rows it logged, not its horizon's:
-        # P1 sampling reaches the goal at 27.9 s of its 600 s
-        runs = [(short_config(t_max=2.0, goal_tol=0.0), TERMINATED_HORIZON),
-                (preset_sim_config("P1", loop_mode="sampling"), TERMINATED_GOAL)]
+        # each call's rows are appended from one reused chunk to the array that
+        # is returned, which is never copied whole, and a run that stops at the
+        # goal holds the rows it logged, not its horizon's: P1 sampling reaches
+        # the goal at 27.9 s of its 600 s. A short run's chunk is 1/64 of its
+        # horizon's rows; a goal run of 973 rows in 600 s holds one chunk of
+        # CHUNK_ROWS rows more, which the 1.1 alone would not cover
+        runs = [(short_config(t_max=2.0, goal_tol=0.0), TERMINATED_HORIZON, 0),
+                (preset_sim_config("P1", loop_mode="sampling"), TERMINATED_GOAL, 0),
+                (short_config(x0=(0.3, -0.2, 0.1), goal_tol=0.3, t_max=600.0, log_every=2),
+                 TERMINATED_GOAL, 88 * _kernels.CHUNK_ROWS)]
         simulate(runs[0][0])  # warm up lazy imports and caches outside the trace
-        for cfg, terminated in runs:
+        for cfg, terminated, chunk_bytes in runs:
             tracemalloc.start()
             try:
                 traj = simulate(cfg)
@@ -268,7 +274,8 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
             assert traj.terminated == terminated
-            assert peak <= 1.1 * traj.data.nbytes
+            assert peak <= 1.1 * traj.data.nbytes + chunk_bytes
+        assert traj.data.shape[0] == 973
 
     def test_blowup_raises_with_partial_trajectory(self):
         # a stiff heading term: a2 = -gamma*2*c3*x3 = -100*x3 held for 0.05 s
@@ -471,10 +478,10 @@ class TestSamplingWindows:
 
     @pytest.mark.parametrize("mode", ["continuous", "sampling"])
     def test_resume_at_every_row(self, mode, monkeypatch):
-        # one row of room per call until 64 rows are logged: every row is the
-        # last of a call, and the next call resumes from k, the state, the
-        # amplitudes and the counters; the goal is reached mid-run
-        monkeypatch.setattr(_kernels, "GROW_ROWS", 1)
+        # a chunk of one row: every row is the last of a call, and the next
+        # call resumes from k, the state, the amplitudes and the counters; the
+        # goal is reached mid-run
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", 1)
         cfg = short_config(loop_mode=mode, bounds=TB3, x0=(0.3, -0.2, 0.1), goal_tol=0.2,
                            t_max=20.0, cp=1e-3, log_every=7)
         args = simulator._loop_args(cfg)
@@ -500,6 +507,35 @@ class TestSamplingWindows:
         _kernels.c_loop(**args)
         ks = [k for _, k, *_ in calls]
         assert ks[:-1] == list(range(7, 7 * len(ks), 7)) and 0 <= ks[-1] - ks[-2] < 7
+
+    @pytest.mark.parametrize("mode", ["continuous", "sampling"])
+    def test_p1_in_chunks(self, mode, monkeypatch):
+        # P1 clamped, whole, in chunks of 1 and 7 rows and of the default: each
+        # gives closed_loop's rows, status and counters, every call but the
+        # last fills its chunk, and the goal stops the run inside the last one
+        args = simulator._loop_args(preset_sim_config("P1", loop_mode=mode, bounds_mode="clamp"))
+        scalar = _kernels.closed_loop(**args)
+        assert scalar[1] == _kernels.STATUS_GOAL
+        n_rows = len(scalar[0]) // 11
+        fn = _kernels.compiled_loop().closed_loop
+        calls = collections.Counter()  # (rows logged, room, status) of each call
+
+        def counted(p, n, s, rows, room):
+            logged = fn(p, n, s, rows, room)
+            calls[logged, room, n[6]] += 1
+            return logged
+
+        monkeypatch.setattr(_kernels, "compiled_loop", lambda: SimpleNamespace(closed_loop=counted))
+        for chunk_rows in (1, 7, _kernels.CHUNK_ROWS):
+            monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
+            calls.clear()
+            compiled = _kernels.c_loop(**args)
+            assert compiled[0].tobytes() == scalar[0].tobytes()
+            assert compiled[1:] == scalar[1:]
+            full, last = divmod(n_rows - 1, chunk_rows)
+            assert dict(calls) == {(chunk_rows, chunk_rows, -1): full,
+                                   (last + 1, chunk_rows, _kernels.STATUS_GOAL): 1}
+            assert last + 1 < chunk_rows or chunk_rows == 1
 
     def test_a_signal_stops_a_long_run(self):
         # a run of 2^27 updates that logs two rows: one call of the C loop
@@ -527,12 +563,13 @@ class TestSamplingWindows:
             signal.signal(signal.SIGALRM, previous)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("refresh_every, grow", [(4, 1024), (8, 1024), (8, 4), (8, 3)],
+    @pytest.mark.parametrize("refresh_every, chunk_rows",
+                             [(4, 1024), (8, 1024), (8, 4), (8, 3)],
                              ids=["window-edge", "mid-window", "block-edge", "mid-block"])
-    def test_nonfinite_stop(self, refresh_every, grow, monkeypatch):
-        # room for 4 rows puts a call's end right before the stopping update
-        # 4, room for 3 one row before it
-        monkeypatch.setattr(_kernels, "GROW_ROWS", grow)
+    def test_nonfinite_stop(self, refresh_every, chunk_rows, monkeypatch):
+        # a chunk of 4 rows puts a call's end right before the stopping update
+        # 4, one of 3 a row before it; 40 updates get a chunk of 16 rows at most
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
         rows, status, n_sat = same_run(**overflow_args(refresh_every))[:3]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 4 * 11 and n_sat == 4
@@ -588,12 +625,12 @@ class TestSamplingWindows:
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 0
 
-    @pytest.mark.parametrize("grow", [3, 25, 1024])
+    @pytest.mark.parametrize("chunk_rows", [3, 25, 1024])
     @pytest.mark.parametrize("refresh_every", [1, 3, 100])
-    def test_partial_last_window(self, refresh_every, grow, monkeypatch):
+    def test_partial_last_window(self, refresh_every, chunk_rows, monkeypatch):
         # 550 updates: the last window is cut, and update 550 is logged though
         # 550 % 7 != 0
-        monkeypatch.setattr(_kernels, "GROW_ROWS", grow)
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
         controller = ControllerParams(epsilon=refresh_every * 1e-3, u1_max=0.22, u2_max=2.84,
                                       loop_mode="sampling")
         cfg = SimConfig(potential=make_v_alpha(4.0), controller=controller,
@@ -1112,12 +1149,12 @@ class CsvBytesEqual:
 
     @pytest.mark.parametrize("n_rows", [1, 3, 4, 5])
     def test_bytes_equal_savetxt_around_chunk_size(self, tmp_path, monkeypatch, n_rows):
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", 4)
         data = np.random.default_rng(n_rows).normal(size=(n_rows, len(TRAJECTORY_COLUMNS)))
         self.check(data, tmp_path)
 
     def test_bytes_equal_savetxt_strided_layouts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", 4)
         wide = np.random.default_rng(7).normal(size=(21, 2 * len(TRAJECTORY_COLUMNS)))
         fortran = np.asfortranarray(wide[:, :len(TRAJECTORY_COLUMNS)])
         strided = wide[::2, ::2]
@@ -1128,7 +1165,7 @@ class CsvBytesEqual:
 
     def test_run_bytes_equal_savetxt(self, tmp_path):
         traj = simulate(short_config(t_max=2.0, goal_tol=0.0))
-        assert traj.data.shape[0] > simulator.CSV_CHUNK_ROWS
+        assert traj.data.shape[0] > _kernels.CHUNK_ROWS
         self.check(frame(traj), tmp_path)
 
     def test_ten_digit_ties_round_half_to_even(self, tmp_path):
@@ -1185,7 +1222,7 @@ def savetxt_property():
                            elements=CSV_VALUES))
     def test_bytes_equal_savetxt(self, tmp_path_factory, data):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "CSV_CHUNK_ROWS", 3)  # several blocks per run
+            mp.setattr(_kernels, "CHUNK_ROWS", 3)  # several blocks per run
             self.check(data, tmp_path_factory.mktemp("csv"))
     return test_bytes_equal_savetxt
 
@@ -1505,14 +1542,14 @@ class TestCompiledParser:
                                               rows_per_chunk):
         # a read holds more whole lines than a chunk of rows, so parse_rows
         # runs several times a read, and every call's rows are kept;
-        # test_rows_across_chunk_boundaries runs the default CSV_CHUNK_ROWS
+        # test_rows_across_chunk_boundaries runs the default CHUNK_ROWS
         path = tmp_path / "run.csv"
         simulate(short_config(t_max=0.5, goal_tol=0.0)).save_csv(path)
         monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
         assert_parses_as_loadtxt(path)
 
-    @pytest.mark.parametrize("rows_per_chunk", [1, 7, simulator.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, _kernels.CHUNK_ROWS])
     @pytest.mark.parametrize("chunk", [100, 1 << 20])
     @pytest.mark.parametrize("bad, reason", [
         ("0,1", "expected 11 fields, got 2"),
@@ -1528,7 +1565,7 @@ class TestCompiledParser:
         path = tmp_path / "late.csv"
         path.write_text(f"{CSV_HEADER}\n" + f"{row}\n" * 30 + f"{bad}\n" + f"{row}\n" * 9)
         monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
-        monkeypatch.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+        monkeypatch.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
         message = f"^malformed trajectory CSV: {reason} on line 32$"
         with pytest.raises(ValueError, match=message):
             in_build("c", load_trajectory_csv, path)
@@ -1556,7 +1593,7 @@ class TestCompiledParser:
                                  "#", "nan", "inf", "1e+999", "\xe9", ""]),
            at=st.integers(0, 10 ** 6), cut=st.booleans(),
            chunk=st.sampled_from([60, 150, 1 << 20]),
-           rows_per_chunk=st.sampled_from([1, 7, simulator.CSV_CHUNK_ROWS]))
+           rows_per_chunk=st.sampled_from([1, 7, _kernels.CHUNK_ROWS]))
     def test_both_builds_refuse_alike(self, tmp_path_factory, rows, junk, at, cut, chunk,
                                       rows_per_chunk):
         # a file of the grammar with junk put in, maybe without its last byte,
@@ -1570,7 +1607,7 @@ class TestCompiledParser:
         data = path.read_bytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "CSV_READ_BYTES", chunk)
-            mp.setattr(simulator, "CSV_CHUNK_ROWS", rows_per_chunk)
+            mp.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
             expected = outcome(load_without_library, path)
             assert outcome(load_trajectory_csv, path) == expected
             assert outcome(load_through_a_pipe, data) == expected
