@@ -249,21 +249,26 @@ int64_t parse_rows(const char *buf, int64_t len, int64_t width, double *out,
    is within half an ulp of y's exact value, below 1.2e-7 for y < 2^30. Where
    y's fraction is more than 1e-6 away from 0.5, y rounds to the same 9 digits
    as the exact value, and they are written in %g's layout here. snprintf
-   writes every other value: a possible tie, or a power 10^(8-k) that no
-   double holds exactly (Grisu's fast path with a bail-out, Loitsch, PLDI
-   2010).
+   writes every other value: a possible tie, or a power 10^(8-k) or 10^(7-k)
+   that no double holds exactly (Grisu's fast path with a bail-out, Loitsch,
+   PLDI 2010).
 
    The fast path calls no libm function. The binary exponent e, with
    2^(e-1) <= |x| < 2^e, is read from the bits as frexp would give it for a
    normal x, and k starts at floor((e - 1) * log10 2), computed as
    ((e - 1) * 78913) >> 18; the two are equal for every |e| < 1100, checked
-   exhaustively. A subnormal needs no branch: its exponent bits read
-   e = -1022, so k = -308, scale refuses 10^316, and snprintf writes it. The
-   9 digits are a lead digit and four pairs from PAIRS, and they are laid
-   out with copies of a fixed size from a padded buffer, after which p moves
-   by the real length. */
+   exhaustively. y is computed for k and for k + 1, and one is selected, so
+   both powers must be exact: the fast path takes k from -14 to 29. A
+   subnormal needs no branch: its exponent bits read e = -1022, so k = -308,
+   and snprintf writes it. The 8 digits after the lead are built at once in
+   one 64-bit word, a digit a byte (SWAR; Lemire, Softw. Pract. Exp. 51(8),
+   2021), and written with 8-byte stores, after which p moves by the real
+   length; the count of significant digits is read from the word's leading
+   zero bits. On P1's 3,137,079 values this takes 12.6-14.6 ns a value,
+   against 17.2-17.9 ns with the digits in pairs from a table (2 vCPUs,
+   x86-64, gcc 12.2, -O2). */
 
-/* "00" to "99" */
+/* "00" to "99", the exponent's two digits */
 static const char PAIRS[201] =
     "0001020304050607080910111213141516171819"
     "2021222324252627282930313233343536373839"
@@ -271,51 +276,64 @@ static const char PAIRS[201] =
     "6061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
 
-/* |x| * 10^(8-k) in *y, or 0 where 10^|8-k| is not exact */
-static int scale(double x, int k, double *y)
+/* w's eight bytes at p, its least significant byte first */
+static inline void store8(char *p, uint64_t w)
 {
-    int p = 8 - k;
-    if (p > 22 || p < -22)
-        return 0;
-    *y = p >= 0 ? x * POW10[p] : x / POW10[-p];
-    return 1;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, sizeof w);
 }
 
 static char *format_value(char *p, double x)
 {
-    /* the 9 digits, and the 7 bytes past them that the copy of 8 from
-       d + k + 1 reads when k = 7 */
-    char d[16] = {0};
-    double y, frac;
-    uint64_t bits;
-    uint32_t digits;
-    int e, k, len;
+    uint64_t bits, m, h, t, raw, ascii;
+    uint32_t digits, r;
+    double y0, y1, y, frac;
+    int negative, e, k, n, up, len;
+    char lead;
 
-    /* Python writes every NaN as "nan", with no sign */
-    if (isnan(x)) {
+    memcpy(&bits, &x, sizeof bits);
+    negative = (int)(bits >> 63);
+    *p = '-';
+    p += negative;
+    bits &= ~(UINT64_C(1) << 63);
+    /* 0, inf and NaN: bits - 1 wraps at 0, and 0x7FEF...F is the largest
+       finite double's */
+    if (bits - 1 >= UINT64_C(0x7FEFFFFFFFFFFFFF)) {
+        if (bits == 0) {
+            *p = '0';
+            return p + 1;
+        }
+        if (bits == UINT64_C(0x7FF0000000000000)) {
+            memcpy(p, "inf", 3);
+            return p + 3;
+        }
+        /* Python writes every NaN as "nan", with no sign */
+        p -= negative;
         memcpy(p, "nan", 3);
         return p + 3;
     }
-    if (signbit(x)) {
-        *p++ = '-';
-        x = -x;
-    }
-    if (isinf(x)) {
-        memcpy(p, "inf", 3);
-        return p + 3;
-    }
-    if (x == 0.0) {
-        *p++ = '0';
-        return p;
-    }
-    memcpy(&bits, &x, sizeof bits);
-    e = (int)(bits >> 52) - 1022; /* x > 0: the sign bit is clear */
+    x = fabs(x);
+    e = (int)(bits >> 52) - 1022;
     /* 10^k <= 2^(e-1) <= x < 2^e <= 10^(k+2): x's decimal exponent is k or
-       k + 1, so y >= 1e8 here and y >= 1e9 means k + 1. e - 1 < 0 relies on
-       the arithmetic right shift of a negative int, which GCC and Clang do */
+       k + 1, so y = x * 10^(8-k) >= 1e8 here and y >= 1e9 means k + 1. e - 1
+       < 0 relies on the arithmetic right shift of a negative int, which GCC
+       and Clang do */
     k = ((e - 1) * 78913) >> 18;
-    if (!scale(x, k, &y) || (y >= 1e9 && !scale(x, ++k, &y)))
+    n = 8 - k; /* both 10^n and 10^(n-1) must be exact */
+    if (n > 22 || n < -21)
         goto slow;
+    if (n > 0) {
+        y0 = x * POW10[n];
+        y1 = x * POW10[n - 1];
+    } else {
+        y0 = x / POW10[-n];
+        y1 = x / POW10[1 - n];
+    }
+    up = y0 >= 1e9;
+    y = up ? y1 : y0;
+    k += up;
     digits = (uint32_t)y;
     frac = y - digits;
     if (fabs(frac - 0.5) < 1e-6)
@@ -325,40 +343,46 @@ static char *format_value(char *p, double x)
         digits = 100000000u;
         k++;
     }
-    d[0] = (char)('0' + digits / 100000000u);
-    digits %= 100000000u;
-    memcpy(d + 1, PAIRS + 2 * (digits / 1000000u), 2);
-    memcpy(d + 3, PAIRS + 2 * (digits / 10000u % 100u), 2);
-    memcpy(d + 5, PAIRS + 2 * (digits / 100u % 100u), 2);
-    memcpy(d + 7, PAIRS + 2 * (digits % 100u), 2);
-    for (len = 9; d[len - 1] == '0'; len--)
-        ;
+    lead = (char)('0' + digits / 100000000u);
+    r = digits % 100000000u;
+    /* the 8 digits after the lead in one word, byte i digit i + 1: two
+       lanes of 4 digits, then four of 2, then eight of 1; each step divides
+       every lane at once by a multiply and a shift that are exact for the
+       lane's range */
+    m = r / 10000 | (uint64_t)(r % 10000) << 32;
+    h = (m * 10486) >> 20 & (0x7F | UINT64_C(0x7F) << 32);
+    m = h | (m - 100 * h) << 16;
+    t = (m * 103) >> 10 & UINT64_C(0x000F000F000F000F);
+    raw = t | (m - 10 * t) << 8;
+    ascii = raw + UINT64_C(0x3030303030303030);
+    /* the significant digits: the lead and those up to raw's last nonzero byte */
+    len = raw ? 9 - (__builtin_clzll(raw) >> 3) : 1;
     if (k >= 9 || k < -4) { /* %g's exponent notation: |k| <= 30 here */
-        *p++ = d[0];
-        if (len > 1) {
-            *p++ = '.';
-            memcpy(p, d + 1, 8);
-            p += len - 1;
-        }
-        *p++ = 'e';
-        *p++ = k < 0 ? '-' : '+';
-        memcpy(p, PAIRS + 2 * abs(k), 2);
-        p += 2;
-    } else if (k >= 0) {
-        memcpy(p, d, 9);
+        p[0] = lead;
+        p[1] = '.';
+        store8(p + 2, ascii);
+        p += len > 1 ? len + 1 : 1;
+        p[0] = 'e';
+        p[1] = k < 0 ? '-' : '+';
+        memcpy(p + 2, PAIRS + 2 * abs(k), 2);
+        return p + 4;
+    }
+    if (k >= 0) {
+        p[0] = lead;
+        store8(p + 1, ascii);
         p += k + 1;
         if (len > k + 1) {
-            *p++ = '.';
-            memcpy(p, d + k + 1, 8);
-            p += len - k - 1;
+            p[0] = '.';
+            store8(p + 1, ascii >> 8 * k);
+            p += len - k;
         }
-    } else {
-        memcpy(p, "0.000", 5);
-        p += 1 - k;
-        memcpy(p, d, 9);
-        p += len;
+        return p;
     }
-    return p;
+    memcpy(p, "0.000", 5);
+    p += 1 - k;
+    p[0] = lead;
+    store8(p + 1, ascii);
+    return p + len;
 slow:
     /* x >= 0 here: the sign is written already */
     return p + snprintf(p, 24, "%.9g", x);

@@ -109,6 +109,7 @@ def _settings_for_simulate(args) -> dict:
 def cmd_simulate(args) -> int:
     if args.preset is None and args.config is None:
         raise ValueError("simulate needs --preset or --config")
+    simulator.output_path(args.out)
     settings = _settings_for_simulate(args)
     cfg = _sim_config_from_settings(settings)
     traj = simulate(cfg)
@@ -138,6 +139,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_admissibility(args) -> int:
+    if args.out is not None:
+        simulator.output_path(args.out)
     cfg = AdmissibilityConfig(q=args.q, grid_n=args.grid_n, half_width=args.box)
     cells = []
     # the parser requires exactly one of --table1, --v-alpha and --quadratic
@@ -202,6 +205,8 @@ def _window_updates(window: float, eps: list) -> int:
 def cmd_refine(args) -> int:
     if any(b >= a for a, b in zip(args.eps, args.eps[1:])):
         raise ValueError(f"--eps must be strictly descending, got {args.eps}")
+    if args.out is not None:
+        simulator.output_path(args.out)
     potential = _potential_from_flags(args)
     # the controllers check gamma and k1 before the reference flow is built from gamma
     controllers = [ControllerParams(epsilon=eps, gamma=args.gamma, k1=args.k1,
@@ -256,6 +261,7 @@ def cmd_refine(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradient_flow(args) -> int:
+    simulator.output_path(args.out)
     potential = _potential_from_flags(args)
     traj = integrate_gradient_flow(potential, args.x0, t_max=args.t_max, h=args.h)
     traj.save_csv(args.out)
@@ -278,8 +284,9 @@ def cmd_plot(args) -> int:
     if args.out is None and not stat.S_ISREG(os.stat(args.csv_path).st_mode):
         # the SVG beside a pipe or a device, as /dev/stdin.svg, would go in /dev
         raise ValueError(f"{args.csv_path} is not a regular file: name the SVG with --out")
-    data = load_trajectory_csv(args.csv_path)
     out = args.out if args.out is not None else os.path.splitext(args.csv_path)[0] + ".svg"
+    simulator.output_path(out)
+    data = load_trajectory_csv(args.csv_path)
     render_trajectory_svg(data, out)
     _emit({"rows": int(data.shape[0]), "out": out, "kernel": _kernels.kernel()})
     return 0

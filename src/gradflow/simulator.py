@@ -30,6 +30,7 @@ import functools
 import math
 import os
 import re
+import stat
 from array import array
 
 from gradflow import _kernels
@@ -138,15 +139,34 @@ class Trajectory(Frozen):
                 write_rows(f, self.rows)
 
 
+def output_path(path) -> str:
+    """The file that `replacing(path)` writes: `path` with its symlinks
+    resolved, so that a link stays and its target gets the bytes.
+
+    ValueError where that file exists and is not a regular file: the rename
+    would put a regular file in place of a FIFO, a device or a socket, and
+    cannot replace a directory. The commands call it before any work.
+    """
+    real = os.path.realpath(path)
+    try:
+        mode = os.stat(real).st_mode
+    except FileNotFoundError:
+        return real
+    if not stat.S_ISREG(mode):
+        raise ValueError(f"cannot write {path}: {real} is not a regular file")
+    return real
+
+
 @contextlib.contextmanager
 def replacing(path):
-    """A new binary file that replaces `path` once the block completes.
+    """A new binary file that replaces `output_path(path)` once the block completes.
 
-    It is written under a temporary name in `path`'s directory and renamed
-    onto `path` only when the block exits without error; on failure it is
-    removed and an existing `path` is left as it was.
+    It is written under a temporary name in that file's directory and renamed
+    onto it only when the block exits without error; on failure it is
+    removed and an existing file is left as it was.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = output_path(path)
+    directory = os.path.dirname(path)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
     f = open(tmp, "xb")
     try:

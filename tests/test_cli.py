@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -479,6 +480,45 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[], []]
 
+    # every module that `import gradflow.cli` loads under -S: the union over
+    # CPython 3.10 to 3.13, which load 68 or 69 of them each
+    STARTUP_MODULES = frozenset({
+        "_abc", "_codecs", "_collections", "_collections_abc", "_ctypes",
+        "_frozen_importlib_external", "_functools", "_io", "_json", "_locale", "_operator",
+        "_signal", "_sre", "_stat", "_struct", "abc", "argparse", "array", "codecs",
+        "collections", "collections.abc", "contextlib", "copyreg", "ctypes",
+        "ctypes._endian", "encodings", "encodings.aliases", "encodings.utf_8", "enum",
+        "functools", "genericpath", "gettext", "gradflow", "gradflow._kernels",
+        "gradflow.admissibility", "gradflow.cli", "gradflow.controller",
+        "gradflow.kinematics", "gradflow.plotting", "gradflow.potential",
+        "gradflow.presets", "gradflow.simulator", "io", "itertools", "json", "json.decoder",
+        "json.encoder", "json.scanner", "keyword", "linecache", "marshal", "math", "mmap",
+        "numbers", "operator", "os", "posix", "posixpath", "re", "re._casefix",
+        "re._compiler", "re._constants", "re._parser", "reprlib", "sre_compile",
+        "sre_constants", "sre_parse", "stat", "struct", "time", "types", "warnings",
+        "zipimport", "zlib",
+    })
+
+    def test_cli_loads_only_the_allowlisted_modules(self, tmp_path):
+        # -X importtime names each module as it loads, with its self time; a
+        # module outside the list is a start-up cost that every command pays
+        package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
+        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
+                               "import gradflow.cli"], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=package_root),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {}
+        for line in proc.stderr.splitlines():
+            if line.startswith("import time:"):
+                self_us, _, name = line.removeprefix("import time:").split("|")
+                if self_us.strip().isdigit():  # not the header
+                    loaded[name.strip()] = int(self_us)
+        assert "gradflow.cli" in loaded
+        extra = {name: f"{us} us" for name, us in loaded.items()
+                 if name not in self.STARTUP_MODULES}
+        assert not extra, f"modules outside STARTUP_MODULES, with their self time: {extra}"
+
 
 class TestAdmissibilityCommand:
     def test_quadratic_cell(self, capsys, tmp_path):
@@ -901,6 +941,106 @@ def test_plot_of_a_pipe_needs_out(tmp_path):
     assert err == "gradflow: error: /dev/fd/0 is not a regular file: name the SVG with --out\n"
     assert unread == stdin
     assert os.listdir(tmp_path) == []
+
+
+# every command that takes --out, each short, with {out} for the path
+OUT_COMMANDS = {
+    "simulate": ["simulate", "--preset", "P1", "--t-max", "0.1", "--out", "{out}"],
+    "gradient-flow": ["gradient-flow", "--v-alpha", "1", "--t-max", "0.1", "--out", "{out}"],
+    "admissibility": ["admissibility", "--quadratic", "1,1,1", "--grid-n", "10",
+                      "--out", "{out}"],
+    "refine": ["refine", "--v-alpha", "1", "--eps", "0.2", "--window", "0.1", "--out", "{out}"],
+    "plot": ["plot", "{csv}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+class TestOutWritesTheFileItNames:
+    """--out writes the file it names, through a symlink too, and refuses a
+    directory, a FIFO or another file that is not regular before any work,
+    with exit 2; a failed write leaves an existing file as it was."""
+
+    @staticmethod
+    def argv(command, tmp_path, out):
+        csv = tmp_path / "input.csv"
+        if command == "plot" and not csv.exists():
+            csv.write_text(f"{CSV_HEADER}\n0,0,0,0,0,0,0,0,0,0,0\n1,1,1,1,1,1,1,1,1,1,1\n")
+        return [arg.format(out=out, csv=csv) for arg in OUT_COMMANDS[command]]
+
+    def expected(self, capsys, command, tmp_path):
+        """The bytes that --out writes to a new regular file."""
+        plain = tmp_path / "plain" / "out"
+        plain.parent.mkdir()
+        assert main(self.argv(command, tmp_path, plain)) == 0
+        capsys.readouterr()
+        return plain.read_bytes()
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["symlink", "dangling"])
+    def test_symlink_keeps_the_link_and_writes_its_target(self, capsys, tmp_path, command,
+                                                          target_exists):
+        expected = self.expected(capsys, command, tmp_path)
+        link, target = tmp_path / "link", tmp_path / "target"
+        if target_exists:
+            target.write_bytes(b"an earlier run\n")
+        link.symlink_to(target.name)
+        assert main(self.argv(command, tmp_path, link)) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == expected
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def refused(self, capsys, command, tmp_path, out):
+        """The stderr of a run that --out `out` refuses, before any work."""
+        code = main(self.argv(command, tmp_path, out))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith("is not a regular file\n")
+        return captured.err
+
+    def test_symlink_to_a_directory_exit_2(self, capsys, tmp_path, command):
+        directory, link = tmp_path / "directory", tmp_path / "link"
+        directory.mkdir()
+        link.symlink_to(directory.name)
+        err = self.refused(capsys, command, tmp_path, link)
+        assert err == f"gradflow: error: cannot write {link}: {directory} is not a regular file\n"
+        assert link.is_symlink() and os.listdir(directory) == []
+
+    def test_directory_exit_2(self, capsys, tmp_path, command):
+        directory = tmp_path / "directory"
+        directory.mkdir()
+        self.refused(capsys, command, tmp_path, directory)
+        assert os.listdir(directory) == []
+
+    def test_fifo_without_a_reader_exit_2(self, tmp_path, command):
+        # in a child with a timeout: a command that opened the FIFO would block
+        # there, with no reader, and end this test, not the CI job
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
+        proc = subprocess.run([sys.executable, "-m", "gradflow.cli",
+                               *self.argv(command, tmp_path, fifo)],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"gradflow: error: cannot write {fifo}: {fifo} is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_failed_write_through_a_symlink_leaves_the_target(self, capsys, tmp_path,
+                                                            monkeypatch, command):
+        # the disk fills during the write: the partial file is removed, the
+        # link stays, and its target keeps its bytes
+        link, target = tmp_path / "link", tmp_path / "target"
+        target.write_bytes(b"an earlier run\n")
+        link.symlink_to(target.name)
+        argv = self.argv(command, tmp_path, link)
+        fill_the_disk(monkeypatch)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "No space left on device" in captured.err
+        assert link.is_symlink() and target.read_bytes() == b"an earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["link", "target"] + (["input.csv"] if command == "plot" else []))
 
 
 class TestExitCodeContract:

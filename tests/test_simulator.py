@@ -1634,6 +1634,42 @@ class TestCompiledParser:
             in_build(build, load_through_a_pipe, data)
 
 
+# A child's run of the library sys.argv[1] over P1's rows and over the rows of
+# doubles on stdin, in hex, the last row with the non-finite ones: the bytes of
+# format_rows must be %'s, and parse_rows must read each line to float()'s
+# values of its fields, up to the row it refuses
+UBSAN_CHILD = """
+import ctypes, io, sys
+from array import array
+from gradflow import PRESETS, sim_config, simulate, simulator
+lib = ctypes.CDLL(sys.argv[1])
+lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+lib.format_rows.restype = ctypes.c_int64
+lib.parse_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                           ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
+lib.parse_rows.restype = ctypes.c_int64
+width = len(simulator.TRAJECTORY_COLUMNS)
+edges = array("d", bytes.fromhex(sys.stdin.read()))
+p1 = simulate(sim_config(PRESETS["P1"])).rows
+for rows, good in ((p1, len(p1) // width), (edges, len(edges) // width - 1)):
+    n = len(rows) // width
+    out = ctypes.create_string_buffer(24 * len(rows))
+    size = lib.format_rows(rows.buffer_info()[0], n, width, ctypes.addressof(out))
+    text = out.raw[:size]
+    percent = io.BytesIO()
+    simulator.write_rows(percent, rows)
+    assert text == percent.getvalue()
+    parsed, used = array("d", bytes(8 * len(rows))), ctypes.c_int64()
+    got = lib.parse_rows(text, len(text), width, parsed.buffer_info()[0], n, ctypes.byref(used))
+    assert got == (n if good == n else -1 - good)
+    for i, line in enumerate(io.BytesIO(text[:used.value])):
+        fields = array("d", map(float, line.split(b",")))
+        assert parsed[width * i:width * (i + 1)].tobytes() == fields.tobytes(), line
+    assert i == good - 1
+print(good, "rows of the edges")
+"""
+
+
 class TestCsv(CsvBytesEqual, LoaderRejects):
     test_bytes_equal_savetxt = savetxt_property()
 
@@ -1664,6 +1700,32 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         values = [math.ldexp(1.0, e) for e in range(-1074, -1022)]
         values += [sys.float_info.min, sys.float_info.max]
         self.check_values([v for v in values for v in (v, -v)], tmp_path)
+
+    # %g's decimal exponent k across both notations: from -5 to 9, where the
+    # layout turns, and the fast path's ends, -14 and 29, with 30 past it
+    NOTATION_EXPONENTS = (*range(-5, 10), -14, 20, 29, 30)
+
+    @classmethod
+    def notation_values(cls):
+        """x and -x for every k of NOTATION_EXPONENTS and every significand
+        of n = 1 to 9 digits, the last nonzero, so 9 - n of the 9 digits are
+        trailing zeros: all digits nonzero, all nines, and zeros between the
+        lead and the last."""
+        values = []
+        for k in cls.NOTATION_EXPONENTS:
+            for n in range(1, 10):
+                for digits in ("123456789"[:n], "9" * n, "10000000"[:n - 1] + "7"):
+                    x = float(f"{digits}e{k - n + 1}")
+                    mantissa = digits[0] + ("." + digits[1:] if n > 1 else "")
+                    assert f"{x:.{n - 1}e}" == f"{mantissa}e{k:+03d}"
+                    values += [x, -x]
+        return values
+
+    def test_every_notation_and_digit_count(self, tmp_path):
+        # with n = 1 none of the 8 digits past the lead is nonzero, as in 1e-05,
+        # 100 and 1e+20; for k = 0 to 7 and n > k + 1 the fixed form has a
+        # fraction after its split point
+        self.check_values(self.notation_values(), tmp_path)
 
     # 9-digit significands, the last below 2^27, so that y holds its
     # fraction to 1.5e-8
@@ -1723,6 +1785,34 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         used = lib.format_rows(values.buffer_info()[0], 1, 1, ctypes.addressof(buf))
         assert buf.raw[:used] == b"%.9g\n" % value
         assert buf.raw[max(used, 18):] == b"\xa5" * (24 - max(used, 18))
+
+    def test_format_and_parse_under_ubsan(self, tmp_path):
+        # the library built with UBSan, each report fatal, guards format_rows'
+        # shifts and its __builtin_clzll, undefined at 0: a child runs
+        # format_rows and parse_rows over P1's rows and the edge values
+        lib = tmp_path / "ubsan.so"
+        build = subprocess.run(["cc", *_kernels._C_FLAGS, "-fsanitize=undefined",
+                                "-fno-sanitize-recover=all", "-o", str(lib),
+                                _kernels._C_SOURCE, "-lm"],
+                               stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        if build.returncode != 0:
+            pytest.skip(f"cc cannot build with -fsanitize=undefined: {build.stderr.strip()}")
+        binades = [math.ldexp(m, e) for e in range(-1022, 1024) for m in (1.0, 2 - 2.0 ** -52)]
+        subnormals = [math.ldexp(1.0, e) for e in range(-1074, -1022)]
+        finite = [v for v in CSV_EDGE_VALUES if math.isfinite(v)]
+        finite += [*CSV_NOTATION_EDGES, *self.LONGEST_VALUES, *self.notation_values()]
+        finite += [v for v in binades + subnormals for v in (v, -v)]
+        width = len(TRAJECTORY_COLUMNS)
+        finite += [0.0] * (-len(finite) % width)
+        non_finite = [v for v in CSV_EDGE_VALUES if not math.isfinite(v)]
+        edges = array("d", finite + non_finite + [0.0] * (width - len(non_finite)))
+        package_root = os.path.dirname(os.path.dirname(simulator.__file__))
+        proc = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(lib)], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=package_root),
+                              input=edges.tobytes().hex(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{len(finite) // width} rows of the edges\n"
 
     def test_round_trip(self, tmp_path):
         traj = simulate(short_config(t_max=0.2, goal_tol=0.0))
