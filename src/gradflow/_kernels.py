@@ -1,34 +1,32 @@
-"""The closed-loop simulation, and the package's one compiled library.
+"""The package's one compiled library, its Python twins, and one entry point
+for each computation, which runs the one or the other.
 
-`closed_loop` is plain scalar Python, one control update at a time. The
-potential is the diagonal quadratic V = c1*x1^2 + c2*x2^2 + c3*x3^2,
-passed as its three coefficients, and the loop evaluates V and grad V =
-(2*c1*x1, 2*c2*x2, 2*c3*x3) inline.
+`_kernels.c` is one library of five functions, which `compiled_loop` builds
+with `cc` on first use and loads. Each has a twin here: the same arithmetic
+in the same order, in plain Python, with the same bits. Each computation
+has one entry point, which takes floats, array('d')s and binary files, runs
+the library's function, or its twin where the library cannot be built or
+loaded, and returns the same value from either. The callers are in
+`simulator`, but for `admissibility.admissibility_measure`:
 
-`_kernels.c` is one library with five functions, which `compiled_loop`
-builds with `cc` on first use and loads. Its `closed_loop` holds the same loop
-in C, in the same operation order, and `c_loop` runs it with closed_loop's
-arguments and value, bit for bit. `simulator.simulate` runs every run, in
-both loop modes, in the C loop; where the library cannot be built or loaded,
-it runs `closed_loop`, which is also the C loop's bitwise oracle. `kernel`
-names the one that runs. Its `parse_rows` parses the trajectory CSV's rows
-for `simulator.load_trajectory_csv`, which uses `simulator._parse_python`, a
-line-by-line reader of the same grammar, without it, and its `format_rows`
-writes them for `simulator.Trajectory.save_csv`, which uses
-`simulator.write_rows`, Python's % on the same template, without it. Its
-`deviation_sq` measures `simulator.tracking_deviation`, and its `slab_sum`
-sums the slabs of `admissibility.admissibility_measure`; `deviation_sq` and
-`slab_sum` here, the same arithmetic in the same order, run without it.
-`flow_rows` here evaluates the reference gradient flow for
-`simulator.integrate_gradient_flow` in every build.
+    computation         entry point         C function    twin           caller
+    closed loop         run_loop            closed_loop   _closed_loop   simulate
+    CSV row writer      write_rows          format_rows   _format_rows   Trajectory.save_csv
+    CSV row reader      read_rows           parse_rows    _parse_rows    load_trajectory_csv
+    tracking deviation  worst_deviation_sq  deviation_sq  _deviation_sq  tracking_deviation
+    slab sums           quadrature          slab_sum      _slab_sum      admissibility_measure
 
-Both loops return (rows, status, saturated_updates, max_abs_u1, max_abs_u2).
-rows is an array('d') of their own holding the logged rows, row after row,
-in simulator.TRAJECTORY_COLUMNS order, so a run's memory follows the rows
-it logs, and one chunk of them in c_loop, not its horizon. status is
-STATUS_HORIZON, STATUS_GOAL or STATUS_NONFINITE; a goal row is always
-logged and always last, so its t is the convergence time. The three
-counters cover every update that met the row rule, logged or not.
+So this module alone picks the build and speaks the library's ABI, and
+`kernel` names the build that runs. `flow_rows` evaluates the reference
+gradient flow for `simulator.integrate_gradient_flow`, in every build.
+
+A row is 11 values, in simulator.TRAJECTORY_COLUMNS order. Both loops return
+(rows, status, saturated_updates, max_abs_u1, max_abs_u2). rows is an
+array('d') of their own holding the logged rows, row after row, so a run's
+memory follows the rows it logs, and one chunk of them in the library, not
+its horizon. status is STATUS_HORIZON, STATUS_GOAL or STATUS_NONFINITE; a
+goal row is always logged and always last, so its t is the convergence time.
+The three counters cover every update that met the row rule, logged or not.
 
 The row rule: an update's row is logged, or counted, only if V, u1, u2, a1,
 a2 and a12 are all finite, and the first update that breaks it ends the run
@@ -43,14 +41,15 @@ and memoryview, or in the library.
 import ctypes
 import functools
 import os
+import re
 import sys
 import zlib
 from array import array
-from math import copysign, cos, exp, isfinite, isnan, sin, sqrt
+from math import copysign, cos, exp, inf, isfinite, isnan, sin, sqrt
 from operator import add
 
-# status codes returned by closed_loop and c_loop; the C function also
-# sets -1, for rows full before the run ended
+# status codes returned by the loops; the C function also sets -1, for rows
+# full before the run ended
 STATUS_HORIZON = 0
 STATUS_GOAL = 1
 STATUS_NONFINITE = 2
@@ -68,23 +67,23 @@ def backend() -> str:
 # closed-loop integration
 # ---------------------------------------------------------------------------
 
-def closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
-                n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
+def _closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
+                 n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
     """Closed-loop run, logging rows of (t, x, u, a, V, saturated).
 
     Returns the five fields, and logs under the row rule, that the module
-    docstring states. The control is held constant over each control period
-    and the state follows the exact flow of the hold: x3 turns at the
-    constant rate u2, so the planar motion is a circular arc whose chord is
-    u1*T*sinc(u2*T/2) along the mid-hold heading. The amplitudes refresh
-    at every multiple of refresh_every updates: 1 in continuous mode, the
-    updates per epsilon in sampling mode. Each control component is clamped
-    to [-u_max, u_max]; an infinite u_max (the ideal bounds) never clamps.
-    The goal is the origin, the minimiser of V: the run stops at the first
-    update whose full-state distance to it is at most goal_tol.
-
-    simulate runs it where the C loop cannot be built or loaded, and the
-    tests hold the C loop to it bit for bit.
+    docstring states. The potential is the diagonal quadratic V = c1*x1^2 +
+    c2*x2^2 + c3*x3^2, passed as its three coefficients, and the loop
+    evaluates V and grad V = (2*c1*x1, 2*c2*x2, 2*c3*x3) inline. The control
+    is held constant over each control period and the state follows the
+    exact flow of the hold: x3 turns at the constant rate u2, so the planar
+    motion is a circular arc whose chord is u1*T*sinc(u2*T/2) along the
+    mid-hold heading. The amplitudes refresh at every multiple of
+    refresh_every updates: 1 in continuous mode, the updates per epsilon in
+    sampling mode. Each control component is clamped to [-u_max, u_max]; an
+    infinite u_max (the ideal bounds) never clamps. The goal is the origin,
+    the minimiser of V: the run stops at the first update whose full-state
+    distance to it is at most goal_tol.
     """
     x1 = x0[0]
     x2 = x0[1]
@@ -212,14 +211,13 @@ def _interp(rows, n, i, x, column):
     return y
 
 
-def deviation_sq(a, b):
+def _deviation_sq(a, b):
     """The largest squared state distance between the runs a and b, each an
     array('d') of rows of 11 values (t, x1, x2, x3, ...), over every time of
     either up to the smaller last time; -1.0 where no time is that small.
 
-    Both runs start at t = 0, with their times in ascending order. It is
-    `_kernels.c`'s deviation_sq, whose header states the walk, in Python,
-    with the same bits.
+    Both runs start at t = 0, with their times in ascending order.
+    `_kernels.c`'s deviation_sq states the walk.
     """
     na, nb = len(a) // 11, len(b) // 11
     t_end = min(a[11 * (na - 1)], b[11 * (nb - 1)])
@@ -254,7 +252,7 @@ def _lane(values, k):
     return functools.reduce(add, values[k::4], 0.0)
 
 
-def slab_sum(d, nodes, weights, m, x3, q):
+def _slab_sum(d, nodes, weights, m, x3, q):
     """The sum of (|g1 s - g2 c| / |g|)^q over one x3 > 0 slab of the
     admissibility quadrature's grid, g = (d1*x1, d2*x2, d3*x3) and s, c =
     sin x3, cos x3: x1 over the m nodes, x2 over the m pairs of mirrored
@@ -268,9 +266,8 @@ def slab_sum(d, nodes, weights, m, x3, q):
     j mod 4 of four running sums; the row is (l0 + l1) + (l2 + l3), times 2
     for q = 2, and it goes into the slab times weights[i].
 
-    It is `_kernels.c`'s slab_sum, whose header states the order, in Python,
-    with the same bits. The products of x2 alone are computed once a slab,
-    to the same values.
+    `_kernels.c`'s slab_sum states the order. The products of x2 alone are
+    computed once a slab, to the same values.
     """
     d1, d2, d3 = d
     s = sin(x3)
@@ -303,6 +300,79 @@ def slab_sum(d, nodes, weights, m, x3, q):
 
 
 # ---------------------------------------------------------------------------
+# the trajectory CSV's rows
+# ---------------------------------------------------------------------------
+
+CSV_ROW = ",".join(["%.9g"] * 11) + "\n"  # %-template of one row
+# one field of the trajectory CSV's grammar, which the writer's "%.9g" keeps to
+_FIELD = rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
+# bytes per read of the compiled CSV parser, and so the longest line that
+# either parser reads
+CSV_READ_BYTES = 1 << 20
+
+
+def _format_rows(f, rows: array) -> None:
+    """Write the array('d') `rows` to the binary file f with CSV_ROW,
+    CHUNK_ROWS rows per %-operation."""
+    step = 11 * CHUNK_ROWS
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step].tolist()
+        f.write((CSV_ROW * (len(block) // 11) % tuple(block)).encode())
+
+
+def _parse_rows(f) -> memoryview:
+    """The rows of the binary stream f, line by line: a line that matches the
+    grammar goes through float(), correctly rounded as parse_rows is, into a
+    growing array('d'); the first that does not, or holds an overflow, goes
+    to `_check_line`."""
+    match = re.compile(b",".join([_FIELD] * 11) + b"\n").fullmatch
+    rows = array("d")
+    # at most CSV_READ_BYTES + 1 bytes a line: a longer line is never held whole
+    lines = iter(functools.partial(f.readline, CSV_READ_BYTES + 1), b"")
+    for number, line in enumerate(lines, start=2):
+        values = (len(line) <= CSV_READ_BYTES and match(line)
+                  and tuple(map(float, line.split(b","))))
+        if not values or inf in values or -inf in values:
+            _check_line(line, number)
+        rows.extend(values)
+    return rows_view(rows)
+
+
+def _check_line(line: bytes, number: int) -> None:
+    """Raise the ValueError that names line `number` (the header is 1) of a
+    trajectory CSV, the bytes `line`, and the first reason it is outside the
+    grammar: its length, field count, a field's syntax or value, its LF."""
+    def refuse(reason):
+        raise ValueError(f"malformed trajectory CSV: {reason} on line {number}")
+
+    if len(line) > CSV_READ_BYTES:
+        refuse(f"more than {CSV_READ_BYTES} bytes")
+    fields = line.removesuffix(b"\n").split(b",")
+    if len(fields) != 11:
+        refuse(f"expected 11 fields, got {len(fields)}")
+    for column, field in enumerate(fields, start=1):
+        try:  # nan, inf or an overflow, in the grammar or not
+            finite = isfinite(float(field))
+        except ValueError:
+            finite = True
+        if not finite:
+            refuse("non-finite value")
+        if not re.fullmatch(_FIELD, field):
+            refuse(f"could not convert {field.decode(errors='replace')!r} in column {column}")
+    refuse("no final newline")
+
+
+def rows_view(rows: array) -> memoryview:
+    """The array('d') `rows` as a (rows, 11) float64 memoryview.
+
+    ValueError where it holds no row, which only a trajectory CSV can do: a
+    memoryview cannot take a zero in its shape."""
+    if not rows:
+        raise ValueError("trajectory CSV has no data rows")
+    return memoryview(rows).cast("B").cast("d", (len(rows) // 11, 11))
+
+
+# ---------------------------------------------------------------------------
 # the compiled library
 # ---------------------------------------------------------------------------
 
@@ -310,8 +380,8 @@ _C_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 # no fast-math, no FMA contraction, and sin and cos called as math calls them
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
             "-fPIC", "-shared")
-# rows per call into the library at most, in c_loop's chunk and simulator's
-# format_rows and parse_rows blocks, and per %-operation of write_rows
+# rows per call into the library at most, in run_loop's chunk and in the
+# blocks of write_rows and read_rows, and per %-operation of _format_rows
 CHUNK_ROWS = 1024
 # n_updates, refresh_every and log_every above this never meet k: no run
 # reaches 2^62 updates, and the C loop's k is a 64-bit integer
@@ -323,20 +393,13 @@ UPDATES_PER_CALL = 2 ** 20
 
 @functools.cache
 def compiled_loop():
-    """The library of `_kernels.c` as a ctypes CDLL, or None.
+    """The library of `_kernels.c` as a ctypes CDLL, or None: the one switch
+    between the builds, which every entry point reads.
 
-    It holds `closed_loop`, for `c_loop`, `parse_rows`, for
-    `simulator.load_trajectory_csv`, `format_rows`, for
-    `simulator.Trajectory.save_csv`, `deviation_sq`, for
-    `simulator.tracking_deviation`, and `slab_sum`, for
-    `admissibility.admissibility_measure`.
     Built on the first call with `cc` into the package's __pycache__, under a
     name that carries a hash of the source and the flags, and then loaded
     from there. If it cannot be built or loaded, the reason goes to stderr and
-    None comes back: `simulate` runs `closed_loop`, `load_trajectory_csv`
-    `simulator._parse_python`, `save_csv` `simulator.write_rows`,
-    `tracking_deviation` this module's `deviation_sq`, and
-    `admissibility_measure` this module's `slab_sum`.
+    None comes back, so every entry point runs its twin.
     """
     try:
         with open(_C_SOURCE, "rb") as f:
@@ -353,23 +416,15 @@ def compiled_loop():
         print("gradflow: running the Python closed loop, CSV reader, CSV writer, "
               f"deviation and quadrature: {exc}", file=sys.stderr)
         return None
-    c_double_p = ctypes.POINTER(ctypes.c_double)
-    c_int64_p = ctypes.POINTER(ctypes.c_int64)
-    lib.closed_loop.argtypes = (c_double_p, c_int64_p, c_double_p, ctypes.c_void_p,
-                                ctypes.c_int64)
-    lib.closed_loop.restype = ctypes.c_int64
-    lib.parse_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_int64, c_int64_p)
-    lib.parse_rows.restype = ctypes.c_int64
-    lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                                ctypes.c_void_p)
-    lib.format_rows.restype = ctypes.c_int64
-    lib.deviation_sq.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                                 ctypes.c_int64)
-    lib.deviation_sq.restype = ctypes.c_double
-    lib.slab_sum.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                             ctypes.c_int64, ctypes.c_double, ctypes.c_double)
-    lib.slab_sum.restype = ctypes.c_double
+    f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    for fn, restype, argtypes in (
+            (lib.closed_loop, i64, (ctypes.POINTER(f64), ctypes.POINTER(i64),
+                                    ctypes.POINTER(f64), ptr, i64)),
+            (lib.parse_rows, i64, (ptr, i64, i64, ptr, i64, ctypes.POINTER(i64))),
+            (lib.format_rows, i64, (ptr, i64, i64, ptr)),
+            (lib.deviation_sq, f64, (ptr, i64, ptr, i64)),
+            (lib.slab_sum, f64, (ptr, ptr, ptr, i64, f64, f64))):
+        fn.restype, fn.argtypes = restype, argtypes
     return lib
 
 
@@ -409,18 +464,25 @@ def kernel() -> str:
     return "c" if compiled_loop() else "python"
 
 
-def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
-           n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
-    """closed_loop's run in the C loop: its arguments, and its value bit for bit.
+# ---------------------------------------------------------------------------
+# the entry points
+# ---------------------------------------------------------------------------
 
-    Each call resumes where the last one ran out of room or out of its
-    UPDATES_PER_CALL updates and logs into one reused chunk, whose rows are
-    appended to the array('d') that is returned. The chunk holds 1/64 of the
-    most rows the horizon can log, at least 16 and at most CHUNK_ROWS. So the
-    memory follows the rows logged, as in closed_loop, plus one chunk, and
-    Ctrl-C stops a long run within one call.
+def run_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
+             n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every):
+    """The closed-loop run of `_closed_loop`'s arguments, with its value.
+
+    The library runs it in calls of at most UPDATES_PER_CALL updates. Each
+    call resumes where the last one ran out of room or of updates and logs
+    into one reused chunk, whose rows are appended to the array('d') that is
+    returned. The chunk holds 1/64 of the most rows the horizon can log, at
+    least 16 and at most CHUNK_ROWS. So the memory follows the rows logged,
+    plus one chunk, and Ctrl-C stops a long run within one call.
     """
-    fn = compiled_loop().closed_loop
+    lib = compiled_loop()
+    if not lib:
+        return _closed_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
+                            n_updates, refresh_every, u1_max, u2_max, goal_tol, log_every)
     p = (ctypes.c_double * 11)(c1, c2, c3, gamma, k1, k2, omega, control_period,
                                u1_max, u2_max, goal_tol)
     n = (ctypes.c_int64 * 7)(*(min(i, _MAX_COUNT) for i in (n_updates, refresh_every,
@@ -432,5 +494,96 @@ def c_loop(c1, c2, c3, x0, gamma, k1, k2, omega, control_period,
     view = memoryview(chunk).cast("B")
     rows = array("d")
     while n[6] < 0:
-        rows.frombytes(view[:88 * fn(p, n, s, chunk, room)])
+        rows.frombytes(view[:88 * lib.closed_loop(p, n, s, chunk, room)])
     return rows, n[6], n[5], s[6], s[7]
+
+
+def write_rows(f, rows: array) -> None:
+    """Write the array('d') `rows` to the binary file f as CSV_ROW lines.
+
+    The library writes CHUNK_ROWS rows per call into one reused buffer, each
+    block written out before the next, so the memory is one block.
+    """
+    lib = compiled_loop()
+    if not lib:
+        return _format_rows(f, rows)
+    # 24 bytes a value: "%.9g" writes at most 16, as in "-1.23456789e-308",
+    # and one more for the "," or "\n"; format_rows' fixed-size copies write
+    # scratch bytes up to 18 past a value's start, which the next value
+    # overwrites, so the chunk's last value stays inside its 24 too
+    buf = bytearray(24 * 11 * CHUNK_ROWS)
+    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    view = memoryview(buf)
+    start, n = rows.buffer_info()[0], len(rows) // 11
+    for i in range(0, n, CHUNK_ROWS):
+        f.write(view[:lib.format_rows(start + 88 * i, min(CHUNK_ROWS, n - i), 11, addr)])
+
+
+def read_rows(f) -> memoryview:
+    """The rows of the binary stream f, a file or a pipe past the trajectory
+    CSV's header, as a writable (rows, 11) float64 memoryview of an
+    array('d'); the first line outside the grammar raises `_check_line`'s
+    ValueError.
+
+    The library's path reads f CSV_READ_BYTES at a time into one reused
+    buffer, a partial last line moved to its front. parse_rows parses the
+    buffer's whole lines into one reused chunk of CHUNK_ROWS rows at a time,
+    which is appended to the array. A refused line goes to `_check_line`
+    from the buffer, up to its LF, and a partial last line or one longer
+    than the buffer with the byte after it, so f is read once and never
+    sought: the line is rows + 2, as every line before it is a row.
+    """
+    lib = compiled_loop()
+    if not lib:
+        return _parse_rows(f)
+    chunk = bytearray(88 * CHUNK_ROWS)
+    out = ctypes.addressof(ctypes.c_char.from_buffer(chunk))
+    parsed = memoryview(chunk)
+    buf = bytearray(CSV_READ_BYTES)
+    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    used = ctypes.c_int64()
+    rows, rest = array("d"), 0
+    while got := f.readinto(memoryview(buf)[rest:]):
+        start, end, n = 0, rest + got, CHUNK_ROWS  # buf[start:end] is left to parse
+        while n == CHUNK_ROWS:  # a full chunk: more whole lines may follow
+            n = lib.parse_rows(addr + start, end - start, 11, out, CHUNK_ROWS,
+                               ctypes.byref(used))
+            rows.frombytes(parsed[:88 * (n if n >= 0 else -1 - n)])
+            start += used.value
+        if n < 0:  # -1 - the rows before the refused line, which starts at *used
+            line = bytes(buf[start:buf.index(b"\n", start) + 1])
+            _check_line(line, len(rows) // 11 + 2)  # raises
+        rest = end - start
+        ctypes.memmove(addr, addr + start, rest)
+    if rest:  # a last line without its LF, or one that fills the buffer
+        _check_line(bytes(buf[:rest]) + f.read(1), len(rows) // 11 + 2)  # raises
+    return rows_view(rows)
+
+
+def worst_deviation_sq(a: array, b: array) -> float:
+    """`_deviation_sq` of the runs a and b, in the library or in the twin."""
+    lib = compiled_loop()
+    if not lib:
+        return _deviation_sq(a, b)
+    return lib.deviation_sq(a.buffer_info()[0], len(a) // 11, b.buffer_info()[0], len(b) // 11)
+
+
+def quadrature(d: array, nodes: array, weights: array, q: float, slabs) -> float:
+    """The sum of weight times `_slab_sum(d, nodes, weights, len(nodes), x3, q)`
+    over the (x3, weight) pairs of the iterable `slabs`, added in their order.
+
+    The library's slab_sum takes the addresses of d, nodes and weights,
+    taken once, and runs one call a slab, so Ctrl-C stops between two slabs.
+    """
+    lib = compiled_loop()
+    if lib:
+        args = (d.buffer_info()[0], nodes.buffer_info()[0], weights.buffer_info()[0],
+                len(nodes))
+        slab_sum = lib.slab_sum
+    else:
+        args = (d, nodes, weights, len(nodes))
+        slab_sum = _slab_sum
+    total = 0.0
+    for x3, weight in slabs:
+        total += weight * slab_sum(*args, x3, q)
+    return total

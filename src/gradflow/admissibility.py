@@ -7,18 +7,17 @@ For a potential V on a box X the cost is the normalized integral
 where rho(x, p) is the distance from -p to span{f1(x), f2(x)}, i.e. the
 part of the requested gradient direction the unicycle cannot realize
 instantaneously. With controls unrestricted (U = R^2) the infimum has the
-closed form rho(x, p) = |p1*sin x3 - p2*cos x3|. The compiled library's
-`slab_sum` evaluates it, or its Python twin `_kernels.slab_sum`, with the
-same bits, and the test suite checks it against a brute-force minimizer
-over u. The integral is one deterministic rule: the midpoint rule on a
-tensor grid of grid_n cells per axis.
+closed form rho(x, p) = |p1*sin x3 - p2*cos x3|, which the test suite
+checks against a brute-force minimizer over u. The integral is one
+deterministic rule: the midpoint rule on a tensor grid of grid_n cells per
+axis.
 
 The grid's centers are built exactly antisymmetric, so negating a center
 rounds nothing. With grad V = 2*c*x, the integrand |g1 sin x3 - g2 cos x3|
 / |g| then keeps every bit under (x1, x2, x3) -> (-x1, -x2, x3), which
 negates the numerator, and under (-x1, x2, -x3), which leaves it as it is.
 The quadrature sums the quarter x1 > 0, x3 > 0 of the grid, one x3 slab
-per call, and counts it four times.
+at a time in `_kernels.quadrature`, and counts it four times.
 
 X is the centred cube [-w, w]^3. J is zero iff the gradient flow is
 realizable everywhere; for q = 2 the integrand lies in [0, 1], hence J in
@@ -29,8 +28,7 @@ brings every gradient component on the cube below 2, so |grad V|^2 cannot
 overflow and a tiny V is not lost to underflow. Multiplying V by a power of
 two leaves every bit of J unchanged.
 
-The grid, the scaled gradient and the slab sums are plain floats,
-array('d') buffers or the library's.
+The grid and the scaled gradient are plain floats in array('d') buffers.
 """
 
 import math
@@ -124,13 +122,13 @@ def admissibility_measure(potential: Potential,
     The grid has the cell centers of grid_n cells per axis. The integrand
     is bitwise unchanged by the reflections (x1, x2, x3) -> (-x1, -x2, x3)
     and (-x1, x2, -x3) of the antisymmetric centers, so the quarter x1 > 0,
-    x3 > 0 of the grid is summed and counted four times. Each x3 slab is one
-    call of the library's slab_sum, or of its twin `_kernels.slab_sum`, on
-    the grid_n / 2 positive centers and unit weights, and the slab sums go
-    into one running total in slab order. So memory follows grid_n, not
-    grid_n^3, and Ctrl-C stops a large grid between two slabs.
+    x3 > 0 of the grid is summed and counted four times, by
+    `_kernels.quadrature` on the grid_n / 2 positive centers and unit
+    weights: one x3 slab at a time, into one running total in slab order.
+    So memory follows grid_n, not grid_n^3, and Ctrl-C stops a large grid
+    between two slabs.
 
-    Within a row, slab_sum takes the x2 centers as the pairs +-x2, which
+    Within a row, a slab sum takes the x2 centers as the pairs +-x2, which
     share their weight and |grad V|^2. With a = (g1 sin x3)^2 and b = g2
     cos x3, a pair's two values for q = 2 sum to 2*(a + b^2)/|grad V|^2, one
     division and no square root; for other q it takes one square root and
@@ -147,16 +145,7 @@ def admissibility_measure(potential: Potential,
     d = _gradient_coeffs(potential, w)
     nodes = _grid_centers(w, n)
     weights = array("d", [1.0]) * m
-    lib = _kernels.compiled_loop()
-    if lib:
-        args = (d.buffer_info()[0], nodes.buffer_info()[0], weights.buffer_info()[0], m)
-        slab_sum = lib.slab_sum
-    else:
-        args = (d, nodes, weights, m)
-        slab_sum = _kernels.slab_sum
-    total = 0.0
-    for k in range(m):
-        total += weights[k] * slab_sum(*args, nodes[k], q)
+    total = _kernels.quadrature(d, nodes, weights, q, zip(nodes, weights))
     points = n ** 3
     return AdmissibilityResult(value=4.0 * total / points, points=points, excluded=0)
 

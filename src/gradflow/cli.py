@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 property-check failure, 2 usage/config error,
 
 import argparse
 import json
-import mmap
 import os
 import stat
 import sys
@@ -182,8 +181,8 @@ def cmd_admissibility(args) -> int:
 # refine
 # ---------------------------------------------------------------------------
 
-def _window_updates(window: float, eps: list) -> int:
-    """The updates of refine's last run; ValueError unless --window fits every grid.
+def _check_window(window: float, eps: list) -> None:
+    """ValueError unless --window fits every grid of refine.
 
     The window must be a whole number of the reference flow's steps and of
     each run's control period eps/REFINE_UPDATES_PER_EPS.
@@ -199,7 +198,6 @@ def _window_updates(window: float, eps: list) -> int:
         if n is None:
             raise ValueError(f"--window {window} must be a positive multiple of {step:g}, "
                              f"{name}")
-    return n
 
 
 def cmd_refine(args) -> int:
@@ -211,30 +209,18 @@ def cmd_refine(args) -> int:
     # the controllers check gamma and k1 before the reference flow is built from gamma
     controllers = [ControllerParams(epsilon=eps, gamma=args.gamma, k1=args.k1,
                                     loop_mode=args.mode) for eps in args.eps]
-    n_updates = _window_updates(args.window, args.eps)
+    _check_window(args.window, args.eps)
+    configs = [SimConfig(potential=potential, controller=controller, x0=args.x0, goal_tol=0.0,
+                         t_max=args.window,
+                         control_period=controller.epsilon / REFINE_UPDATES_PER_EPS)
+               for controller in controllers]
     reference = integrate_gradient_flow(
         potential.scaled(args.gamma), args.x0, t_max=args.window, h=REFINE_REFERENCE_STEP
     )
-    # the default log_every = 1 logs every update, and goal_tol = 0 keeps a run
-    # from ending early, so the last and longest run's rows are known now: fail
-    # before any run starts if they cannot be mapped. An anonymous mapping,
-    # mapped and unmapped, leaves malloc as it was. A malloc'd block of that
-    # size, once freed, would raise glibc's dynamic mmap threshold to its size,
-    # so the runs' rows would come from the heap: with a freed bytearray here,
-    # `refine --v-alpha 1 --eps 0.5,0.1,0.02` peaked at 48.4 MB, not 35.7 MB
-    # (x86-64, glibc 2.36, bytecode cached)
-    try:
-        mmap.mmap(-1, (n_updates + 1) * 8 * len(TRAJECTORY_COLUMNS)).close()
-    except (OSError, OverflowError) as exc:
-        raise MemoryError(f"the {n_updates + 1} rows of the --eps {args.eps[-1]} run: "
-                          f"{exc}") from None
-    deviations = []
-    for controller in controllers:
-        cfg = SimConfig(
-            potential=potential, controller=controller, x0=args.x0, goal_tol=0.0,
-            t_max=args.window, control_period=controller.epsilon / REFINE_UPDATES_PER_EPS,
-        )
-        deviations.append(tracking_deviation(simulate(cfg), reference))
+    # goal_tol = 0 keeps a run from ending early, so the last and longest run's
+    # rows are known now: fail before any run starts if they cannot be held
+    simulator.check_rows_fit(configs[-1])
+    deviations = [tracking_deviation(simulate(cfg), reference) for cfg in configs]
     non_increasing = all(b <= a for a, b in zip(deviations, deviations[1:]))
     # a zero deviation (a run that stays at the equilibrium) has no log to fit
     fit = len(deviations) > 1 and all(d > 0 for d in deviations)

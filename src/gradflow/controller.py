@@ -34,8 +34,7 @@ moves by under 0.01 s.
 
 ControllerParams derives omega from epsilon and k2 = 4/k1 from k1, so
 k1*k2 = 4 holds by construction. The formula itself is evaluated, with its
-clamp, in the one closed loop: compiled from `_kernels.c`, or
-`_kernels.closed_loop` where that cannot be built.
+clamp, in the one closed loop, `_kernels.run_loop`.
 """
 
 import math

@@ -21,15 +21,14 @@ into x_i(t) = x0_i * exp(-2*c_i*t), so `integrate_gradient_flow` evaluates
 that closed form on its logged grid instead of integrating.
 
 The runs, the CSV, the reference flow and the tracking deviation compute
-on plain floats or in the compiled library.
+in `_kernels`, on plain floats or in the compiled library.
 """
 
 import contextlib
-import ctypes
 import functools
 import math
+import mmap
 import os
-import re
 import stat
 from array import array
 
@@ -40,13 +39,6 @@ from gradflow.potential import Potential
 
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "x3", "u1", "u2", "a1", "a2", "a12", "V", "saturated")
 CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
-CSV_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS)) + "\n"  # %-template of one row
-
-# one field of the trajectory CSV's grammar, which the writer's "%.9g" keeps to
-_FIELD = rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?"
-# bytes per read of the compiled CSV parser, and so the longest line that
-# either parser reads
-CSV_READ_BYTES = 1 << 20
 
 TERMINATED_GOAL = "goal_reached"
 TERMINATED_HORIZON = "horizon_exhausted"
@@ -108,7 +100,7 @@ class Trajectory(Frozen):
         It stays, with `t`, because clibench's replay counts the rows of a run
         as `data.shape[0]` right after `simulate` and `integrate_gradient_flow`.
         """
-        return _rows_view(self.rows, len(self.rows) // len(TRAJECTORY_COLUMNS)).toreadonly()
+        return _kernels.rows_view(self.rows).toreadonly()
 
     @property
     def terminated(self) -> str:
@@ -124,19 +116,12 @@ class Trajectory(Frozen):
         """Write the exact trajectory CSV: 9 significant digits, LF endings.
 
         The bytes equal np.savetxt(fmt="%.9g", delimiter=",", newline="\\n").
-        The library's format_rows writes them, _kernels.CHUNK_ROWS rows per
-        call into one reused buffer, each block written out before the next;
-        where the library cannot be built or loaded, `write_rows` does. The
-        file is written through `replacing`, so a failed write leaves an
-        existing `path` as it was; `_kernels.kernel()` names the writer.
+        The file is written through `replacing`, so a failed write leaves an
+        existing `path` as it was.
         """
-        lib = _kernels.compiled_loop()
         with replacing(path) as f:
             f.write(CSV_HEADER.encode() + b"\n")
-            if lib:
-                _format_rows(lib, f, self.rows)
-            else:
-                write_rows(f, self.rows)
+            _kernels.write_rows(f, self.rows)
 
 
 def output_path(path) -> str:
@@ -178,140 +163,23 @@ def replacing(path):
         raise
 
 
-def _format_rows(lib, f, rows: array) -> None:
-    """Write the array('d') `rows` to the binary file f with the library's format_rows."""
-    width = len(TRAJECTORY_COLUMNS)
-    # 24 bytes a value: "%.9g" writes at most 16, as in "-1.23456789e-308",
-    # and one more for the "," or "\n"; format_rows' fixed-size copies write
-    # scratch bytes up to 18 past a value's start, which the next value
-    # overwrites, so the chunk's last value stays inside its 24 too
-    buf = bytearray(24 * width * _kernels.CHUNK_ROWS)
-    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    view = memoryview(buf)
-    start, n = rows.buffer_info()[0], len(rows) // width
-    for i in range(0, n, _kernels.CHUNK_ROWS):
-        block = min(_kernels.CHUNK_ROWS, n - i)
-        f.write(view[:lib.format_rows(start + 8 * width * i, block, width, addr)])
-
-
-def write_rows(f, rows: array) -> None:
-    """Write the array('d') `rows` to the binary file f with CSV_ROW,
-    _kernels.CHUNK_ROWS rows per %-operation: save_csv's writer where the
-    library is missing, and format_rows' bitwise oracle."""
-    step = len(TRAJECTORY_COLUMNS) * _kernels.CHUNK_ROWS
-    for i in range(0, len(rows), step):
-        block = rows[i:i + step].tolist()
-        f.write((CSV_ROW * (len(block) // len(TRAJECTORY_COLUMNS)) % tuple(block)).encode())
-
-
 def load_trajectory_csv(path):
     """Parse a trajectory CSV in the writer's grammar into a writable (rows, 11)
     float64 memoryview; `np.asarray` of it is the ndarray, with no copy.
 
     The grammar: the line CSV_HEADER, then at least one line of 11 finite
-    fields _FIELD split by "," and ended by LF, of at most CSV_READ_BYTES.
-    `path` may be a regular file or a pipe: it is read once, front to back.
-    The header is checked here, and `_parse_compiled` reads the rest, or
-    `_parse_python` where the library is missing; `_kernels.kernel()` names
-    the one that runs. Both give the same bits, and refuse the first line
-    outside the grammar with `_check_line`'s ValueError.
+    fields `_kernels._FIELD` split by "," and ended by LF, of at most
+    `_kernels.CSV_READ_BYTES`. `path` may be a regular file or a pipe: it is
+    read once, front to back. The header is checked here, and
+    `_kernels.read_rows` reads the rest, refusing the first line outside the
+    grammar with a ValueError that names it.
     """
     header = (CSV_HEADER + "\n").encode()
-    lib = _kernels.compiled_loop()
     with open(path, "rb") as f:
-        first = f.readline(CSV_READ_BYTES)
+        first = f.readline(_kernels.CSV_READ_BYTES)
         if first != header:
-            first = first.decode(errors="replace")
-            raise ValueError(f"unexpected trajectory header: {first!r}")
-        return _parse_compiled(lib, f) if lib else _parse_python(f)
-
-
-def _rows_view(buffer, rows: int) -> memoryview:
-    """The first `rows` rows of `buffer` as a (rows, 11) float64 memoryview."""
-    if rows == 0:  # a memoryview cannot take a zero in its shape
-        raise ValueError("trajectory CSV has no data rows")
-    width = len(TRAJECTORY_COLUMNS)
-    return memoryview(buffer).cast("B")[:8 * width * rows].cast("d", (rows, width))
-
-
-def _parse_compiled(lib, f):
-    """The rows of the binary stream f past its header, a file or a pipe,
-    parsed by the library's parse_rows.
-
-    f is read CSV_READ_BYTES at a time into one reused buffer, a partial last
-    line moved to its front. parse_rows parses the buffer's whole lines into
-    one reused chunk of _kernels.CHUNK_ROWS rows at a time, which is appended
-    to an array('d'); the view is of that array. A refused line goes to
-    `_check_line` from the buffer, up to its LF, and a partial last line or
-    one longer than the buffer with the byte after it, so f is read once and
-    never sought: the line is rows + 2, as every line before it is a row.
-    """
-    width = len(TRAJECTORY_COLUMNS)
-    chunk = bytearray(8 * width * _kernels.CHUNK_ROWS)
-    out = ctypes.addressof(ctypes.c_char.from_buffer(chunk))
-    parsed = memoryview(chunk)
-    buf = bytearray(CSV_READ_BYTES)
-    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    used = ctypes.c_int64()
-    rows, rest = array("d"), 0
-    while got := f.readinto(memoryview(buf)[rest:]):
-        start, end, n = 0, rest + got, _kernels.CHUNK_ROWS  # buf[start:end] is left to parse
-        while n == _kernels.CHUNK_ROWS:  # a full chunk: more whole lines may follow
-            n = lib.parse_rows(addr + start, end - start, width, out, _kernels.CHUNK_ROWS,
-                               ctypes.byref(used))
-            rows.frombytes(parsed[:8 * width * (n if n >= 0 else -1 - n)])
-            start += used.value
-        if n < 0:  # -1 - the rows before the refused line, which starts at *used
-            line = bytes(buf[start:buf.index(b"\n", start) + 1])
-            _check_line(line, len(rows) // width + 2)  # raises
-        rest = end - start
-        ctypes.memmove(addr, addr + start, rest)
-    if rest:  # a last line without its LF, or one that fills the buffer
-        _check_line(bytes(buf[:rest]) + f.read(1), len(rows) // width + 2)  # raises
-    return _rows_view(rows, len(rows) // width)
-
-
-def _parse_python(f):
-    """`_parse_compiled`'s twin, line by line: a line that matches the grammar
-    goes through float(), correctly rounded as parse_rows is, into a growing
-    array('d'); the first that does not, or holds an overflow, goes to
-    `_check_line`."""
-    match = re.compile(b",".join([_FIELD] * len(TRAJECTORY_COLUMNS)) + b"\n").fullmatch
-    rows = array("d")
-    # at most CSV_READ_BYTES + 1 bytes a line: a longer line is never held whole
-    lines = iter(functools.partial(f.readline, CSV_READ_BYTES + 1), b"")
-    for number, line in enumerate(lines, start=2):
-        values = (len(line) <= CSV_READ_BYTES and match(line)
-                  and tuple(map(float, line.split(b","))))
-        if not values or math.inf in values or -math.inf in values:
-            _check_line(line, number)
-        rows.extend(values)
-    return _rows_view(rows, len(rows) // len(TRAJECTORY_COLUMNS))
-
-
-def _check_line(line: bytes, number: int) -> None:
-    """Raise the ValueError that names line `number` (the header is 1) of a
-    trajectory CSV, the bytes `line`, and the first reason it is outside the
-    grammar: its length, field count, a field's syntax or value, its LF."""
-    def refuse(reason):
-        raise ValueError(f"malformed trajectory CSV: {reason} on line {number}")
-
-    width = len(TRAJECTORY_COLUMNS)
-    if len(line) > CSV_READ_BYTES:
-        refuse(f"more than {CSV_READ_BYTES} bytes")
-    fields = line.removesuffix(b"\n").split(b",")
-    if len(fields) != width:
-        refuse(f"expected {width} fields, got {len(fields)}")
-    for column, field in enumerate(fields, start=1):
-        try:  # nan, inf or an overflow, in the grammar or not
-            finite = math.isfinite(float(field))
-        except ValueError:
-            finite = True
-        if not finite:
-            refuse("non-finite value")
-        if not re.fullmatch(_FIELD, field):
-            refuse(f"could not convert {field.decode(errors='replace')!r} in column {column}")
-    refuse("no final newline")
+            raise ValueError(f"unexpected trajectory header: {first.decode(errors='replace')!r}")
+        return _kernels.read_rows(f)
 
 
 def _multiple_of(value: float, base: float) -> int | None:
@@ -376,7 +244,7 @@ class SimConfig(Frozen):
 
 
 def _loop_args(cfg: SimConfig) -> dict:
-    """The keyword arguments of `_kernels.closed_loop` and `c_loop` for `cfg`."""
+    """The keyword arguments of `_kernels.run_loop` for `cfg`."""
     ctrl = cfg.controller
     c1, c2, c3 = cfg.potential.coeffs
     return dict(
@@ -390,20 +258,38 @@ def _loop_args(cfg: SimConfig) -> dict:
     )
 
 
+def check_rows_fit(cfg: SimConfig) -> None:
+    """MemoryError unless the most rows that a run of `cfg` can log, its
+    n_updates // log_every + 2, can be mapped: a run that can never hold its
+    rows fails before it starts, not once they have outgrown the memory.
+
+    An anonymous mapping, mapped and unmapped, leaves malloc as it was. A
+    malloc'd block of that size, once freed, would raise glibc's dynamic mmap
+    threshold to its size, so the run's rows would come from the heap: with a
+    freed bytearray here, `refine --v-alpha 1 --eps 0.5,0.1,0.02` peaked at
+    48.4 MB, not 35.7 MB (x86-64, glibc 2.36, bytecode cached).
+    """
+    rows = _multiple_of(cfg.t_max, cfg.control_period) // cfg.log_every + 2
+    try:
+        mmap.mmap(-1, rows * 8 * len(TRAJECTORY_COLUMNS)).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map the {rows} rows that a run of t_max={cfg.t_max:g} "
+                          f"may log: {exc}") from None
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop described by `cfg`.
 
-    The loop reads the potential as its three coefficients. Every run, in
-    either loop mode, goes to the C loop, `_kernels.c_loop`, or to
-    `_kernels.closed_loop` where the C loop cannot be built or loaded; the two
-    give the same bits, and `_kernels.kernel()` names the one that ran.
-    Identical configs produce bit-identical trajectories. The `_kernels`
-    module docstring states which rows are logged and what the loops return:
-    a goal run's last row is its goal, and a non-finite stop raises
-    IntegrationError.
+    The loop reads the potential as its three coefficients. Identical configs
+    produce bit-identical trajectories. The `_kernels` module docstring
+    states which rows are logged and what the loops return: a goal run's
+    last row is its goal, and a non-finite stop raises IntegrationError. A
+    run with goal_tol 0 never stops early, so `check_rows_fit` refuses it
+    first if its rows can never be held.
     """
-    loop = _kernels.c_loop if _kernels.compiled_loop() else _kernels.closed_loop
-    rows, status, *counts = loop(**_loop_args(cfg))
+    if cfg.goal_tol == 0:
+        check_rows_fit(cfg)
+    rows, status, *counts = _kernels.run_loop(**_loop_args(cfg))
     if len(rows) == 0:
         # the row rule broken before anything could be logged: degenerate inputs
         raise ValueError("V, the amplitudes or the controls are non-finite at the initial state")
@@ -456,20 +342,13 @@ def tracking_deviation(closed_loop: Trajectory, reference: Trajectory) -> float:
 
     Both trajectories must start at t = 0. States are linearly interpolated
     onto the union of the two time grids restricted to the overlap, and the
-    maximum Euclidean distance over that grid is returned. The compiled
-    library's deviation_sq walks that grid, or `_kernels.deviation_sq` where
-    the library is missing, with np.interp's arithmetic and the same bits.
+    maximum Euclidean distance over that grid is returned, with
+    np.interp's arithmetic.
     """
     a, b = closed_loop.rows, reference.rows
     if a[0] != 0.0 or b[0] != 0.0:
         raise ValueError("both trajectories must start at t = 0")
-    lib = _kernels.compiled_loop()
-    if lib:
-        width = len(TRAJECTORY_COLUMNS)
-        worst = lib.deviation_sq(a.buffer_info()[0], len(a) // width,
-                                 b.buffer_info()[0], len(b) // width)
-    else:
-        worst = _kernels.deviation_sq(a, b)
+    worst = _kernels.worst_deviation_sq(a, b)
     if worst < 0.0:
         raise ValueError("trajectories do not overlap in time")
     return math.sqrt(worst)

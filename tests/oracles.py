@@ -5,7 +5,7 @@ compare the two. The first group are the model's formulas written one
 state at a time, as the paper states them: the potential and its
 gradient, the frame algebra of the unicycle, the feedback and its clamp,
 the amplitude vector and the exact flow of one hold. The package computes
-the same quantities only inside its closed loop, `_kernels.closed_loop`
+the same quantities only inside its closed loop, `_kernels._closed_loop`
 and its C build in `_kernels.c` (the Python loop is in turn the bitwise
 oracle of the C one), and in the admissibility quadrature's slab sums.
 `integrand` is that quadrature's integrand in numpy, `integrand_rho`

@@ -197,26 +197,21 @@ def full_grid(w, n):
 
 
 def slab_sums(build, pot, q, n, w, slabs):
-    """The package's sums of the x3 > 0 slabs `slabs`, by the library ("c") or the twin."""
+    """The package's sums of the x3 > 0 slabs `slabs`, each a one-slab
+    `_kernels.quadrature` in the build `build`."""
     d = admissibility._gradient_coeffs(pot, w)
     nodes = admissibility._grid_centers(w, n)
     weights = array("d", [1.0]) * (n // 2)
-    if build == "c":
-        fn = _kernels.compiled_loop().slab_sum
-        args = (d.buffer_info()[0], nodes.buffer_info()[0], weights.buffer_info()[0])
-    else:
-        fn, args = _kernels.slab_sum, (d, nodes, weights)
-    return [fn(*args, n // 2, nodes[k], q) for k in slabs]
+    return [in_build(build, _kernels.quadrature, d, nodes, weights, q, [(nodes[k], 1.0)])
+            for k in slabs]
 
 
 def both_slab_sums(d, nodes, weights, x3, q):
-    """slab_sum of the library and of the twin, in that order, on the sequences
-    d, nodes and weights."""
+    """The one-slab `_kernels.quadrature` at x3 in the library's build and in
+    the twins', in that order, on the sequences d, nodes and weights."""
     d, nodes, weights = (array("d", v) for v in (d, nodes, weights))
-    m = len(nodes)
-    c = _kernels.compiled_loop().slab_sum(d.buffer_info()[0], nodes.buffer_info()[0],
-                                          weights.buffer_info()[0], m, x3, q)
-    return c, _kernels.slab_sum(d, nodes, weights, m, x3, q)
+    return tuple(in_build(build, _kernels.quadrature, d, nodes, weights, q, [(x3, 1.0)])
+                 for build in ("c", "python"))
 
 
 class TestOneIntegrand:
@@ -266,18 +261,14 @@ class TestOneIntegrand:
         # nonzero, in both builds; the quadrature's scaling keeps |grad V| >=
         # 0.5/grid_n. The slab at x3 = pi/2 holds the two points x2 = +-1 of
         # the row x1 = 1
-        one = array("d", [1.0])
-        c_sum = _kernels.compiled_loop().slab_sum
+        one = [1.0]
         for g1 in (1e-150, 1e-30, 1.0):
-            d = array("d", [g1, 0.0, 0.0])
             for q in (2.0, 1.5):
-                assert _kernels.slab_sum(d, one, one, 1, math.pi / 2, q) == 2.0
-                assert c_sum(d.buffer_info()[0], one.buffer_info()[0], one.buffer_info()[0],
-                             1, math.pi / 2, q) == 2.0
+                assert both_slab_sums([g1, 0.0, 0.0], one, one, math.pi / 2, q) == (2.0, 2.0)
 
 
 class TestSlabSum:
-    """The library's slab_sum and its twin `_kernels.slab_sum`, one x3 slab a call."""
+    """The library's slab_sum and its twin `_kernels._slab_sum`, one x3 slab a call."""
 
     @settings(max_examples=100, deadline=None)
     @given(mc=st.tuples(*[st.floats(0.5, 1.0, exclude_max=True)] * 3),

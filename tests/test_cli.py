@@ -481,33 +481,51 @@ class TestStartupImports:
         assert json.loads(proc.stdout) == [[], []]
 
     # every module that `import gradflow.cli` loads under -S: the union over
-    # CPython 3.10 to 3.13, which load 68 or 69 of them each
+    # CPython 3.10 to 3.13, which load 68 or 69 of them each; and the nine
+    # that main() adds on CPython 3.11, all for argparse: its help formatter
+    # imports shutil, which imports bz2 and lzma, and its gettext imports locale
     STARTUP_MODULES = frozenset({
-        "_abc", "_codecs", "_collections", "_collections_abc", "_ctypes",
-        "_frozen_importlib_external", "_functools", "_io", "_json", "_locale", "_operator",
-        "_signal", "_sre", "_stat", "_struct", "abc", "argparse", "array", "codecs",
-        "collections", "collections.abc", "contextlib", "copyreg", "ctypes",
-        "ctypes._endian", "encodings", "encodings.aliases", "encodings.utf_8", "enum",
-        "functools", "genericpath", "gettext", "gradflow", "gradflow._kernels",
-        "gradflow.admissibility", "gradflow.cli", "gradflow.controller",
+        "_abc", "_bz2", "_codecs", "_collections", "_collections_abc", "_compression",
+        "_ctypes", "_frozen_importlib_external", "_functools", "_io", "_json", "_locale",
+        "_lzma", "_operator", "_signal", "_sre", "_stat", "_struct", "abc", "argparse",
+        "array", "bz2", "codecs", "collections", "collections.abc", "contextlib", "copyreg",
+        "ctypes", "ctypes._endian", "encodings", "encodings.aliases", "encodings.utf_8",
+        "enum", "errno", "fnmatch", "functools", "genericpath", "gettext", "gradflow",
+        "gradflow._kernels", "gradflow.admissibility", "gradflow.cli", "gradflow.controller",
         "gradflow.kinematics", "gradflow.plotting", "gradflow.potential",
         "gradflow.presets", "gradflow.simulator", "io", "itertools", "json", "json.decoder",
-        "json.encoder", "json.scanner", "keyword", "linecache", "marshal", "math", "mmap",
-        "numbers", "operator", "os", "posix", "posixpath", "re", "re._casefix",
-        "re._compiler", "re._constants", "re._parser", "reprlib", "sre_compile",
-        "sre_constants", "sre_parse", "stat", "struct", "time", "types", "warnings",
-        "zipimport", "zlib",
+        "json.encoder", "json.scanner", "keyword", "linecache", "locale", "lzma", "marshal",
+        "math", "mmap", "numbers", "operator", "os", "posix", "posixpath", "re",
+        "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib", "shutil",
+        "sre_compile", "sre_constants", "sre_parse", "stat", "struct", "time", "types",
+        "warnings", "zipimport", "zlib",
     })
+
+    # a run of each command, which may import no more than the import did:
+    # numpy, dataclasses and platform among them
+    COMMANDS = (
+        ["admissibility", "--table1"],
+        ["gradient-flow", "--v-alpha", "1", "--t-max", "1", "--out", "gf.csv"],
+        ["refine", "--v-alpha", "1", "--eps", "0.5,0.1", "--window", "0.5"],
+        ["simulate", "--preset", "P1", "--t-max", "10", "--out", "s.csv"],
+        ["plot", "s.csv"],
+    )
 
     def test_cli_loads_only_the_allowlisted_modules(self, tmp_path):
         # -X importtime names each module as it loads, with its self time; a
-        # module outside the list is a start-up cost that every command pays
+        # module outside the list is a start-up cost that every command pays.
+        # The library is built here, so the child loads it and never imports
+        # subprocess to build it
+        assert _kernels.compiled_loop() is not None
         package_root = os.path.dirname(os.path.dirname(gradflow.__file__))
-        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
-                               "import gradflow.cli"], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=package_root),
+        code = ("import gradflow.cli\n"
+                f"print([gradflow.cli.main(argv) for argv in {list(self.COMMANDS)!r}])\n")
+        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", code],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+        assert json.loads(proc.stdout.splitlines()[-2])["kernel"] == "c"
         loaded = {}
         for line in proc.stderr.splitlines():
             if line.startswith("import time:"):
@@ -703,9 +721,9 @@ class TestGradientFlowCommand:
         assert np.all(data[:, 4:9] == 0.0)
         assert summary["kernel"] == "c"
 
-    # 2**47 rows, or refine's 4e12 closed-loop rows of 88 bytes, need more than
-    # the 128 TiB user address space of x86_64 for one array, so the allocation
-    # fails at once whatever the overcommit policy
+    # 2**47 rows, refine's 4e12 closed-loop rows or simulate's 2e15, of 88
+    # bytes, need more than the 128 TiB user address space of x86_64 for one
+    # array, so the allocation fails at once whatever the overcommit policy
     @pytest.mark.parametrize("argv", [
         pytest.param(None, id="monkeypatched"),
         pytest.param(["gradient-flow", "--v-alpha", "1", "--t-max", "137438953472",
@@ -714,6 +732,8 @@ class TestGradientFlowCommand:
                       "--window", "137438953472"], id="refine-2e47-rows"),
         pytest.param(["refine", "--v-alpha", "1", "--eps", "1e-9", "--window", "2"],
                      id="refine-4e12-updates"),
+        pytest.param(["simulate", "--preset", "P1", "--goal-tol", "0", "--t-max", "1e12"],
+                     id="simulate-2e15-rows"),
     ])
     def test_out_of_memory_exit_3(self, capsys, monkeypatch, tmp_path, argv):
         if argv is None:
@@ -736,6 +756,7 @@ class TestGradientFlowCommand:
             )
             code, out, err = proc.returncode, proc.stdout, proc.stderr
             assert "gradflow: out of memory:" in err
+            assert list(tmp_path.iterdir()) == []  # simulate wrote no CSV
         assert code == 3
         assert out == ""
 
@@ -888,7 +909,7 @@ class TestPlotCommand:
 
 
 class TestPlotCommandWithoutLibrary(TestPlotCommand):
-    """The same commands where the library cannot be built: _parse_python parses."""
+    """The same commands where the library cannot be built: `_kernels._parse_rows` parses."""
 
     PARSER = "python"
 

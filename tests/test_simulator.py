@@ -1,3 +1,4 @@
+import ast
 import collections
 import ctypes
 import errno
@@ -369,8 +370,8 @@ class TestOneLoopStep:
         c1, c2, c3 = 1.5, 0.7, 2.2
         ctrl = ControllerParams()
         T = 0.01
-        out = _kernels.closed_loop(c1, c2, c3, (-0.5, 0.4, 0.3), ctrl.gamma, ctrl.k1, ctrl.k2,
-                                   ctrl.omega, T, 1, 1, *bounds, 0.0, 1)
+        out = _kernels._closed_loop(c1, c2, c3, (-0.5, 0.4, 0.3), ctrl.gamma, ctrl.k1, ctrl.k2,
+                                    ctrl.omega, T, 1, 1, *bounds, 0.0, 1)
         rows = np.frombuffer(out[0]).reshape(-1, len(TRAJECTORY_COLUMNS)).tolist()
         assert out[1] == _kernels.STATUS_HORIZON
         assert len(rows) == 2
@@ -382,13 +383,14 @@ class TestOneLoopStep:
 
 
 def same_run(**args):
-    """closed_loop's run of `args`, asserted equal to the C loop's, bit for bit.
+    """_closed_loop's run of `args`, asserted equal to run_loop's in the C loop,
+    bit for bit.
 
     Also asserts the row rule: no logged value is non-finite.
     """
     assert _kernels.compiled_loop() is not None
-    scalar = _kernels.closed_loop(**args)
-    compiled = _kernels.c_loop(**args)
+    scalar = _kernels._closed_loop(**args)
+    compiled = _kernels.run_loop(**args)
     assert len(scalar) == 5
     assert compiled[0].tobytes() == scalar[0].tobytes()
     assert compiled[1:] == scalar[1:]
@@ -433,7 +435,7 @@ def overflow_args(refresh_every):
 
 
 class TestSamplingWindows:
-    """The C loop is closed_loop, bit for bit, in both loop modes: rows, status
+    """The C loop is _closed_loop, bit for bit, in both loop modes: rows, status
     and the counters of every evaluated update."""
 
     def test_c_loop_loads_on_this_host(self):
@@ -453,7 +455,7 @@ class TestSamplingWindows:
     @pytest.mark.parametrize("eps, t_max", [(0.5, 2.0), (0.1, 2.0), (0.02, 2.0), (0.004, 0.5)])
     def test_refine_runs(self, eps, t_max):
         # eps 0.004 over the first 0.5 s of its 2 s, 125 windows: the whole
-        # run would take closed_loop about 2 s
+        # run would take _closed_loop about 2 s
         args = simulator._loop_args(refine_config(eps, t_max))
         assert same_run(**args)[1] == _kernels.STATUS_HORIZON
 
@@ -488,7 +490,7 @@ class TestSamplingWindows:
         rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_GOAL and len(rows) > 11 * 64
         calls = recorded_c_calls(monkeypatch)
-        assert _kernels.c_loop(**args)[0].tobytes() == rows.tobytes()
+        assert _kernels.run_loop(**args)[0].tobytes() == rows.tobytes()
         assert [logged for logged, *_ in calls[:64]] == [1] * 64
         assert [c_status for *_, c_status, _ in calls] == [-1] * (len(calls) - 1) + [status]
 
@@ -504,17 +506,17 @@ class TestSamplingWindows:
         rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_GOAL
         calls = recorded_c_calls(monkeypatch)
-        _kernels.c_loop(**args)
+        _kernels.run_loop(**args)
         ks = [k for _, k, *_ in calls]
         assert ks[:-1] == list(range(7, 7 * len(ks), 7)) and 0 <= ks[-1] - ks[-2] < 7
 
     @pytest.mark.parametrize("mode", ["continuous", "sampling"])
     def test_p1_in_chunks(self, mode, monkeypatch):
         # P1 clamped, whole, in chunks of 1 and 7 rows and of the default: each
-        # gives closed_loop's rows, status and counters, every call but the
+        # gives _closed_loop's rows, status and counters, every call but the
         # last fills its chunk, and the goal stops the run inside the last one
         args = simulator._loop_args(preset_sim_config("P1", loop_mode=mode, bounds_mode="clamp"))
-        scalar = _kernels.closed_loop(**args)
+        scalar = _kernels._closed_loop(**args)
         assert scalar[1] == _kernels.STATUS_GOAL
         n_rows = len(scalar[0]) // 11
         fn = _kernels.compiled_loop().closed_loop
@@ -529,7 +531,7 @@ class TestSamplingWindows:
         for chunk_rows in (1, 7, _kernels.CHUNK_ROWS):
             monkeypatch.setattr(_kernels, "CHUNK_ROWS", chunk_rows)
             calls.clear()
-            compiled = _kernels.c_loop(**args)
+            compiled = _kernels.run_loop(**args)
             assert compiled[0].tobytes() == scalar[0].tobytes()
             assert compiled[1:] == scalar[1:]
             full, last = divmod(n_rows - 1, chunk_rows)
@@ -557,7 +559,7 @@ class TestSamplingWindows:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.05)
             with pytest.raises(Alarm):
-                _kernels.c_loop(**args)
+                _kernels.run_loop(**args)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -577,7 +579,7 @@ class TestSamplingWindows:
         # the C loop stops at update 4 on the row rule: V = 0*inf*inf is nan, and
         # at the window edge, where math.sin(inf) raises, so are C's amplitudes
         calls = recorded_c_calls(monkeypatch)
-        _kernels.c_loop(**overflow_args(refresh_every))
+        _kernels.run_loop(**overflow_args(refresh_every))
         assert calls[-1][1:3] == (4, _kernels.STATUS_NONFINITE)
 
     @pytest.mark.parametrize("case", ["half-angle", "heading"])
@@ -598,7 +600,7 @@ class TestSamplingWindows:
         rows, status = same_run(**args)[:2]
         assert status == _kernels.STATUS_NONFINITE
         assert len(rows) == 11 * logged
-        # closed_loop stops on the ValueError that math.sin or math.cos raise
+        # _closed_loop stops on the ValueError that math.sin or math.cos raise
         # in the hold after the last logged row
         last = rows[-11:]
         with pytest.raises(ValueError, match="math domain error"):
@@ -607,7 +609,7 @@ class TestSamplingWindows:
         # hold, and the row rule stops the run at the next update, on V = nan,
         # before it logs or counts anything: the same rows and counters
         calls = recorded_c_calls(monkeypatch)
-        _kernels.c_loop(**args)
+        _kernels.run_loop(**args)
         (_, k, c_status, state), = calls
         assert (k, c_status) == (logged, _kernels.STATUS_NONFINITE)
         assert math.isnan(state[0])
@@ -699,7 +701,7 @@ class TestCompiledLoopBuild:
 
     def test_failed_build_runs_the_python_loop(self, tmp_path, monkeypatch, capfd):
         # a source that does not compile: the loader reports why on stderr,
-        # leaves no file behind, and simulate runs closed_loop with the same bytes
+        # leaves no file behind, and simulate runs _closed_loop with the same bytes
         bad = tmp_path / "_kernels.c"
         bad.write_text("this is not C\n")
         cfg = short_config(t_max=0.5, goal_tol=0.0)
@@ -719,6 +721,41 @@ class TestCompiledLoopBuild:
         assert ("gradflow: running the Python closed loop, CSV reader, CSV writer, "
                 "deviation and quadrature: cc exited with status" in captured.err)
         assert sorted(os.listdir(cache)) == before
+
+
+def library_references(path) -> list:
+    """Each "file:line: name" of the module `path` that imports ctypes, refers
+    to compiled_loop or takes buffer_info, the names of the library's ABI."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [f"{os.path.basename(path)}:{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "ctypes" or name in ("compiled_loop", "buffer_info")]
+    return found
+
+
+class TestLibraryBoundary:
+    def test_only_kernels_speaks_to_the_library(self):
+        # _kernels alone picks the build and passes buffers to the library;
+        # every other module calls its entry points
+        package = os.path.dirname(_kernels.__file__)
+        assert library_references(_kernels.__file__)  # the walk finds what it looks for
+        found = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py") and name != "_kernels.py":
+                found += library_references(os.path.join(package, name))
+        assert found == []
 
 
 class TestRK4Order:
@@ -888,13 +925,8 @@ class TestTrackingDeviation:
     def test_both_builds_give_the_interp_oracles_bits(self, runs):
         a, b = runs
         expected = oracles.deviation_sq(a, b)
-        lib = _kernels.compiled_loop()
-        width = len(TRAJECTORY_COLUMNS)
-        compiled = lib.deviation_sq(a.rows.buffer_info()[0], len(a.rows) // width,
-                                    b.rows.buffer_info()[0], len(b.rows) // width)
-        assert same(compiled, expected)
-        assert same(_kernels.deviation_sq(a.rows, b.rows), expected)
         for build in ("c", "python"):
+            assert same(in_build(build, _kernels.worst_deviation_sq, a.rows, b.rows), expected)
             assert same(in_build(build, tracking_deviation, a, b), math.sqrt(expected))
 
     @pytest.mark.parametrize("build", ["c", "python"])
@@ -1029,7 +1061,7 @@ def assert_csv_matches_savetxt(data, directory) -> None:
     logged(data).save_csv(ours)
     expected = ref.read_bytes()
     assert ours.read_bytes() == expected
-    rows = "".join(simulator.CSV_ROW % tuple(row) for row in np.asarray(data).tolist())
+    rows = "".join(_kernels.CSV_ROW % tuple(row) for row in np.asarray(data).tolist())
     assert expected == (CSV_HEADER + "\n" + rows).encode()
     assert sorted(p.name for p in directory.iterdir()) == ["ours.csv", "ref.csv"]
 
@@ -1129,7 +1161,8 @@ class CsvBytesEqual:
     """save_csv writes np.savetxt's bytes; `writer` is the one that must run.
 
     "c" runs save_csv with the compiled library, whose format_rows writes the
-    rows, and "python" with the library forced to None, so write_rows does.
+    rows, and "python" with the library forced to None, so `_kernels._format_rows`
+    does.
     """
 
     writer = "c"
@@ -1266,7 +1299,7 @@ class LoaderRejects:
 
     `parser` says what load_trajectory_csv may use: "c" runs it with the
     compiled library, and "python" with the library forced to None, so
-    `_parse_python` reads the file.
+    `_kernels._parse_rows` reads the file.
     """
 
     parser = "c"
@@ -1362,7 +1395,7 @@ class LoaderRejects:
         long_row = ",".join(["0.000000001"] * len(TRAJECTORY_COLUMNS))
         path = tmp_path / "long.csv"
         path.write_text(f"{CSV_HEADER}\n{self.ROW}\n{self.ROW}\n{long_row}\n{self.ROW}\n")
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", len(long_row))
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", len(long_row))
         with pytest.raises(ValueError, match=f"^malformed trajectory CSV: more than "
                                              f"{len(long_row)} bytes on line 4$"):
             self.load(path)
@@ -1378,14 +1411,14 @@ class LoaderRejects:
         path = tmp_path / "many.csv"
         path.write_text(f"{CSV_HEADER}\n" + f"{row}\n" * 300
                         + tail.format(row=self.ROW, tail=self.ROW[1:]))
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 100)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", 100)
         with pytest.raises(ValueError, match=f"^malformed trajectory CSV: {reason} on line 302$"):
             self.load(path)
 
 
 class TestCsvWithoutLibrary(CsvBytesEqual, LoaderRejects):
-    """The writer and the parser where the library cannot be built: write_rows
-    and _parse_python."""
+    """The writer and the parser where the library cannot be built:
+    `_kernels._format_rows` and `_kernels._parse_rows`."""
 
     writer = "python"
     parser = "python"
@@ -1399,7 +1432,7 @@ def loadtxt(path):
 
 
 def load_without_library(path):
-    """load_trajectory_csv of `path` with the library forced to None: `_parse_python`."""
+    """load_trajectory_csv of `path` with the library forced to None: `_kernels._parse_rows`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "compiled_loop", lambda: None)
         assert _kernels.kernel() == "python"
@@ -1438,7 +1471,7 @@ def outcome(load, source):
 
 def assert_parses_as_loadtxt(path, twin=True):
     """The compiled parser reads `path` into a writable float64 memoryview of
-    np.loadtxt's array bit for bit, and so does its twin `_parse_python`,
+    np.loadtxt's array bit for bit, and so does its twin `_kernels._parse_rows`,
     unless `twin` is False (a long file)."""
     assert _kernels.kernel() == "c"
     data = load_trajectory_csv(path)
@@ -1533,7 +1566,7 @@ class TestCompiledParser:
         simulate(short_config(t_max=0.5, goal_tol=0.0)).save_csv(path)
         lines = path.read_bytes().split(b"\n")
         assert max(map(len, lines)) < 150 and sum(map(len, lines)) > 10 * chunk
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", chunk)
         assert_parses_as_loadtxt(path)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7])
@@ -1545,7 +1578,7 @@ class TestCompiledParser:
         # test_rows_across_chunk_boundaries runs the default CHUNK_ROWS
         path = tmp_path / "run.csv"
         simulate(short_config(t_max=0.5, goal_tol=0.0)).save_csv(path)
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", chunk)
         monkeypatch.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
         assert_parses_as_loadtxt(path)
 
@@ -1564,7 +1597,7 @@ class TestCompiledParser:
         row = "0.5,-1.25e-07,3,0,0,0,0,0,0,0,1"
         path = tmp_path / "late.csv"
         path.write_text(f"{CSV_HEADER}\n" + f"{row}\n" * 30 + f"{bad}\n" + f"{row}\n" * 9)
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", chunk)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", chunk)
         monkeypatch.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
         message = f"^malformed trajectory CSV: {reason} on line 32$"
         with pytest.raises(ValueError, match=message):
@@ -1576,7 +1609,7 @@ class TestCompiledParser:
                                                                  monkeypatch):
         path = tmp_path / "run.csv"
         simulate(short_config(t_max=0.02, goal_tol=0.0)).save_csv(path)
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 60)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", 60)
         # the row at t = 0 fits in 60 bytes, the next does not
         message = "^malformed trajectory CSV: more than 60 bytes on line 3$"
         with pytest.raises(ValueError, match=message):
@@ -1606,7 +1639,7 @@ class TestCompiledParser:
         path.write_text(CSV_HEADER + "\n" + (body[:-1] if cut else body), newline="")
         data = path.read_bytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "CSV_READ_BYTES", chunk)
+            mp.setattr(_kernels, "CSV_READ_BYTES", chunk)
             mp.setattr(_kernels, "CHUNK_ROWS", rows_per_chunk)
             expected = outcome(load_without_library, path)
             assert outcome(load_trajectory_csv, path) == expected
@@ -1629,7 +1662,7 @@ class TestCompiledParser:
                  "long": ",".join(["0.12345"] * len(TRAJECTORY_COLUMNS))}
         data = (f"{CSV_HEADER}\n" + f"{row}\n" * 30 + f"{fits}\n"
                 + tail.format(**lines)).encode()
-        monkeypatch.setattr(simulator, "CSV_READ_BYTES", 60)
+        monkeypatch.setattr(_kernels, "CSV_READ_BYTES", 60)
         with pytest.raises(ValueError, match=f"^malformed trajectory CSV: {reason} on line 33$"):
             in_build(build, load_through_a_pipe, data)
 
@@ -1641,7 +1674,7 @@ class TestCompiledParser:
 UBSAN_CHILD = """
 import ctypes, io, sys
 from array import array
-from gradflow import PRESETS, sim_config, simulate, simulator
+from gradflow import PRESETS, _kernels, sim_config, simulate, simulator
 lib = ctypes.CDLL(sys.argv[1])
 lib.format_rows.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
 lib.format_rows.restype = ctypes.c_int64
@@ -1657,7 +1690,7 @@ for rows, good in ((p1, len(p1) // width), (edges, len(edges) // width - 1)):
     size = lib.format_rows(rows.buffer_info()[0], n, width, ctypes.addressof(out))
     text = out.raw[:size]
     percent = io.BytesIO()
-    simulator.write_rows(percent, rows)
+    _kernels._format_rows(percent, rows)
     assert text == percent.getvalue()
     parsed, used = array("d", bytes(8 * len(rows))), ctypes.c_int64()
     got = lib.parse_rows(text, len(text), width, parsed.buffer_info()[0], n, ctypes.byref(used))
@@ -1679,7 +1712,7 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         traj.save_csv(tmp_path / "p1.csv")
         with open(tmp_path / "loop.csv", "wb") as f:
             f.write(CSV_HEADER.encode() + b"\n")
-            simulator.write_rows(f, traj.rows)
+            _kernels._format_rows(f, traj.rows)
         assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def check_values(self, values, directory):
@@ -1764,7 +1797,7 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
                       -0.000123456789)
 
     def test_format_rows_stays_in_its_buffer(self):
-        # save_csv's 24 bytes a value, and guard bytes after them
+        # write_rows' 24 bytes a value, and guard bytes after them
         lib = _kernels.compiled_loop()
         width, n_rows = len(TRAJECTORY_COLUMNS), 7
         values = array("d", (self.LONGEST_VALUES * width * n_rows)[:width * n_rows])
@@ -1773,7 +1806,7 @@ class TestCsv(CsvBytesEqual, LoaderRejects):
         used = lib.format_rows(values.buffer_info()[0], n_rows, width, ctypes.addressof(buf))
         assert used <= size
         assert buf.raw[size:] == guard
-        assert buf.raw[:used] == (simulator.CSV_ROW * n_rows % tuple(values)).encode()
+        assert buf.raw[:used] == (_kernels.CSV_ROW * n_rows % tuple(values)).encode()
 
     @pytest.mark.parametrize("value", LONGEST_VALUES)
     def test_a_value_writes_at_most_18_bytes_past_its_start(self, value):
